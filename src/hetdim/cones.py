@@ -18,15 +18,16 @@ import numpy as np
 
 from .errors import HypothesisError
 from .global_map import GlobalMapCoeffs, t1_jac_array
-from .numerics import orthonormal_frame, sorted_eigvals, subspace_distance
+from .numerics import orthonormal_frame, sorted_eigvals
 from .saddle import SaddleModel, SplitVector, t0_array, t0_jac_array
 
 Array = np.ndarray
 
 
 def return_chain(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
-                 stays: list[int], tilde: bool = False) -> list[Array]:
-    """Per-step Jacobians of T1 o T0^k_n o ... o T1 o T0^k_0 along an orbit.
+                 stays: list[int], tilde: bool = False) -> Array:
+    """Per-step Jacobians of T1 o T0^k_n o ... o T1 o T0^k_0 along an orbit,
+    as an (n, D, D) array with n = sum(k_i + 1).
 
     Per-step factors stay well conditioned individually, which matters for
     the backward (inverse) iteration; the full product's condition number is
@@ -34,31 +35,67 @@ def return_chain(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
     map (orbits on the mirrored side).
     """
     from .global_map import t1_array, t1_tilde_array, t1_tilde_jac_array
-    chain: list[Array] = []
-    v = np.asarray(p, dtype=float).copy()
+    D = model.dim
+    chain = np.empty((sum(stays) + len(stays), D, D))
+    v = np.asarray(p, dtype=float)
+    i = 0
     for k in stays:
-        for _ in range(k):
-            chain.append(t0_jac_array(model, v))
-            v = t0_array(model, v)
+        traj = np.empty((k + 1, D))
+        traj[0] = v
+        for j in range(k):
+            traj[j + 1] = t0_array(model, traj[j])
+        chain[i:i + k] = t0_jac_array(model, traj[:k])
+        v = traj[k]
         if tilde:
-            chain.append(t1_tilde_jac_array(model, coeffs, v))
+            chain[i + k] = t1_tilde_jac_array(model, coeffs, v)
             v = t1_tilde_array(model, coeffs, v)
         else:
-            chain.append(t1_jac_array(coeffs, v))
+            chain[i + k] = t1_jac_array(coeffs, v)
             v = t1_array(coeffs, v)
+        i += k + 1
     return chain
 
 
-def _apply_chain(chain: list[Array], V: Array) -> Array:
+def _apply_chain(chain: Array, V: Array) -> Array:
     for J in chain:
         V = J @ V
     return V
 
 
-def _apply_chain_inverse(chain: list[Array], V: Array) -> Array:
-    for J in reversed(chain):
-        V = np.linalg.solve(J, V)
-    return V
+def _inverse_product(chain: Array) -> Array:
+    """The D x D matrix inv(chain[0]) @ ... @ inv(chain[-1]), the inverse of
+    the chain's product.
+
+    One batched inverse, then the ordered product by pairwise reduction.  The
+    factors are inverted individually, each well conditioned; the product's
+    large entries belong to the strong-stable directions it expands.
+    """
+    P = np.linalg.inv(chain)
+    while len(P) > 1:
+        even = len(P) // 2 * 2
+        P = np.concatenate((P[0:even:2] @ P[1:even:2], P[even:]))
+    return P[0]
+
+
+def _power_frame(apply, W: Array, max_iter: int, tol: float) -> tuple[Array, int]:
+    """Iterate the orthonormal frame W <- orth(apply(W)) until its span moves
+    by less than ``tol``; returns the frame and the sweeps taken.
+
+    The move is the principal-angle residual ||Wn - W (W^T Wn)||_F, the part
+    of the new frame outside the old span.
+    """
+    for it in range(max_iter):
+        Wn = orthonormal_frame(apply(W))
+        if np.linalg.norm(Wn - W @ (W.T @ Wn)) < tol:
+            return Wn, it + 1
+        W = Wn
+    return W, max_iter
+
+
+def _z_seed(dim: int) -> Array:
+    W = np.zeros((dim, dim - 2))
+    W[2:, :] = np.eye(dim - 2)
+    return W
 
 
 @dataclass
@@ -120,7 +157,7 @@ _K_GRID = [10.0 ** e for e in range(-3, 4)]
 K_MAX = 1e3
 
 
-def invariant_cu_subspace(chain: list[Array], max_iter: int = 30,
+def invariant_cu_subspace(chain: Array, max_iter: int = 30,
                           tol: float = 1e-13) -> ConeWitness:
     """Forward-invariant 2-plane and its eigenvalues for a return chain.
 
@@ -133,14 +170,7 @@ def invariant_cu_subspace(chain: list[Array], max_iter: int = 30,
     Q = np.zeros((dim, 2))
     Q[0, 0] = 1.0
     Q[1, 1] = 1.0
-    iters = max_iter
-    for it in range(max_iter):
-        Qn = orthonormal_frame(_apply_chain(chain, Q))
-        if subspace_distance(Q, Qn) < tol:
-            iters = it + 1
-            Q = Qn
-            break
-        Q = Qn
+    Q, iters = _power_frame(lambda V: _apply_chain(chain, V), Q, max_iter, tol)
     A = Q.T @ _apply_chain(chain, Q)
     eigs = sorted_eigvals(A)
 
@@ -160,7 +190,7 @@ def invariant_cu_subspace(chain: list[Array], max_iter: int = 30,
     return ConeWitness("cu", witness_K, Q, list(eigs), float(ratio), iters)
 
 
-def invariant_s_subspace(chain: list[Array], max_iter: int = 30,
+def invariant_s_subspace(chain: Array, max_iter: int = 30,
                          tol: float = 1e-13) -> ConeWitness:
     """Backward-invariant (D-2)-plane with the small multipliers.
 
@@ -169,17 +199,9 @@ def invariant_s_subspace(chain: list[Array], max_iter: int = 30,
     by gamma^(sum k)).
     """
     dim = chain[0].shape[0]
-    W = np.zeros((dim, dim - 2))
-    W[2:, :] = np.eye(dim - 2)
-    iters = max_iter
-    for it in range(max_iter):
-        Wn = orthonormal_frame(_apply_chain_inverse(chain, W))
-        if subspace_distance(W, Wn) < tol:
-            iters = it + 1
-            W = Wn
-            break
-        W = Wn
-    A_inv = W.T @ _apply_chain_inverse(chain, W)
+    P = _inverse_product(chain)
+    W, iters = _power_frame(lambda V: P @ V, _z_seed(dim), max_iter, tol)
+    A_inv = W.T @ (P @ W)
     eigs = [1.0 / w for w in sorted_eigvals(A_inv)]
     eigs.sort(key=lambda w: -abs(w))
 
@@ -187,7 +209,7 @@ def invariant_s_subspace(chain: list[Array], max_iter: int = 30,
     ratio = np.inf
     for K in _K_GRID:
         B = _cone_boundary_s(K, dim)
-        img = _apply_chain_inverse(chain, B.T).T
+        img = (P @ B.T).T
         opening = max(_slope_s(v) for v in img)
         if opening < K:
             witness_K = K
@@ -203,17 +225,15 @@ def invariant_s_subspace(chain: list[Array], max_iter: int = 30,
 # strong-stable leaves
 
 
-def stable_frame(chain: list[Array], max_iter: int = 30, tol: float = 1e-14) -> Array:
+def stable_frame(chain: Array, max_iter: int = 30, tol: float = 1e-14) -> Array:
     """Frame of the backward-invariant (D-2)-plane, without the cone
-    certificate; this is the hot path of the leaf integration."""
-    dim = chain[0].shape[0]
-    W = np.zeros((dim, dim - 2))
-    W[2:, :] = np.eye(dim - 2)
-    for _ in range(max_iter):
-        Wn = orthonormal_frame(_apply_chain_inverse(chain, W))
-        if subspace_distance(W, Wn) < tol:
-            return Wn
-        W = Wn
+    certificate; this is the hot path of the leaf integration.
+
+    The spectral gap |strong/lambda|^k of the inverse product makes two
+    sweeps the rule: one to converge, one to confirm.
+    """
+    P = _inverse_product(chain)
+    W, _ = _power_frame(lambda V: P @ V, _z_seed(chain.shape[1]), max_iter, tol)
     return W
 
 

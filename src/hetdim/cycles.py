@@ -329,15 +329,14 @@ def solve_period2_with_s(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m:
 
 
 def orbit_jacobian_chain(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                         orbit: PeriodTwoOrbit) -> list[Array]:
-    """Per-step Jacobians along the orbit, each leg restarted from its stored
-    entry point.  Restarting matters: iterating straight through both legs
-    amplifies the closure residual by gamma^m, enough to perturb the exit
-    Jacobians and flip marginal indices."""
+                         orbit: PeriodTwoOrbit) -> Array:
+    """Per-step Jacobians along the orbit, (k + m + 2, D, D), each leg
+    restarted from its stored entry point.  Restarting matters: iterating
+    straight through both legs amplifies the closure residual by gamma^m,
+    enough to perturb the exit Jacobians and flip marginal indices."""
     cm = coeffs.with_mu(orbit.mu)
-    chain = return_chain(model, cm, orbit.points["Q01"].as_array(), [orbit.k])
-    chain += return_chain(model, cm, orbit.points["Q02"].as_array(), [orbit.m])
-    return chain
+    return np.concatenate((return_chain(model, cm, orbit.points["Q01"].as_array(), [orbit.k]),
+                           return_chain(model, cm, orbit.points["Q02"].as_array(), [orbit.m])))
 
 
 def orbit_index(model: SaddleModel, coeffs: GlobalMapCoeffs,

@@ -23,7 +23,8 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array, scales: Array | None = No
     ``scales`` sets the magnitude floor per variable so offsets of very
     different sizes (eta ~ lambda^k vs mu ~ 1) all get sensible steps.
     Probes that step outside a map's domain fall back to one-sided
-    differences.
+    differences; when every probe of a variable leaves the domain the
+    Jacobian is unknown there and ConvergenceError names the variable.
     """
     from .errors import NumericalError
 
@@ -52,7 +53,8 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array, scales: Array | None = No
         try:
             J[:, i] = (f0 - np.asarray(f(um))) / h
         except NumericalError:
-            J[:, i] = 0.0
+            raise ConvergenceError(f"fd_jacobian: every probe of variable {i} "
+                                   "left the domain", seed=u) from None
     return J
 
 
@@ -166,28 +168,6 @@ def orthonormal_frame(V: Array) -> Array:
     signs = np.sign(np.diag(R))
     signs[signs == 0.0] = 1.0
     return Q * signs[None, :]
-
-
-def subspace_distance(Q1: Array, Q2: Array) -> float:
-    """Distance between column spans via projector difference norm."""
-    P1 = Q1 @ Q1.T
-    P2 = Q2 @ Q2.T
-    return float(np.linalg.norm(P1 - P2, 2))
-
-
-def power_iterate_frame(M: Array, Q0: Array, *, max_iter: int = 30,
-                        tol: float = 1e-14) -> tuple[Array, int]:
-    """Iterate an orthonormal frame under ``M`` until the spanned subspace
-    is Cauchy.  Convergence rate is the spectral gap, which is huge for the
-    chains we feed in, so a handful of iterations suffice.
-    """
-    Q = orthonormal_frame(Q0)
-    for it in range(max_iter):
-        Qn = orthonormal_frame(M @ Q)
-        if subspace_distance(Q, Qn) < tol:
-            return Qn, it + 1
-        Q = Qn
-    return Q, max_iter
 
 
 def sorted_eigvals(M: Array) -> Array:

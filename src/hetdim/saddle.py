@@ -17,6 +17,7 @@ Models are immutable; every operation is a pure function of (model, inputs).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -124,9 +125,11 @@ class _Nonlinearity:
         f3 = np.zeros_like(np.asarray(z, dtype=float))
         return f1, f2, f3
 
-    def jac(self, x: float, y: float, z: Array) -> Array:
-        """(D, D) Jacobian contribution of (f1, f2, f3) at a single point."""
-        return np.zeros((2 + z.size, 2 + z.size))
+    def jac(self, x, y, z) -> Array:
+        """Jacobian contribution of (f1, f2, f3): (D, D) at a single point,
+        (N, D, D) for (N,) arrays x, y and (N, D-2) rows z."""
+        D = 2 + np.shape(z)[-1]
+        return np.zeros(np.shape(x) + (D, D))
 
     def spec(self) -> dict:
         return {"kind": self.kind, "eps": self.eps}
@@ -157,19 +160,18 @@ class _Polynomial(_Nonlinearity):
 
     def jac(self, x, y, z):
         e = self.eps
-        n = z.size
-        J = np.zeros((2 + n, 2 + n))
-        z1 = z[0]
-        J[0, 0] = e * y * z1
-        J[0, 1] = e * x * z1
-        J[0, 2] = e * x * y
-        J[1, 0] = e * y * y
-        J[1, 1] = 2.0 * e * y * (x + z1)
-        J[1, 2] = e * y * y
-        for i in range(n):
-            J[2 + i, 0] = e * z[i] * y
-            J[2 + i, 1] = e * z[i] * x
-            J[2 + i, 2 + i] += e * x * y
+        x, y, z, J = _jac_operands(x, y, z)
+        d = np.arange(2, J.shape[-1])
+        z1 = z[..., 0]
+        J[..., 0, 0] = e * y * z1
+        J[..., 0, 1] = e * x * z1
+        J[..., 0, 2] = e * x * y
+        J[..., 1, 0] = e * y * y
+        J[..., 1, 1] = 2.0 * e * y * (x + z1)
+        J[..., 1, 2] = e * y * y
+        J[..., 2:, 0] = e * z * y[..., None]
+        J[..., 2:, 1] = e * z * x[..., None]
+        J[..., d, d] += (e * x * y)[..., None]
         return J
 
 
@@ -198,19 +200,28 @@ class _PolynomialSymmetric(_Nonlinearity):
 
     def jac(self, x, y, z):
         e = self.eps
-        n = z.size
-        J = np.zeros((2 + n, 2 + n))
-        z1 = z[0]
-        J[0, 0] = e * y * z1
-        J[0, 1] = e * x * z1
-        J[0, 2] = e * x * y
-        J[1, 1] = 2.0 * e * y * z1
-        J[1, 2] = e * y * y
-        for i in range(n):
-            J[2 + i, 0] = e * z[i] * y * y
-            J[2 + i, 1] = 2.0 * e * z[i] * x * y
-            J[2 + i, 2 + i] += e * x * y * y
+        x, y, z, J = _jac_operands(x, y, z)
+        d = np.arange(2, J.shape[-1])
+        z1 = z[..., 0]
+        J[..., 0, 0] = e * y * z1
+        J[..., 0, 1] = e * x * z1
+        J[..., 0, 2] = e * x * y
+        J[..., 1, 1] = 2.0 * e * y * z1
+        J[..., 1, 2] = e * y * y
+        J[..., 2:, 0] = e * z * y[..., None] * y[..., None]
+        J[..., 2:, 1] = 2.0 * e * z * x[..., None] * y[..., None]
+        J[..., d, d] += (e * x * y * y)[..., None]
         return J
+
+
+def _jac_operands(x, y, z):
+    """Float arrays x, y (shape S), z (S + (D-2,)) and a zero (S + (D, D))
+    Jacobian to fill; S is () for a single point and (N,) for N rows."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    D = 2 + z.shape[-1]
+    return x, y, z, np.zeros(x.shape + (D, D))
 
 
 _FAMILIES = {
@@ -236,6 +247,15 @@ class SaddleModel:
     @property
     def A(self) -> Array:
         return np.diag(self.multipliers.strong)
+
+    @functools.cached_property
+    def diagonal(self) -> Array:
+        """The linear part's multipliers (lambda, gamma, strong...) as a (D,)
+        vector; computed on first use and kept with the model."""
+        m = self.multipliers
+        d = np.concatenate(([m.lam, m.gamma], m.strong))
+        d.flags.writeable = False
+        return d
 
     def spec(self) -> dict:
         m = self.multipliers
@@ -319,24 +339,27 @@ def _check_box(model: SaddleModel, v: Array) -> None:
 
 def t0_array(model: SaddleModel, v: Array) -> Array:
     """One local-map step on a flat (D,) array; no box check."""
-    m = model.multipliers
-    x, y, z = v[0], v[1], v[2:]
-    f1, f2, f3 = model.nonlinearity.value(x, y, z)
-    out = np.empty_like(v)
-    out[0] = m.lam * x + f1
-    out[1] = m.gamma * y + f2
-    out[2:] = m.strong * z + f3
+    out = model.diagonal * v
+    nl = model.nonlinearity
+    if nl.kind == "linear":
+        # f = +0.0 here; adding it as the normal form does turns a -0.0
+        # product into +0.0
+        out += 0.0
+        return out
+    f1, f2, f3 = nl.value(v[0], v[1], v[2:])
+    out[0] += f1
+    out[1] += f2
+    out[2:] += f3
     return out
 
 
 def t0_jac_array(model: SaddleModel, v: Array) -> Array:
-    """Exact (D, D) Jacobian of the local map at ``v``."""
-    m = model.multipliers
-    D = model.dim
-    J = model.nonlinearity.jac(float(v[0]), float(v[1]), v[2:])
-    J[0, 0] += m.lam
-    J[1, 1] += m.gamma
-    J[np.arange(2, D), np.arange(2, D)] += m.strong
+    """Exact Jacobian of the local map: (D, D) at a flat (D,) point ``v``,
+    or (N, D, D) at the N rows of an (N, D) block."""
+    v = np.asarray(v, dtype=float)
+    J = model.nonlinearity.jac(v[..., 0], v[..., 1], v[..., 2:])
+    d = np.arange(model.dim)
+    J[..., d, d] += model.diagonal
     return J
 
 
@@ -393,15 +416,10 @@ def identity_residuals(model: SaddleModel, xs: Array, ys: Array, zs: Array) -> d
     _, f2, _ = nl.value(zero_s, ys, zero_z)
     res["f2_vanish_on_Wu"] = float(np.max(np.abs(f2)))
 
-    d13 = 0.0
-    d2 = 0.0
-    for i in range(xs.size):
-        J = nl.jac(0.0, float(ys[i]), np.zeros(model.dim - 2))
-        d13 = max(d13, abs(J[0, 0]), float(np.max(np.abs(J[2:, 0]))))
-        J = nl.jac(float(xs[i]), 0.0, zs[i])
-        d2 = max(d2, abs(J[1, 1]))
-    res["df13_dx_vanish_on_Wu"] = d13
-    res["df2_dy_vanish_on_Ws"] = d2
+    dx = nl.jac(zero_s, ys, zero_z)[..., 0]
+    res["df13_dx_vanish_on_Wu"] = float(np.max(np.abs(np.delete(dx, 1, axis=-1)), initial=0.0))
+    J = nl.jac(xs, zero_s, zs)
+    res["df2_dy_vanish_on_Ws"] = float(np.max(np.abs(J[:, 1, 1]), initial=0.0))
 
     _, _, f3 = nl.value(xs, ys, zero_z)
     res["f3_vanish_on_WuE"] = float(np.max(np.abs(f3)))

@@ -1,0 +1,183 @@
+"""The flat-array kernels of the hot paths against their reference forms:
+the local map against the normal-form formula, the batched Jacobian against
+single-point calls, the stable frame against per-step inverse iteration."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from hetdim.cones import return_chain, stable_frame, strip_center
+from hetdim.cycles import orbit_index, orbit_jacobian_chain
+from hetdim.errors import ConvergenceError, DomainError
+from hetdim.global_map import (first_return_array, t1_array, t1_jac_array, t1_tilde_array,
+                               t1_tilde_jac_array)
+from hetdim.numerics import fd_jacobian, orthonormal_frame
+from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
+                            hetdim_coeffs, hetdim_model)
+from hetdim.saddle import Multipliers, apply_symmetry, build_model, t0_array, t0_jac_array
+
+TIERS = ("linear", "polynomial", "polynomial_symmetric")
+
+
+def _normal_form(model, v):
+    """T0 written out as x' = lambda x + f1, y' = gamma y + f2, z' = A z + f3."""
+    m = model.multipliers
+    f1, f2, f3 = model.nonlinearity.value(v[0], v[1], v[2:])
+    out = np.empty_like(v)
+    out[0] = m.lam * v[0] + f1
+    out[1] = m.gamma * v[1] + f2
+    out[2:] = m.strong * v[2:] + f3
+    return out
+
+
+def _sample_points(dim, rng, n=40):
+    pts = rng.uniform(-0.6, 0.6, size=(n, dim))
+    # on the axes and signed zeros, where the sign of a zero result shows
+    pts[0] = 0.0
+    pts[1] = -0.0
+    pts[2, 1:] = -0.0
+    pts[3, 0] = pts[3, 2:] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("make", [base_model, d4_model], ids=["D3", "D4"])
+@pytest.mark.parametrize("tier", TIERS)
+def test_t0_array_matches_normal_form_bitwise(make, tier, rng):
+    model = make(tier)
+    for v in _sample_points(model.dim, rng):
+        assert t0_array(model, v).tobytes() == _normal_form(model, v).tobytes()
+
+
+def test_t0_array_bitwise_with_negative_multipliers(rng):
+    mult = Multipliers(-0.55, -2.2, np.array([-0.25]), 0.4, 2.4, 0.29)
+    model = build_model(mult, 3, "linear")
+    for v in _sample_points(3, rng):
+        assert t0_array(model, v).tobytes() == _normal_form(model, v).tobytes()
+
+
+@pytest.mark.parametrize("make", [base_model, d4_model], ids=["D3", "D4"])
+@pytest.mark.parametrize("tier", TIERS)
+def test_batched_jacobian_equals_single_point_calls(make, tier, rng):
+    model = make(tier)
+    rows = _sample_points(model.dim, rng)
+    batched = t0_jac_array(model, rows)
+    assert batched.shape == (len(rows), model.dim, model.dim)
+    stacked = np.stack([t0_jac_array(model, v) for v in rows])
+    assert batched.tobytes() == stacked.tobytes()
+    # and the single-point Jacobian is the derivative of the map
+    h = 1e-6
+    for v in rows[4:8]:
+        fd = np.column_stack([(t0_array(model, v + h * e) - t0_array(model, v - h * e)) / (2 * h)
+                              for e in np.eye(model.dim)])
+        assert np.max(np.abs(fd - t0_jac_array(model, v))) < 1e-9
+
+
+@pytest.mark.parametrize("tilde", [False, True])
+def test_return_chain_matches_step_loop(tilde):
+    model, coeffs = hetdim_model(tier="polynomial_symmetric"), hetdim_coeffs()
+    base = strip_center(model, coeffs, 12)
+    if tilde:
+        base = apply_symmetry(model, base)
+    v, ref = base.as_array(), []
+    for k in (12, 10):
+        for _ in range(k):
+            ref.append(t0_jac_array(model, v))
+            v = t0_array(model, v)
+        if tilde:
+            ref.append(t1_tilde_jac_array(model, coeffs, v))
+            v = t1_tilde_array(model, coeffs, v)
+        else:
+            ref.append(t1_jac_array(coeffs, v))
+            v = t1_array(coeffs, v)
+    chain = return_chain(model, coeffs, base.as_array(), [12, 10], tilde=tilde)
+    assert chain.tobytes() == np.stack(ref).tobytes()
+
+
+def subspace_distance(Q1, Q2):
+    """Sine of the largest principal angle: the 2-norm of the projector
+    difference."""
+    return float(np.linalg.norm(Q1 @ Q1.T - Q2 @ Q2.T, 2))
+
+
+def _reference_stable_frame(chain, max_iter=30, tol=1e-14):
+    """Per-step inverse iteration: one solve per chain factor per sweep."""
+    W = np.zeros((chain.shape[1], chain.shape[1] - 2))
+    W[2:, :] = np.eye(chain.shape[1] - 2)
+    for _ in range(max_iter):
+        V = W
+        for J in reversed(chain):
+            V = np.linalg.solve(J, V)
+        Wn = orthonormal_frame(V)
+        if subspace_distance(W, Wn) < tol:
+            return Wn
+        W = Wn
+    return W
+
+
+def _d4_coeffs():
+    return dataclasses.replace(
+        hetdim_coeffs(), z_plus=np.array([0.03, 0.01]), a_t=np.array([0.05, 0.02]),
+        b_t=np.array([0.1, 0.05]), alpha1=np.array([0.02, 0.01]),
+        alpha2=np.array([0.03, 0.01]), alpha3=np.array([[0.4, 0.05], [0.0, 0.3]]))
+
+
+@pytest.mark.parametrize("tilde", [False, True])
+@pytest.mark.parametrize("k", [10, 20, 36])
+@pytest.mark.parametrize("lab", ["hetdim", "d4"])
+def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde):
+    if lab == "hetdim":
+        model, coeffs = hetdim_model(), hetdim_coeffs()
+    else:
+        model, coeffs = d4_model(), _d4_coeffs()
+    base = strip_center(model, coeffs, k)
+    if tilde:
+        base = apply_symmetry(model, base)
+    chain = return_chain(model, coeffs, base.as_array(), [k], tilde=tilde)
+    assert chain.shape == (k + 1, model.dim, model.dim)
+    W = stable_frame(chain)
+    assert W.shape == (model.dim, model.dim - 2)
+    assert np.max(np.abs(W.T @ W - np.eye(model.dim - 2))) < 1e-14
+    assert subspace_distance(W, _reference_stable_frame(chain)) < 1e-13
+
+
+def test_orbit_jacobian_chain_shape_and_index(battery_orbits):
+    model, coeffs = battery_model(), battery_coeffs()
+    for orbit in battery_orbits:
+        k, m = orbit.itinerary
+        chain = orbit_jacobian_chain(model, coeffs, orbit)
+        assert chain.shape == (k + m + 2, model.dim, model.dim)
+        # the index of DT^2 composed leg by leg, as the first-return map does
+        cm = coeffs.with_mu(orbit.mu)
+        _, F1 = first_return_array(model, cm, orbit.points["Q01"].as_array(), k)
+        _, F2 = first_return_array(model, cm, orbit.points["Q02"].as_array(), m)
+        expected = int(np.sum(np.abs(np.linalg.eigvals(F2 @ F1)) > 1.0))
+        assert orbit_index(model, coeffs, orbit) == expected
+        if abs(orbit.s_value) < 1.0:
+            assert expected == 2
+
+
+def test_fd_jacobian_raises_when_every_probe_leaves_the_domain():
+    u0 = np.array([0.3, 0.5, -0.2])
+
+    def f(u):
+        if u[1] != u0[1]:
+            raise DomainError("probe left the domain")
+        return np.array([u[0] ** 2, u[0] + u[1], u[2] * u[1]])
+
+    with pytest.raises(ConvergenceError, match="variable 1"):
+        fd_jacobian(f, u0)
+
+
+def test_fd_jacobian_one_sided_fallback():
+    # probes beyond x = 0.3 leave the domain: the backward difference serves
+    def f(u):
+        if u[0] > 0.3:
+            raise DomainError("probe left the domain")
+        return np.array([u[0] ** 2, 3.0 * u[1]])
+
+    J = fd_jacobian(f, np.array([0.3, 1.0]))
+    assert J[0, 0] == pytest.approx(0.6, rel=1e-6)
+    assert J[1, 1] == pytest.approx(3.0, rel=1e-9)
