@@ -240,14 +240,21 @@ def closure_oracle_floor(model: SaddleModel, coeffs: GlobalMapCoeffs,
 
 def _period2_seed(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
                   s_target: float, branch: int = -1) -> tuple[Array, float]:
-    """Unknown vector and mu from the scaled solutions of the limit systems."""
+    """Unknown vector and mu from the scaled solutions of the limit systems.
+
+    With c d x+ > 0 the large exit offset lambda^(m/2) sqrt(c x+ / d) sits on
+    eta1, with the sign of the index-relation product P = eta1 eta2, and eta2
+    follows from P; this lands on the branch the solver's orbits carry.
+    """
     lam = model.multipliers.lam
     c, d, xp, ym, b = coeffs.c, coeffs.d, coeffs.x_plus, coeffs.y_minus, coeffs.b
     nz = model.dim - 2
     half_m = lam ** (m // 2)
     if c * d * xp > 0:
-        eta2 = branch * half_m * math.sqrt(c * xp / d)
-        eta1 = branch * s_target * lam ** k * half_m * math.sqrt(d / (c * xp))
+        P = (s_target * lam ** (k + m)
+             + _index_relation(coeffs, lam, model.multipliers.gamma, k, m))
+        eta1 = branch * math.copysign(half_m * math.sqrt(c * xp / d), P)
+        eta2 = P / eta1
     else:
         eta1 = branch * half_m * math.sqrt(abs(c * xp / d))
         eta2 = branch * s_target * lam ** k * half_m * math.sqrt(abs(d / (c * xp)))
