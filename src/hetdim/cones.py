@@ -19,7 +19,7 @@ import numpy as np
 from .errors import HypothesisError
 from .global_map import GlobalMapCoeffs, t1_jac_array
 from .numerics import orthonormal_frame, sorted_eigvals
-from .saddle import SaddleModel, SplitVector, t0_array, t0_jac_array
+from .saddle import SaddleModel, SplitVector, orbit, t0_jac_array
 
 Array = np.ndarray
 
@@ -40,10 +40,7 @@ def return_chain(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
     v = np.asarray(p, dtype=float)
     i = 0
     for k in stays:
-        traj = np.empty((k + 1, D))
-        traj[0] = v
-        for j in range(k):
-            traj[j + 1] = t0_array(model, traj[j])
+        traj = orbit(model, v, k)
         chain[i:i + k] = t0_jac_array(model, traj[:k])
         v = traj[k]
         if tilde:

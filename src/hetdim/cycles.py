@@ -29,15 +29,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import saddle
 from .cones import invariant_cu_subspace, leaf_march, return_chain
 from .errors import (AmbiguousIndexError, ContractError, ConvergenceError,
-                     DomainError, HypothesisError, ItineraryError,
-                     NumericalError, ValidationError)
+                     DomainError, HypothesisError, NumericalError,
+                     ValidationError)
 from .global_map import (GlobalMapCoeffs, first_return_array, coeffs_from_json,
-                         t1_array, t1_jac_array, t1_tilde_array)
+                         t1_array, t1_tilde_array)
 from .numerics import newton_solve, sorted_eigvals
-from .saddle import (SaddleModel, SplitVector, build_model, model_from_json,
-                     reflect_array, t0_array)
+from .saddle import SaddleModel, SplitVector, build_model, model_from_json
 
 Array = np.ndarray
 
@@ -98,15 +98,6 @@ def _closure_tols(model: SaddleModel, coeffs: GlobalMapCoeffs,
     return tols, accepts
 
 
-def _forward_leg(model: SaddleModel, p: Array, n: int) -> Array:
-    v = p.copy()
-    for _ in range(n):
-        v = t0_array(model, v)
-        if np.max(np.abs(v)) > model.box:
-            raise ItineraryError("closure leg left the validity box")
-    return v
-
-
 def _leg_points(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
                 k: int, m: int) -> tuple[Array, Array, Array, Array]:
     """Entry points and leg exits from the unknown vector.
@@ -123,9 +114,7 @@ def _leg_points(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
                          coeffs.z_plus + u[2:2 + nz]))
     p2 = np.concatenate(([coeffs.x_plus + u[2 + nz], u[3 + nz] / gam ** m],
                          coeffs.z_plus + u[4 + nz:4 + 2 * nz]))
-    e1 = _forward_leg(model, p1, k)
-    e2 = _forward_leg(model, p2, m)
-    return p1, e1, p2, e2
+    return p1, saddle.orbit(model, p1, k)[-1], p2, saddle.orbit(model, p2, m)[-1]
 
 
 def _closure_residuals(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
@@ -243,8 +232,9 @@ def _period2_seed(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
     """Unknown vector and mu from the scaled solutions of the limit systems.
 
     With c d x+ > 0 the large exit offset lambda^(m/2) sqrt(c x+ / d) sits on
-    eta1, with the sign of the index-relation product P = eta1 eta2, and eta2
-    follows from P; this lands on the branch the solver's orbits carry.
+    eta1 and eta2 follows from the index-relation product P = eta1 eta2; the
+    sign of eta1 is branch * sign(P), so eta2 carries the branch sign and the
+    seed does not land on the mirror orbit (-eta1, -eta2).
     """
     lam = model.multipliers.lam
     c, d, xp, ym, b = coeffs.c, coeffs.d, coeffs.x_plus, coeffs.y_minus, coeffs.b
@@ -734,12 +724,7 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
     pts = disk(r0)
 
     def exit_y(p: Array, n: int) -> float:
-        v = p.copy()
-        for _ in range(n):
-            v = t0_array(mdl, v)
-            if np.max(np.abs(v)) > mdl.box:
-                raise ItineraryError("left the box")
-        return float(v[1])
+        return float(saddle.orbit(mdl, p, n)[-1, 1])
 
     def _crossing(p_lo: Array, p_hi: Array, stay: int, level: float, ret: int) -> dict:
         """Bisect the segment onto the boundary sheet {T0^stay(p)_y = level}."""
@@ -881,15 +866,11 @@ def replay_certificate_dict(doc: dict) -> dict:
             lambda: closure_residual_forward(model, coeffs, pts["Q01"], k, m))
 
     def legs():
-        leg = 0.0
-        v = pts["Q01"].as_array()
-        for _ in range(k):
-            v = t0_array(model, v)
-        leg = max(leg, float(np.max(np.abs(v - pts["Q11"].as_array()))))
+        v = saddle.orbit(model, pts["Q01"].as_array(), k)[-1]
+        leg = float(np.max(np.abs(v - pts["Q11"].as_array())))
         v = t1_array(coeffs, v)
         leg = max(leg, float(np.max(np.abs(v - pts["Q02"].as_array()))))
-        for _ in range(m):
-            v = t0_array(model, v)
+        v = saddle.orbit(model, v, m)[-1]
         return max(leg, float(np.max(np.abs(v - pts["Q12"].as_array()))))
 
     guarded("legs", 1e-10, legs)

@@ -17,12 +17,13 @@ set: it is the conjugation R o T1 o R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ItineraryError, ValidationError
-from .saddle import SaddleModel, SplitVector, reflect_array, t0_array, t0_jac_array
+from .saddle import SaddleModel, SplitVector, orbit, reflect_array, t0_jac_array
 
 Array = np.ndarray
 
@@ -54,7 +55,11 @@ class GlobalMapCoeffs:
                 raise ValidationError(f"non-degeneracy violated: {name} must be nonzero")
 
     def with_mu(self, mu: float) -> "GlobalMapCoeffs":
-        return replace(self, mu=float(mu))
+        # a shallow copy sharing the validated arrays: dataclasses.replace
+        # would re-run __post_init__ on every closure or tangency residual
+        new = copy.copy(self)
+        object.__setattr__(new, "mu", float(mu))
+        return new
 
     def spec(self) -> dict:
         return {
@@ -175,18 +180,15 @@ def apply_T1_symmetric(model: SaddleModel, coeffs: GlobalMapCoeffs, p: SplitVect
 def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k: int,
                        with_jacobian: bool = True) -> tuple[Array, Array | None]:
     """T1 o T0^k on flat arrays; ItineraryError names the first violated step."""
-    J = np.eye(model.dim) if with_jacobian else None
-    w = v.copy()
-    for j in range(k):
-        if with_jacobian:
-            J = t0_jac_array(model, w) @ J
-        w = t0_array(model, w)
-        if np.max(np.abs(w)) > model.box:
-            raise ItineraryError(f"itinerary violated: left the box at local step {j + 1}",
-                                 step=j + 1)
+    traj = orbit(model, v, k)
+    w = traj[k]
     if not in_pi1(coeffs, w):
         raise ItineraryError(f"itinerary violated: T0^{k}(p) not in Pi1", step=k)
+    J = None
     if with_jacobian:
+        J = np.eye(model.dim)
+        for Jj in t0_jac_array(model, traj[:k]):
+            J = Jj @ J
         J = t1_jac_array(coeffs, w) @ J
     return t1_array(coeffs, w), J
 
@@ -238,12 +240,11 @@ def locate_strip(model: SaddleModel, coeffs: GlobalMapCoeffs, p: SplitVector,
     v = p.as_array()
     if not in_pi0(coeffs, v):
         return None
-    ks = k_star(model, coeffs)
-    w = v.copy()
-    for k in range(1, k_max + 1):
-        w = t0_array(model, w)
-        if np.max(np.abs(w)) > model.box:
-            return None
-        if k >= ks and in_pi1(coeffs, w):
+    try:
+        traj = orbit(model, v, k_max)
+    except ItineraryError as exc:
+        traj = orbit(model, v, exc.step - 1)
+    for k in range(k_star(model, coeffs), len(traj)):
+        if in_pi1(coeffs, traj[k]):
             return strip_for(model, coeffs, k)
     return None

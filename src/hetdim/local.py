@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ItineraryError
-from .saddle import SaddleModel, SplitVector, t0_array, t0_jac_array
+from .errors import ConvergenceError, DomainError
+from .saddle import SaddleModel, SplitVector, orbit, t0_jac_array
 
 Array = np.ndarray
 
@@ -29,30 +29,23 @@ def iterate_local(model: SaddleModel, p: SplitVector, k: int,
     v = p.as_array()
     if np.max(np.abs(v)) > model.box:
         raise DomainError("starting point outside validity box")
-    D = model.dim
-    traj = np.empty((k + 1, D))
-    traj[0] = v
-    J = np.eye(D) if with_jacobian else None
-    for j in range(k):
-        if with_jacobian:
-            J = t0_jac_array(model, v) @ J
-        v = t0_array(model, v)
-        if np.max(np.abs(v)) > model.box:
-            raise ItineraryError(f"orbit left the validity box at step {j + 1}", step=j + 1)
-        traj[j + 1] = v
-    return SplitVector.from_array(v), J, traj
+    traj = orbit(model, v, k)
+    J = None
+    if with_jacobian:
+        J = np.eye(model.dim)
+        for Jj in t0_jac_array(model, traj[:k]):
+            J = Jj @ J
+    return SplitVector.from_array(traj[k]), J, traj
 
 
 def _forward_y(model: SaddleModel, x0: float, y0: float, z0: Array, k: int) -> tuple[float, float, float, Array]:
     """Forward-shoot k steps; return (yk, dyk/dy0, xk, zk)."""
-    v = np.concatenate(([x0, y0], z0))
+    traj = orbit(model, np.concatenate(([x0, y0], z0)), k)
     dy = np.zeros(model.dim)
     dy[1] = 1.0
-    for _ in range(k):
-        dy = t0_jac_array(model, v) @ dy
-        v = t0_array(model, v)
-        if np.max(np.abs(v)) > model.box:
-            raise DomainError("cross-form shooting left the validity box")
+    for Jj in t0_jac_array(model, traj[:k]):
+        dy = Jj @ dy
+    v = traj[k]
     return float(v[1]), float(dy[1]), float(v[0]), v[2:]
 
 

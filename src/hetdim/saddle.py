@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ValidationError
+from .errors import ContractError, DomainError, ItineraryError, ValidationError
 
 Array = np.ndarray
 
@@ -351,6 +351,38 @@ def t0_array(model: SaddleModel, v: Array) -> Array:
     out[1] += f2
     out[2:] += f3
     return out
+
+
+def orbit(model: SaddleModel, v: Array, n: int) -> Array:
+    """The n-step trajectory of the local map from a flat (D,) point, as an
+    (n+1, D) array whose row j is T0^j(v).
+
+    Raises ItineraryError carrying the first step that leaves the validity
+    box.  The linear tier takes the first step with ``t0_array`` and the rest
+    as one running product of the multipliers, which performs the same
+    multiplications (and the same ``+ 0.0``) as stepping, bit for bit.
+    """
+    traj = np.empty((n + 1, model.dim))
+    traj[0] = v
+    if n:
+        traj[1] = t0_array(model, traj[0])
+    if model.nonlinearity.kind == "linear":
+        traj[2:] = model.diagonal
+        np.multiply.accumulate(traj[1:], axis=0, out=traj[1:])
+        traj[2:] += 0.0
+    else:
+        for j in range(1, n):
+            if not np.all(np.abs(traj[j]) <= model.box):
+                # past the box the nonlinear terms grow without bound and
+                # overflow; the check below reports row j
+                traj[j + 1:] = np.nan
+                break
+            traj[j + 1] = t0_array(model, traj[j])
+    out = ~np.all(np.abs(traj[1:]) <= model.box, axis=1)
+    if out.any():
+        step = int(np.argmax(out)) + 1
+        raise ItineraryError(f"orbit left the validity box at step {step}", step=step)
+    return traj
 
 
 def t0_jac_array(model: SaddleModel, v: Array) -> Array:

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, HypothesisError, NumericalError
+from .errors import ConvergenceError, HypothesisError, ItineraryError, NumericalError
 from .global_map import GlobalMapCoeffs, first_return_array, t1_array, t1_jac_array
 from .local import solve_cross_form
 from .numerics import newton_solve
-from .saddle import SaddleModel, SplitVector, t0_array, t0_jac_array
+from .saddle import SaddleModel, SplitVector, orbit, t0_jac_array
 
 Array = np.ndarray
 
@@ -158,11 +158,10 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         r2 = (mu + coeffs.c * cf.x_k + d * Y * Y + coeffs.alpha2 @ cf.z_k + e3 * Y ** 3)
         # tangency: derivative of the composed y along the curve, chained
         # through the cross-form-consistent orbit
-        v = np.concatenate(([x0, cf.y_0], z0))
+        traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), k)
         Jk = np.eye(model.dim)
-        for _ in range(k):
-            Jk = t0_jac_array(model, v) @ Jk
-            v = t0_array(model, v)
+        for Jj in t0_jac_array(model, traj[:k]):
+            Jk = Jj @ Jk
         w = Jk @ curve_tangent(cm, t)
         r3 = float((t1_jac_array(cm, endpoint) @ w)[1])
         return np.array([r1, r2, r3])
@@ -401,10 +400,9 @@ def secondary_c_coefficient(model: SaddleModel, coeffs: GlobalMapCoeffs,
         cf = solve_cross_form(model, x0, coeffs.y_minus + branch.Y, z0, branch.k)
         v = branch.preimage.as_array()
         J = t1_jac_array(cm, v)
-        w = np.concatenate(([x0, cf.y_0], z0))
-        for _ in range(branch.k):
-            J = t0_jac_array(model, w) @ J
-            w = t0_array(model, w)
+        traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), branch.k)
+        for Jj in t0_jac_array(model, traj[:branch.k]):
+            J = Jj @ J
         endpoint = np.concatenate(([cf.x_k, coeffs.y_minus + branch.Y], cf.z_k))
         val = float((t1_jac_array(cm, endpoint) @ J)[1, 0])
     else:
@@ -731,11 +729,10 @@ def _tertiary_y_slope(model, cm, base, t, k, j) -> tuple[float, float]:
 def _tertiary_exit_interior(model, cm, base, t, k, j, frac: float = 0.7) -> bool:
     """Reject tertiary solutions whose j-leg exits near the strip boundary
     (Newton occasionally settles on such artifacts)."""
-    w = _tertiary_point(model, cm, base, t, k)
-    for _ in range(j):
-        w = t0_array(model, w)
-        if np.max(np.abs(w)) > model.box:
-            return False
+    try:
+        w = orbit(model, _tertiary_point(model, cm, base, t, k), j)[j]
+    except ItineraryError:
+        return False
     return abs(w[1] - cm.y_minus) < frac * cm.delta / 2.0
 
 

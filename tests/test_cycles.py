@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hetdim.cycles import (certificate_to_dict, certificate_to_json, closure_ora
                            orbit_index, orbit_to_unknowns, replay_certificate_dict,
                            solve_hetdim_general, solve_hetdim_symmetric, solve_period2,
                            solve_period2_with_s, verify_transverse_connection,
-                           _connection_gap)
+                           _connection_gap, _period2_seed)
 from hetdim.errors import ContractError, ValidationError
 from hetdim.global_map import coeffs_from_json, t1_tilde_array
-from hetdim.presets import (battery_coeffs, battery_model, hetdim_coeffs, hetdim_model,
-                            hetdim_schedule)
+from hetdim.presets import (battery_coeffs, battery_model, battery_pairs, hetdim_coeffs,
+                            hetdim_model, hetdim_schedule)
 from hetdim.saddle import apply_symmetry, model_from_json, t0_array
 
 
@@ -54,6 +55,37 @@ def test_leg_consistency(bat):
     for _ in range(12):
         v = t0_array(model, v)
     assert np.max(np.abs(v - orbit.points["Q12"].as_array())) < 1e-11
+
+
+def _seed_cases():
+    for k, m in battery_pairs():
+        for s in (-0.9, 0.0, 0.9):
+            yield pytest.param("battery", k, m, s, id=f"battery-k{k}-m{m}-s{s:+.1f}")
+    for k, m in hetdim_schedule():
+        yield pytest.param("hetdim", k, m, 0.0, id=f"hetdim-k{k}-m{m}")
+
+
+@pytest.mark.parametrize("lab,k,m,s", _seed_cases())
+def test_period2_seed_lands_on_the_solved_branch(lab, k, m, s):
+    # c d x+ > 0 on both labs: the large exit offset belongs on eta1
+    if lab == "battery":
+        model, coeffs = battery_model(), battery_coeffs()
+    else:
+        # the cycle solver's phase A solves at the gamma of the
+        # lambda^k gamma^m = 2 y- / (c x+) relation
+        coeffs = hetdim_coeffs()
+        ratio = 2.0 * coeffs.y_minus / (coeffs.c * coeffs.x_plus)
+        lam = hetdim_model().multipliers.lam
+        model = hetdim_model(gamma=math.exp((math.log(ratio) - k * math.log(lam)) / m))
+    u, mu = _period2_seed(model, coeffs, k, m, s)
+    eta = (u[1] - coeffs.y_minus, u[model.dim + 1] - coeffs.y_minus)
+    orbit = solve_period2_with_s(model, coeffs, k, m, s)
+    # the default branch -1 is the orbit with eta2 < 0, not its mirror
+    # (-eta1, -eta2), which satisfies the same index relation
+    assert orbit.eta[1] < 0.0
+    assert np.array_equal(np.sign(eta), np.sign(orbit.eta))
+    assert abs(eta[0] / orbit.eta[0] - 1.0) < 0.5
+    assert abs(mu / orbit.mu - 1.0) < 0.5
 
 
 def test_eta_magnitudes_cycle_regime(hetdim_certificates):

@@ -1,6 +1,8 @@
 """The flat-array kernels of the hot paths against their reference forms:
-the local map against the normal-form formula, the batched Jacobian against
-single-point calls, the stable frame against per-step inverse iteration."""
+the local map against the normal-form formula, the trajectory kernel and the
+Jacobian chains built on it against per-step loops, the batched Jacobian
+against single-point calls, the stable frame against per-step inverse
+iteration."""
 
 from __future__ import annotations
 
@@ -11,13 +13,15 @@ import pytest
 
 from hetdim.cones import return_chain, stable_frame, strip_center
 from hetdim.cycles import orbit_index, orbit_jacobian_chain
-from hetdim.errors import ConvergenceError, DomainError
+from hetdim.errors import ConvergenceError, DomainError, ItineraryError
 from hetdim.global_map import (first_return_array, t1_array, t1_jac_array, t1_tilde_array,
                                t1_tilde_jac_array)
+from hetdim.local import _forward_y
 from hetdim.numerics import fd_jacobian, orthonormal_frame
 from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
-                            hetdim_coeffs, hetdim_model)
-from hetdim.saddle import Multipliers, apply_symmetry, build_model, t0_array, t0_jac_array
+                            forge_coeffs, hetdim_coeffs, hetdim_model)
+from hetdim.saddle import (Multipliers, apply_symmetry, build_model, orbit, t0_array,
+                           t0_jac_array)
 
 TIERS = ("linear", "polynomial", "polynomial_symmetric")
 
@@ -73,6 +77,91 @@ def test_batched_jacobian_equals_single_point_calls(make, tier, rng):
         fd = np.column_stack([(t0_array(model, v + h * e) - t0_array(model, v - h * e)) / (2 * h)
                               for e in np.eye(model.dim)])
         assert np.max(np.abs(fd - t0_jac_array(model, v))) < 1e-9
+
+
+def _negative_model(tier):
+    mult = Multipliers(-0.55, -2.2, np.array([-0.25]), 0.4, 2.4, 0.29)
+    return build_model(mult, 3, {"kind": tier, "eps": 0.05})
+
+
+MODELS = {"D3": base_model, "D4": d4_model, "negative": _negative_model}
+
+
+def _step_loop(model, v, n):
+    """The trajectory stepped one t0_array call at a time, and the first
+    step that leaves the box (None if none does)."""
+    rows = [np.array(v, dtype=float)]
+    for j in range(n):
+        rows.append(t0_array(model, rows[-1]))
+        if np.max(np.abs(rows[-1])) > model.box:
+            return np.stack(rows), j + 1
+    return np.stack(rows), None
+
+
+def _orbit_starts(dim):
+    starts = np.array([[0.1, 1e-6, -0.0, 0.02], [-0.08, -3e-5, 0.04, -0.0],
+                       [0.0, -0.0, 0.0, -0.0], [0.5, 2e-5, -0.3, 0.2]])
+    return starts[:, :dim]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("tier", TIERS)
+def test_orbit_matches_step_loop_bitwise(name, tier):
+    model = MODELS[name](tier)
+    for v in _orbit_starts(model.dim):
+        for n in (0, 1, 2, 9, 12):
+            ref, exit_step = _step_loop(model, v, n)
+            assert exit_step is None
+            assert orbit(model, v, n).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("tier", TIERS)
+def test_orbit_names_the_loops_first_exit_step(name, tier):
+    model = MODELS[name](tier)
+    for y0 in (0.9, 0.4, 1e-3, 2e-6):
+        v = np.zeros(model.dim)
+        v[:3] = (0.05, y0, -0.02)
+        _, exit_step = _step_loop(model, v, 40)
+        assert exit_step is not None
+        with pytest.raises(ItineraryError) as exc:
+            orbit(model, v, 40)
+        assert exc.value.step == exit_step
+        # shorter than the exit, the trajectory is returned whole
+        assert orbit(model, v, exit_step - 1).shape == (exit_step, model.dim)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_first_return_jacobian_matches_step_loop(tier):
+    model, coeffs = base_model(tier), forge_coeffs("cdx_neg_d_neg")
+    for k in (8, 12):
+        v = strip_center(model, coeffs, k).as_array()
+        J, w = np.eye(model.dim), v.copy()
+        for _ in range(k):
+            J = t0_jac_array(model, w) @ J
+            w = t0_array(model, w)
+        J = t1_jac_array(coeffs, w) @ J
+        out, J_kernel = first_return_array(model, coeffs, v, k)
+        assert out.tobytes() == t1_array(coeffs, w).tobytes()
+        assert J_kernel.tobytes() == J.tobytes()
+
+
+@pytest.mark.parametrize("make", [base_model, d4_model], ids=["D3", "D4"])
+@pytest.mark.parametrize("tier", TIERS)
+def test_forward_y_matches_step_loop(make, tier):
+    model = make(tier)
+    z0 = np.full(model.dim - 2, 0.03)
+    for k in (6, 12):
+        y0 = 0.45 / model.multipliers.gamma ** k
+        v = np.concatenate(([0.1, y0], z0))
+        dy = np.zeros(model.dim)
+        dy[1] = 1.0
+        for _ in range(k):
+            dy = t0_jac_array(model, v) @ dy
+            v = t0_array(model, v)
+        yk, slope, xk, zk = _forward_y(model, 0.1, y0, z0, k)
+        assert (yk, slope, xk) == (float(v[1]), float(dy[1]), float(v[0]))
+        assert zk.tobytes() == v[2:].tobytes()
 
 
 @pytest.mark.parametrize("tilde", [False, True])
