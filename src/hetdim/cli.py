@@ -1,6 +1,6 @@
 """Command line entry points.
 
-    hetdim run --config cfg.json [--out DIR] [--jobs N]
+    hetdim run --config cfg.json [--out DIR]
     hetdim replay certificate.json
     hetdim check-model --config cfg.json
 
@@ -25,7 +25,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a configured experiment")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--jobs", type=int, default=None)
 
     p_replay = sub.add_parser("replay", help="re-verify a cycle certificate")
     p_replay.add_argument("certificate")
@@ -35,7 +34,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run_experiment(args.config, out_dir=args.out, jobs=args.jobs)
+        return run_experiment(args.config, out_dir=args.out)
     if args.command == "replay":
         return replay_certificate(args.certificate)
     if args.command == "check-model":

@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +80,6 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def _run_parallel(items, fn, jobs: int):
-    """Evaluate fn over items, preserving order; deterministic merge."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # experiments; each returns (files, checks)
 
@@ -142,8 +133,7 @@ def _exp_period2_sweep(doc, rng):
     pairs = [tuple(p) for p in doc.get("schedule", {}).get("pairs", [])]
     targets = doc.get("s_targets", [-0.9, 0.0, 0.9])
 
-    def solve(item):
-        (k, m), s = item
+    def solve(k, m, s):
         orbit = solve_period2_with_s(model, coeffs, k, m, s)
         s_rec, match = index2_criterion(model, coeffs, orbit)
         from .cycles import orbit_index
@@ -151,8 +141,7 @@ def _exp_period2_sweep(doc, rng):
         return (k, m, s, orbit.mu, orbit.eta[0], orbit.eta[1],
                 orbit.closure_residual, s_rec, idx, match)
 
-    items = [((k, m), s) for (k, m) in pairs for s in targets]
-    rows = _run_parallel(items, solve, doc.get("jobs", 1))
+    rows = [solve(k, m, s) for (k, m) in pairs for s in targets]
     lines = ["k,m,s_target,mu,eta1,eta2,closure,s_recovered,index,match"]
     for r in rows:
         lines.append(",".join([str(r[0]), str(r[1]), _fmt(r[2]), _fmt(r[3]),
@@ -303,8 +292,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config_path: str, out_dir: str | None = None,
-                   jobs: int | None = None) -> int:
+def run_experiment(config_path: str, out_dir: str | None = None) -> int:
     """Execute the configured experiment; returns the process exit code."""
     _setup_logging()
     t0 = time.time()
@@ -314,8 +302,6 @@ def run_experiment(config_path: str, out_dir: str | None = None,
     except (OSError, json.JSONDecodeError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if jobs is not None:
-        doc["jobs"] = jobs
     out = Path(out_dir or doc.get("out", "hetdim-out"))
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(doc.get("seed", 0))

@@ -143,15 +143,16 @@ def test_remaining_experiments_run(tmp_path):
         assert json.loads((out / "summary.json").read_text())["all_ok"]
 
 
-def test_parallel_sweep_matches_serial(tmp_path):
+def test_stale_jobs_key_is_ignored(tmp_path):
+    # configs written for the removed thread pool may still carry "jobs"
     from hetdim.presets import battery_coeffs, battery_model
     base = {"experiment": "period2_sweep",
             "model": battery_model().spec(), "coeffs": battery_coeffs().spec(),
             "schedule": {"pairs": [[14, 12], [16, 14], [16, 12]]},
             "s_targets": [0.0, 0.9]}
-    for tag, jobs in (("serial", 1), ("parallel", 3)):
+    for tag, extra in (("plain", {}), ("jobs", {"jobs": 3})):
         cfg = _write(tmp_path, f"{tag}.json",
-                     {**base, "jobs": jobs, "out": str(tmp_path / tag)})
+                     {**base, **extra, "out": str(tmp_path / tag)})
         assert main(["run", "--config", cfg]) == 0
-    assert ((tmp_path / "serial" / "orbits.csv").read_bytes()
-            == (tmp_path / "parallel" / "orbits.csv").read_bytes())
+    assert ((tmp_path / "plain" / "orbits.csv").read_bytes()
+            == (tmp_path / "jobs" / "orbits.csv").read_bytes())
