@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ItineraryError, ValidationError
-from .saddle import SaddleModel, SplitVector, orbit, reflect_array, t0_jac_array
+from .saddle import SaddleModel, SplitVector, jacobian_along, orbit, reflect_array
 
 Array = np.ndarray
 
@@ -184,12 +184,7 @@ def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k:
     w = traj[k]
     if not in_pi1(coeffs, w):
         raise ItineraryError(f"itinerary violated: T0^{k}(p) not in Pi1", step=k)
-    J = None
-    if with_jacobian:
-        J = np.eye(model.dim)
-        for Jj in t0_jac_array(model, traj[:k]):
-            J = Jj @ J
-        J = t1_jac_array(coeffs, w) @ J
+    J = t1_jac_array(coeffs, w) @ jacobian_along(model, traj) if with_jacobian else None
     return t1_array(coeffs, w), J
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .saddle import SaddleModel, SplitVector, orbit, t0_jac_array
+from .saddle import SaddleModel, SplitVector, jacobian_along, orbit
 
 Array = np.ndarray
 
@@ -30,21 +30,16 @@ def iterate_local(model: SaddleModel, p: SplitVector, k: int,
     if np.max(np.abs(v)) > model.box:
         raise DomainError("starting point outside validity box")
     traj = orbit(model, v, k)
-    J = None
-    if with_jacobian:
-        J = np.eye(model.dim)
-        for Jj in t0_jac_array(model, traj[:k]):
-            J = Jj @ J
+    J = jacobian_along(model, traj) if with_jacobian else None
     return SplitVector.from_array(traj[k]), J, traj
 
 
 def _forward_y(model: SaddleModel, x0: float, y0: float, z0: Array, k: int) -> tuple[float, float, float, Array]:
     """Forward-shoot k steps; return (yk, dyk/dy0, xk, zk)."""
     traj = orbit(model, np.concatenate(([x0, y0], z0)), k)
-    dy = np.zeros(model.dim)
-    dy[1] = 1.0
-    for Jj in t0_jac_array(model, traj[:k]):
-        dy = Jj @ dy
+    e_y = np.zeros(model.dim)
+    e_y[1] = 1.0
+    dy = jacobian_along(model, traj, e_y)
     v = traj[k]
     return float(v[1]), float(dy[1]), float(v[0]), v[2:]
 

@@ -395,6 +395,17 @@ def t0_jac_array(model: SaddleModel, v: Array) -> Array:
     return J
 
 
+def jacobian_along(model: SaddleModel, traj: Array, M: Array | None = None) -> Array:
+    """The derivative of T0^n along an (n+1, D) trajectory from ``orbit``,
+    applied to M (the identity when None): J[n-1] @ ... @ J[0] @ M, with the
+    step Jacobians from one batched call, multiplied in step order."""
+    if M is None:
+        M = np.eye(model.dim)
+    for J in t0_jac_array(model, traj[:-1]):
+        M = J @ M
+    return M
+
+
 def apply_T0(model: SaddleModel, p: SplitVector) -> tuple[SplitVector, Array]:
     """Image and exact Jacobian of the local map at ``p`` (inside the box)."""
     v = p.as_array()

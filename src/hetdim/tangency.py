@@ -33,7 +33,7 @@ from .errors import ConvergenceError, HypothesisError, ItineraryError, Numerical
 from .global_map import GlobalMapCoeffs, first_return_array, t1_array, t1_jac_array
 from .local import solve_cross_form
 from .numerics import newton_solve
-from .saddle import SaddleModel, SplitVector, orbit, t0_jac_array
+from .saddle import SaddleModel, SplitVector, jacobian_along, orbit
 
 Array = np.ndarray
 
@@ -159,10 +159,7 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         # tangency: derivative of the composed y along the curve, chained
         # through the cross-form-consistent orbit
         traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), k)
-        Jk = np.eye(model.dim)
-        for Jj in t0_jac_array(model, traj[:k]):
-            Jk = Jj @ Jk
-        w = Jk @ curve_tangent(cm, t)
+        w = jacobian_along(model, traj) @ curve_tangent(cm, t)
         r3 = float((t1_jac_array(cm, endpoint) @ w)[1])
         return np.array([r1, r2, r3])
 
@@ -399,10 +396,8 @@ def secondary_c_coefficient(model: SaddleModel, coeffs: GlobalMapCoeffs,
         z0 = coeffs.z_plus + coeffs.b_t * t
         cf = solve_cross_form(model, x0, coeffs.y_minus + branch.Y, z0, branch.k)
         v = branch.preimage.as_array()
-        J = t1_jac_array(cm, v)
         traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), branch.k)
-        for Jj in t0_jac_array(model, traj[:branch.k]):
-            J = Jj @ J
+        J = jacobian_along(model, traj, t1_jac_array(cm, v))
         endpoint = np.concatenate(([cf.x_k, coeffs.y_minus + branch.Y], cf.z_k))
         val = float((t1_jac_array(cm, endpoint) @ J)[1, 0])
     else:
