@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError
-from .global_map import GlobalMapCoeffs, t1_jac_array
+from .global_map import (GlobalMapCoeffs, t1_array, t1_jac_array, t1_tilde_array,
+                         t1_tilde_jac_array)
 from .numerics import orthonormal_frame, sorted_eigvals
 from .saddle import SaddleModel, SplitVector, orbit, t0_jac_array
 
@@ -34,7 +35,6 @@ def return_chain(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
     astronomically large.  ``tilde`` routes the global legs through the twin
     map (orbits on the mirrored side).
     """
-    from .global_map import t1_array, t1_tilde_array, t1_tilde_jac_array
     D = model.dim
     chain = np.empty((sum(stays) + len(stays), D, D))
     v = np.asarray(p, dtype=float)
@@ -57,6 +57,11 @@ def _apply_chain(chain: Array, V: Array) -> Array:
     for J in chain:
         V = J @ V
     return V
+
+
+def chain_product(chain: Array) -> Array:
+    """The product chain[-1] @ ... @ chain[0], multiplied in step order."""
+    return _apply_chain(chain, np.eye(chain.shape[1]))
 
 
 def _inverse_product(chain: Array) -> Array:
@@ -239,8 +244,18 @@ def stable_slopes(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
     """Graph slopes d(x, y)/dz of the stable subspace at a stay-number-k point.
 
     Returns a (2, D-2) matrix Phi with (dx, dy) = Phi dz on E^s(p).
+
+    On the linear tier every local step has the Jacobian diag(multipliers),
+    so the stay's k factors are the one diagonal factor diag(d^k), inverted
+    entry by entry.  The nonlinear tiers keep one factor per step: their
+    product would be inverted at a condition number near 1e20.
     """
-    chain = return_chain(model, coeffs, p, [k], tilde=tilde)
+    if model.nonlinearity.kind == "linear":
+        v = orbit(model, p, k)[k]
+        J1 = t1_tilde_jac_array(model, coeffs, v) if tilde else t1_jac_array(coeffs, v)
+        chain = np.stack((np.diag(model.diagonal ** k), J1))
+    else:
+        chain = return_chain(model, coeffs, p, [k], tilde=tilde)
     V = stable_frame(chain)
     top = V[:2, :]
     bottom = V[2:, :]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import saddle
-from .cones import invariant_cu_subspace, leaf_march, return_chain
+from .cones import chain_product, invariant_cu_subspace, leaf_march, return_chain
 from .errors import (AmbiguousIndexError, ContractError, ConvergenceError,
                      DomainError, HypothesisError, NumericalError,
                      ValidationError)
@@ -339,10 +339,7 @@ def orbit_jacobian_chain(model: SaddleModel, coeffs: GlobalMapCoeffs,
 def orbit_index(model: SaddleModel, coeffs: GlobalMapCoeffs,
                 orbit: PeriodTwoOrbit, tol_unit: float = 1e-8) -> int:
     """Count of multipliers of DT^2 outside the unit circle (dense solver)."""
-    chain = orbit_jacobian_chain(model, coeffs, orbit)
-    M = np.eye(model.dim)
-    for J in chain:
-        M = J @ M
+    M = chain_product(orbit_jacobian_chain(model, coeffs, orbit))
     orbit.jacobian_2 = M
     eigs = sorted_eigvals(M)
     moduli = np.abs(eigs)
@@ -381,10 +378,7 @@ def index2_reductions(model: SaddleModel, coeffs: GlobalMapCoeffs,
     k, m = orbit.itinerary
     chain = orbit_jacobian_chain(model, coeffs, orbit)
     cu = invariant_cu_subspace(chain)
-    M = np.eye(model.dim)
-    for J in chain:
-        M = J @ M
-    eigs = sorted_eigvals(M)
+    eigs = sorted_eigvals(chain_product(chain))
     e1, e2 = eigs[0], eigs[1]
     tr = float((e1 + e2).real)
     det = float((e1 * e2).real)

@@ -162,7 +162,15 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
 
 
 def orthonormal_frame(V: Array) -> Array:
-    """Orthonormalize the columns of ``V`` (thin QR with sign fixing)."""
+    """Orthonormalize the columns of ``V`` (thin QR with sign fixing).
+
+    One nonzero column is divided by its norm: that is the QR frame, with
+    an error relative to each component rather than to ||V||.
+    """
+    if V.shape[1] == 1:
+        norm = np.linalg.norm(V)
+        if norm > 0.0:
+            return V / norm
     Q, R = np.linalg.qr(V)
     # fix signs so the frame depends continuously on V
     signs = np.sign(np.diag(R))

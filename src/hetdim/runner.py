@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cones import (cone_report_csv, invariant_cu_subspace, invariant_s_subspace,
-                    leaf_exponent_fit, leaf_report_csv, return_chain, strip_center)
+from .cones import (chain_product, cone_report_csv, invariant_cu_subspace,
+                    invariant_s_subspace, leaf_exponent_fit, leaf_report_csv)
 from .cycles import (certificate_to_json, closure_oracle_floor, index2_criterion,
                      orbit_jacobian_chain, replay_certificate_dict,
                      solve_hetdim_general, solve_hetdim_symmetric,
@@ -208,10 +208,7 @@ def _exp_cone_battery(doc, rng):
         witnesses += [cu, sw]
         labels += [f"k{k}m{m}", f"k{k}m{m}"]
         ok_ratio &= cu.contraction_ratio < 1.0 and sw.contraction_ratio < 1.0
-        M = np.eye(model.dim)
-        for J in chain:
-            M = J @ M
-        full = sorted_eigvals(M)
+        full = sorted_eigvals(chain_product(chain))
         union = sorted(list(cu.eigenvalues) + list(sw.eigenvalues), key=lambda w: -abs(w))
         rho = max(abs(w) for w in full)
         ok_comp &= all(abs(a - b) <= 1e-8 * rho for a, b in zip(full, union))

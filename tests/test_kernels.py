@@ -2,7 +2,8 @@
 the local map against the normal-form formula, the trajectory kernel and the
 Jacobian chains built on it against per-step loops, the batched Jacobian
 against single-point calls, the stable frame against per-step inverse
-iteration."""
+iteration, the diagonal-factor leaf slopes against the full chain, the
+one-column frame against QR."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hetdim.cones import return_chain, stable_frame, strip_center
+from hetdim.cones import return_chain, stable_frame, stable_slopes, strip_center
 from hetdim.cycles import orbit_index, orbit_jacobian_chain
 from hetdim.errors import ConvergenceError, DomainError, ItineraryError
 from hetdim.global_map import (first_return_array, t1_array, t1_jac_array, t1_tilde_array,
@@ -230,6 +231,72 @@ def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde):
     assert W.shape == (model.dim, model.dim - 2)
     assert np.max(np.abs(W.T @ W - np.eye(model.dim - 2))) < 1e-14
     assert subspace_distance(W, _reference_stable_frame(chain)) < 1e-13
+
+
+def _chain_slopes(model, coeffs, p, k, tilde):
+    """Leaf slopes from the full per-step chain."""
+    V = stable_frame(return_chain(model, coeffs, p, [k], tilde=tilde))
+    return V[:2, :] @ np.linalg.inv(V[2:, :])
+
+
+def _slope_lab(lab, tier):
+    if lab == "hetdim":
+        return hetdim_model(tier=tier), hetdim_coeffs()
+    if lab == "base":
+        return base_model(tier), hetdim_coeffs()
+    return d4_model(tier), _d4_coeffs()
+
+
+@pytest.mark.parametrize("tilde", [False, True])
+@pytest.mark.parametrize("k", [10, 20, 36])
+@pytest.mark.parametrize("lab, rel_tol", [("hetdim", 1e-14), ("base", 1e-14), ("d4", 1e-8)])
+def test_linear_stable_slopes_match_full_chain(lab, rel_tol, k, tilde):
+    # the d4 tolerance is the power iteration's 1e-14 stopping tolerance,
+    # amplified through the two-column frame
+    model, coeffs = _slope_lab(lab, "linear")
+    base = strip_center(model, coeffs, k)
+    if tilde:
+        base = apply_symmetry(model, base)
+    p = base.as_array()
+    ref = _chain_slopes(model, coeffs, p, k, tilde)
+    Phi = stable_slopes(model, coeffs, p, k, tilde=tilde)
+    assert Phi.shape == (2, model.dim - 2)
+    assert np.max(np.abs(Phi - ref)) <= rel_tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [10, 20])
+@pytest.mark.parametrize("lab", ["base", "d4"])
+def test_polynomial_stable_slopes_are_the_chain_path(lab, k):
+    model, coeffs = _slope_lab(lab, "polynomial")
+    p = strip_center(model, coeffs, k).as_array()
+    ref = _chain_slopes(model, coeffs, p, k, False)
+    assert stable_slopes(model, coeffs, p, k).tobytes() == ref.tobytes()
+
+
+def _qr_frame(V):
+    Q, R = np.linalg.qr(V)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0.0] = 1.0
+    return Q * signs[None, :]
+
+
+@pytest.mark.parametrize("dim", [3, 4, 6])
+def test_one_column_frame_is_the_qr_frame(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(200):
+        # components spanning 40 decades, either sign
+        V = (rng.choice([-1.0, 1.0], size=(dim, 1))
+             * 10.0 ** rng.uniform(-20.0, 20.0, size=(dim, 1)))
+        W = orthonormal_frame(V)
+        assert W.shape == (dim, 1)
+        assert abs(np.linalg.norm(W) - 1.0) <= 2 * np.finfo(float).eps
+        assert np.max(np.abs(W - _qr_frame(V))) <= 1e-15
+        assert np.all(np.sign(W) == np.sign(V))
+
+
+def test_one_column_frame_of_a_zero_column_is_unchanged():
+    V = np.zeros((3, 1))
+    assert orthonormal_frame(V).tobytes() == _qr_frame(V).tobytes()
 
 
 def test_orbit_jacobian_chain_shape_and_index(battery_orbits):
