@@ -19,7 +19,7 @@ import numpy as np
 from .errors import HypothesisError
 from .global_map import (GlobalMapCoeffs, t1_array, t1_jac_array, t1_tilde_array,
                          t1_tilde_jac_array)
-from .numerics import orthonormal_frame, sorted_eigvals
+from .numerics import chain_product, orthonormal_frame, sorted_eigvals
 from .saddle import SaddleModel, SplitVector, orbit, t0_jac_array
 
 Array = np.ndarray
@@ -51,17 +51,6 @@ def return_chain(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
             v = t1_array(coeffs, v)
         i += k + 1
     return chain
-
-
-def _apply_chain(chain: Array, V: Array) -> Array:
-    for J in chain:
-        V = J @ V
-    return V
-
-
-def chain_product(chain: Array) -> Array:
-    """The product chain[-1] @ ... @ chain[0], multiplied in step order."""
-    return _apply_chain(chain, np.eye(chain.shape[1]))
 
 
 def _inverse_product(chain: Array) -> Array:
@@ -172,15 +161,15 @@ def invariant_cu_subspace(chain: Array, max_iter: int = 30,
     Q = np.zeros((dim, 2))
     Q[0, 0] = 1.0
     Q[1, 1] = 1.0
-    Q, iters = _power_frame(lambda V: _apply_chain(chain, V), Q, max_iter, tol)
-    A = Q.T @ _apply_chain(chain, Q)
+    Q, iters = _power_frame(lambda V: chain_product(chain, V), Q, max_iter, tol)
+    A = Q.T @ chain_product(chain, Q)
     eigs = sorted_eigvals(A)
 
     witness_K = None
     ratio = np.inf
     for K in _K_GRID:
         B = _cone_boundary_cu(K, dim)
-        img = _apply_chain(chain, B.T).T
+        img = chain_product(chain, B.T).T
         opening = max(_slope_cu(v) for v in img)
         if opening < K:
             witness_K = K

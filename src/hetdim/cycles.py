@@ -30,13 +30,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import saddle
-from .cones import chain_product, invariant_cu_subspace, leaf_march, return_chain
+from .cones import invariant_cu_subspace, leaf_march, return_chain
 from .errors import (AmbiguousIndexError, ContractError, ConvergenceError,
                      DomainError, HypothesisError, NumericalError,
                      ValidationError)
 from .global_map import (GlobalMapCoeffs, first_return_array, coeffs_from_json,
                          t1_array, t1_tilde_array)
-from .numerics import newton_solve, sorted_eigvals
+from .numerics import chain_product, newton_1d, newton_solve, sorted_eigvals
 from .saddle import SaddleModel, SplitVector, build_model, model_from_json
 
 Array = np.ndarray
@@ -447,31 +447,20 @@ def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs,
 
     # the z-equations are explicit (z* = q_z(t)), so the inner match is a
     # 1d solve in t with a near-analytic derivative from the leaf slopes
-    def x_mismatch(t: float) -> tuple[float, float, Array, Array]:
+    def x_mismatch(t: float) -> tuple[float, float, tuple[Array, Array]]:
         q = _tilde_curve(model, coeffs2, t, mu2)
         xy, Phi, _ = leaf_march(model, coeffs, Q02, m, q[2:], n_steps=leaf_steps)
         hq = 1e-7
         dq = (_tilde_curve(model, coeffs2, t + hq, mu2)
               - _tilde_curve(model, coeffs2, t - hq, mu2)) / (2.0 * hq)
         slope = float(Phi[0] @ dq[2:]) - dq[0]
-        return float(xy[0] - q[0]), slope, q, xy
+        return float(xy[0] - q[0]), slope, (q, xy)
 
-    t = eta1 * coeffs.b / coeffs2.b  # t ~ (b1/b2) eta1
-    val, slope, q, xy = x_mismatch(t)
-    for _ in range(30):
-        if abs(val) < 1e-13:
-            break
-        if slope == 0.0 or not np.isfinite(val):
-            raise ConvergenceError("connection t-match hit a flat spot",
-                                   residual=abs(val), seed=t)
-        t = t - val / slope
-        val, slope, q, xy = x_mismatch(t)
-    else:
-        if abs(val) > 1e-11:
-            raise ConvergenceError("connection t-match did not converge",
-                                   residual=abs(val), seed=eta1)
+    # seeded at t ~ (b1/b2) eta1
+    t, _, _, (q, xy), _ = newton_1d(x_mismatch, eta1 * coeffs.b / coeffs2.b, tol=1e-13,
+                                    accept_tol=1e-11, name="connection t-match")
     gap = float(xy[1] - q[1])
-    return gap, {"t_param": float(t), "z_star": list(q[2:]),
+    return gap, {"t_param": t, "z_star": list(q[2:]),
                  "leaf_point": [float(xy[0]), float(xy[1])] + list(q[2:]),
                  "curve_point": list(q)}
 

@@ -3,8 +3,8 @@
 The cross form solves for the orbit segment connecting an entry plane to an
 exit plane: given (x0, yk, z0) it finds the unique (xk, y0, zk) such that k
 forward steps from (x0, y0, z0) land at (xk, yk, zk).  The y-equation is a
-scalar contraction at rate |gamma|^-k, so a damped fixed-point iteration with
-forward shooting closes it quickly; the linear tier converges in one step.
+scalar contraction at rate |gamma|^-k, so a Newton polish of y0 with forward
+shooting closes it quickly; the linear tier converges in one step.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
+from .numerics import newton_1d
 from .saddle import SaddleModel, SplitVector, jacobian_along, orbit
 
 Array = np.ndarray
@@ -53,28 +54,21 @@ class CrossFormResult:
     iterations: int
 
 
-def solve_cross_form(model: SaddleModel, x0: float, yk: float, z0, k: int,
-                     tol: float = 1e-12, max_iter: int = 200) -> CrossFormResult:
+def solve_cross_form(model: SaddleModel, x0: float, yk: float, z0, k: int) -> CrossFormResult:
     """Solve the cross form: find (x_k, y_0, z_k) with prescribed (x0, yk, z0).
 
-    Damped fixed-point iteration on y0 (update scaled by the shooting
-    derivative dyk/dy0 ~ gamma^k); tolerance on |yk(y0) - yk|.
+    Newton on y0 (the shooting derivative dyk/dy0 ~ gamma^k) from the linear
+    guess yk / gamma^k; tolerance 1e-12 on |yk(y0) - yk|.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    gam = model.multipliers.gamma
-    y0 = yk / gam ** k
-    last = np.inf
-    for it in range(1, max_iter + 1):
+
+    def shoot(y0: float) -> tuple[float, float, tuple[float, Array]]:
         y_end, slope, xk, zk = _forward_y(model, x0, y0, z0, k)
-        resid = y_end - yk
-        if abs(resid) < tol:
-            return CrossFormResult(xk, y0, zk, abs(resid), it)
-        if not np.isfinite(resid):
-            break
-        last = abs(resid)
-        y0 = y0 - resid / slope
-    raise ConvergenceError(f"cross form did not converge for k={k}",
-                           residual=last, seed=yk / gam ** k)
+        return y_end - yk, slope, (xk, zk)
+
+    y0, resid, _, (xk, zk), evals = newton_1d(
+        shoot, yk / model.multipliers.gamma ** k, tol=1e-12, name=f"cross form k={k}")
+    return CrossFormResult(xk, y0, zk, abs(resid), evals)
 
 
 def strong_derivative_bounds(model: SaddleModel, p: SplitVector, k: int) -> tuple[float, float]:

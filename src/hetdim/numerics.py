@@ -1,5 +1,6 @@
-"""Small numerical kernels: damped/equilibrated Newton, finite differences,
-frame orthonormalization, eigenvalue bookkeeping.
+"""Small numerical kernels: damped/equilibrated Newton, scalar root polish,
+finite differences, Jacobian chain products, frame orthonormalization,
+eigenvalue bookkeeping.
 
 Everything here is deterministic and allocation-light; the dynamical modules
 call these in inner loops.
@@ -7,11 +8,12 @@ call these in inner loops.
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalError
 
 Array = np.ndarray
 
@@ -26,8 +28,6 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array, scales: Array | None = No
     differences; when every probe of a variable leaves the domain the
     Jacobian is unknown there and ConvergenceError names the variable.
     """
-    from .errors import NumericalError
-
     u = np.asarray(u, dtype=float)
     f0 = np.asarray(f(u), dtype=float)
     n, m = u.size, f0.size
@@ -78,8 +78,6 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     solvers' evaluations are expensive).  The equilibration matters: closure
     systems mix residual scales from O(1) down to O(gamma^-k).
     """
-    from .errors import NumericalError
-
     u = np.asarray(u0, dtype=float).copy()
     scales_arr = None if scales is None else np.asarray(scales, dtype=float)
     tol_arr = np.atleast_1d(np.asarray(tol, dtype=float))
@@ -159,6 +157,69 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     raise ConvergenceError(f"{name}: no convergence after {max_iter} iterations "
                            f"(residual {np.max(np.abs(F_best)):.3e})",
                            residual=float(np.max(np.abs(F_best))), seed=u0)
+
+
+NEWTON_1D_MAX_ITER = 60
+
+
+def newton_1d(f: Callable[[float], tuple[float, float, Any]], t0: float, *,
+              tol: float, accept_tol: float | None = None,
+              name: str) -> tuple[float, float, float, Any, int]:
+    """Scalar Newton root polish on ``f(t) -> (value, slope, payload)``.
+
+    Takes the plain step first, then the small-root quadratic step
+    -2 f / (f' + sign(f') sqrt(f'^2 - 2 f'' f)) once a secant curvature f''
+    is available: near the folds of the forge's composed maps |f''| grows
+    like gamma^(j+k), and a plain step overshoots at once.  A step on which ``f`` raises
+    NumericalError (it left a map's domain) is halved, at most 20 times.
+    Returns ``(t, value, slope, payload, evaluations)`` at the first t with
+    |value| < tol; after NEWTON_1D_MAX_ITER steps, |value| < accept_tol is
+    accepted too.  Raises ConvergenceError naming ``name`` otherwise, or on a
+    flat or non-finite spot or a domain trap.
+    """
+    t = t0
+    val, slope, payload = f(t)
+    evals = 1
+    t_prev = slope_prev = None
+    for _ in range(NEWTON_1D_MAX_ITER):
+        if abs(val) < tol:
+            return float(t), val, slope, payload, evals
+        if slope == 0.0 or not math.isfinite(val):
+            raise ConvergenceError(f"{name}: hit a flat or non-finite spot",
+                                   residual=abs(val), seed=t0)
+        step = -val / slope
+        if t_prev is not None and t != t_prev:
+            d2 = (slope - slope_prev) / (t - t_prev)
+            disc = slope * slope - 2.0 * d2 * val
+            if d2 != 0.0 and disc > 0.0:
+                step = -2.0 * val / (slope + math.copysign(math.sqrt(disc), slope))
+        for _ in range(20):
+            try:
+                new = f(t + step)
+                break
+            except NumericalError:
+                step *= 0.5
+        else:
+            raise ConvergenceError(f"{name}: trapped at a domain edge",
+                                   residual=abs(val), seed=t0)
+        evals += 1
+        t_prev, slope_prev = t, slope
+        t = t + step
+        val, slope, payload = new
+    if accept_tol is not None and abs(val) < accept_tol:
+        return float(t), val, slope, payload, evals
+    raise ConvergenceError(f"{name}: no convergence after {NEWTON_1D_MAX_ITER} steps "
+                           f"(residual {abs(val):.3e})", residual=abs(val), seed=t0)
+
+
+def chain_product(chain: Array, M: Array | None = None) -> Array:
+    """The product chain[-1] @ ... @ chain[0] @ M of a chain of step
+    Jacobians, multiplied in step order; M is the identity when None."""
+    if M is None:
+        M = np.eye(chain.shape[1])
+    for J in chain:
+        M = J @ M
+    return M
 
 
 def orthonormal_frame(V: Array) -> Array:

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cones import (chain_product, cone_report_csv, invariant_cu_subspace,
-                    invariant_s_subspace, leaf_exponent_fit, leaf_report_csv)
+from .cones import (cone_report_csv, invariant_cu_subspace, invariant_s_subspace,
+                    leaf_exponent_fit, leaf_report_csv)
 from .cycles import (certificate_to_json, closure_oracle_floor, index2_criterion,
                      orbit_jacobian_chain, replay_certificate_dict,
                      solve_hetdim_general, solve_hetdim_symmetric,
@@ -31,7 +31,7 @@ from .errors import NumericalError, ValidationError
 from .flows import (AbsConfig, abs_expansion_bound, check_c3prime,
                     equilibrium_exponents, orbit_csv, simulate_poincare)
 from .global_map import coeffs_from_json
-from .numerics import sorted_eigvals
+from .numerics import chain_product, sorted_eigvals
 from .saddle import model_from_json
 from .tangency import branches_to_csv, forge_admissible_tangency, solve_secondary_tangency
 

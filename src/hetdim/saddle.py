@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError, ItineraryError, ValidationError
+from .numerics import chain_product
 
 Array = np.ndarray
 
@@ -399,11 +400,7 @@ def jacobian_along(model: SaddleModel, traj: Array, M: Array | None = None) -> A
     """The derivative of T0^n along an (n+1, D) trajectory from ``orbit``,
     applied to M (the identity when None): J[n-1] @ ... @ J[0] @ M, with the
     step Jacobians from one batched call, multiplied in step order."""
-    if M is None:
-        M = np.eye(model.dim)
-    for J in t0_jac_array(model, traj[:-1]):
-        M = J @ M
-    return M
+    return chain_product(t0_jac_array(model, traj[:-1]), M)
 
 
 def apply_T0(model: SaddleModel, p: SplitVector) -> tuple[SplitVector, Array]:

@@ -24,7 +24,6 @@ the first stage.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import ConvergenceError, HypothesisError, ItineraryError, NumericalError
 from .global_map import GlobalMapCoeffs, first_return_array, t1_array, t1_jac_array
 from .local import solve_cross_form
-from .numerics import newton_solve
+from .numerics import newton_1d, newton_solve
 from .saddle import SaddleModel, SplitVector, jacobian_along, orbit
 
 Array = np.ndarray
@@ -240,48 +239,14 @@ class TransverseHomoclinic:
     k: int | None
 
 
-def _newton_1d(f, t0: float, tol: float = 1e-13, max_iter: int = 60):
-    """1d root polish on f returning (value, slope).
-
-    Uses the quadratic (small-root) step once a curvature estimate is
-    available: near folds the functions here have |f''| ~ gamma^(j+k) and a
-    plain Newton step overshoots immediately.
-    """
-    t = t0
-    val, slope = f(t)
-    t_prev = slope_prev = None
-    for _ in range(max_iter):
-        if abs(val) < tol:
-            return t, slope
-        if slope == 0.0 or not np.isfinite(val):
-            raise ConvergenceError("1d root polish hit a flat or non-finite spot",
-                                   residual=abs(val), seed=t0)
-        step = -val / slope
-        if t_prev is not None and t != t_prev:
-            d2 = (slope - slope_prev) / (t - t_prev)
-            disc = slope * slope - 2.0 * d2 * val
-            if d2 != 0.0 and disc > 0.0:
-                step = -2.0 * val / (slope + np.sign(slope) * np.sqrt(disc))
-        # backtrack when a trial step leaves the maps' domains
-        for _ in range(20):
-            try:
-                val_new, slope_new = f(t + step)
-                break
-            except NumericalError:
-                step *= 0.5
-        else:
-            raise ConvergenceError("1d root polish trapped at domain edge",
-                                   residual=abs(val), seed=t0)
-        t_prev, slope_prev = t, slope
-        t, val, slope = t + step, val_new, slope_new
-    raise ConvergenceError("1d root polish failed", residual=abs(val), seed=t0)
-
-
 SLOPE_MIN = 1e-6  # transversality threshold on |dy0/dt|
+ROOT_TOL = 1e-13  # residual tolerance of the root polish
 
 
-def _polish_roots(f, seeds, label: str, tol: float = 1e-13) -> list[tuple[float, float]]:
-    """Polish 1d root seeds, deduplicate, and keep only transverse roots.
+def _polish_roots(f, seeds, label: str, diagnostics: list) -> list[tuple[float, float]]:
+    """Polish 1d root seeds of ``f(t) -> (value, slope)``, deduplicate, and
+    keep only transverse roots; each dropped seed or root appends a message
+    to ``diagnostics``.
 
     Transversality is double-root aware: a polish that slides into a
     quadratic tangency stops at |slope| ~ sqrt(2 |d2| tol), which can exceed
@@ -292,9 +257,10 @@ def _polish_roots(f, seeds, label: str, tol: float = 1e-13) -> list[tuple[float,
     h = 1e-6
     for tseed in seeds:
         try:
-            t, slope = _newton_1d(f, tseed, tol=tol)
-        except (ConvergenceError, NumericalError):
-            warnings.warn(f"{label} seed t={tseed:.3e} failed to converge")
+            t, _, slope, _, _ = newton_1d(lambda t: (*f(t), None), tseed,
+                                          tol=ROOT_TOL, name=label)
+        except NumericalError:
+            diagnostics.append(f"{label} seed t={tseed:.3e} failed to converge")
             continue
         if any(abs(t - r) < 1e-10 + 1e-7 * abs(t) for r, _ in roots):
             continue
@@ -308,23 +274,27 @@ def _polish_roots(f, seeds, label: str, tol: float = 1e-13) -> list[tuple[float,
                 hh *= 0.1
         if d2 is None:
             continue
-        if abs(slope) <= SLOPE_MIN or abs(slope) <= 30.0 * np.sqrt(2.0 * tol * abs(d2)):
-            warnings.warn(f"{label} root t={t:.3e} not transverse; dropped")
+        if abs(slope) <= SLOPE_MIN or abs(slope) <= 30.0 * np.sqrt(2.0 * ROOT_TOL * abs(d2)):
+            diagnostics.append(f"{label} root t={t:.3e} not transverse; dropped")
             continue
         roots.append((t, slope))
     return roots
 
 
 def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu: float,
-                                k_range=()) -> list[TransverseHomoclinic]:
+                                k_range=(), diagnostics: list | None = None
+                                ) -> list[TransverseHomoclinic]:
     """Transverse homoclinic points at the given mu, polished to residual 1e-12.
 
     Route "split_pair" (needs mu*d < 0): the curve itself crosses the local
     stable manifold at t = +-sqrt(-mu/d) + o(1).  Route "quartet": for each k
     in k_range, the doubly-iterated curve crosses it in four points seeded
-    from the gamma^(-k/2) asymptotics; seeds that fail to converge are
-    dropped with a warning.
+    from the gamma^(-k/2) asymptotics.  Seeds that fail to converge and
+    roots that are not transverse are dropped, with a message appended to
+    ``diagnostics`` when a list is given.
     """
+    if diagnostics is None:
+        diagnostics = []
     cm = coeffs.with_mu(mu)
     d, b, ym = coeffs.d, coeffs.b, coeffs.y_minus
     found: list[TransverseHomoclinic] = []
@@ -336,7 +306,7 @@ def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu:
             val = mu + d * t * t + coeffs.e3 * t ** 3
             return val, 2.0 * d * t + 3.0 * coeffs.e3 * t * t
 
-        for t, slope in _polish_roots(f, (t0, -t0), "split-pair"):
+        for t, slope in _polish_roots(f, (t0, -t0), "split-pair", diagnostics):
             found.append(TransverseHomoclinic(
                 point=SplitVector.from_array(curve_point(cm, t)),
                 preimage=SplitVector(0.0, ym + t, np.zeros(model.dim - 2)),
@@ -354,7 +324,7 @@ def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu:
         def g(t, k=k):
             return double_return_y(model, cm, t, k, with_slope=True)
 
-        for t, slope in _polish_roots(g, seeds, f"quartet(k={k})"):
+        for t, slope in _polish_roots(g, seeds, f"quartet(k={k})", diagnostics):
             found.append(TransverseHomoclinic(
                 point=SplitVector.from_array(curve_point(cm, t)),
                 preimage=SplitVector(0.0, ym + t, np.zeros(model.dim - 2)),
@@ -496,16 +466,19 @@ def _collect_and_check(cands: list[TransverseHomoclinic], y_hat: float) -> tuple
 
 
 def _straddle(model: SaddleModel, coeffs: GlobalMapCoeffs, branch: TangencyBranch,
+              diagnostics: list,
               extra: list[TransverseHomoclinic] | None = None) -> tuple[bool, dict]:
     """Check the straddle property; split pair first, quartet as fallback."""
     mu = branch.mu_k
     cands = list(extra) if extra else []
-    cands += find_transverse_homoclinics(model, coeffs, mu, k_range=())
+    cands += find_transverse_homoclinics(model, coeffs, mu, k_range=(),
+                                         diagnostics=diagnostics)
     ok, witnesses = _collect_and_check(cands, branch.preimage.y)
     if ok:
         return ok, witnesses
     ks = [kk for kk in quartet_stay_numbers(model, coeffs, mu) if kk != branch.k]
-    cands += find_transverse_homoclinics(model, coeffs, mu, k_range=ks)
+    cands += find_transverse_homoclinics(model, coeffs, mu, k_range=ks,
+                                         diagnostics=diagnostics)
     return _collect_and_check(cands, branch.preimage.y)
 
 
@@ -535,7 +508,7 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
                                f"(signs {[b.c_sign for b in branches]})")
             continue
         br, prod = chosen
-        ok, witnesses = _straddle(model, coeffs, br)
+        ok, witnesses = _straddle(model, coeffs, br, diagnostics)
         if ok:
             br.straddle_ok = True
             br.transverse_points = [witnesses["below"].preimage, witnesses["above"].preimage]
@@ -617,13 +590,8 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
             tc = dtc_dmu * (mu_seed - mu_base)
             try:
                 for _ in range(8):
-                    for _ in range(6):
-                        s0 = (G(tc + h, mu_seed) - G(tc - h, mu_seed)) / (2.0 * h)
-                        tc_step = -s0 / (2.0 * d_eff)
-                        tc += tc_step
-                        if abs(tc_step) < 1e-12:
-                            break
-                    level = G(tc, mu_seed)
+                    tc, level = _composed_critical(model, coeffs, base, mu_seed, k, tc,
+                                                   d_eff, h)
                     if abs(level - mu_eff_needed) < 1e-2 * abs(mu_eff_needed):
                         break
                     mu_seed -= (level - mu_eff_needed) / dmu
@@ -633,8 +601,8 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
 
             def F(u: Array) -> Array:
                 t, mu = u
-                val, slope = _tertiary_y_slope(model, coeffs.with_mu(mu), base, t, k, j)
-                return np.array([val, slope])
+                w3, J = _tertiary_jet(model, coeffs.with_mu(mu), base, t, k, j)
+                return np.array([w3[1], J[1, 1]])
 
             # the slope cannot be driven below |G''| * ulp(y): the curve
             # parameter is only resolvable to the float granularity of y
@@ -661,7 +629,8 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
             try:
                 pre3 = SplitVector(0.0, ym_eff + t3, np.zeros(model.dim - 2))
                 # c of the induced (triple-composed) global map decides csign
-                xp3, c3 = _tertiary_x_and_c(model, coeffs.with_mu(mu3), base, t3, k, j)
+                w3, J3 = _tertiary_jet(model, coeffs.with_mu(mu3), base, t3, k, j)
+                xp3, c3 = float(w3[0]), float(J3[1, 0])
                 point3 = SplitVector.from_array(
                     _tertiary_point(model, coeffs.with_mu(mu3), base, t3, k))
                 br3 = TangencyBranch(k=j, branch=1 if sign > 0 else 2, mu_k=float(mu3),
@@ -676,11 +645,13 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
                 # straddle from stage-one structures persisting at mu3, the
                 # pair born from splitting the secondary tangency itself, and
                 # the composed map's persistent quartet
-                extra = _composed_split_pair(model, coeffs, base, mu3, k)
+                extra = _composed_split_pair(model, coeffs, base, mu3, k, diagnostics)
                 tc3, level3 = _composed_critical(model, coeffs, base, mu3, k, t3, d_eff)
                 extra += _composed_quartet(model, coeffs, base, mu3, k, d_eff,
-                                           tc3, level3, xp_eff, j_skip=j)
-                ok, witnesses = _straddle(model, coeffs.with_mu(mu3), br3, extra=extra)
+                                           tc3, level3, xp_eff, j_skip=j,
+                                           diagnostics=diagnostics)
+                ok, witnesses = _straddle(model, coeffs.with_mu(mu3), br3, diagnostics,
+                                          extra=extra)
             except NumericalError:
                 continue
             if not ok:
@@ -711,14 +682,21 @@ def _tertiary_y(model, cm, base, t, k, j) -> float:
     return float(out[1])
 
 
-def _tertiary_y_slope(model, cm, base, t, k, j) -> tuple[float, float]:
-    """Value and exact d/dt of the triple-composed y along the unstable axis."""
+def _tertiary_jet(model, cm, base, t, k, j) -> tuple[Array, Array]:
+    """Image of the triple-composed map at the unstable-axis point of
+    parameter t, and its exact chained Jacobian.
+
+    Its [1, 1] entry is the slope of the image's y along the axis; its [1, 0]
+    entry is the induced c = dG_y/dx, which an FD probe in x would miss: the
+    probe is amplified quadratically through the composed orbit and leaves
+    the strips.
+    """
     v = np.concatenate(([0.0, base.preimage.y + t], np.zeros(model.dim - 2)))
     J0 = t1_jac_array(cm, v)
     w1 = t1_array(cm, v)
     w2, J1 = first_return_array(model, cm, w1, k, with_jacobian=True)
     w3, J2 = first_return_array(model, cm, w2, j, with_jacobian=True)
-    return float(w3[1]), float((J2 @ J1 @ J0)[1, 1])
+    return w3, J2 @ J1 @ J0
 
 
 def _tertiary_exit_interior(model, cm, base, t, k, j, frac: float = 0.7) -> bool:
@@ -729,21 +707,6 @@ def _tertiary_exit_interior(model, cm, base, t, k, j, frac: float = 0.7) -> bool
     except ItineraryError:
         return False
     return abs(w[1] - cm.y_minus) < frac * cm.delta / 2.0
-
-
-def _tertiary_x_and_c(model, cm, base, t, k, j) -> tuple[float, float]:
-    """x-image of the tertiary tangency and the induced c = dG_y/dx there.
-
-    The c entry comes from the chained Jacobian: an FD probe in x would be
-    amplified quadratically through the composed orbit and leave the strips.
-    """
-    v = np.concatenate(([0.0, base.preimage.y + t], np.zeros(model.dim - 2)))
-    J0 = t1_jac_array(cm, v)
-    w1 = t1_array(cm, v)
-    w2, J1 = first_return_array(model, cm, w1, k, with_jacobian=True)
-    w3, J2 = first_return_array(model, cm, w2, j, with_jacobian=True)
-    Jtot = J2 @ J1 @ J0
-    return float(w3[0]), float(Jtot[1, 0])
 
 
 def _composed_critical(model, coeffs, base, mu: float, k: int, tc_guess: float,
@@ -762,7 +725,7 @@ def _composed_critical(model, coeffs, base, mu: float, k: int, tc_guess: float,
 
 
 def _composed_quartet(model, coeffs, base, mu, k, d_eff, tc, level,
-                      xp_eff, j_skip: int) -> list[TransverseHomoclinic]:
+                      xp_eff, j_skip: int, diagnostics: list) -> list[TransverseHomoclinic]:
     """Persistent transverse points of the composed map: roots of the
     triple-composed y at stay numbers j' where the composed curve still
     reaches the corresponding strip level.  The analog of the primary
@@ -793,9 +756,10 @@ def _composed_quartet(model, coeffs, base, mu, k, d_eff, tc, level,
             continue
 
         def g(t, jp=jp):
-            return _tertiary_y_slope(model, cm, base, t, k, jp)
+            w3, J = _tertiary_jet(model, cm, base, t, k, jp)
+            return float(w3[1]), float(J[1, 1])
 
-        for t, slope in _polish_roots(g, seeds, f"composed quartet(j'={jp})"):
+        for t, slope in _polish_roots(g, seeds, f"composed quartet(j'={jp})", diagnostics):
             pre = SplitVector(0.0, base.preimage.y + t, np.zeros(model.dim - 2))
             out.append(TransverseHomoclinic(point=pre, preimage=pre, t=t,
                                             slope=float(slope),
@@ -811,7 +775,8 @@ def k_min_even(model, coeffs) -> int:
     return ks + (ks % 2)
 
 
-def _composed_split_pair(model, coeffs, base, mu, k) -> list[TransverseHomoclinic]:
+def _composed_split_pair(model, coeffs, base, mu, k,
+                         diagnostics: list) -> list[TransverseHomoclinic]:
     """Transverse points born from splitting the secondary tangency itself."""
     cm = coeffs.with_mu(mu)
     ybase = base.preimage.y
@@ -830,7 +795,7 @@ def _composed_split_pair(model, coeffs, base, mu, k) -> list[TransverseHomoclini
         return []
     t0 = float(np.sqrt(-2.0 * g0 / d2))
     out = []
-    for t, slope in _polish_roots(f, (t0, -t0), "stage-2 split-pair"):
+    for t, slope in _polish_roots(f, (t0, -t0), "stage-2 split-pair", diagnostics):
         pre = SplitVector(0.0, ybase + t, np.zeros(model.dim - 2))
         out.append(TransverseHomoclinic(point=pre, preimage=pre, t=t,
                                         slope=float(slope), route="split_pair_stage2", k=k))

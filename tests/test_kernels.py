@@ -3,11 +3,12 @@ the local map against the normal-form formula, the trajectory kernel and the
 Jacobian chains built on it against per-step loops, the batched Jacobian
 against single-point calls, the stable frame against per-step inverse
 iteration, the diagonal-factor leaf slopes against the full chain, the
-one-column frame against QR."""
+one-column frame against QR, and the scalar root polish's step rules."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hetdim.errors import ConvergenceError, DomainError, ItineraryError
 from hetdim.global_map import (first_return_array, t1_array, t1_jac_array, t1_tilde_array,
                                t1_tilde_jac_array)
 from hetdim.local import _forward_y
-from hetdim.numerics import fd_jacobian, orthonormal_frame
+from hetdim.numerics import fd_jacobian, newton_1d, orthonormal_frame
 from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
                             forge_coeffs, hetdim_coeffs, hetdim_model)
 from hetdim.saddle import (Multipliers, apply_symmetry, build_model, orbit, t0_array,
@@ -337,3 +338,74 @@ def test_fd_jacobian_one_sided_fallback():
     J = fd_jacobian(f, np.array([0.3, 1.0]))
     assert J[0, 0] == pytest.approx(0.6, rel=1e-6)
     assert J[1, 1] == pytest.approx(3.0, rel=1e-9)
+
+
+def _fold_parabola(t):
+    # roots 1 and 1 + 1e-6, a fold between them: |f''| is 1e6 times the
+    # slope at the roots
+    a, r1, r2 = 1e6, 1.0, 1.0 + 1e-6
+    return a * (t - r1) * (t - r2), a * (2.0 * t - r1 - r2), None
+
+
+def test_newton_1d_small_root_step_converges_where_plain_overshoots():
+    t0 = 1.0 + 5e-7 + 1e-12  # just right of the vertex
+    t, val, _, _, evals = newton_1d(_fold_parabola, t0, tol=1e-13, name="fold")
+    assert abs(t - (1.0 + 1e-6)) < 1e-15 and abs(val) < 1e-13
+    assert evals == 3
+    # the plain step lands 1e5 root separations away and walks back by halves
+    tp, steps = t0, 0
+    while abs(_fold_parabola(tp)[0]) >= 1e-13:
+        val_p, slope_p, _ = _fold_parabola(tp)
+        tp, steps = tp - val_p / slope_p, steps + 1
+    assert steps > 15
+
+
+def test_newton_1d_backtracks_past_a_domain_bound():
+    def log(t):
+        if t <= 0.0:
+            raise DomainError("log of a non-positive number")
+        return math.log(t), 1.0 / t, None
+
+    # the plain step from t = 3 lands at t = -0.30
+    t, val, _, _, _ = newton_1d(log, 3.0, tol=1e-14, name="log")
+    assert abs(t - 1.0) < 1e-14 and abs(val) < 1e-14
+
+    def trap(t):
+        if t != 3.0:
+            raise DomainError("outside")
+        return 1.0, 1.0, None
+
+    with pytest.raises(ConvergenceError, match="trap: trapped at a domain edge"):
+        newton_1d(trap, 3.0, tol=1e-14, name="trap")
+
+
+def test_newton_1d_accept_tol_takes_a_noise_floor():
+    def floor(t):
+        # |f| never drops below 3e-12 near the root t = 1
+        d = t - 1.0
+        return (d if abs(d) > 1e-12 else 3e-12), 1.0, None
+
+    t, val, _, _, evals = newton_1d(floor, 2.0, tol=1e-13, accept_tol=1e-11, name="floor")
+    assert abs(t - 1.0) < 1e-11 and 1e-13 <= abs(val) < 1e-11
+    assert evals == 61
+    with pytest.raises(ConvergenceError, match="floor: no convergence after 60 steps"):
+        newton_1d(floor, 2.0, tol=1e-13, name="floor")
+
+
+def test_newton_1d_names_the_solve_on_a_flat_spot():
+    with pytest.raises(ConvergenceError, match="t-match of leaf 7: hit a flat"):
+        newton_1d(lambda t: (1.0, 0.0, None), 0.5, tol=1e-13, name="t-match of leaf 7")
+
+
+def test_newton_1d_returns_the_payload_of_the_root_as_a_float():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t * t - np.float64(2.0), 2.0 * t, ("at", t)
+
+    t, val, slope, payload, evals = newton_1d(f, np.float64(1.0), tol=1e-14, name="sqrt2")
+    assert type(t) is float
+    assert payload == ("at", calls[-1]) and calls[-1] == t
+    assert (val, slope) == f(t)[:2]
+    assert evals == len(calls) - 1
