@@ -276,23 +276,24 @@ class LeafSample:
         return float(np.max(np.abs(self.phi2)))
 
 
-def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: SplitVector, k: int,
+def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
                z_target: Array, n_steps: int | None = None,
                step: float = 1e-3, tilde: bool = False) -> tuple[Array, Array, Array]:
-    """March the leaf graph from base to z_target (Heun predictor-corrector).
+    """March the leaf graph from the flat (D,) point base to z_target (Heun
+    predictor-corrector).
 
     Returns the (x, y) arrival, the slope matrix at arrival, and the arrival
     z (= z_target).  The step count is frozen from the requested step size so
     the result is a smooth function of the endpoints.
     """
-    z0 = base.z.astype(float)
+    z0 = base[2:].astype(float)
     z_target = np.atleast_1d(np.asarray(z_target, dtype=float))
     dz_total = z_target - z0
     dist = float(np.linalg.norm(dz_total))
     if n_steps is None:
         n_steps = max(1, int(np.ceil(dist / step)))
     dz = dz_total / n_steps
-    xy = np.array([base.x, base.y])
+    xy = base[:2].astype(float)
     z = z0.copy()
     Phi = stable_slopes(model, coeffs, np.concatenate((xy, z)), k, tilde=tilde)
     for _ in range(n_steps):
@@ -326,7 +327,8 @@ def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: SplitV
             z_t[axis] += off
             if np.linalg.norm(z_t) >= coeffs.delta:
                 continue
-            xy, Phi, z = leaf_march(model, coeffs, base, k, z_t, step=step, tilde=tilde)
+            xy, Phi, z = leaf_march(model, coeffs, base.as_array(), k, z_t, step=step,
+                                    tilde=tilde)
             z_pts.append(z)
             xy_pts.append(xy)
             p1.append(Phi[0])

@@ -255,14 +255,19 @@ def _period2_seed(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
     return u, mu
 
 
+def _check_itinerary(k: int, m: int | None = None) -> None:
+    """Both stay numbers even and k > m; m is None for a single stay."""
+    if k % 2 or (m is not None and m % 2):
+        raise ValidationError("itinerary parity: k must be even")
+    if m is not None and not k > m:
+        raise ValidationError("itinerary order: k must exceed m")
+
+
 def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
                   mu: float | None = None, seed: Array | None = None,
                   branch: int = -1) -> PeriodTwoOrbit:
     """Newton on the closure system at fixed mu (taken from coeffs if None)."""
-    if k % 2 or m % 2:
-        raise ValidationError("itinerary parity: k must be even")
-    if not k > m:
-        raise ValidationError("itinerary order: k must exceed m")
+    _check_itinerary(k, m)
     if mu is None:
         mu = coeffs.mu
     cm = coeffs.with_mu(mu)
@@ -292,10 +297,7 @@ def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
 def solve_period2_with_s(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
                          s_target: float, branch: int = -1) -> PeriodTwoOrbit:
     """Joint Newton on closure plus the index relation, with mu unknown."""
-    if k % 2 or m % 2:
-        raise ValidationError("itinerary parity: k must be even")
-    if not k > m:
-        raise ValidationError("itinerary order: k must exceed m")
+    _check_itinerary(k, m)
     lam, gamma = model.multipliers.lam, model.multipliers.gamma
     u0, mu0 = _period2_seed(model, coeffs, k, m, s_target, branch)
     shift = _index_relation(coeffs, lam, gamma, k, m)
@@ -350,11 +352,11 @@ def orbit_index(model: SaddleModel, coeffs: GlobalMapCoeffs,
 
 
 def index2_criterion(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                     orbit: PeriodTwoOrbit) -> tuple[float, bool]:
+                     orbit: PeriodTwoOrbit) -> tuple[float, int, bool]:
     """Invert the displayed index relation for s and compare with the index.
 
     The dense eigensolver is ground truth; s in (-1, 1) must match index = 2
-    on every solved orbit.
+    on every solved orbit.  Returns (s, index, match).
     """
     lam, gamma = model.multipliers.lam, model.multipliers.gamma
     k, m = orbit.itinerary
@@ -363,7 +365,7 @@ def index2_criterion(model: SaddleModel, coeffs: GlobalMapCoeffs,
     idx = orbit_index(model, coeffs, orbit)
     match = (abs(s) < 1.0) == (idx == 2)
     orbit.s_value = float(s)
-    return float(s), match
+    return float(s), idx, match
 
 
 def index2_reductions(model: SaddleModel, coeffs: GlobalMapCoeffs,
@@ -443,7 +445,7 @@ def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs,
     xi2 = orbit_u[2 + nz]
     ups2 = orbit_u[3 + nz]
     z2 = orbit_u[4 + nz:4 + 2 * nz]
-    Q02 = SplitVector(coeffs.x_plus + xi2, ups2 / gam ** m, coeffs.z_plus + z2)
+    Q02 = np.concatenate(([coeffs.x_plus + xi2, ups2 / gam ** m], coeffs.z_plus + z2))
 
     # the z-equations are explicit (z* = q_z(t)), so the inner match is a
     # 1d solve in t with a near-analytic derivative from the leaf slopes
@@ -485,10 +487,7 @@ def _rebuild_gamma(model: SaddleModel, g: float) -> SaddleModel:
 def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
                   coeffs2: GlobalMapCoeffs, k: int, m: int, s_target: float,
                   general: bool) -> CycleCertificate:
-    if k % 2 or m % 2:
-        raise ValidationError("itinerary parity: k must be even")
-    if not k > m:
-        raise ValidationError("itinerary order: k must exceed m")
+    _check_itinerary(k, m)
     if abs(coeffs.x_plus - coeffs2.x_plus) > 1e-12:
         raise ValidationError("coincidence condition violated: the two global maps "
                               "must share x+ (leaf of the strong-stable foliation)")
@@ -624,12 +623,6 @@ def solve_hetdim_general(model: SaddleModel, coeffs1: GlobalMapCoeffs,
 
 # ---------------------------------------------------------------------------
 # transverse connection (area mechanism)
-
-
-def _stable_sheet_residual(coeffs: GlobalMapCoeffs, v: Array) -> float:
-    """Signed distance functional whose zero set is the local stable-manifold
-    piece T1^-1({y = 0}) through the split transverse points."""
-    return float(t1_array(coeffs, v)[1])
 
 
 def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,

@@ -104,7 +104,7 @@ def hetdim_coeffs(e3: float = 0.0) -> GlobalMapCoeffs:
 
 
 def hetdim_schedule() -> list[tuple[int, int]]:
-    """Even pairs with m/k = 3/4 exactly; mu_j and theta_j - theta* shrink
+    """Even pairs with m/k = 5/6 exactly; mu_j and theta_j - theta* shrink
     along it."""
     return [(12, 10), (24, 20), (36, 30)]
 

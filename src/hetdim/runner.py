@@ -23,17 +23,18 @@ import numpy as np
 from . import __version__
 from .cones import (cone_report_csv, invariant_cu_subspace, invariant_s_subspace,
                     leaf_exponent_fit, leaf_report_csv)
-from .cycles import (certificate_to_json, closure_oracle_floor, index2_criterion,
-                     orbit_jacobian_chain, replay_certificate_dict,
+from .cycles import (_check_itinerary, certificate_to_json, closure_oracle_floor,
+                     index2_criterion, orbit_jacobian_chain, replay_certificate_dict,
                      solve_hetdim_general, solve_hetdim_symmetric,
                      solve_period2_with_s, verify_transverse_connection)
 from .errors import NumericalError, ValidationError
 from .flows import (AbsConfig, abs_expansion_bound, check_c3prime,
-                    equilibrium_exponents, orbit_csv, simulate_poincare)
+                    equilibrium_exponents, exponents_report, orbit_csv, simulate_poincare)
 from .global_map import coeffs_from_json
 from .numerics import chain_product, sorted_eigvals
-from .saddle import model_from_json
-from .tangency import branches_to_csv, forge_admissible_tangency, solve_secondary_tangency
+from .saddle import check_conditions, model_from_json
+from .tangency import (branches_to_csv, forge_admissible_tangency, secondary_c_coefficient,
+                       solve_secondary_tangency)
 
 log = logging.getLogger("hetdim")
 
@@ -58,15 +59,10 @@ def validate_config(doc: dict) -> dict:
     if exp not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {exp!r}; expected one of {EXPERIMENTS}")
     sched = doc.get("schedule", {})
-    for pair in sched.get("pairs", []):
-        k, m = pair
-        if k % 2 or m % 2:
-            raise ValidationError("itinerary parity: k must be even")
-        if not k > m:
-            raise ValidationError("itinerary order: k must exceed m")
+    for k, m in sched.get("pairs", []):
+        _check_itinerary(k, m)
     for k in sched.get("ks", []):
-        if k % 2:
-            raise ValidationError("itinerary parity: k must be even")
+        _check_itinerary(k)
     if exp in ("forge_tangency", "period2_sweep", "hetdim_symmetric",
                "hetdim_general", "cone_battery", "leaf_fit"):
         if "model" not in doc or "coeffs" not in doc:
@@ -91,7 +87,6 @@ def _exp_forge_tangency(doc, rng):
     branches = []
     for k in ks:
         branches.extend(solve_secondary_tangency(model, coeffs, k))
-    from .tangency import secondary_c_coefficient
     for br in branches:
         br.c_value = secondary_c_coefficient(model, coeffs, br)
         br.c_sign = int(np.sign(br.c_value))
@@ -135,9 +130,7 @@ def _exp_period2_sweep(doc, rng):
 
     def solve(k, m, s):
         orbit = solve_period2_with_s(model, coeffs, k, m, s)
-        s_rec, match = index2_criterion(model, coeffs, orbit)
-        from .cycles import orbit_index
-        idx = orbit_index(model, coeffs, orbit)
+        s_rec, idx, match = index2_criterion(model, coeffs, orbit)
         return (k, m, s, orbit.mu, orbit.eta[0], orbit.eta[1],
                 orbit.closure_residual, s_rec, idx, match)
 
@@ -235,7 +228,6 @@ def _exp_leaf_fit(doc, rng):
 
 
 def _exp_c3prime_scan(doc, rng):
-    from .flows import exponents_report
     scan = doc.get("scan", {"alpha": [0.1, 1.5, 8], "lam": [0.5, 1.5, 6]})
     a_lo, a_hi, a_n = scan["alpha"]
     l_lo, l_hi, l_n = scan["lam"]
@@ -366,7 +358,6 @@ def check_model(config_path: str) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    from .saddle import check_conditions
     if coeffs is None:
         print(json.dumps({"theta": model.multipliers.theta, "symmetric": model.symmetric},
                          indent=2, sort_keys=True))

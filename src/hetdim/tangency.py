@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, ItineraryError, NumericalError
-from .global_map import GlobalMapCoeffs, first_return_array, t1_array, t1_jac_array
-from .local import solve_cross_form
+from .global_map import GlobalMapCoeffs, first_return_array, k_star, t1_array, t1_jac_array
+from .local import CrossFormResult, solve_cross_form
 from .numerics import newton_1d, newton_solve
 from .saddle import SaddleModel, SplitVector, jacobian_along, orbit
 
@@ -42,30 +42,55 @@ def case_tag(coeffs: GlobalMapCoeffs) -> str:
     return ("cdx_pos" if cdx > 0 else "cdx_neg") + ("_d_pos" if coeffs.d > 0 else "_d_neg")
 
 
-def curve_point(coeffs: GlobalMapCoeffs, t: float) -> Array:
-    """Point of T1(W^u_loc) at unstable-manifold parameter t = y1 - y-."""
-    dim = 2 + coeffs.z_plus.size
-    v = np.zeros(dim)
-    v[1] = coeffs.y_minus + t
-    return t1_array(coeffs, v)
+def axis_jet(model: SaddleModel, cm: GlobalMapCoeffs, y: float, stays=(),
+             jacobian: bool = False) -> tuple[Array, Array | None]:
+    """Image of the unstable-axis point (0, y, 0) under T1 and then under
+    T1 o T0^k for each k in ``stays``, with the chained Jacobian when asked
+    (None otherwise).
 
-
-def curve_tangent(coeffs: GlobalMapCoeffs, t: float) -> Array:
-    dim = 2 + coeffs.z_plus.size
-    v = np.zeros(dim)
-    v[1] = coeffs.y_minus + t
-    return t1_jac_array(coeffs, v)[:, 1]
+    This is the one evaluation of the forge's composed curves: stays () is
+    the curve T1(W^u_loc), (k,) the composed map T1 o T0^k o T1 and (k, j)
+    its stage-two composition with a further return.  The caller passes the
+    axis coordinate itself, so a recorded preimage (0, y, 0) is exactly the
+    point that was evaluated.
+    """
+    v = np.zeros(model.dim)
+    v[1] = y
+    w = t1_array(cm, v)
+    J = t1_jac_array(cm, v) if jacobian else None
+    for k in stays:
+        w, Jk = first_return_array(model, cm, w, k, with_jacobian=jacobian)
+        J = Jk @ J if jacobian else None
+    return w, J
 
 
 def double_return_y(model: SaddleModel, coeffs: GlobalMapCoeffs, t: float, k: int,
                     with_slope: bool = False):
-    """y-component (and optionally d/dt) of T1 o T0^k applied to the curve."""
-    out, J = first_return_array(model, coeffs, curve_point(coeffs, t), k,
-                                with_jacobian=with_slope)
-    if not with_slope:
-        return float(out[1])
-    slope = float((J @ curve_tangent(coeffs, t))[1])
-    return float(out[1]), slope
+    """y-component (and optionally d/dt) of T1 o T0^k o T1 at the axis point y- + t."""
+    w, J = axis_jet(model, coeffs, coeffs.y_minus + t, (k,), jacobian=with_slope)
+    return (float(w[1]), float(J[1, 1])) if with_slope else float(w[1])
+
+
+def _cross_form_jet(model: SaddleModel, cm: GlobalMapCoeffs, X: float, Y: float,
+                    k: int) -> tuple[CrossFormResult, Array]:
+    """Cross-form solution at the curve offsets (X, Y), and the Jacobian of
+    T1 o T0^k o T1 at the axis point y- + X/b chained through the
+    cross-form-consistent orbit.
+
+    Its [1, 1] entry is the slope of the composed y along the axis (the
+    tangency condition) and its [1, 0] entry the induced c.  The direct path
+    would lose the suppressed exit offset Y to the cancellation in the curve
+    height, and with it the sign of the 2 d Y entry of the exit Jacobian.
+    """
+    t = X / cm.b
+    v = np.zeros(model.dim)
+    v[1] = cm.y_minus + t
+    x0 = cm.x_plus + X
+    z0 = cm.z_plus + cm.b_t * t
+    cf = solve_cross_form(model, x0, cm.y_minus + Y, z0, k)
+    traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), k)
+    endpoint = np.concatenate(([cf.x_k, cm.y_minus + Y], cf.z_k))
+    return cf, t1_jac_array(cm, endpoint) @ jacobian_along(model, traj, t1_jac_array(cm, v))
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +171,11 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
 
     def residuals(u: Array) -> Array:
         X, Y, mu = u
-        cm = coeffs.with_mu(mu)
+        cf, J = _cross_form_jet(model, coeffs.with_mu(mu), X, Y, k)
         t = X / b
-        x0 = coeffs.x_plus + X
-        z0 = coeffs.z_plus + coeffs.b_t * t
-        cf = solve_cross_form(model, x0, coeffs.y_minus + Y, z0, k)
         y_curve = mu + d * t * t + e3 * t ** 3
-        r1 = y_curve - cf.y_0
-        endpoint = np.concatenate(([cf.x_k, coeffs.y_minus + Y], cf.z_k))
         r2 = (mu + coeffs.c * cf.x_k + d * Y * Y + coeffs.alpha2 @ cf.z_k + e3 * Y ** 3)
-        # tangency: derivative of the composed y along the curve, chained
-        # through the cross-form-consistent orbit
-        traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), k)
-        w = jacobian_along(model, traj) @ curve_tangent(cm, t)
-        r3 = float((t1_jac_array(cm, endpoint) @ w)[1])
-        return np.array([r1, r2, r3])
+        return np.array([y_curve - cf.y_0, r2, J[1, 1]])
 
     branches = []
     for branch_id, sign in ((1, +1), (2, -1)):
@@ -182,17 +197,16 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
                 f"secondary tangency diverged (k={k}, branch {branch_id}, "
                 f"seed=({X0:.3e}, {Y0:.3e}, {mu0:.3e})): {exc}",
                 seed=(X0, Y0, mu0)) from exc
-        X, Y, mu = u
+        X, Y, mu = (float(x) for x in u)
         r_final = residuals(u)
         res = float(max(abs(r_final[0]), abs(r_final[1])))
         t = X / b
-        cm = coeffs.with_mu(mu)
-        point = SplitVector.from_array(curve_point(cm, t))
-        pre = SplitVector(0.0, coeffs.y_minus + t, np.zeros(model.dim - 2))
+        y = coeffs.y_minus + t
+        point = SplitVector.from_array(axis_jet(model, coeffs.with_mu(mu), y)[0])
         branches.append(TangencyBranch(
-            k=k, branch=branch_id, mu_k=float(mu), X=float(X), Y=float(Y),
-            residual=res, case=case_tag(coeffs), tangency_point=point,
-            preimage=pre, t_param=float(t)))
+            k=k, branch=branch_id, mu_k=mu, X=X, Y=Y, residual=res,
+            case=case_tag(coeffs), tangency_point=point,
+            preimage=SplitVector(0.0, y, np.zeros(model.dim - 2)), t_param=t))
     return branches
 
 
@@ -308,7 +322,7 @@ def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu:
 
         for t, slope in _polish_roots(f, (t0, -t0), "split-pair", diagnostics):
             found.append(TransverseHomoclinic(
-                point=SplitVector.from_array(curve_point(cm, t)),
+                point=SplitVector.from_array(axis_jet(model, cm, ym + t)[0]),
                 preimage=SplitVector(0.0, ym + t, np.zeros(model.dim - 2)),
                 t=t, slope=float(slope), route="split_pair", k=None))
 
@@ -326,7 +340,7 @@ def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu:
 
         for t, slope in _polish_roots(g, seeds, f"quartet(k={k})", diagnostics):
             found.append(TransverseHomoclinic(
-                point=SplitVector.from_array(curve_point(cm, t)),
+                point=SplitVector.from_array(axis_jet(model, cm, ym + t)[0]),
                 preimage=SplitVector(0.0, ym + t, np.zeros(model.dim - 2)),
                 t=t, slope=float(slope), route="quartet", k=k))
     return found
@@ -336,50 +350,16 @@ def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu:
 # the induced coefficient of the composed global map
 
 
-def composed_return_y(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k: int) -> float:
-    """y-component of T1 o T0^k o T1 at a point of Pi1 (flat array)."""
-    out, _ = first_return_array(model, coeffs, t1_array(coeffs, v), k, with_jacobian=False)
-    return float(out[1])
-
-
 def secondary_c_coefficient(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                            branch: TangencyBranch, method: str = "auto") -> float:
-    """d(G_y)/dx at the tangency preimage, G = T1 o T0^k o T1.
-
-    Central finite differences through the composed map where the probe
-    window allows: the step must keep the perturbed orbit inside the stay-k
-    strip (an x-offset h moves the curve level by ~c*h, amplified by
-    gamma^k), which at deep k shrinks the FD signal below float noise.
-    There the exact chained derivative takes over ("auto").
-    """
-    cm = coeffs.with_mu(branch.mu_k)
-    gam = abs(model.multipliers.gamma)
-    h = min(1e-7, 1e-3 * coeffs.delta * gam ** (-branch.k) / max(abs(coeffs.c), 1.0))
-    if method == "auto":
-        method = "fd" if h > 3e-11 else "chain"
-    if method == "chain":
-        # chain through the cross-form-consistent orbit: the direct path
-        # loses the suppressed exit offset Y to the cancellation in the
-        # curve height, and with it the sign of the 2 d Y Jacobian entry
-        t = branch.t_param
-        x0 = coeffs.x_plus + branch.X
-        z0 = coeffs.z_plus + coeffs.b_t * t
-        cf = solve_cross_form(model, x0, coeffs.y_minus + branch.Y, z0, branch.k)
-        v = branch.preimage.as_array()
-        traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), branch.k)
-        J = jacobian_along(model, traj, t1_jac_array(cm, v))
-        endpoint = np.concatenate(([cf.x_k, coeffs.y_minus + branch.Y], cf.z_k))
-        val = float((t1_jac_array(cm, endpoint) @ J)[1, 0])
-    else:
-        base = branch.preimage.as_array()
-        vp, vm = base.copy(), base.copy()
-        vp[0] += h
-        vm[0] -= h
-        val = (composed_return_y(model, cm, vp, branch.k)
-               - composed_return_y(model, cm, vm, branch.k)) / (2.0 * h)
+                            branch: TangencyBranch) -> float:
+    """d(G_y)/dx at the tangency preimage, G = T1 o T0^k o T1, from the exact
+    chain of ``_cross_form_jet``.  A finite-difference probe in x would be
+    amplified by gamma^k and leave the stay-k strip at deep k."""
+    _, J = _cross_form_jet(model, coeffs.with_mu(branch.mu_k), branch.X, branch.Y, branch.k)
+    val = float(J[1, 0])
     if abs(val) < 1e-14:
         raise HypothesisError("secondary c coefficient is sign-indeterminate (|value| < 1e-14)")
-    return float(val)
+    return val
 
 
 def predicted_c_signs(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int) -> tuple[int, int]:
@@ -416,13 +396,9 @@ class ForgeCertificate:
     diagnostics: list = field(default_factory=list)
 
 
-def _effective_xplus_yminus(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                            branch: TangencyBranch) -> tuple[float, float]:
-    """x+ and y- of the global map induced around the new tangency orbit."""
-    cm = coeffs.with_mu(branch.mu_k)
-    out, _ = first_return_array(model, cm, branch.tangency_point.as_array(),
-                                branch.k, with_jacobian=False)
-    return float(out[0]), float(branch.preimage.y)
+def k_min_even(model, coeffs) -> int:
+    ks = k_star(model, coeffs)
+    return ks + (ks % 2)
 
 
 def quartet_stay_numbers(model: SaddleModel, coeffs: GlobalMapCoeffs, mu: float,
@@ -430,11 +406,10 @@ def quartet_stay_numbers(model: SaddleModel, coeffs: GlobalMapCoeffs, mu: float,
     """Stay numbers at which the persistent quartet is numerically usable:
     its points must sit well inside the strip (offsets a fraction of delta/2)
     and survive the splitting (mu*gamma^k well below y-)."""
-    from .global_map import k_star
     lam, gamma = model.multipliers.lam, model.multipliers.gamma
     s = np.sqrt(abs(coeffs.c * coeffs.x_plus / coeffs.d))
     out = []
-    for k in range(k_star(model, coeffs) + (k_star(model, coeffs) % 2), 81, 2):
+    for k in range(k_min_even(model, coeffs), 81, 2):
         if abs(lam) ** (k / 2.0) * s > 0.3 * coeffs.delta / 2.0:
             continue
         if mu * gamma ** k > 0.5 * coeffs.y_minus:
@@ -499,8 +474,9 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         for br in branches:
             br.c_value = secondary_c_coefficient(model, coeffs, br)
             br.c_sign = int(np.sign(br.c_value))
-            xp_eff, ym_eff = _effective_xplus_yminus(model, coeffs, br)
-            prod = br.c_value * xp_eff * ym_eff
+            # x+ and y- of the global map induced around the new tangency orbit
+            xp_eff = float(axis_jet(model, coeffs.with_mu(br.mu_k), br.preimage.y, (k,))[0][0])
+            prod = br.c_value * xp_eff * br.preimage.y
             if prod > 0.0 and chosen is None:
                 chosen = (br, prod)
         if chosen is None:
@@ -542,22 +518,22 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
     The composed map T1 o T0^k o T1 plays the role of the global map; its
     effective coefficients seed the tertiary solve, and the straddle is
     inherited from the stage-one tangency's transverse points, which persist
-    at the nearby parameter value.
+    at the nearby parameter value.  Every curve parameter t of this stage is
+    the offset from the stage-one preimage: the axis point ybase + t.
     """
-    t_base = base.t_param
-    ym_eff = base.preimage.y
+    ybase = base.preimage.y
     mu_base = base.mu_k
 
-    def G(t: float, mu: float) -> float:
-        v = np.concatenate(([0.0, ym_eff + t], np.zeros(model.dim - 2)))
-        return composed_return_y(model, coeffs.with_mu(mu), v, k)
+    def G(t: float, mu: float, stays=(k,)) -> float:
+        return float(axis_jet(model, coeffs.with_mu(mu), ybase + t, stays)[0][1])
 
     h = 1e-6
     # effective coefficients of the composed map around the tangency
-    b_eff = (_composed_x(model, coeffs, mu_base, t_base + h, k)
-             - _composed_x(model, coeffs, mu_base, t_base - h, k)) / (2 * h)
-    d_eff = (G(h, mu_base) - 2.0 * G(0.0, mu_base) + G(-h, mu_base)) / (h * h) / 2.0
-    xp_eff, _ = _effective_xplus_yminus(model, coeffs, base)
+    wp, w0, wm = (axis_jet(model, coeffs.with_mu(mu_base), ybase + s, (k,))[0]
+                  for s in (h, 0.0, -h))
+    b_eff = float(wp[0] - wm[0]) / (2 * h)
+    d_eff = float(wp[1] - 2.0 * w0[1] + wm[1]) / (h * h) / 2.0
+    xp_eff = float(w0[0])
     dmu = (G(0.0, mu_base + 1e-8) - G(0.0, mu_base - 1e-8)) / 2e-8
     # the composed curve's critical parameter drifts with mu; without this
     # recentering the seeds land outside the stay-k strip of the first leg
@@ -590,8 +566,7 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
             tc = dtc_dmu * (mu_seed - mu_base)
             try:
                 for _ in range(8):
-                    tc, level = _composed_critical(model, coeffs, base, mu_seed, k, tc,
-                                                   d_eff, h)
+                    tc, level = _composed_critical(G, mu_seed, tc, d_eff, h)
                     if abs(level - mu_eff_needed) < 1e-2 * abs(mu_eff_needed):
                         break
                     mu_seed -= (level - mu_eff_needed) / dmu
@@ -601,19 +576,17 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
 
             def F(u: Array) -> Array:
                 t, mu = u
-                w3, J = _tertiary_jet(model, coeffs.with_mu(mu), base, t, k, j)
+                w3, J = axis_jet(model, coeffs.with_mu(mu), ybase + t, (k, j), jacobian=True)
                 return np.array([w3[1], J[1, 1]])
 
             # the slope cannot be driven below |G''| * ulp(y): the curve
             # parameter is only resolvable to the float granularity of y
             try:
-                g3p = _tertiary_y(model, coeffs.with_mu(mu_seed), base, tseed + h, k, j)
-                g3o = _tertiary_y(model, coeffs.with_mu(mu_seed), base, tseed, k, j)
-                g3m = _tertiary_y(model, coeffs.with_mu(mu_seed), base, tseed - h, k, j)
+                d2_3 = (G(tseed + h, mu_seed, (k, j)) - 2.0 * G(tseed, mu_seed, (k, j))
+                        + G(tseed - h, mu_seed, (k, j))) / (h * h)
             except NumericalError:
                 continue
-            d2_3 = (g3p - 2.0 * g3o + g3m) / (h * h)
-            slope_floor = max(1e-12, 3.0 * abs(d2_3) * 1.2e-16 * max(1.0, abs(ym_eff)))
+            slope_floor = max(1e-12, 3.0 * abs(d2_3) * 1.2e-16 * max(1.0, abs(ybase)))
             try:
                 u, res, _ = newton_solve(F, np.array([tseed, mu_seed]),
                                          scales=np.array([1e-4, max(abs(mu_seed), 1e-6)]),
@@ -623,20 +596,27 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
                                          name=f"tertiary tangency j={j}")
             except (ConvergenceError, NumericalError):
                 continue
-            t3, mu3 = u
-            if not _tertiary_exit_interior(model, coeffs.with_mu(mu3), base, t3, k, j):
+            t3, mu3 = float(u[0]), float(u[1])
+            cm3 = coeffs.with_mu(mu3)
+            # reject solutions whose j-leg exits near the strip boundary
+            # (Newton occasionally settles on such artifacts)
+            try:
+                w2, _ = axis_jet(model, cm3, ybase + t3, (k,))
+                exit_y = orbit(model, w2, j)[j, 1]
+            except ItineraryError:
+                continue
+            if abs(exit_y - cm3.y_minus) >= 0.7 * cm3.delta / 2.0:
                 continue
             try:
-                pre3 = SplitVector(0.0, ym_eff + t3, np.zeros(model.dim - 2))
+                pre3 = SplitVector(0.0, ybase + t3, np.zeros(model.dim - 2))
                 # c of the induced (triple-composed) global map decides csign
-                w3, J3 = _tertiary_jet(model, coeffs.with_mu(mu3), base, t3, k, j)
+                w3, J3 = axis_jet(model, cm3, pre3.y, (k, j), jacobian=True)
                 xp3, c3 = float(w3[0]), float(J3[1, 0])
-                point3 = SplitVector.from_array(
-                    _tertiary_point(model, coeffs.with_mu(mu3), base, t3, k))
-                br3 = TangencyBranch(k=j, branch=1 if sign > 0 else 2, mu_k=float(mu3),
-                                     X=float(t3 * b_eff), Y=float("nan"), residual=res,
+                br3 = TangencyBranch(k=j, branch=1 if sign > 0 else 2, mu_k=mu3,
+                                     X=t3 * b_eff, Y=float("nan"), residual=res,
                                      case=case_tag(coeffs) + "+stage2",
-                                     tangency_point=point3, preimage=pre3, t_param=float(t3))
+                                     tangency_point=SplitVector.from_array(w2),
+                                     preimage=pre3, t_param=t3)
                 br3.c_value = c3
                 br3.c_sign = int(np.sign(c3))
                 prod = c3 * xp3 * pre3.y
@@ -646,12 +626,11 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
                 # pair born from splitting the secondary tangency itself, and
                 # the composed map's persistent quartet
                 extra = _composed_split_pair(model, coeffs, base, mu3, k, diagnostics)
-                tc3, level3 = _composed_critical(model, coeffs, base, mu3, k, t3, d_eff)
+                tc3, level3 = _composed_critical(G, mu3, t3, d_eff)
                 extra += _composed_quartet(model, coeffs, base, mu3, k, d_eff,
                                            tc3, level3, xp_eff, j_skip=j,
                                            diagnostics=diagnostics)
-                ok, witnesses = _straddle(model, coeffs.with_mu(mu3), br3, diagnostics,
-                                          extra=extra)
+                ok, witnesses = _straddle(model, cm3, br3, diagnostics, extra=extra)
             except NumericalError:
                 continue
             if not ok:
@@ -663,65 +642,17 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
     return None
 
 
-def _composed_x(model, coeffs, mu, t, k):
-    cm = coeffs.with_mu(mu)
-    v = np.concatenate(([0.0, coeffs.y_minus + t], np.zeros(model.dim - 2)))
-    out, _ = first_return_array(model, cm, t1_array(cm, v), k, with_jacobian=False)
-    return float(out[0])
-
-
-def _tertiary_point(model, cm, base, t, k) -> Array:
-    v = np.concatenate(([0.0, base.preimage.y + t], np.zeros(model.dim - 2)))
-    out, _ = first_return_array(model, cm, t1_array(cm, v), k, with_jacobian=False)
-    return out
-
-
-def _tertiary_y(model, cm, base, t, k, j) -> float:
-    w = _tertiary_point(model, cm, base, t, k)
-    out, _ = first_return_array(model, cm, w, j, with_jacobian=False)
-    return float(out[1])
-
-
-def _tertiary_jet(model, cm, base, t, k, j) -> tuple[Array, Array]:
-    """Image of the triple-composed map at the unstable-axis point of
-    parameter t, and its exact chained Jacobian.
-
-    Its [1, 1] entry is the slope of the image's y along the axis; its [1, 0]
-    entry is the induced c = dG_y/dx, which an FD probe in x would miss: the
-    probe is amplified quadratically through the composed orbit and leaves
-    the strips.
-    """
-    v = np.concatenate(([0.0, base.preimage.y + t], np.zeros(model.dim - 2)))
-    J0 = t1_jac_array(cm, v)
-    w1 = t1_array(cm, v)
-    w2, J1 = first_return_array(model, cm, w1, k, with_jacobian=True)
-    w3, J2 = first_return_array(model, cm, w2, j, with_jacobian=True)
-    return w3, J2 @ J1 @ J0
-
-
-def _tertiary_exit_interior(model, cm, base, t, k, j, frac: float = 0.7) -> bool:
-    """Reject tertiary solutions whose j-leg exits near the strip boundary
-    (Newton occasionally settles on such artifacts)."""
-    try:
-        w = orbit(model, _tertiary_point(model, cm, base, t, k), j)[j]
-    except ItineraryError:
-        return False
-    return abs(w[1] - cm.y_minus) < frac * cm.delta / 2.0
-
-
-def _composed_critical(model, coeffs, base, mu: float, k: int, tc_guess: float,
-                       d_eff: float, h: float = 1e-6) -> tuple[float, float]:
-    """Critical parameter and level of the composed curve at the given mu."""
-    cm = coeffs.with_mu(mu)
+def _composed_critical(G, mu: float, tc_guess: float, d_eff: float,
+                       h: float = 1e-6) -> tuple[float, float]:
+    """Critical parameter and level of the composed curve ``G(t, mu)``."""
     tc = tc_guess
     for _ in range(8):
-        s0 = (double_return_y(model, cm, base.t_param + tc + h, k)
-              - double_return_y(model, cm, base.t_param + tc - h, k)) / (2.0 * h)
+        s0 = (G(tc + h, mu) - G(tc - h, mu)) / (2.0 * h)
         step = -s0 / (2.0 * d_eff)
         tc += step
         if abs(step) < 1e-13:
             break
-    return tc, double_return_y(model, cm, base.t_param + tc, k)
+    return tc, G(tc, mu)
 
 
 def _composed_quartet(model, coeffs, base, mu, k, d_eff, tc, level,
@@ -756,7 +687,7 @@ def _composed_quartet(model, coeffs, base, mu, k, d_eff, tc, level,
             continue
 
         def g(t, jp=jp):
-            w3, J = _tertiary_jet(model, cm, base, t, k, jp)
+            w3, J = axis_jet(model, cm, base.preimage.y + t, (k, jp), jacobian=True)
             return float(w3[1]), float(J[1, 1])
 
         for t, slope in _polish_roots(g, seeds, f"composed quartet(j'={jp})", diagnostics):
@@ -769,12 +700,6 @@ def _composed_quartet(model, coeffs, base, mu, k, d_eff, tc, level,
     return out
 
 
-def k_min_even(model, coeffs) -> int:
-    from .global_map import k_star
-    ks = k_star(model, coeffs)
-    return ks + (ks % 2)
-
-
 def _composed_split_pair(model, coeffs, base, mu, k,
                          diagnostics: list) -> list[TransverseHomoclinic]:
     """Transverse points born from splitting the secondary tangency itself."""
@@ -782,8 +707,8 @@ def _composed_split_pair(model, coeffs, base, mu, k,
     ybase = base.preimage.y
 
     def f(t):
-        val, slope = double_return_y(model, cm, base.t_param + t, k, with_slope=True)
-        return val, slope
+        w, J = axis_jet(model, cm, ybase + t, (k,), jacobian=True)
+        return float(w[1]), float(J[1, 1])
 
     h = 1e-6
     try:

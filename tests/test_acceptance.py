@@ -114,7 +114,7 @@ def test_criterion_5_index2_criterion_equivalence(battery_orbits):
     coeffs = battery_coeffs()
     matches = []
     for orbit in battery_orbits:
-        _, match = index2_criterion(model, coeffs, orbit)
+        _, _, match = index2_criterion(model, coeffs, orbit)
         matches.append(match)
     tr_ok = det_ok = True
     bc = coeffs.b * coeffs.c

@@ -166,6 +166,6 @@ def test_leaf_march_consistency(lin_chain):
     model, coeffs, k, _ = lin_chain
     base = strip_center(model, coeffs, k)
     target = base.z + 0.04
-    xy_a, _, _ = leaf_march(model, coeffs, base, k, target)
-    xy_b, _, _ = leaf_march(model, coeffs, base, k, target, n_steps=80)
+    xy_a, _, _ = leaf_march(model, coeffs, base.as_array(), k, target)
+    xy_b, _, _ = leaf_march(model, coeffs, base.as_array(), k, target, n_steps=80)
     assert np.max(np.abs(xy_a - xy_b)) < 1e-12

@@ -149,7 +149,7 @@ def test_index_two_at_interior_s(bat):
 def test_index_not_two_outside_window(s, bat):
     model, coeffs = bat
     orbit = solve_period2_with_s(model, coeffs, 16, 14, s)
-    s_rec, match = index2_criterion(model, coeffs, orbit)
+    s_rec, _, match = index2_criterion(model, coeffs, orbit)
     assert abs(s_rec - s) < 1e-6
     assert match
     assert orbit_index(model, coeffs, orbit) != 2

@@ -5,13 +5,84 @@ import warnings
 import numpy as np
 import pytest
 
+from hetdim.global_map import first_return_array, t1_array, t1_jac_array
 from hetdim.presets import forge_coeffs
-from hetdim.tangency import (find_transverse_homoclinics, forge_admissible_tangency,
+from hetdim.tangency import (axis_jet, find_transverse_homoclinics, forge_admissible_tangency,
                              predicted_c_signs, secondary_c_coefficient,
                              solve_secondary_tangency, verify_tangency_branch,
                              branches_to_csv, double_return_y)
 
 CASES = ["cdx_neg_d_neg", "cdx_pos_d_neg", "cdx_neg_d_pos", "cdx_pos_d_pos"]
+
+
+@pytest.fixture(scope="module")
+def stage_two_cert(lin_model):
+    # the two-stage case forged at k = 12 alone: its branch is the tertiary
+    # tangency of T1 o T0^j o T1 o T0^12 o T1
+    cert = forge_admissible_tangency(lin_model, forge_coeffs("cdx_pos_d_pos"), [12])
+    assert cert.stages == 2
+    return cert
+
+
+def test_axis_jet_without_stays_is_the_global_map(lin_model, coeffs_a):
+    for mu in (0.0, 3.8e-5):
+        cm = coeffs_a.with_mu(mu)
+        for t in (-0.02, -1e-7, 0.0, 3e-4, 0.03):
+            y = coeffs_a.y_minus + t
+            v = np.array([0.0, y, 0.0])
+            w, J = axis_jet(lin_model, cm, y, jacobian=True)
+            assert np.array_equal(w, t1_array(cm, v))
+            assert np.array_equal(J, t1_jac_array(cm, v))
+            w, J = axis_jet(lin_model, cm, y)
+            assert np.array_equal(w, t1_array(cm, v)) and J is None
+
+
+def test_axis_jet_jacobian_matches_central_differences(lin_model, stage_two_cert):
+    br = stage_two_cert.branch
+    cm = forge_coeffs("cdx_pos_d_pos").with_mu(br.mu_k)
+    y, h = br.preimage.y, 1e-9
+    for stays in ((), (12,), (12, br.k)):
+        _, J = axis_jet(lin_model, cm, y, stays, jacobian=True)
+        fd = (axis_jet(lin_model, cm, y + h, stays)[0]
+              - axis_jet(lin_model, cm, y - h, stays)[0]) / (2.0 * h)
+        scale = np.max(np.abs(J[:, 1]))
+        assert np.max(np.abs(fd - J[:, 1])) < 1e-6 * scale, stays
+
+
+def _fd_c_coefficient(model, coeffs, br):
+    """Reference d(G_y)/dx by central differences: an x-probe of
+    T1 o T0^k o T1 at the preimage, its step kept inside the stay-k strip."""
+    cm = coeffs.with_mu(br.mu_k)
+    gam = abs(model.multipliers.gamma)
+    h = min(1e-7, 1e-3 * coeffs.delta * gam ** (-br.k) / max(abs(coeffs.c), 1.0))
+
+    def g_y(dx):
+        v = br.preimage.as_array()
+        v[0] += dx
+        out, _ = first_return_array(model, cm, t1_array(cm, v), br.k, with_jacobian=False)
+        return out[1]
+
+    return (g_y(h) - g_y(-h)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_c_coefficient_agrees_with_finite_differences(case, lin_model):
+    # the FD probe loses digits to cancellation as k grows (3.5e-5 relative
+    # at k = 18 in the c*d*x+ > 0 cases); the sign never differs
+    coeffs = forge_coeffs(case)
+    for k in range(12, 19, 2):
+        for br in solve_secondary_tangency(lin_model, coeffs, k):
+            c = secondary_c_coefficient(lin_model, coeffs, br)
+            ref = _fd_c_coefficient(lin_model, coeffs, br)
+            assert np.sign(c) == np.sign(ref)
+            assert abs(c / ref - 1.0) < 1e-4, (k, br.branch)
+
+
+def test_stage_two_certificate_fields_are_floats(stage_two_cert):
+    cert = stage_two_cert
+    values = [cert.c_product, cert.branch.mu_k, cert.branch.preimage.y,
+              cert.witnesses["below"].preimage.y, cert.witnesses["above"].preimage.y]
+    assert all(type(v) is float for v in values)
 
 
 def test_scaled_limit_systems():
