@@ -13,6 +13,7 @@ numerically computed stable subspace at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,19 +69,23 @@ def _inverse_product(chain: Array) -> Array:
     return P[0]
 
 
-def _power_frame(apply, W: Array, max_iter: int, tol: float) -> tuple[Array, int]:
+# sweep budget of every frame power iteration
+FRAME_MAX_SWEEPS = 30
+
+
+def _power_frame(apply, W: Array, tol: float) -> tuple[Array, int]:
     """Iterate the orthonormal frame W <- orth(apply(W)) until its span moves
     by less than ``tol``; returns the frame and the sweeps taken.
 
     The move is the principal-angle residual ||Wn - W (W^T Wn)||_F, the part
     of the new frame outside the old span.
     """
-    for it in range(max_iter):
+    for it in range(FRAME_MAX_SWEEPS):
         Wn = orthonormal_frame(apply(W))
         if np.linalg.norm(Wn - W @ (W.T @ Wn)) < tol:
             return Wn, it + 1
         W = Wn
-    return W, max_iter
+    return W, FRAME_MAX_SWEEPS
 
 
 def _z_seed(dim: int) -> Array:
@@ -112,35 +117,22 @@ def _slope_s(v: Array) -> float:
     return float(max(abs(v[0]), abs(v[1])) / denom) if denom > 0 else np.inf
 
 
-def _cone_boundary_cu(K: float, dim: int, n_phi: int = 48, n_psi: int = 12) -> Array:
-    """Sample vectors on the boundary of the cu-cone of opening K."""
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    out = []
+def _cone_boundary(kind: str, K: float, dim: int) -> Array:
+    """Sample vectors on the boundary of the cu- or s-cone of opening K: 48
+    directions in the (x, y)-plane, each with 2 (D = 3) or 12 z-directions."""
     if dim == 3:
         dirs = [np.array([1.0]), np.array([-1.0])]
     else:
-        psis = np.linspace(0.0, 2.0 * np.pi, n_psi, endpoint=False)
+        psis = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         dirs = [np.concatenate(([np.cos(p), np.sin(p)], np.zeros(dim - 4))) for p in psis]
-    for phi in phis:
-        w = np.array([np.cos(phi), np.sin(phi)])
-        r = K * (abs(w[0]) + abs(w[1]))
-        for e in dirs:
-            out.append(np.concatenate((w, r * e)))
-    return np.array(out)
-
-
-def _cone_boundary_s(K: float, dim: int, n_phi: int = 48, n_psi: int = 12) -> Array:
     out = []
-    if dim == 3:
-        zs = [np.array([1.0]), np.array([-1.0])]
-    else:
-        psis = np.linspace(0.0, 2.0 * np.pi, n_psi, endpoint=False)
-        zs = [np.concatenate(([np.cos(p), np.sin(p)], np.zeros(dim - 4))) for p in psis]
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    for phi in phis:
-        w = K * np.array([np.cos(phi), np.sin(phi)])
-        for z in zs:
-            out.append(np.concatenate((w, z)))
+    for phi in np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False):
+        w = np.array([np.cos(phi), np.sin(phi)])
+        for e in dirs:
+            if kind == "cu":
+                out.append(np.concatenate((w, K * (abs(w[0]) + abs(w[1])) * e)))
+            else:
+                out.append(np.concatenate((K * w, e)))
     return np.array(out)
 
 
@@ -148,8 +140,20 @@ _K_GRID = [10.0 ** e for e in range(-3, 4)]
 K_MAX = 1e3
 
 
-def invariant_cu_subspace(chain: Array, max_iter: int = 30,
-                          tol: float = 1e-13) -> ConeWitness:
+def _certify_cone(kind: str, apply, dim: int) -> tuple[float, float]:
+    """The smallest grid K whose sampled cone boundary ``apply`` maps inside
+    the cone, with the ratio image opening / K."""
+    slope = _slope_cu if kind == "cu" else _slope_s
+    for K in _K_GRID:
+        img = apply(_cone_boundary(kind, K, dim).T).T
+        opening = max(slope(v) for v in img)
+        if opening < K:
+            return K, float(opening / K)
+    raise HypothesisError(f"no invariant {kind}-cone with K <= {K_MAX:g}; "
+                          "conditions violated at this delta")
+
+
+def invariant_cu_subspace(chain: Array) -> ConeWitness:
     """Forward-invariant 2-plane and its eigenvalues for a return chain.
 
     Power-iterates 2-frames seeded in the (x, y)-plane; the restriction's
@@ -161,28 +165,14 @@ def invariant_cu_subspace(chain: Array, max_iter: int = 30,
     Q = np.zeros((dim, 2))
     Q[0, 0] = 1.0
     Q[1, 1] = 1.0
-    Q, iters = _power_frame(lambda V: chain_product(chain, V), Q, max_iter, tol)
-    A = Q.T @ chain_product(chain, Q)
-    eigs = sorted_eigvals(A)
-
-    witness_K = None
-    ratio = np.inf
-    for K in _K_GRID:
-        B = _cone_boundary_cu(K, dim)
-        img = chain_product(chain, B.T).T
-        opening = max(_slope_cu(v) for v in img)
-        if opening < K:
-            witness_K = K
-            ratio = opening / K
-            break
-    if witness_K is None:
-        raise HypothesisError(f"no invariant cu-cone with K <= {K_MAX:g}; "
-                              "conditions violated at this delta")
-    return ConeWitness("cu", witness_K, Q, list(eigs), float(ratio), iters)
+    forward = partial(chain_product, chain)
+    Q, iters = _power_frame(forward, Q, 1e-13)
+    eigs = sorted_eigvals(Q.T @ forward(Q))
+    K, ratio = _certify_cone("cu", forward, dim)
+    return ConeWitness("cu", K, Q, list(eigs), ratio, iters)
 
 
-def invariant_s_subspace(chain: Array, max_iter: int = 30,
-                         tol: float = 1e-13) -> ConeWitness:
+def invariant_s_subspace(chain: Array) -> ConeWitness:
     """Backward-invariant (D-2)-plane with the small multipliers.
 
     The restriction eigenvalues come from the inverse restriction (forward
@@ -191,32 +181,19 @@ def invariant_s_subspace(chain: Array, max_iter: int = 30,
     """
     dim = chain[0].shape[0]
     P = _inverse_product(chain)
-    W, iters = _power_frame(lambda V: P @ V, _z_seed(dim), max_iter, tol)
-    A_inv = W.T @ (P @ W)
-    eigs = [1.0 / w for w in sorted_eigvals(A_inv)]
+    backward = partial(np.matmul, P)
+    W, iters = _power_frame(backward, _z_seed(dim), 1e-13)
+    eigs = [1.0 / w for w in sorted_eigvals(W.T @ backward(W))]
     eigs.sort(key=lambda w: -abs(w))
-
-    witness_K = None
-    ratio = np.inf
-    for K in _K_GRID:
-        B = _cone_boundary_s(K, dim)
-        img = (P @ B.T).T
-        opening = max(_slope_s(v) for v in img)
-        if opening < K:
-            witness_K = K
-            ratio = opening / K
-            break
-    if witness_K is None:
-        raise HypothesisError(f"no invariant s-cone with K <= {K_MAX:g}; "
-                              "conditions violated at this delta")
-    return ConeWitness("s", witness_K, W, eigs, float(ratio), iters)
+    K, ratio = _certify_cone("s", backward, dim)
+    return ConeWitness("s", K, W, eigs, ratio, iters)
 
 
 # ---------------------------------------------------------------------------
 # strong-stable leaves
 
 
-def stable_frame(chain: Array, max_iter: int = 30, tol: float = 1e-14) -> Array:
+def stable_frame(chain: Array) -> Array:
     """Frame of the backward-invariant (D-2)-plane, without the cone
     certificate; this is the hot path of the leaf integration.
 
@@ -224,7 +201,7 @@ def stable_frame(chain: Array, max_iter: int = 30, tol: float = 1e-14) -> Array:
     sweeps the rule: one to converge, one to confirm.
     """
     P = _inverse_product(chain)
-    W, _ = _power_frame(lambda V: P @ V, _z_seed(chain.shape[1]), max_iter, tol)
+    W, _ = _power_frame(lambda V: P @ V, _z_seed(chain.shape[1]), 1e-14)
     return W
 
 
@@ -276,22 +253,25 @@ class LeafSample:
         return float(np.max(np.abs(self.phi2)))
 
 
+LEAF_STEP = 1e-3
+
+
 def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
                z_target: Array, n_steps: int | None = None,
-               step: float = 1e-3, tilde: bool = False) -> tuple[Array, Array, Array]:
+               tilde: bool = False) -> tuple[Array, Array, Array]:
     """March the leaf graph from the flat (D,) point base to z_target (Heun
     predictor-corrector).
 
     Returns the (x, y) arrival, the slope matrix at arrival, and the arrival
-    z (= z_target).  The step count is frozen from the requested step size so
-    the result is a smooth function of the endpoints.
+    z (= z_target).  Without ``n_steps`` the step count is frozen from the
+    step size LEAF_STEP, so the result is a smooth function of the endpoints.
     """
     z0 = base[2:].astype(float)
     z_target = np.atleast_1d(np.asarray(z_target, dtype=float))
     dz_total = z_target - z0
     dist = float(np.linalg.norm(dz_total))
     if n_steps is None:
-        n_steps = max(1, int(np.ceil(dist / step)))
+        n_steps = max(1, int(np.ceil(dist / LEAF_STEP)))
     dz = dz_total / n_steps
     xy = base[:2].astype(float)
     z = z0.copy()
@@ -307,17 +287,15 @@ def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
 
 
 def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: SplitVector,
-                       k: int, half_width: float | None = None,
-                       n_samples: int = 9, step: float = 1e-3,
-                       tilde: bool = False) -> LeafSample:
-    """Sample the strong-stable leaf through ``base`` over the z-box.
+                       k: int, n_samples: int = 9, tilde: bool = False) -> LeafSample:
+    """Sample the strong-stable leaf through ``base`` over the z-box of
+    half-width delta / 2.
 
     For D = 3 the samples march along the z-axis; in higher dimension they
     march along coordinate rays from the base.  Slopes phi1 = dx/dz and
     phi2 = dy/dz are recorded at every sampled point.
     """
-    if half_width is None:
-        half_width = coeffs.delta / 2.0
+    half_width = coeffs.delta / 2.0
     nz = model.dim - 2
     offsets = np.linspace(-half_width, half_width, n_samples)
     z_pts, xy_pts, p1, p2 = [], [], [], []
@@ -327,8 +305,7 @@ def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: SplitV
             z_t[axis] += off
             if np.linalg.norm(z_t) >= coeffs.delta:
                 continue
-            xy, Phi, z = leaf_march(model, coeffs, base.as_array(), k, z_t, step=step,
-                                    tilde=tilde)
+            xy, Phi, z = leaf_march(model, coeffs, base.as_array(), k, z_t, tilde=tilde)
             z_pts.append(z)
             xy_pts.append(xy)
             p1.append(Phi[0])

@@ -42,6 +42,8 @@ from .saddle import SaddleModel, SplitVector, build_model, model_from_json
 Array = np.ndarray
 
 SCHEMA_VERSION = 1
+# no multiplier of DT^2 may lie closer than this to the unit circle
+UNIT_CIRCLE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +64,6 @@ class PeriodTwoOrbit:
     eta: tuple[float, float]
     mu: float
     closure_residual: float
-    jacobian_2: Array | None = None
     s_value: float | None = None
 
     @property
@@ -72,30 +73,6 @@ class PeriodTwoOrbit:
     @property
     def m(self) -> int:
         return self.itinerary[1]
-
-
-def _orbit_unknown_scales(model: SaddleModel, k: int, m: int) -> Array:
-    # axis sizes: offsets perturb quantities of order x+, y- ~ 0.1 .. 0.5
-    nz = model.dim - 2
-    return np.concatenate(([0.02, 0.02], np.full(nz, 0.02),
-                           [0.02, 0.02], np.full(nz, 0.02)))
-
-
-def _closure_tols(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                  k: int, m: int) -> tuple[Array, Array]:
-    """Per-component (tol, accept) for the closure residual vector.
-
-    Targets stay tight; the y-matching components get amplification-aware
-    acceptance floors (the Newton polishes until progress stalls, then the
-    best iterate is accepted if below the floors).
-    """
-    nz = model.dim - 2
-    fl1, fl2 = closure_floors(model, coeffs, k, m)
-    tols = np.full(2 * model.dim, 1e-13)
-    accepts = np.full(2 * model.dim, 1e-12)
-    accepts[1] = max(fl2, 1e-12)
-    accepts[3 + nz] = max(fl1, 1e-12)
-    return tols, accepts
 
 
 def _leg_points(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
@@ -117,27 +94,53 @@ def _leg_points(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
     return p1, saddle.orbit(model, p1, k)[-1], p2, saddle.orbit(model, p2, m)[-1]
 
 
-def _closure_residuals(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
-                       k: int, m: int) -> tuple[Array, float, float]:
-    """Closure residuals at exit scale, plus the exit offsets (eta1, eta2).
+def _period2_residual(model: SaddleModel, cm: GlobalMapCoeffs, u: Array, k: int,
+                      m: int, s_target: float) -> tuple[Array, float, Array]:
+    """Closure rows at exit scale plus the normalised index row
+    (eta1 eta2 - s lambda^(k+m) - shift) / lambda^(k+m); also returns the
+    exit offset eta1 and the flat entry point Q02 of this evaluation.
 
     Both global legs use the same T1 (the whole orbit stays near the first
     tangency); the twin map enters only through the connection curve.
     """
     nz = model.dim - 2
-    gam = model.multipliers.gamma
-    ym = coeffs.y_minus
-    p1, e1, p2, e2 = _leg_points(model, coeffs, u, k, m)
-    A = t1_array(coeffs, e1)
-    B = t1_array(coeffs, e2)
-    r = np.empty(2 * model.dim)
+    lam, gam = model.multipliers.lam, model.multipliers.gamma
+    p1, e1, p2, e2 = _leg_points(model, cm, u, k, m)
+    A = t1_array(cm, e1)
+    B = t1_array(cm, e2)
+    r = np.empty(2 * model.dim + 1)
     r[0] = A[0] - p2[0]
     r[1] = A[1] * gam ** m - u[3 + nz]
     r[2:2 + nz] = A[2:] - p2[2:]
     r[2 + nz] = B[0] - p1[0]
     r[3 + nz] = B[1] * gam ** k - u[1]
-    r[4 + nz:] = B[2:] - p1[2:]
-    return r, float(e1[1] - ym), float(e2[1] - ym)
+    r[4 + nz:-1] = B[2:] - p1[2:]
+    eta1, eta2 = float(e1[1] - cm.y_minus), float(e2[1] - cm.y_minus)
+    scale_idx = lam ** (k + m)
+    r[-1] = (eta1 * eta2 - s_target * scale_idx
+             - _index_relation(cm, lam, gam, k, m)) / scale_idx
+    return r, eta1, p2
+
+
+def _period2_tolerances(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
+                        mu0: float) -> tuple[Array, Array, Array]:
+    """Scales of the unknowns (u, mu) and per-row (tol, accept) of
+    ``_period2_residual``.
+
+    Targets stay tight; the y-matching rows and the index row get
+    amplification-aware acceptance floors (the Newton polishes until progress
+    stalls, then the best iterate is accepted if below the floors).
+    """
+    nz = model.dim - 2
+    fl1, fl2 = closure_floors(model, coeffs, k, m)
+    fl_idx = index_relation_floor(model, coeffs, k, m)
+    # axis sizes: offsets perturb quantities of order x+, y- ~ 0.1 .. 0.5
+    scales = np.append(np.full(2 * model.dim, 0.02), max(10 * abs(mu0), 1e-6))
+    tol = np.append(np.full(2 * model.dim, 1e-13), max(1e-11, fl_idx))
+    accept = np.append(np.full(2 * model.dim, 1e-12), 10.0 * fl_idx)
+    accept[1] = max(fl2, 1e-12)
+    accept[3 + nz] = max(fl1, 1e-12)
+    return scales, tol, accept
 
 
 def _orbit_from_unknowns(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
@@ -264,19 +267,15 @@ def _check_itinerary(k: int, m: int | None = None) -> None:
 
 
 def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
-                  mu: float | None = None, seed: Array | None = None,
-                  branch: int = -1) -> PeriodTwoOrbit:
-    """Newton on the closure system at fixed mu (taken from coeffs if None)."""
+                  seed: Array | None = None, branch: int = -1) -> PeriodTwoOrbit:
+    """Newton on the closure rows at the fixed mu of coeffs."""
     _check_itinerary(k, m)
-    if mu is None:
-        mu = coeffs.mu
-    cm = coeffs.with_mu(mu)
     if seed is None:
         seed, _ = _period2_seed(model, coeffs, k, m, 0.0, branch)
         # at fixed mu the exit offsets follow from the static balance
         lam, gamma = model.multipliers.lam, model.multipliers.gamma
         nz = model.dim - 2
-        ym = coeffs.y_minus
+        ym, mu = coeffs.y_minus, coeffs.mu
         e2_sq = (ym * gamma ** (-k) - mu - coeffs.c * lam ** m * coeffs.x_plus) / coeffs.d
         e1_sq = (ym * gamma ** (-m) - mu - coeffs.c * lam ** k * coeffs.x_plus) / coeffs.d
         if e2_sq > 0:
@@ -285,39 +284,28 @@ def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
             seed[1] = ym + branch * math.sqrt(e1_sq)
 
     def F(u: Array) -> Array:
-        return _closure_residuals(model, cm, u, k, m)[0]
+        return _period2_residual(model, coeffs, u, k, m, 0.0)[0][:-1]
 
-    tols, accepts = _closure_tols(model, coeffs, k, m)
-    u, res, _ = newton_solve(F, seed, scales=_orbit_unknown_scales(model, k, m),
-                             tol=tols, accept_tol=accepts, max_iter=60,
+    scales, tol, accept = _period2_tolerances(model, coeffs, k, m, coeffs.mu)
+    u, res, _ = newton_solve(F, seed, scales=scales[:-1], tol=tol[:-1],
+                             accept_tol=accept[:-1], max_iter=60,
                              name=f"period-2 closure (k={k}, m={m})")
-    return _orbit_from_unknowns(model, cm, u, k, m)
+    return _orbit_from_unknowns(model, coeffs, u, k, m)
 
 
 def solve_period2_with_s(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
                          s_target: float, branch: int = -1) -> PeriodTwoOrbit:
     """Joint Newton on closure plus the index relation, with mu unknown."""
     _check_itinerary(k, m)
-    lam, gamma = model.multipliers.lam, model.multipliers.gamma
     u0, mu0 = _period2_seed(model, coeffs, k, m, s_target, branch)
-    shift = _index_relation(coeffs, lam, gamma, k, m)
-    scale_idx = lam ** (k + m)
 
     def F(w: Array) -> Array:
-        u, mu = w[:-1], w[-1]
-        cm = coeffs.with_mu(mu)
-        r, eta1, eta2 = _closure_residuals(model, cm, u, k, m)
-        r_idx = (eta1 * eta2 - s_target * scale_idx - shift) / scale_idx
-        return np.concatenate((r, [r_idx]))
+        return _period2_residual(model, coeffs.with_mu(w[-1]), w[:-1], k, m, s_target)[0]
 
-    scales = np.concatenate((_orbit_unknown_scales(model, k, m),
-                             [max(10 * abs(mu0), 1e-6)]))
-    ctols, caccepts = _closure_tols(model, coeffs, k, m)
-    fl_idx = index_relation_floor(model, coeffs, k, m)
-    w, res, _ = newton_solve(F, np.concatenate((u0, [mu0])), scales=scales,
-                             tol=np.concatenate((ctols, [max(1e-11, fl_idx)])),
-                             accept_tol=np.concatenate((caccepts, [10.0 * fl_idx])),
-                             max_iter=60, name=f"period-2 with s (k={k}, m={m})")
+    scales, tol, accept = _period2_tolerances(model, coeffs, k, m, mu0)
+    w, res, _ = newton_solve(F, np.append(u0, mu0), scales=scales, tol=tol,
+                             accept_tol=accept, max_iter=60,
+                             name=f"period-2 with s (k={k}, m={m})")
     orbit = _orbit_from_unknowns(model, coeffs.with_mu(w[-1]), w[:-1], k, m)
     orbit.s_value = s_target
     return orbit
@@ -338,17 +326,26 @@ def orbit_jacobian_chain(model: SaddleModel, coeffs: GlobalMapCoeffs,
                            return_chain(model, cm, orbit.points["Q02"].as_array(), [orbit.m])))
 
 
-def orbit_index(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                orbit: PeriodTwoOrbit, tol_unit: float = 1e-8) -> int:
-    """Count of multipliers of DT^2 outside the unit circle (dense solver)."""
-    M = chain_product(orbit_jacobian_chain(model, coeffs, orbit))
-    orbit.jacobian_2 = M
-    eigs = sorted_eigvals(M)
-    moduli = np.abs(eigs)
+def orbit_multipliers(model: SaddleModel, coeffs: GlobalMapCoeffs,
+                      orbit: PeriodTwoOrbit) -> Array:
+    """Multipliers of DT^2 at the orbit by decreasing modulus (dense solver
+    on the chain product)."""
+    return sorted_eigvals(chain_product(orbit_jacobian_chain(model, coeffs, orbit)))
+
+
+def _count_outside(multipliers: Array, tol_unit: float = UNIT_CIRCLE_TOL) -> int:
+    """How many multipliers lie outside the unit circle; none may be near it."""
+    moduli = np.abs(multipliers)
     if np.any(np.abs(moduli - 1.0) < tol_unit):
         raise AmbiguousIndexError("a multiplier lies within 1e-8 of the unit circle; "
                                   "adjust parameters")
     return int(np.sum(moduli > 1.0))
+
+
+def orbit_index(model: SaddleModel, coeffs: GlobalMapCoeffs,
+                orbit: PeriodTwoOrbit, tol_unit: float = UNIT_CIRCLE_TOL) -> int:
+    """Count of multipliers of DT^2 outside the unit circle."""
+    return _count_outside(orbit_multipliers(model, coeffs, orbit), tol_unit)
 
 
 def index2_criterion(model: SaddleModel, coeffs: GlobalMapCoeffs,
@@ -372,16 +369,13 @@ def index2_reductions(model: SaddleModel, coeffs: GlobalMapCoeffs,
                       orbit: PeriodTwoOrbit) -> dict:
     """Trace and determinant of the cu-restriction against the closed forms.
 
-    Both are taken from the two leading eigenvalues of the chain product:
-    forming det from the restricted 2x2 directly cancels catastrophically
-    when the two leading multipliers differ by many orders.
+    Both are taken from the two leading multipliers: forming det from a
+    restricted 2x2 directly cancels catastrophically when the two leading
+    multipliers differ by many orders.
     """
     lam, gamma = model.multipliers.lam, model.multipliers.gamma
     k, m = orbit.itinerary
-    chain = orbit_jacobian_chain(model, coeffs, orbit)
-    cu = invariant_cu_subspace(chain)
-    eigs = sorted_eigvals(chain_product(chain))
-    e1, e2 = eigs[0], eigs[1]
+    e1, e2 = orbit_multipliers(model, coeffs, orbit)[:2]
     tr = float((e1 + e2).real)
     det = float((e1 * e2).real)
     eta1, eta2 = orbit.eta
@@ -392,7 +386,7 @@ def index2_reductions(model: SaddleModel, coeffs: GlobalMapCoeffs,
     det_pred = bc * bc * (lam * gamma) ** (k + m)
     return {"trace": tr, "trace_predicted": tr_pred,
             "det": det, "det_predicted": det_pred,
-            "C": det / (lam * gamma) ** (k + m), "cu": cu}
+            "C": det / (lam * gamma) ** (k + m)}
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +426,14 @@ def _tilde_curve(model: SaddleModel, coeffs2: GlobalMapCoeffs, t: float,
 
 
 def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                    coeffs2: GlobalMapCoeffs, mu2: float, orbit_u: Array,
-                    k: int, m: int, eta1: float,
-                    leaf_steps: int | None = None) -> tuple[float, dict]:
-    """Gap along y between the strong-stable leaf of Q02 and the twin curve.
+                    coeffs2: GlobalMapCoeffs, mu2: float, Q02: Array, m: int,
+                    eta1: float, leaf_steps: int | None = None) -> tuple[float, dict]:
+    """Gap along y between the strong-stable leaf of the flat point Q02 and
+    the twin curve.
 
     The curve is a graph over t and the leaf a graph over z; the inner
     Newton matches x and z, leaving the y-mismatch as the reported gap.
     """
-    nz = model.dim - 2
-    gam = model.multipliers.gamma
-    xi2 = orbit_u[2 + nz]
-    ups2 = orbit_u[3 + nz]
-    z2 = orbit_u[4 + nz:4 + 2 * nz]
-    Q02 = np.concatenate(([coeffs.x_plus + xi2, ups2 / gam ** m], coeffs.z_plus + z2))
-
     # the z-equations are explicit (z* = q_z(t)), so the inner match is a
     # 1d solve in t with a near-analytic derivative from the leaf slopes
     def x_mismatch(t: float) -> tuple[float, float, tuple[Array, Array]]:
@@ -492,7 +479,6 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
         raise ValidationError("coincidence condition violated: the two global maps "
                               "must share x+ (leaf of the strong-stable foliation)")
     lam = model.multipliers.lam
-    nz = model.dim - 2
 
     ratio = 2.0 * coeffs.y_minus / (coeffs.c * coeffs.x_plus)
     mu2_shift_flag = general and ratio < 0.0
@@ -518,37 +504,26 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
             mu2 = mu2 + 2.0 * coeffs.c * lam ** k * coeffs.x_plus
         return mu2
 
-    leaf_steps_holder: dict = {}
-
-    def F(w: Array) -> Array:
-        u, mu1, g = w[:-2], w[-2], w[-1]
-        mdl = _rebuild_gamma(model, g)
-        cm = coeffs.with_mu(mu1)
-        r, eta1, eta2 = _closure_residuals(mdl, cm, u, k, m)
-        gamma = mdl.multipliers.gamma
-        shift = _index_relation(coeffs, lam, gamma, k, m)
-        scale_idx = lam ** (k + m)
-        r_idx = (eta1 * eta2 - s_target * scale_idx - shift) / scale_idx
-        mu2 = mu2_of(mu1, eta1)
-        gap, _ = _connection_gap(mdl, cm, coeffs2, mu2, u, k, m, eta1,
-                                 leaf_steps=leaf_steps_holder.get("n"))
-        return np.concatenate((r, [r_idx, gap / max(abs(gamma) ** (-m), 1e-300)]))
-
     # freeze a coarse leaf step count for the Newton iterations (the leaf is
     # nearly straight); the reported gap is re-measured afterwards at the
     # leaf module's reference resolution
     q0 = _tilde_curve(model_g, coeffs2, 0.0, mu0)
     dist0 = float(np.linalg.norm(q0[2:] - coeffs.z_plus))
-    leaf_steps_holder["n"] = max(4, int(np.ceil(dist0 / 5e-3)))
+    leaf_steps = max(4, int(np.ceil(dist0 / 5e-3)))
 
-    scales = np.concatenate((_orbit_unknown_scales(model, k, m),
-                             [max(10 * abs(mu0), 1e-6), 0.05]))
-    ctols, caccepts = _closure_tols(model_g, coeffs, k, m)
-    fl_idx = index_relation_floor(model_g, coeffs, k, m)
-    tols = np.concatenate((ctols, [max(1e-11, fl_idx), 1e-12]))
-    accepts = np.concatenate((caccepts, [10.0 * fl_idx, 1e-10]))
-    w, res, _ = newton_solve(F, np.concatenate((u0, [mu0, g0])), scales=scales,
-                             tol=tols, accept_tol=accepts, max_iter=60,
+    def F(w: Array) -> Array:
+        u, mu1, g = w[:-2], w[-2], w[-1]
+        mdl = _rebuild_gamma(model, g)
+        cm = coeffs.with_mu(mu1)
+        rows, eta1, Q02 = _period2_residual(mdl, cm, u, k, m, s_target)
+        gap, _ = _connection_gap(mdl, cm, coeffs2, mu2_of(mu1, eta1), Q02, m, eta1,
+                                 leaf_steps=leaf_steps)
+        return np.append(rows, gap / max(abs(mdl.multipliers.gamma) ** (-m), 1e-300))
+
+    scales, tol, accept = _period2_tolerances(model_g, coeffs, k, m, mu0)
+    w, res, _ = newton_solve(F, np.concatenate((u0, [mu0, g0])),
+                             scales=np.append(scales, 0.05), tol=np.append(tol, 1e-12),
+                             accept_tol=np.append(accept, 1e-10), max_iter=60,
                              jac_reuse=4,
                              name=f"heterodimensional cycle (k={k}, m={m})")
 
@@ -559,13 +534,13 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
     orbit.s_value = s_target
     eta1 = orbit.eta[0]
     mu2 = mu2_of(mu1, eta1)
-    gap, conn = _connection_gap(mdl, cm, coeffs2, mu2, u, k, m, eta1,
-                                leaf_steps=None)
+    gap, conn = _connection_gap(mdl, cm, coeffs2, mu2, orbit.points["Q02"].as_array(), m,
+                                eta1, leaf_steps=None)
 
-    idx = orbit_index(mdl, cm, orbit)
+    eigs = orbit_multipliers(mdl, cm, orbit)
+    idx = _count_outside(eigs)
     if idx != 2:
         raise HypothesisError(f"solved orbit has index {idx}, not 2")
-    eigs = sorted_eigvals(orbit.jacobian_2)
 
     gamma = mdl.multipliers.gamma
     theta = -math.log(abs(lam)) / math.log(abs(gamma))
@@ -625,9 +600,11 @@ def solve_hetdim_general(model: SaddleModel, coeffs1: GlobalMapCoeffs,
 # transverse connection (area mechanism)
 
 
+TRANSVERSE_MAX_RETURNS = 50
+
+
 def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                                 cert: CycleCertificate, r0: float | None = None,
-                                 n_boundary: int = 48, max_returns: int = 50) -> dict:
+                                 cert: CycleCertificate) -> dict:
     """Grow a disk in the center-unstable plane at Q01 until it crosses a
     piece of the stable manifold of the fixed point.
 
@@ -646,25 +623,23 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
                               "(mu * d >= 0); install quartet boundaries instead")
     k, m = cert.orbit.itinerary
     lam, gamma = mdl.multipliers.lam, mdl.multipliers.gamma
-    if r0 is None:
-        # small enough that the first return stays inside the installed
-        # sub-strip (the orbit sits margin-deep inside it), so at least one
-        # clean area factor is measured before the crossing
-        width0 = math.sqrt(-mu / cm.d)
-        margin = width0 - abs(cert.orbit.eta[0])
-        r0 = min(1e-6, 2e-3 * abs(gamma) ** (-k))
-        if margin > 0:
-            r0 = min(r0, 0.25 * margin * abs(gamma) ** (-k))
+    # the disk radius: small enough that the first return stays inside the
+    # installed sub-strip (the orbit sits margin-deep inside it), so at least
+    # one clean area factor is measured before the crossing
+    width = math.sqrt(-mu / cm.d)  # half-width of the installed sub-strip
+    margin = width - abs(cert.orbit.eta[0])
+    r0 = min(1e-6, 2e-3 * abs(gamma) ** (-k))
+    if margin > 0:
+        r0 = min(r0, 0.25 * margin * abs(gamma) ** (-k))
 
     chain = return_chain(mdl, cm, cert.orbit.points["Q01"].as_array(), [k, m])
     cu = invariant_cu_subspace(chain)
     E = cu.subspace  # D x 2 orthonormal
 
-    phis = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     base = cert.orbit.points["Q01"].as_array()
     stays = [k, m]
     predicted = abs(cm.b * cm.c) * abs(lam * gamma) ** k
-    width = math.sqrt(-mu / cm.d)  # half-width of the installed sub-strip
 
     def poly_area(P: Array) -> float:
         # center first: the polygons are tiny and the raw shoelace would
@@ -727,7 +702,7 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
                 "predicted_first_factor": predicted, "r0": r0}
 
     area_prev = poly_area(pts)
-    for ret in range(max_returns):
+    for ret in range(TRANSVERSE_MAX_RETURNS):
         stay = stays[ret % 2]
         # a segment crosses a W^s(O) piece when the exit heights of its ends
         # straddle one of the installed boundary levels y- +- width (the
@@ -770,7 +745,8 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
             raise HypothesisError("area growth stalled (factor <= 1); "
                                   "expansion hypothesis violated")
         area_prev = area
-    raise ConvergenceError(f"no crossing within {max_returns} returns", residual=None)
+    raise ConvergenceError(f"no crossing within {TRANSVERSE_MAX_RETURNS} returns",
+                           residual=None)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +774,7 @@ def certificate_to_dict(cert: CycleCertificate) -> dict:
         "coeffs2": cert.coeffs2_spec,
         "transverse_connection": cert.transverse_connection,
         "residuals": cert.residuals,
-        "tolerances": {"closure": 1e-10, "gap": 1e-8, "unit_circle": 1e-8},
+        "tolerances": {"closure": 1e-10, "gap": 1e-8, "unit_circle": UNIT_CIRCLE_TOL},
     }
 
 
@@ -861,17 +837,10 @@ def replay_certificate_dict(doc: dict) -> dict:
     checks["index"]["ok"] = idx == 2
 
     def gap_check():
-        nz = model.dim - 2
-        gam = model.multipliers.gamma
-        u = np.concatenate((
-            [pts["Q01"].x - coeffs.x_plus, pts["Q01"].y * gam ** k],
-            pts["Q01"].z - coeffs.z_plus,
-            [pts["Q02"].x - coeffs.x_plus, pts["Q02"].y * gam ** m],
-            pts["Q02"].z - coeffs.z_plus))
         # in symmetric mode the twin map is the conjugation of the same
         # coefficient set, so its splitting parameter is coeffs.mu itself
         mu2 = coeffs.mu if doc["mode"] == "symmetric" else doc["quasi_connection"]["mu2"]
-        gap, _ = _connection_gap(model, coeffs, coeffs2, mu2, u, k, m,
+        gap, _ = _connection_gap(model, coeffs, coeffs2, mu2, pts["Q02"].as_array(), m,
                                  eta1=float(doc["eta"][0]),
                                  leaf_steps=doc["quasi_connection"].get("leaf_steps"))
         return abs(gap)

@@ -229,14 +229,14 @@ def strip_for(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int) -> Strip:
                  (min(lo, hi), max(lo, hi)), d)
 
 
-def locate_strip(model: SaddleModel, coeffs: GlobalMapCoeffs, p: SplitVector,
-                 k_max: int = 80) -> Strip | None:
-    """Smallest k >= k* with T0^k(p) in Pi1, or None within k_max."""
+def locate_strip(model: SaddleModel, coeffs: GlobalMapCoeffs,
+                 p: SplitVector) -> Strip | None:
+    """Smallest k >= k* with T0^k(p) in Pi1, or None within 80 steps."""
     v = p.as_array()
     if not in_pi0(coeffs, v):
         return None
     try:
-        traj = orbit(model, v, k_max)
+        traj = orbit(model, v, 80)
     except ItineraryError as exc:
         traj = orbit(model, v, exc.step - 1)
     for k in range(k_star(model, coeffs), len(traj)):

@@ -18,8 +18,11 @@ from .errors import ConvergenceError, NumericalError
 Array = np.ndarray
 
 
-def fd_jacobian(f: Callable[[Array], Array], u: Array, scales: Array | None = None,
-                rel_step: float = 1e-7) -> Array:
+FD_REL_STEP = 1e-7
+
+
+def fd_jacobian(f: Callable[[Array], Array], u: Array,
+                scales: Array | None = None) -> Array:
     """Central finite-difference Jacobian of ``f`` at ``u``.
 
     ``scales`` sets the magnitude floor per variable so offsets of very
@@ -35,7 +38,7 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array, scales: Array | None = No
         scales = np.ones(n)
     J = np.empty((m, n))
     for i in range(n):
-        h = rel_step * max(abs(u[i]), scales[i])
+        h = FD_REL_STEP * max(abs(u[i]), scales[i])
         up = u.copy()
         um = u.copy()
         up[i] += h
@@ -63,7 +66,6 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                  tol: float | Array = 1e-13,
                  accept_tol: float | Array | None = None,
                  max_iter: int = 40,
-                 damping: float = 1.0,
                  jac_reuse: int = 1,
                  name: str = "newton") -> tuple[Array, float, int]:
     """Newton iteration with FD Jacobian and row/column equilibration.
@@ -117,7 +119,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
             step = np.linalg.solve(Jrc, -F / r)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(Jrc, -F / r, rcond=None)
-        step = damping * (step / c)
+        step = step / c
         # backtrack on evaluations that leave the maps' domains or that
         # balloon the residual (loose safeguard; quadratic convergence near
         # the root is monotone anyway)

@@ -24,14 +24,13 @@ from . import __version__
 from .cones import (cone_report_csv, invariant_cu_subspace, invariant_s_subspace,
                     leaf_exponent_fit, leaf_report_csv)
 from .cycles import (_check_itinerary, certificate_to_json, closure_oracle_floor,
-                     index2_criterion, orbit_jacobian_chain, replay_certificate_dict,
-                     solve_hetdim_general, solve_hetdim_symmetric,
-                     solve_period2_with_s, verify_transverse_connection)
+                     index2_criterion, orbit_jacobian_chain, orbit_multipliers,
+                     replay_certificate_dict, solve_hetdim_general, solve_hetdim_symmetric,
+                     solve_period2_with_s)
 from .errors import NumericalError, ValidationError
 from .flows import (AbsConfig, abs_expansion_bound, check_c3prime,
                     equilibrium_exponents, exponents_report, orbit_csv, simulate_poincare)
 from .global_map import coeffs_from_json
-from .numerics import chain_product, sorted_eigvals
 from .saddle import check_conditions, model_from_json
 from .tangency import (branches_to_csv, forge_admissible_tangency, secondary_c_coefficient,
                        solve_secondary_tangency)
@@ -201,7 +200,7 @@ def _exp_cone_battery(doc, rng):
         witnesses += [cu, sw]
         labels += [f"k{k}m{m}", f"k{k}m{m}"]
         ok_ratio &= cu.contraction_ratio < 1.0 and sw.contraction_ratio < 1.0
-        full = sorted_eigvals(chain_product(chain))
+        full = orbit_multipliers(model, coeffs, orbit)
         union = sorted(list(cu.eigenvalues) + list(sw.eigenvalues), key=lambda w: -abs(w))
         rho = max(abs(w) for w in full)
         ok_comp &= all(abs(a - b) <= 1e-8 * rho for a, b in zip(full, union))
@@ -305,6 +304,8 @@ def run_experiment(config_path: str, out_dir: str | None = None) -> int:
         return 1
     for name, content in files.items():
         (out / name).write_text(content)
+    # a comparison on numpy scalars yields np.bool_, which is not a bool
+    checks = {name: bool(v) if isinstance(v, np.bool_) else v for name, v in checks.items()}
     flat_ok = all(v for v in checks.values() if isinstance(v, bool))
     summary = {"experiment": doc["experiment"], "checks": checks, "all_ok": flat_ok}
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True,

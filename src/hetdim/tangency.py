@@ -211,8 +211,7 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
 
 
 def verify_tangency_branch(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                           branch: TangencyBranch,
-                           h: float = 1e-6) -> tuple[float, float, float, float]:
+                           branch: TangencyBranch) -> tuple[float, float, float, float]:
     """Independent double-root check of the solved branch.
 
     Carries the preimage through the composed map T1 o T0^k o T1 by direct
@@ -225,6 +224,7 @@ def verify_tangency_branch(model: SaddleModel, coeffs: GlobalMapCoeffs,
     """
     cm = coeffs.with_mu(branch.mu_k)
     t = branch.t_param
+    h = 1e-6  # second-difference step in t
     g0, slope0 = double_return_y(model, cm, t, branch.k, with_slope=True)
     gp = double_return_y(model, cm, t + h, branch.k)
     gm = double_return_y(model, cm, t - h, branch.k)
@@ -401,11 +401,11 @@ def k_min_even(model, coeffs) -> int:
     return ks + (ks % 2)
 
 
-def quartet_stay_numbers(model: SaddleModel, coeffs: GlobalMapCoeffs, mu: float,
-                         limit: int = 3) -> list[int]:
-    """Stay numbers at which the persistent quartet is numerically usable:
-    its points must sit well inside the strip (offsets a fraction of delta/2)
-    and survive the splitting (mu*gamma^k well below y-)."""
+def quartet_stay_numbers(model: SaddleModel, coeffs: GlobalMapCoeffs,
+                         mu: float) -> list[int]:
+    """The first three stay numbers at which the persistent quartet is
+    numerically usable: its points must sit well inside the strip (offsets a
+    fraction of delta/2) and survive the splitting (mu*gamma^k well below y-)."""
     lam, gamma = model.multipliers.lam, model.multipliers.gamma
     s = np.sqrt(abs(coeffs.c * coeffs.x_plus / coeffs.d))
     out = []
@@ -417,7 +417,7 @@ def quartet_stay_numbers(model: SaddleModel, coeffs: GlobalMapCoeffs, mu: float,
         if (coeffs.y_minus - mu * gamma ** k) / coeffs.d <= 0.0:
             continue
         out.append(k)
-        if len(out) >= limit:
+        if len(out) >= 3:
             break
     return out
 

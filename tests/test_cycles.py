@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from hetdim.cycles import (certificate_to_dict, certificate_to_json, closure_oracle_floor,
-                           closure_residual_forward, index2_criterion, index2_reductions,
-                           orbit_index, orbit_to_unknowns, replay_certificate_dict,
+from hetdim.cycles import (PeriodTwoOrbit, certificate_to_dict, certificate_to_json,
+                           closure_oracle_floor, closure_residual_forward, index2_criterion,
+                           index2_reductions, orbit_index, orbit_multipliers,
+                           orbit_to_unknowns, replay_certificate_dict,
                            solve_hetdim_general, solve_hetdim_symmetric, solve_period2,
                            solve_period2_with_s, verify_transverse_connection,
                            _connection_gap, _period2_seed)
@@ -17,7 +18,7 @@ from hetdim.errors import ContractError, ValidationError
 from hetdim.global_map import coeffs_from_json, t1_tilde_array
 from hetdim.presets import (battery_coeffs, battery_model, battery_pairs, hetdim_coeffs,
                             hetdim_model, hetdim_schedule)
-from hetdim.saddle import apply_symmetry, model_from_json, t0_array
+from hetdim.saddle import SplitVector, apply_symmetry, model_from_json, t0_array
 
 
 @pytest.fixture(scope="module")
@@ -214,8 +215,8 @@ def test_quasi_connection_opens_under_mu(hetdim_certificates):
         co_p = cm.with_mu(mu_p)
         orb = solve_period2(model, co_p, k, m, seed=orbit_to_unknowns(model, cm, prev))
         prev = orb
-        gap, _ = _connection_gap(model, co_p, co_p, mu_p,
-                                 orbit_to_unknowns(model, cm, orb), k, m, orb.eta[0])
+        gap, _ = _connection_gap(model, co_p, co_p, mu_p, orb.points["Q02"].as_array(), m,
+                                 orb.eta[0])
         gaps.append(abs(gap))
     assert gaps[0] < 1e-8
     assert all(a < b for a, b in zip(gaps, gaps[1:]))
@@ -298,6 +299,24 @@ def test_certificate_replay_roundtrip(hetdim_certificates):
     doc = json.loads(certificate_to_json(cert))
     checks = replay_certificate_dict(doc)
     assert checks["all_ok"]
+
+
+def test_replay_reproduces_recorded_residuals(hetdim_certificates):
+    # replay evaluates the certified point itself, so every recorded residual
+    # comes back bit for bit, and so do the multipliers
+    for cert in hetdim_certificates[:2]:
+        doc = json.loads(certificate_to_json(cert))
+        checks = replay_certificate_dict(doc)
+        assert checks["closure"]["value"] == cert.residuals["closure"]
+        assert checks["gap"]["value"] == cert.residuals["gap"]
+        pts = {name: SplitVector(v[0], v[1], np.array(v[2:]))
+               for name, v in doc["points"].items()}
+        orbit = PeriodTwoOrbit(points=pts, itinerary=tuple(doc["itinerary"]),
+                               eta=tuple(doc["eta"]), mu=doc["coeffs"]["mu"],
+                               closure_residual=0.0)
+        mults = orbit_multipliers(model_from_json(doc["model"]),
+                                  coeffs_from_json(doc["coeffs"]), orbit)
+        assert [complex(e) for e in mults] == cert.index_evidence
 
 
 def test_certificate_replay_detects_perturbation(hetdim_certificates):

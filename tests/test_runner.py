@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hetdim import runner
 from hetdim.cli import main
 from hetdim.presets import hetdim_coeffs, hetdim_model, leaf_coeffs, leaf_model
 
@@ -141,6 +143,35 @@ def test_remaining_experiments_run(tmp_path):
         assert main(["run", "--config", cfg]) == 0, experiment
         assert (out / artifact).exists()
         assert json.loads((out / "summary.json").read_text())["all_ok"]
+
+
+def test_numpy_bool_checks_are_reported(tmp_path, capsys):
+    # leaf_fit's phi1_ok/phi2_ok compare numpy scalars, so they are np.bool_
+    out = tmp_path / "leaf"
+    cfg = _write(tmp_path, "leaf.json", {"experiment": "leaf_fit", "out": str(out),
+                                         "model": leaf_model().spec(),
+                                         "coeffs": leaf_coeffs().spec()})
+    assert main(["run", "--config", cfg]) == 0
+    printed = capsys.readouterr().out.split("\n")
+    assert "[PASS] leaf_fit: phi1_ok" in printed
+    assert "[PASS] leaf_fit: phi2_ok" in printed
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["phi1_ok"] is True
+    assert summary["checks"]["phi2_ok"] is True
+
+
+def test_numpy_false_check_fails_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(runner._RUNNERS, "leaf_fit",
+                        lambda doc, rng: ({}, {"fit_ok": np.False_, "count": 3}))
+    out = tmp_path / "leaf"
+    cfg = _write(tmp_path, "leaf.json", {"experiment": "leaf_fit", "out": str(out),
+                                         "model": leaf_model().spec(),
+                                         "coeffs": leaf_coeffs().spec()})
+    assert main(["run", "--config", cfg]) == 1
+    assert "[FAIL] leaf_fit: fit_ok" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"] == {"fit_ok": False, "count": 3}
+    assert summary["all_ok"] is False
 
 
 def test_stale_jobs_key_is_ignored(tmp_path):
