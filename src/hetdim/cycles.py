@@ -34,8 +34,8 @@ from .cones import invariant_cu_subspace, leaf_march, return_chain
 from .errors import (AmbiguousIndexError, ContractError, ConvergenceError,
                      DomainError, HypothesisError, NumericalError,
                      ValidationError)
-from .global_map import (GlobalMapCoeffs, first_return_array, coeffs_from_json,
-                         t1_array, t1_tilde_array)
+from .global_map import (GlobalMapCoeffs, _check_itinerary, first_return_array,
+                         coeffs_from_json, t1_array, t1_tilde_array)
 from .numerics import chain_product, newton_1d, newton_solve, sorted_eigvals
 from .saddle import SaddleModel, SplitVector, build_model, model_from_json
 
@@ -256,14 +256,6 @@ def _period2_seed(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
     u = np.concatenate(([b * eta2, ym + eta1], np.zeros(nz),
                         [b * eta1, ym + eta2], np.zeros(nz)))
     return u, mu
-
-
-def _check_itinerary(k: int, m: int | None = None) -> None:
-    """Both stay numbers even and k > m; m is None for a single stay."""
-    if k % 2 or (m is not None and m % 2):
-        raise ValidationError("itinerary parity: k must be even")
-    if m is not None and not k > m:
-        raise ValidationError("itinerary order: k must exceed m")
 
 
 def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,

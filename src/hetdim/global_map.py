@@ -208,6 +208,14 @@ class Strip:
     z_box: float
 
 
+def _check_itinerary(k: int, m: int | None = None) -> None:
+    """Both stay numbers even and k > m; m is None for a single stay."""
+    if k % 2 or (m is not None and m % 2):
+        raise ValidationError("itinerary parity: k must be even")
+    if m is not None and not k > m:
+        raise ValidationError("itinerary order: k must exceed m")
+
+
 def k_star(model: SaddleModel, coeffs: GlobalMapCoeffs) -> int:
     """Smallest k for which the Pi0 y-extent reaches Pi1 under k local steps."""
     gam = abs(model.multipliers.gamma)

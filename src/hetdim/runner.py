@@ -23,14 +23,13 @@ import numpy as np
 from . import __version__
 from .cones import (cone_report_csv, invariant_cu_subspace, invariant_s_subspace,
                     leaf_exponent_fit, leaf_report_csv)
-from .cycles import (_check_itinerary, certificate_to_json, closure_oracle_floor,
-                     index2_criterion, orbit_jacobian_chain, orbit_multipliers,
-                     replay_certificate_dict, solve_hetdim_general, solve_hetdim_symmetric,
-                     solve_period2_with_s)
+from .cycles import (certificate_to_json, closure_oracle_floor, index2_criterion,
+                     orbit_jacobian_chain, orbit_multipliers, replay_certificate_dict,
+                     solve_hetdim_general, solve_hetdim_symmetric, solve_period2_with_s)
 from .errors import NumericalError, ValidationError
 from .flows import (AbsConfig, abs_expansion_bound, check_c3prime,
                     equilibrium_exponents, exponents_report, orbit_csv, simulate_poincare)
-from .global_map import coeffs_from_json
+from .global_map import _check_itinerary, coeffs_from_json
 from .saddle import check_conditions, model_from_json
 from .tangency import (branches_to_csv, forge_admissible_tangency, secondary_c_coefficient,
                        solve_secondary_tangency)

@@ -24,12 +24,14 @@ the first stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
-from .errors import ConvergenceError, HypothesisError, ItineraryError, NumericalError
-from .global_map import GlobalMapCoeffs, first_return_array, k_star, t1_array, t1_jac_array
+from .errors import ConvergenceError, HypothesisError, NumericalError
+from .global_map import (GlobalMapCoeffs, _check_itinerary, first_return_array, k_star,
+                         t1_array, t1_jac_array)
 from .local import CrossFormResult, solve_cross_form
 from .numerics import newton_1d, newton_solve
 from .saddle import SaddleModel, SplitVector, jacobian_along, orbit
@@ -161,8 +163,7 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     vanishing derivative along the curve (quadratic contact).  Seeds come
     from the scaled-limit solutions and are polished to residual 1e-12.
     """
-    if k % 2 != 0:
-        raise ValueError("itinerary parity: k must be even")
+    _check_itinerary(k)
     lam = model.multipliers.lam
     gamma = model.multipliers.gamma
     b = coeffs.b
@@ -243,14 +244,37 @@ def verify_tangency_branch(model: SaddleModel, coeffs: GlobalMapCoeffs,
 
 @dataclass(frozen=True)
 class TransverseHomoclinic:
-    """A transverse homoclinic point with its unstable-manifold preimage."""
+    """A transverse homoclinic point: the image, on its stage's curve, of
+    its unstable-manifold preimage (a quartet point lands on {y = 0} after
+    one more return T1 o T0^k)."""
 
     point: SplitVector
     preimage: SplitVector
     t: float
     slope: float
-    route: str        # "split_pair" (mu*d < 0) or "quartet"
-    k: int | None
+    route: str        # "split_pair" or "quartet", "_stage2" on the composed curve
+    k: int | None     # the last stay of the composition (None: the curve itself)
+
+
+@dataclass(frozen=True)
+class ForgeCurve:
+    """A forge curve: the axis points (0, ybase + t, 0) carried by
+    ``axis_jet`` through T1 and ``stays``, with the vertex model
+    level + D (t - tc)^2 of its height and the x+ and x-slope b of its image.
+    Stage one's is T1(W^u_loc), stage two's the composed map T1 o T0^k o T1
+    around a stage-one tangency preimage."""
+
+    ybase: float
+    stays: tuple
+    tc: float
+    level: float
+    D: float
+    xp: float
+    b: float
+
+
+def stage_one_curve(cm: GlobalMapCoeffs) -> ForgeCurve:
+    return ForgeCurve(cm.y_minus, (), 0.0, cm.mu, cm.d, cm.x_plus, cm.b)
 
 
 SLOPE_MIN = 1e-6  # transversality threshold on |dy0/dt|
@@ -268,7 +292,6 @@ def _polish_roots(f, seeds, label: str, diagnostics: list) -> list[tuple[float, 
     that stopping radius are rejected as "the tangency itself".
     """
     roots: list[tuple[float, float]] = []
-    h = 1e-6
     for tseed in seeds:
         try:
             t, _, slope, _, _ = newton_1d(lambda t: (*f(t), None), tseed,
@@ -278,8 +301,7 @@ def _polish_roots(f, seeds, label: str, diagnostics: list) -> list[tuple[float, 
             continue
         if any(abs(t - r) < 1e-10 + 1e-7 * abs(t) for r, _ in roots):
             continue
-        d2 = None
-        hh = h
+        d2, hh = None, 1e-6
         for _ in range(4):
             try:
                 d2 = (f(t + hh)[0] - 2.0 * f(t)[0] + f(t - hh)[0]) / (hh * hh)
@@ -295,55 +317,91 @@ def _polish_roots(f, seeds, label: str, diagnostics: list) -> list[tuple[float, 
     return roots
 
 
+def _exit_offset(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve,
+                 n: int) -> float | None:
+    """Exit offset r at stay n: T1 maps the strip exit (lambda^n x+, y- +- r)
+    of the curve's image onto {y = 0} when r^2 = (-mu - c lambda^n x+) / d;
+    None when r^2 <= 0."""
+    r_sq = (-cm.mu - cm.c * model.multipliers.lam ** n * curve.xp) / cm.d
+    return float(np.sqrt(r_sq)) if r_sq > 0.0 else None
+
+
+def curve_points(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve, ret: tuple,
+                 diagnostics: list) -> list[TransverseHomoclinic]:
+    """Transverse zeros of the y-component of axis_jet(ybase + t, stays + ret).
+
+    ``ret`` () is the split pair, where the curve itself crosses {y = 0};
+    (n,) is the quartet at stay n, where one more return T1 o T0^n lands
+    there.  Seeds come from the vertex model: the curve reaches the height h
+    at tc +- sqrt((h - level) / D), for h = 0 (split pair) or the two heights
+    gamma^-n (y- +- r) that T0^n carries to the exits y- +- r of
+    ``_exit_offset`` (quartet).
+    """
+    if ret:
+        r = _exit_offset(model, cm, curve, ret[0])
+        g = model.multipliers.gamma ** (-ret[0])
+        heights = () if r is None else (g * (cm.y_minus + r), g * (cm.y_minus - r))
+    else:
+        heights = (0.0,)
+    seeds = []
+    for height in heights:
+        arg = (height - curve.level) / curve.D
+        if arg > 0.0:
+            off = float(np.sqrt(arg))
+            seeds += [curve.tc + off, curve.tc - off]
+    stays = curve.stays + ret
+    k = stays[-1] if stays else None
+    route = ("quartet" if ret else "split_pair") + ("_stage2" if curve.stays else "")
+
+    def f(t):
+        w, J = axis_jet(model, cm, curve.ybase + t, stays, jacobian=True)
+        return float(w[1]), float(J[1, 1])
+
+    found = []
+    label = route if k is None else f"{route}(k={k})"
+    for t, slope in _polish_roots(f, seeds, label, diagnostics):
+        y = curve.ybase + t
+        found.append(TransverseHomoclinic(
+            point=SplitVector.from_array(axis_jet(model, cm, y, curve.stays)[0]),
+            preimage=SplitVector(0.0, y, np.zeros(model.dim - 2)),
+            t=t, slope=float(slope), route=route, k=k))
+    return found
+
+
 def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu: float,
                                 k_range=(), diagnostics: list | None = None
                                 ) -> list[TransverseHomoclinic]:
-    """Transverse homoclinic points at the given mu, polished to residual 1e-12.
+    """Transverse homoclinic points of the stage-one curve T1(W^u_loc) at the
+    given mu, polished to |y| < ROOT_TOL.
 
     Route "split_pair" (needs mu*d < 0): the curve itself crosses the local
     stable manifold at t = +-sqrt(-mu/d) + o(1).  Route "quartet": for each k
-    in k_range, the doubly-iterated curve crosses it in four points seeded
-    from the gamma^(-k/2) asymptotics.  Seeds that fail to converge and
-    roots that are not transverse are dropped, with a message appended to
-    ``diagnostics`` when a list is given.
+    in k_range, the doubly-iterated curve crosses it in up to four points.
+    Seeds that fail to converge and roots that are not transverse are
+    dropped, with a message appended to ``diagnostics`` when a list is given.
     """
     if diagnostics is None:
         diagnostics = []
     cm = coeffs.with_mu(mu)
-    d, b, ym = coeffs.d, coeffs.b, coeffs.y_minus
-    found: list[TransverseHomoclinic] = []
-
-    if mu * d < 0.0:
-        t0 = float(np.sqrt(-mu / d))
-
-        def f(t):
-            val = mu + d * t * t + coeffs.e3 * t ** 3
-            return val, 2.0 * d * t + 3.0 * coeffs.e3 * t * t
-
-        for t, slope in _polish_roots(f, (t0, -t0), "split-pair", diagnostics):
-            found.append(TransverseHomoclinic(
-                point=SplitVector.from_array(axis_jet(model, cm, ym + t)[0]),
-                preimage=SplitVector(0.0, ym + t, np.zeros(model.dim - 2)),
-                t=t, slope=float(slope), route="split_pair", k=None))
-
-    lam, gamma = model.multipliers.lam, model.multipliers.gamma
+    curve = stage_one_curve(cm)
+    found = curve_points(model, cm, curve, (), diagnostics)
     for k in k_range:
-        lead = (ym - mu * gamma ** k) / d
-        if lead <= 0.0:
-            continue
-        t0 = float(gamma ** (-k / 2.0) * np.sqrt(lead))
-        rho = abs(lam) ** (k / 2.0) * np.sqrt(abs(coeffs.c * coeffs.x_plus / d)) / (2.0 * ym)
-        seeds = [t0 * (1.0 + rho), t0 * (1.0 - rho), -t0 * (1.0 + rho), -t0 * (1.0 - rho)]
-
-        def g(t, k=k):
-            return double_return_y(model, cm, t, k, with_slope=True)
-
-        for t, slope in _polish_roots(g, seeds, f"quartet(k={k})", diagnostics):
-            found.append(TransverseHomoclinic(
-                point=SplitVector.from_array(axis_jet(model, cm, ym + t)[0]),
-                preimage=SplitVector(0.0, ym + t, np.zeros(model.dim - 2)),
-                t=t, slope=float(slope), route="quartet", k=k))
+        found += curve_points(model, cm, curve, (k,), diagnostics)
     return found
+
+
+def quartet_stays(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve,
+                  skip: int | None = None):
+    """Even stay numbers n >= k* other than ``skip`` at which the curve's
+    quartet is numerically usable: its exits sit well inside the strip
+    (0 < r <= 0.3 delta/2) and the curve's level leaves it standing
+    (gamma^-n y- >= 2 level)."""
+    gamma, n_min = model.multipliers.gamma, k_star(model, cm)
+    for n in range(n_min + n_min % 2, 81, 2):
+        r = _exit_offset(model, cm, curve, n)
+        if (n != skip and r is not None and r <= 0.3 * cm.delta / 2.0
+                and gamma ** (-n) * cm.y_minus >= 2.0 * curve.level):
+            yield n
 
 
 # ---------------------------------------------------------------------------
@@ -396,32 +454,6 @@ class ForgeCertificate:
     diagnostics: list = field(default_factory=list)
 
 
-def k_min_even(model, coeffs) -> int:
-    ks = k_star(model, coeffs)
-    return ks + (ks % 2)
-
-
-def quartet_stay_numbers(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                         mu: float) -> list[int]:
-    """The first three stay numbers at which the persistent quartet is
-    numerically usable: its points must sit well inside the strip (offsets a
-    fraction of delta/2) and survive the splitting (mu*gamma^k well below y-)."""
-    lam, gamma = model.multipliers.lam, model.multipliers.gamma
-    s = np.sqrt(abs(coeffs.c * coeffs.x_plus / coeffs.d))
-    out = []
-    for k in range(k_min_even(model, coeffs), 81, 2):
-        if abs(lam) ** (k / 2.0) * s > 0.3 * coeffs.delta / 2.0:
-            continue
-        if mu * gamma ** k > 0.5 * coeffs.y_minus:
-            break
-        if (coeffs.y_minus - mu * gamma ** k) / coeffs.d <= 0.0:
-            continue
-        out.append(k)
-        if len(out) >= 3:
-            break
-    return out
-
-
 STRADDLE_MARGIN = 1e-9
 
 
@@ -443,17 +475,17 @@ def _collect_and_check(cands: list[TransverseHomoclinic], y_hat: float) -> tuple
 def _straddle(model: SaddleModel, coeffs: GlobalMapCoeffs, branch: TangencyBranch,
               diagnostics: list,
               extra: list[TransverseHomoclinic] | None = None) -> tuple[bool, dict]:
-    """Check the straddle property; split pair first, quartet as fallback."""
-    mu = branch.mu_k
-    cands = list(extra) if extra else []
-    cands += find_transverse_homoclinics(model, coeffs, mu, k_range=(),
-                                         diagnostics=diagnostics)
+    """Check the straddle property on stage one's points (and ``extra``):
+    split pair first, the quartets of the first three usable stays as
+    fallback."""
+    mu, cm = branch.mu_k, coeffs.with_mu(branch.mu_k)
+    cands = list(extra or ()) + find_transverse_homoclinics(model, coeffs, mu,
+                                                            diagnostics=diagnostics)
     ok, witnesses = _collect_and_check(cands, branch.preimage.y)
     if ok:
         return ok, witnesses
-    ks = [kk for kk in quartet_stay_numbers(model, coeffs, mu) if kk != branch.k]
-    cands += find_transverse_homoclinics(model, coeffs, mu, k_range=ks,
-                                         diagnostics=diagnostics)
+    ks = list(islice(quartet_stays(model, cm, stage_one_curve(cm), skip=branch.k), 3))
+    cands += find_transverse_homoclinics(model, coeffs, mu, ks, diagnostics)
     return _collect_and_check(cands, branch.preimage.y)
 
 
@@ -494,21 +526,48 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         # two-stage route: perturb the secondary tangency once more and use
         # its persistent transverse points as outer witnesses; either branch
         # of the first stage may carry the admissible configuration
-        cert = None
         for base in branches:
             try:
                 cert = _second_stage(model, coeffs, base, k, diagnostics)
-            except (ConvergenceError, NumericalError) as exc:
+            except NumericalError as exc:
                 diagnostics.append(f"k={k}: second stage on branch {base.branch} "
                                    f"failed: {exc}")
-                cert = None
+                continue
             if cert is not None:
-                break
-        if cert is not None:
-            cert.diagnostics = diagnostics
-            return cert
+                cert.diagnostics = diagnostics
+                return cert
         diagnostics.append(f"k={k}: straddle not restored by second stage")
     raise HypothesisError("forge schedule exhausted: " + "; ".join(diagnostics))
+
+
+def stage_two_curve(model: SaddleModel, coeffs: GlobalMapCoeffs,
+                    base: TangencyBranch) -> ForgeCurve:
+    """The composed curve T1 o T0^k o T1 around the stage-one tangency
+    preimage at its mu_k, with x+, b and D from central differences."""
+    h = 1e-6
+    wp, w0, wm = (axis_jet(model, coeffs.with_mu(base.mu_k), base.preimage.y + s, (base.k,))[0]
+                  for s in (h, 0.0, -h))
+    return ForgeCurve(base.preimage.y, (base.k,), 0.0, float(w0[1]),
+                      D=float(wp[1] - 2.0 * w0[1] + wm[1]) / (h * h) / 2.0,
+                      xp=float(w0[0]), b=float(wp[0] - wm[0]) / (2 * h))
+
+
+def vertex_at(model: SaddleModel, coeffs: GlobalMapCoeffs, curve: ForgeCurve, mu: float,
+              tc_guess: float) -> ForgeCurve:
+    """The curve at mu, its vertex (tc, level) found by Newton on the central
+    slope from ``tc_guess`` with the curvature 2 D held fixed."""
+    cm = coeffs.with_mu(mu)
+
+    def G(t: float) -> float:
+        return float(axis_jet(model, cm, curve.ybase + t, curve.stays)[0][1])
+
+    h, tc = 1e-6, tc_guess
+    for _ in range(8):
+        step = -(G(tc + h) - G(tc - h)) / (2.0 * h) / (2.0 * curve.D)
+        tc += step
+        if abs(step) < 1e-13:
+            break
+    return replace(curve, tc=tc, level=G(tc))
 
 
 def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBranch,
@@ -521,44 +580,37 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
     at the nearby parameter value.  Every curve parameter t of this stage is
     the offset from the stage-one preimage: the axis point ybase + t.
     """
-    ybase = base.preimage.y
-    mu_base = base.mu_k
+    ybase, mu_base = base.preimage.y, base.mu_k
+    curve = stage_two_curve(model, coeffs, base)
 
     def G(t: float, mu: float, stays=(k,)) -> float:
         return float(axis_jet(model, coeffs.with_mu(mu), ybase + t, stays)[0][1])
 
     h = 1e-6
-    # effective coefficients of the composed map around the tangency
-    wp, w0, wm = (axis_jet(model, coeffs.with_mu(mu_base), ybase + s, (k,))[0]
-                  for s in (h, 0.0, -h))
-    b_eff = float(wp[0] - wm[0]) / (2 * h)
-    d_eff = float(wp[1] - 2.0 * w0[1] + wm[1]) / (h * h) / 2.0
-    xp_eff = float(w0[0])
     dmu = (G(0.0, mu_base + 1e-8) - G(0.0, mu_base - 1e-8)) / 2e-8
     # the composed curve's critical parameter drifts with mu; without this
     # recentering the seeds land outside the stay-k strip of the first leg
     hm = 1e-8
     g_tmu = ((G(h, mu_base + hm) - G(-h, mu_base + hm))
              - (G(h, mu_base - hm) - G(-h, mu_base - hm))) / (4.0 * h * hm)
-    dtc_dmu = -g_tmu / (2.0 * d_eff)
+    dtc_dmu = -g_tmu / (2.0 * curve.D)
 
     lam, gamma = model.multipliers.lam, model.multipliers.gamma
-    c_orig, d_orig, ym_orig = coeffs.c, coeffs.d, coeffs.y_minus
     # the delta^k_j sequence accumulates on mu_k, so the needed mu-shift
     # shrinks only for j > k: smaller j would wreck the stay-k itinerary of
     # the composed map's first leg.  Seeds come from the same dominant
     # balance as the secondary solve, with the curve side played by the
     # composed map (b', d', x+') and the final leg by the original (c, d).
     for j in range(k + 2, k + 14, 2):
-        y_sq = (-mu_base - c_orig * lam ** j * xp_eff) / d_orig
-        if y_sq <= 0.0:
+        r = _exit_offset(model, coeffs.with_mu(mu_base), curve, j)
+        if r is None:
             continue
-        for sign in (+1, -1):
-            Yp = sign * float(np.sqrt(y_sq))
-            # degeneracy of the mixed system pairs the curve-side curvature
-            # d_eff with the final leg's d: X'Y' = -c b'^2 lam^j gamma^-j/(4 d d')
-            Xp = -c_orig * b_eff ** 2 * lam ** j * gamma ** (-j) / (4.0 * d_orig * d_eff * Yp)
-            mu_eff_needed = gamma ** (-j) * (ym_orig + Yp)
+        for Yp in (r, -r):
+            # degeneracy of the mixed system pairs the composed curve's
+            # curvature D with the final leg's d: X'Y' = -c b'^2 lam^j gamma^-j/(4 d D)
+            Xp = (-coeffs.c * curve.b ** 2 * lam ** j * gamma ** (-j)
+                  / (4.0 * coeffs.d * curve.D * Yp))
+            mu_eff_needed = gamma ** (-j) * (coeffs.y_minus + Yp)
             # precondition: walk mu until the composed curve's critical level
             # sits at the needed gamma^-j height (the linearized envelope is
             # not accurate enough across this mu-shift)
@@ -566,70 +618,65 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
             tc = dtc_dmu * (mu_seed - mu_base)
             try:
                 for _ in range(8):
-                    tc, level = _composed_critical(G, mu_seed, tc, d_eff, h)
-                    if abs(level - mu_eff_needed) < 1e-2 * abs(mu_eff_needed):
+                    vertex = vertex_at(model, coeffs, curve, mu_seed, tc)
+                    tc = vertex.tc
+                    if abs(vertex.level - mu_eff_needed) < 1e-2 * abs(mu_eff_needed):
                         break
-                    mu_seed -= (level - mu_eff_needed) / dmu
+                    mu_seed -= (vertex.level - mu_eff_needed) / dmu
             except NumericalError:
                 continue
-            tseed = tc + Xp / b_eff
+            tseed = tc + Xp / curve.b
 
             def F(u: Array) -> Array:
                 t, mu = u
                 w3, J = axis_jet(model, coeffs.with_mu(mu), ybase + t, (k, j), jacobian=True)
                 return np.array([w3[1], J[1, 1]])
 
-            # the slope cannot be driven below |G''| * ulp(y): the curve
-            # parameter is only resolvable to the float granularity of y
             try:
+                # the slope cannot be driven below |G''| * ulp(y): the curve
+                # parameter is only resolvable to the float granularity of y
                 d2_3 = (G(tseed + h, mu_seed, (k, j)) - 2.0 * G(tseed, mu_seed, (k, j))
                         + G(tseed - h, mu_seed, (k, j))) / (h * h)
-            except NumericalError:
-                continue
-            slope_floor = max(1e-12, 3.0 * abs(d2_3) * 1.2e-16 * max(1.0, abs(ybase)))
-            try:
+                slope_floor = max(1e-12, 3.0 * abs(d2_3) * 1.2e-16 * max(1.0, abs(ybase)))
                 u, res, _ = newton_solve(F, np.array([tseed, mu_seed]),
                                          scales=np.array([1e-4, max(abs(mu_seed), 1e-6)]),
                                          tol=np.array([1e-13, slope_floor]),
                                          accept_tol=np.array([1e-11, 30.0 * slope_floor]),
                                          max_iter=40,
                                          name=f"tertiary tangency j={j}")
-            except (ConvergenceError, NumericalError):
+            except NumericalError:
                 continue
             t3, mu3 = float(u[0]), float(u[1])
             cm3 = coeffs.with_mu(mu3)
-            # reject solutions whose j-leg exits near the strip boundary
-            # (Newton occasionally settles on such artifacts)
             try:
+                # reject solutions whose j-leg exits near the strip boundary
+                # (Newton occasionally settles on such artifacts)
                 w2, _ = axis_jet(model, cm3, ybase + t3, (k,))
-                exit_y = orbit(model, w2, j)[j, 1]
-            except ItineraryError:
-                continue
-            if abs(exit_y - cm3.y_minus) >= 0.7 * cm3.delta / 2.0:
-                continue
-            try:
+                if abs(orbit(model, w2, j)[j, 1] - cm3.y_minus) >= 0.7 * cm3.delta / 2.0:
+                    continue
                 pre3 = SplitVector(0.0, ybase + t3, np.zeros(model.dim - 2))
                 # c of the induced (triple-composed) global map decides csign
                 w3, J3 = axis_jet(model, cm3, pre3.y, (k, j), jacobian=True)
                 xp3, c3 = float(w3[0]), float(J3[1, 0])
-                br3 = TangencyBranch(k=j, branch=1 if sign > 0 else 2, mu_k=mu3,
-                                     X=t3 * b_eff, Y=float("nan"), residual=res,
+                br3 = TangencyBranch(k=j, branch=1 if Yp > 0 else 2, mu_k=mu3,
+                                     X=t3 * curve.b, Y=float("nan"), residual=res,
                                      case=case_tag(coeffs) + "+stage2",
                                      tangency_point=SplitVector.from_array(w2),
-                                     preimage=pre3, t_param=t3)
-                br3.c_value = c3
-                br3.c_sign = int(np.sign(c3))
+                                     preimage=pre3, t_param=t3,
+                                     c_sign=int(np.sign(c3)), c_value=c3)
                 prod = c3 * xp3 * pre3.y
                 if prod <= 0.0:
                     continue
-                # straddle from stage-one structures persisting at mu3, the
-                # pair born from splitting the secondary tangency itself, and
-                # the composed map's persistent quartet
-                extra = _composed_split_pair(model, coeffs, base, mu3, k, diagnostics)
-                tc3, level3 = _composed_critical(G, mu3, t3, d_eff)
-                extra += _composed_quartet(model, coeffs, base, mu3, k, d_eff,
-                                           tc3, level3, xp_eff, j_skip=j,
-                                           diagnostics=diagnostics)
+                # straddle from stage-one structures persisting at mu3, and
+                # the composed curve's own split pair and its quartet at the
+                # first usable stay other than j
+                curve3 = vertex_at(model, coeffs, curve, mu3, t3)
+                extra = curve_points(model, cm3, curve3, (), diagnostics)
+                for n in quartet_stays(model, cm3, curve3, skip=j):
+                    quartet = curve_points(model, cm3, curve3, (n,), diagnostics)
+                    if quartet:
+                        extra += quartet
+                        break
                 ok, witnesses = _straddle(model, cm3, br3, diagnostics, extra=extra)
             except NumericalError:
                 continue
@@ -640,91 +687,6 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
             return ForgeCertificate(branch=br3, c_product=prod, straddle_ok=True,
                                     csign_ok=True, stages=2, witnesses=witnesses)
     return None
-
-
-def _composed_critical(G, mu: float, tc_guess: float, d_eff: float,
-                       h: float = 1e-6) -> tuple[float, float]:
-    """Critical parameter and level of the composed curve ``G(t, mu)``."""
-    tc = tc_guess
-    for _ in range(8):
-        s0 = (G(tc + h, mu) - G(tc - h, mu)) / (2.0 * h)
-        step = -s0 / (2.0 * d_eff)
-        tc += step
-        if abs(step) < 1e-13:
-            break
-    return tc, G(tc, mu)
-
-
-def _composed_quartet(model, coeffs, base, mu, k, d_eff, tc, level,
-                      xp_eff, j_skip: int, diagnostics: list) -> list[TransverseHomoclinic]:
-    """Persistent transverse points of the composed map: roots of the
-    triple-composed y at stay numbers j' where the composed curve still
-    reaches the corresponding strip level.  The analog of the primary
-    quartet with the curve side played by the composed map."""
-    lam, gamma = model.multipliers.lam, model.multipliers.gamma
-    ym = coeffs.y_minus
-    out: list[TransverseHomoclinic] = []
-    cm = coeffs.with_mu(mu)
-    for jp in range(k_min_even(model, coeffs), 81, 2):
-        if jp == j_skip:
-            continue
-        # exit-level roots of the final global leg must exist and stay
-        # well inside the strip
-        y_sq = (-mu - coeffs.c * lam ** jp * xp_eff) / coeffs.d
-        if y_sq <= 0.0 or np.sqrt(y_sq) > 0.3 * coeffs.delta / 2.0:
-            continue
-        if gamma ** (-jp) * ym < 2.0 * abs(level):
-            continue
-        yr = float(np.sqrt(y_sq))
-        seeds = []
-        for y_exit in (ym + yr, ym - yr):
-            arg = (gamma ** (-jp) * y_exit - level) / d_eff
-            if arg <= 0.0:
-                continue
-            off = float(np.sqrt(arg))
-            seeds += [tc + off, tc - off]
-        if not seeds:
-            continue
-
-        def g(t, jp=jp):
-            w3, J = axis_jet(model, cm, base.preimage.y + t, (k, jp), jacobian=True)
-            return float(w3[1]), float(J[1, 1])
-
-        for t, slope in _polish_roots(g, seeds, f"composed quartet(j'={jp})", diagnostics):
-            pre = SplitVector(0.0, base.preimage.y + t, np.zeros(model.dim - 2))
-            out.append(TransverseHomoclinic(point=pre, preimage=pre, t=t,
-                                            slope=float(slope),
-                                            route="quartet_stage2", k=jp))
-        if out:
-            break
-    return out
-
-
-def _composed_split_pair(model, coeffs, base, mu, k,
-                         diagnostics: list) -> list[TransverseHomoclinic]:
-    """Transverse points born from splitting the secondary tangency itself."""
-    cm = coeffs.with_mu(mu)
-    ybase = base.preimage.y
-
-    def f(t):
-        w, J = axis_jet(model, cm, ybase + t, (k,), jacobian=True)
-        return float(w[1]), float(J[1, 1])
-
-    h = 1e-6
-    try:
-        g0 = f(0.0)[0]
-        d2 = (f(h)[0] - 2.0 * g0 + f(-h)[0]) / (h * h)
-    except NumericalError:
-        return []
-    if d2 == 0.0 or g0 / d2 > 0.0:
-        return []
-    t0 = float(np.sqrt(-2.0 * g0 / d2))
-    out = []
-    for t, slope in _polish_roots(f, (t0, -t0), "stage-2 split-pair", diagnostics):
-        pre = SplitVector(0.0, ybase + t, np.zeros(model.dim - 2))
-        out.append(TransverseHomoclinic(point=pre, preimage=pre, t=t,
-                                        slope=float(slope), route="split_pair_stage2", k=k))
-    return out
 
 
 # ---------------------------------------------------------------------------

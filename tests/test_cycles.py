@@ -132,6 +132,19 @@ def test_parity_and_order_validation(bat):
         solve_period2(model, coeffs, 12, 14)
 
 
+@pytest.mark.parametrize("k,m", [(14, 12), (18, 14), (22, 18), (24, 22)])
+@pytest.mark.parametrize("s", [0.0, 0.9])
+def test_solve_period2_from_its_static_balance_seed(k, m, s, bat):
+    # unseeded, solve_period2 starts from the static balance of the closure
+    # at its fixed mu and finds the orbit solve_period2_with_s found there
+    # (at s = -0.9 it lands on the other branch, eta1 of opposite sign)
+    model, coeffs = bat
+    orbit = solve_period2_with_s(model, coeffs, k, m, s)
+    fixed = solve_period2(model, coeffs.with_mu(orbit.mu), k, m)
+    for name, p in orbit.points.items():
+        assert np.max(np.abs(fixed.points[name].as_array() - p.as_array())) < 1e-9, name
+
+
 def test_fixed_point_index_is_one(bat):
     model, _ = bat
     mult = model.multipliers

@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from hetdim.errors import ValidationError
 from hetdim.global_map import first_return_array, t1_array, t1_jac_array
 from hetdim.presets import forge_coeffs
-from hetdim.tangency import (axis_jet, find_transverse_homoclinics, forge_admissible_tangency,
+from hetdim.tangency import (ROOT_TOL, SLOPE_MIN, axis_jet, curve_points,
+                             find_transverse_homoclinics, forge_admissible_tangency,
                              predicted_c_signs, secondary_c_coefficient,
-                             solve_secondary_tangency, verify_tangency_branch,
-                             branches_to_csv, double_return_y)
+                             solve_secondary_tangency, stage_two_curve, verify_tangency_branch,
+                             vertex_at, branches_to_csv, double_return_y)
 
 CASES = ["cdx_neg_d_neg", "cdx_pos_d_neg", "cdx_neg_d_pos", "cdx_pos_d_pos"]
 
@@ -107,7 +109,7 @@ def test_branches_solve_and_verify(case, lin_model):
 
 
 def test_parity_required(lin_model, coeffs_a):
-    with pytest.raises(ValueError, match="itinerary parity: k must be even"):
+    with pytest.raises(ValidationError, match="itinerary parity: k must be even"):
         solve_secondary_tangency(lin_model, coeffs_a, 13)
 
 
@@ -205,11 +207,9 @@ def test_forge_pipeline(case, stages, lin_model):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cert = forge_admissible_tangency(lin_model, coeffs, [12, 14, 16])
-    # quartet seeds that fail to polish are recorded, not warned about: four
-    # at each of k = 14, 16 in the two-stage case
-    dropped = [msg for msg in cert.diagnostics if "failed to converge" in msg]
-    assert len(dropped) == (8 if case == "cdx_pos_d_pos" else 0)
-    assert all(msg.startswith(("quartet(k=14) seed", "quartet(k=16) seed")) for msg in dropped)
+    # root seeds that fail to polish would be recorded, not warned about;
+    # the vertex-model seeds all converge
+    assert not [msg for msg in cert.diagnostics if "failed to converge" in msg]
     assert cert.straddle_ok and cert.csign_ok
     assert cert.c_product > 0.0
     assert cert.stages == stages
@@ -217,6 +217,48 @@ def test_forge_pipeline(case, stages, lin_model):
     above = cert.witnesses["above"].preimage.y
     assert below < cert.branch.preimage.y < above
     assert len(cert.branch.transverse_points) == 2
+
+
+@pytest.mark.parametrize("case", CASES + ["stage_two"])
+def test_forge_witnesses_are_homoclinic_points(case, lin_model, stage_two_cert):
+    # each witness point lies on its stage's curve at the certificate's mu: a
+    # split-pair point on {y = 0}, a quartet point one return T1 o T0^k away
+    if case == "stage_two":
+        coeffs, cert = forge_coeffs("cdx_pos_d_pos"), stage_two_cert
+    else:
+        coeffs = forge_coeffs(case)
+        cert = forge_admissible_tangency(lin_model, coeffs, list(range(12, 25, 2)))
+    cm = coeffs.with_mu(cert.branch.mu_k)
+    for side in ("below", "above"):
+        w = cert.witnesses[side]
+        if w.route.startswith("split_pair"):
+            y = w.point.y
+        else:
+            y = first_return_array(lin_model, cm, w.point.as_array(), w.k)[0][1]
+        assert abs(y) <= ROOT_TOL, (side, w.route)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_stage_two_split_pair_near_a_stage_one_tangency(index, lin_model):
+    # just below mu_k the composed curve T1 o T0^12 o T1 dips through
+    # {y = 0} around its vertex, which has drifted ~4e-7 from the stage-one
+    # preimage; just above mu_k it clears {y = 0}
+    coeffs = forge_coeffs("cdx_pos_d_pos")
+    base = solve_secondary_tangency(lin_model, coeffs, 12)[index]
+    curve = stage_two_curve(lin_model, coeffs, base)
+    mu = base.mu_k - 1e-8
+    vertex = vertex_at(lin_model, coeffs, curve, mu, 0.0)
+    pts = curve_points(lin_model, coeffs.with_mu(mu), vertex, (), [])
+    assert len(pts) == 2
+    lo, hi = sorted(p.t for p in pts)
+    assert lo < vertex.tc < hi
+    assert not lo < 0.0 < hi     # a pair centred on the preimage misses them
+    for p in pts:
+        assert p.route == "split_pair_stage2" and p.k == 12
+        assert abs(p.point.y) <= ROOT_TOL and abs(p.slope) > SLOPE_MIN
+    mu = base.mu_k + 1e-8
+    vertex = vertex_at(lin_model, coeffs, curve, mu, 0.0)
+    assert curve_points(lin_model, coeffs.with_mu(mu), vertex, (), []) == []
 
 
 def test_forge_with_cubic_h_term(lin_model):
