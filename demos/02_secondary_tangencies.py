@@ -6,8 +6,7 @@ Run:  python demos/02_secondary_tangencies.py
 """
 
 from hetdim import (find_transverse_homoclinics, forge_admissible_tangency,
-                    secondary_c_coefficient, solve_secondary_tangency,
-                    verify_tangency_branch)
+                    solve_secondary_tangency, verify_tangency_branch)
 from hetdim.presets import base_model, forge_coeffs
 
 model = base_model("linear")
@@ -26,9 +25,7 @@ for k in range(12, 21, 2):
 print("\n== branch signs of the induced c ==")
 for k in (12, 16):
     br1, br2 = solve_secondary_tangency(model, coeffs, k)
-    c1 = secondary_c_coefficient(model, coeffs, br1)
-    c2 = secondary_c_coefficient(model, coeffs, br2)
-    print(f"  k={k}: c^1 = {c1:+.3e}, c^2 = {c2:+.3e} (opposite signs)")
+    print(f"  k={k}: c^1 = {br1.c_value:+.3e}, c^2 = {br2.c_value:+.3e} (opposite signs)")
 
 print("\n== transverse homoclinic points ==")
 br = solve_secondary_tangency(model, coeffs, 14)[0]

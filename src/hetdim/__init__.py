@@ -16,8 +16,8 @@ from .local import CrossFormResult, iterate_local, solve_cross_form, strong_deri
 from .global_map import (GlobalMapCoeffs, Strip, apply_T1, apply_T1_symmetric,
                          coeffs_from_json, first_return, k_star, locate_strip)
 from .tangency import (TangencyBranch, TransverseHomoclinic, find_transverse_homoclinics,
-                       forge_admissible_tangency, secondary_c_coefficient,
-                       solve_secondary_tangency, verify_tangency_branch)
+                       forge_admissible_tangency, solve_secondary_tangency,
+                       verify_tangency_branch)
 from .cones import (ConeWitness, LeafSample, invariant_cu_subspace,
                     invariant_s_subspace, leaf_exponent_fit, strong_stable_leaf)
 from .cycles import (CycleCertificate, PeriodTwoOrbit, certificate_to_json,

@@ -44,6 +44,10 @@ Array = np.ndarray
 SCHEMA_VERSION = 1
 # no multiplier of DT^2 may lie closer than this to the unit circle
 UNIT_CIRCLE_TOL = 1e-8
+# a cycle certificate's tolerances; replay's leg check also reads "closure"
+CERT_TOLERANCES = {"closure": 1e-10, "gap": 1e-8, "unit_circle": UNIT_CIRCLE_TOL}
+# which of the two mirror-image period-2 seeds to take (see _period2_seed)
+SEED_BRANCH = -1
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +235,15 @@ def closure_oracle_floor(model: SaddleModel, coeffs: GlobalMapCoeffs,
 
 
 def _period2_seed(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
-                  s_target: float, branch: int = -1) -> tuple[Array, float]:
+                  s_target: float) -> tuple[Array, float]:
     """Unknown vector and mu from the scaled solutions of the limit systems.
 
-    With c d x+ > 0 the large exit offset lambda^(m/2) sqrt(c x+ / d) sits on
-    eta1 and eta2 follows from the index-relation product P = eta1 eta2; the
-    sign of eta1 is branch * sign(P), so eta2 carries the branch sign and the
-    seed does not land on the mirror orbit (-eta1, -eta2).
+    The limit systems are symmetric under the mirror orbit (-eta1, -eta2),
+    and SEED_BRANCH picks one of the two.  With c d x+ > 0 the large exit
+    offset lambda^(m/2) sqrt(c x+ / d) sits on eta1 and eta2 follows from
+    the index-relation product P = eta1 eta2; the sign of eta1 is
+    SEED_BRANCH * sign(P), so eta2 carries the branch sign and the seed does
+    not land on the mirror orbit.  Otherwise eta1 carries it.
     """
     lam = model.multipliers.lam
     c, d, xp, ym, b = coeffs.c, coeffs.d, coeffs.x_plus, coeffs.y_minus, coeffs.b
@@ -246,11 +252,11 @@ def _period2_seed(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
     if c * d * xp > 0:
         P = (s_target * lam ** (k + m)
              + _index_relation(coeffs, lam, model.multipliers.gamma, k, m))
-        eta1 = branch * math.copysign(half_m * math.sqrt(c * xp / d), P)
+        eta1 = SEED_BRANCH * math.copysign(half_m * math.sqrt(c * xp / d), P)
         eta2 = P / eta1
     else:
-        eta1 = branch * half_m * math.sqrt(abs(c * xp / d))
-        eta2 = branch * s_target * lam ** k * half_m * math.sqrt(abs(d / (c * xp)))
+        eta1 = SEED_BRANCH * half_m * math.sqrt(abs(c * xp / d))
+        eta2 = SEED_BRANCH * s_target * lam ** k * half_m * math.sqrt(abs(d / (c * xp)))
     mu = (-0.5 * c * lam ** k * xp - 0.5 * coeffs.b * c * lam ** k * eta2
           - d * eta1 * eta1 - coeffs.e3 * eta1 ** 3)
     u = np.concatenate(([b * eta2, ym + eta1], np.zeros(nz),
@@ -259,11 +265,11 @@ def _period2_seed(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
 
 
 def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
-                  seed: Array | None = None, branch: int = -1) -> PeriodTwoOrbit:
+                  seed: Array | None = None) -> PeriodTwoOrbit:
     """Newton on the closure rows at the fixed mu of coeffs."""
     _check_itinerary(k, m)
     if seed is None:
-        seed, _ = _period2_seed(model, coeffs, k, m, 0.0, branch)
+        seed, _ = _period2_seed(model, coeffs, k, m, 0.0)
         # at fixed mu the exit offsets follow from the static balance
         lam, gamma = model.multipliers.lam, model.multipliers.gamma
         nz = model.dim - 2
@@ -271,9 +277,9 @@ def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
         e2_sq = (ym * gamma ** (-k) - mu - coeffs.c * lam ** m * coeffs.x_plus) / coeffs.d
         e1_sq = (ym * gamma ** (-m) - mu - coeffs.c * lam ** k * coeffs.x_plus) / coeffs.d
         if e2_sq > 0:
-            seed[3 + nz] = ym + branch * math.sqrt(e2_sq)
+            seed[3 + nz] = ym + SEED_BRANCH * math.sqrt(e2_sq)
         if e1_sq > 0:
-            seed[1] = ym + branch * math.sqrt(e1_sq)
+            seed[1] = ym + SEED_BRANCH * math.sqrt(e1_sq)
 
     def F(u: Array) -> Array:
         return _period2_residual(model, coeffs, u, k, m, 0.0)[0][:-1]
@@ -286,10 +292,10 @@ def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
 
 
 def solve_period2_with_s(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
-                         s_target: float, branch: int = -1) -> PeriodTwoOrbit:
+                         s_target: float) -> PeriodTwoOrbit:
     """Joint Newton on closure plus the index relation, with mu unknown."""
     _check_itinerary(k, m)
-    u0, mu0 = _period2_seed(model, coeffs, k, m, s_target, branch)
+    u0, mu0 = _period2_seed(model, coeffs, k, m, s_target)
 
     def F(w: Array) -> Array:
         return _period2_residual(model, coeffs.with_mu(w[-1]), w[:-1], k, m, s_target)[0]
@@ -318,11 +324,10 @@ def orbit_jacobian_chain(model: SaddleModel, coeffs: GlobalMapCoeffs,
                            return_chain(model, cm, orbit.points["Q02"].as_array(), [orbit.m])))
 
 
-def orbit_multipliers(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                      orbit: PeriodTwoOrbit) -> Array:
-    """Multipliers of DT^2 at the orbit by decreasing modulus (dense solver
-    on the chain product)."""
-    return sorted_eigvals(chain_product(orbit_jacobian_chain(model, coeffs, orbit)))
+def orbit_multipliers(chain: Array) -> Array:
+    """Multipliers of DT^2 by decreasing modulus from the orbit's Jacobian
+    chain (``orbit_jacobian_chain``): dense solver on the chain product."""
+    return sorted_eigvals(chain_product(chain))
 
 
 def _count_outside(multipliers: Array, tol_unit: float = UNIT_CIRCLE_TOL) -> int:
@@ -337,7 +342,8 @@ def _count_outside(multipliers: Array, tol_unit: float = UNIT_CIRCLE_TOL) -> int
 def orbit_index(model: SaddleModel, coeffs: GlobalMapCoeffs,
                 orbit: PeriodTwoOrbit, tol_unit: float = UNIT_CIRCLE_TOL) -> int:
     """Count of multipliers of DT^2 outside the unit circle."""
-    return _count_outside(orbit_multipliers(model, coeffs, orbit), tol_unit)
+    return _count_outside(orbit_multipliers(orbit_jacobian_chain(model, coeffs, orbit)),
+                          tol_unit)
 
 
 def index2_criterion(model: SaddleModel, coeffs: GlobalMapCoeffs,
@@ -367,7 +373,7 @@ def index2_reductions(model: SaddleModel, coeffs: GlobalMapCoeffs,
     """
     lam, gamma = model.multipliers.lam, model.multipliers.gamma
     k, m = orbit.itinerary
-    e1, e2 = orbit_multipliers(model, coeffs, orbit)[:2]
+    e1, e2 = orbit_multipliers(orbit_jacobian_chain(model, coeffs, orbit))[:2]
     tr = float((e1 + e2).real)
     det = float((e1 * e2).real)
     eta1, eta2 = orbit.eta
@@ -482,7 +488,7 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
     # orbit and mu at frozen gamma before the full polish
     g0 = (math.log(abs(c_star_ratio)) - k * math.log(abs(lam))) / m
     model_g = _rebuild_gamma(model, g0)
-    orbA = solve_period2_with_s(model_g, coeffs, k, m, s_target, branch=-1)
+    orbA = solve_period2_with_s(model_g, coeffs, k, m, s_target)
     u0 = orbit_to_unknowns(model_g, coeffs, orbA)
     mu0 = orbA.mu
     d1 = coeffs.d
@@ -529,7 +535,7 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
     gap, conn = _connection_gap(mdl, cm, coeffs2, mu2, orbit.points["Q02"].as_array(), m,
                                 eta1, leaf_steps=None)
 
-    eigs = orbit_multipliers(mdl, cm, orbit)
+    eigs = orbit_multipliers(orbit_jacobian_chain(mdl, cm, orbit))
     idx = _count_outside(eigs)
     if idx != 2:
         raise HypothesisError(f"solved orbit has index {idx}, not 2")
@@ -766,7 +772,7 @@ def certificate_to_dict(cert: CycleCertificate) -> dict:
         "coeffs2": cert.coeffs2_spec,
         "transverse_connection": cert.transverse_connection,
         "residuals": cert.residuals,
-        "tolerances": {"closure": 1e-10, "gap": 1e-8, "unit_circle": UNIT_CIRCLE_TOL},
+        "tolerances": dict(CERT_TOLERANCES),
     }
 
 
@@ -817,7 +823,7 @@ def replay_certificate_dict(doc: dict) -> dict:
         v = saddle.orbit(model, v, m)[-1]
         return max(leg, float(np.max(np.abs(v - pts["Q12"].as_array()))))
 
-    guarded("legs", 1e-10, legs)
+    guarded("legs", CERT_TOLERANCES["closure"], legs)
 
     def index_check():
         orbit = PeriodTwoOrbit(points=pts, itinerary=(k, m),

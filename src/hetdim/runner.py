@@ -23,16 +23,16 @@ import numpy as np
 from . import __version__
 from .cones import (cone_report_csv, invariant_cu_subspace, invariant_s_subspace,
                     leaf_exponent_fit, leaf_report_csv)
-from .cycles import (certificate_to_json, closure_oracle_floor, index2_criterion,
-                     orbit_jacobian_chain, orbit_multipliers, replay_certificate_dict,
-                     solve_hetdim_general, solve_hetdim_symmetric, solve_period2_with_s)
+from .cycles import (CERT_TOLERANCES, certificate_to_json, closure_oracle_floor,
+                     index2_criterion, orbit_jacobian_chain, orbit_multipliers,
+                     replay_certificate_dict, solve_hetdim_general, solve_hetdim_symmetric,
+                     solve_period2_with_s)
 from .errors import NumericalError, ValidationError
 from .flows import (AbsConfig, abs_expansion_bound, check_c3prime,
                     equilibrium_exponents, exponents_report, orbit_csv, simulate_poincare)
 from .global_map import _check_itinerary, coeffs_from_json
 from .saddle import check_conditions, model_from_json
-from .tangency import (branches_to_csv, forge_admissible_tangency, secondary_c_coefficient,
-                       solve_secondary_tangency)
+from .tangency import branches_to_csv, forge_admissible_tangency, solve_secondary_tangency
 
 log = logging.getLogger("hetdim")
 
@@ -82,13 +82,10 @@ def _exp_forge_tangency(doc, rng):
     model = model_from_json(doc["model"])
     coeffs = coeffs_from_json(doc["coeffs"])
     ks = doc.get("schedule", {}).get("ks", [12, 14, 16, 18, 20, 22, 24])
-    branches = []
-    for k in ks:
-        branches.extend(solve_secondary_tangency(model, coeffs, k))
-    for br in branches:
-        br.c_value = secondary_c_coefficient(model, coeffs, br)
-        br.c_sign = int(np.sign(br.c_value))
     cert = forge_admissible_tangency(model, coeffs, ks)
+    # the forge solved the ks up to the one it certified; solve the rest here
+    branches = [br for k in ks
+                for br in cert.branches.get(k) or solve_secondary_tangency(model, coeffs, k)]
     lam, gam = model.multipliers.lam, model.multipliers.gamma
     cdx = coeffs.c * coeffs.d * coeffs.x_plus
     devs = []
@@ -172,8 +169,8 @@ def _exp_hetdim(doc, rng, general: bool):
                               _fmt(cert.residuals["gap"]), str(n_out)]))
         mus.append(mu)
         thetas.append(cert.parameters["theta"])
-        checks[f"closure_k{k}_m{m}"] = cert.residuals["closure"] < 1e-10
-        checks[f"gap_k{k}_m{m}"] = cert.residuals["gap"] < 1e-8
+        checks[f"closure_k{k}_m{m}"] = cert.residuals["closure"] < CERT_TOLERANCES["closure"]
+        checks[f"gap_k{k}_m{m}"] = cert.residuals["gap"] < CERT_TOLERANCES["gap"]
         checks[f"index_k{k}_m{m}"] = n_out == 2
     if len(mus) > 1:
         checks["mu_decreasing"] = all(abs(mus[i + 1]) < abs(mus[i])
@@ -199,7 +196,7 @@ def _exp_cone_battery(doc, rng):
         witnesses += [cu, sw]
         labels += [f"k{k}m{m}", f"k{k}m{m}"]
         ok_ratio &= cu.contraction_ratio < 1.0 and sw.contraction_ratio < 1.0
-        full = orbit_multipliers(model, coeffs, orbit)
+        full = orbit_multipliers(chain)
         union = sorted(list(cu.eigenvalues) + list(sw.eigenvalues), key=lambda w: -abs(w))
         rho = max(abs(w) for w in full)
         ok_comp &= all(abs(a - b) <= 1e-8 * rho for a, b in zip(full, union))

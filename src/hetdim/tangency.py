@@ -105,8 +105,9 @@ class TangencyBranch:
 
     X = x - x+ and Y = y_k - y- are the offsets of the tangency point along
     the curve and at the strip exit; mu_k is the splitting value creating the
-    tangency.  transverse_points holds the straddling preimages on the local
-    unstable manifold once the forge has certified them.
+    tangency, and c_value the induced c of the composed global map.
+    straddle_ok and transverse_points record the forge's straddle check on
+    the branch it chose (None and empty when it checked none).
     """
 
     k: int
@@ -123,7 +124,6 @@ class TangencyBranch:
     c_value: float | None = None
     straddle_ok: bool | None = None
     transverse_points: list[SplitVector] = field(default_factory=list)
-    pairing: dict = field(default_factory=dict)
 
 
 def _seed(coeffs: GlobalMapCoeffs, lam: float, gamma: float, k: int, sign: int):
@@ -162,6 +162,9 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     homoclinic condition after the second global-map application, and the
     vanishing derivative along the curve (quadratic contact).  Seeds come
     from the scaled-limit solutions and are polished to residual 1e-12.
+    The induced c = d(G_y)/dx, G = T1 o T0^k o T1, is the [1, 0] entry of the
+    final evaluation's exact Jacobian (an FD probe in x would be amplified by
+    gamma^k); HypothesisError when |c| < 1e-14 leaves its sign open.
     """
     _check_itinerary(k)
     lam = model.multipliers.lam
@@ -170,13 +173,13 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     e3 = coeffs.e3
     d = coeffs.d
 
-    def residuals(u: Array) -> Array:
+    def jet(u: Array) -> tuple[Array, Array]:
         X, Y, mu = u
         cf, J = _cross_form_jet(model, coeffs.with_mu(mu), X, Y, k)
         t = X / b
         y_curve = mu + d * t * t + e3 * t ** 3
         r2 = (mu + coeffs.c * cf.x_k + d * Y * Y + coeffs.alpha2 @ cf.z_k + e3 * Y ** 3)
-        return np.array([y_curve - cf.y_0, r2, J[1, 1]])
+        return np.array([y_curve - cf.y_0, r2, J[1, 1]]), J
 
     branches = []
     for branch_id, sign in ((1, +1), (2, -1)):
@@ -187,7 +190,7 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         scales = np.array([0.01 * abs(b), min(0.01, max(10.0 * abs(Y0), 1e-9)),
                            max(10.0 * abs(mu0), 1e-6)])
         try:
-            u, _, _ = newton_solve(residuals, np.array([X0, Y0, mu0]),
+            u, _, _ = newton_solve(lambda u: jet(u)[0], np.array([X0, Y0, mu0]),
                                    scales=scales,
                                    tol=np.array([1e-14, 1e-14, 1e-13]),
                                    accept_tol=np.array([1e-12, 1e-12, 1e-10]),
@@ -199,15 +202,19 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
                 f"seed=({X0:.3e}, {Y0:.3e}, {mu0:.3e})): {exc}",
                 seed=(X0, Y0, mu0)) from exc
         X, Y, mu = (float(x) for x in u)
-        r_final = residuals(u)
+        r_final, J = jet(u)
         res = float(max(abs(r_final[0]), abs(r_final[1])))
+        c = float(J[1, 0])
+        if abs(c) < 1e-14:
+            raise HypothesisError(f"secondary c is sign-indeterminate (k={k}, |c| < 1e-14)")
         t = X / b
         y = coeffs.y_minus + t
         point = SplitVector.from_array(axis_jet(model, coeffs.with_mu(mu), y)[0])
         branches.append(TangencyBranch(
             k=k, branch=branch_id, mu_k=mu, X=X, Y=Y, residual=res,
             case=case_tag(coeffs), tangency_point=point,
-            preimage=SplitVector(0.0, y, np.zeros(model.dim - 2)), t_param=t))
+            preimage=SplitVector(0.0, y, np.zeros(model.dim - 2)), t_param=t,
+            c_sign=int(np.sign(c)), c_value=c))
     return branches
 
 
@@ -408,18 +415,6 @@ def quartet_stays(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve,
 # the induced coefficient of the composed global map
 
 
-def secondary_c_coefficient(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                            branch: TangencyBranch) -> float:
-    """d(G_y)/dx at the tangency preimage, G = T1 o T0^k o T1, from the exact
-    chain of ``_cross_form_jet``.  A finite-difference probe in x would be
-    amplified by gamma^k and leave the stay-k strip at deep k."""
-    _, J = _cross_form_jet(model, coeffs.with_mu(branch.mu_k), branch.X, branch.Y, branch.k)
-    val = float(J[1, 0])
-    if abs(val) < 1e-14:
-        raise HypothesisError("secondary c coefficient is sign-indeterminate (|value| < 1e-14)")
-    return val
-
-
 def predicted_c_signs(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int) -> tuple[int, int]:
     """Branch signs of the induced c from the closed forms (v2 term dropped)."""
     c, d, xp, b = coeffs.c, coeffs.d, coeffs.x_plus, coeffs.b
@@ -443,15 +438,17 @@ class ForgeCertificate:
 
     The straddle witnesses are the nearest transverse preimages below and
     above the tangency preimage (pairing by nearest y-coordinate).
+    ``branches`` maps each stay number the forge reached to the branch pair
+    it solved there.
     """
 
     branch: TangencyBranch
     c_product: float
     straddle_ok: bool
-    csign_ok: bool
     stages: int
     witnesses: dict
     diagnostics: list = field(default_factory=list)
+    branches: dict = field(default_factory=dict)
 
 
 STRADDLE_MARGIN = 1e-9
@@ -484,8 +481,9 @@ def _straddle(model: SaddleModel, coeffs: GlobalMapCoeffs, branch: TangencyBranc
     ok, witnesses = _collect_and_check(cands, branch.preimage.y)
     if ok:
         return ok, witnesses
-    ks = list(islice(quartet_stays(model, cm, stage_one_curve(cm), skip=branch.k), 3))
-    cands += find_transverse_homoclinics(model, coeffs, mu, ks, diagnostics)
+    curve = stage_one_curve(cm)
+    for n in islice(quartet_stays(model, cm, curve, skip=branch.k), 3):
+        cands += curve_points(model, cm, curve, (n,), diagnostics)
     return _collect_and_check(cands, branch.preimage.y)
 
 
@@ -495,34 +493,30 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     c * x+ * y- > 0 and certify the straddle property, taking the two-stage
     route (tangency of tangency) when the sign case requires it.
     """
-    diagnostics = []
+    diagnostics, solved = [], {}
     for k in k_schedule:
         try:
-            branches = solve_secondary_tangency(model, coeffs, k)
+            branches = solved[k] = solve_secondary_tangency(model, coeffs, k)
         except ConvergenceError as exc:
             diagnostics.append(f"k={k}: secondary solve failed: {exc}")
             continue
-        chosen = None
         for br in branches:
-            br.c_value = secondary_c_coefficient(model, coeffs, br)
-            br.c_sign = int(np.sign(br.c_value))
             # x+ and y- of the global map induced around the new tangency orbit
             xp_eff = float(axis_jet(model, coeffs.with_mu(br.mu_k), br.preimage.y, (k,))[0][0])
             prod = br.c_value * xp_eff * br.preimage.y
-            if prod > 0.0 and chosen is None:
-                chosen = (br, prod)
-        if chosen is None:
+            if prod > 0.0:
+                break
+        else:
             diagnostics.append(f"k={k}: no branch with positive c*x+*y- "
                                f"(signs {[b.c_sign for b in branches]})")
             continue
-        br, prod = chosen
         ok, witnesses = _straddle(model, coeffs, br, diagnostics)
+        br.straddle_ok = ok
         if ok:
-            br.straddle_ok = True
             br.transverse_points = [witnesses["below"].preimage, witnesses["above"].preimage]
-            return ForgeCertificate(branch=br, c_product=prod, straddle_ok=True,
-                                    csign_ok=True, stages=1, witnesses=witnesses,
-                                    diagnostics=diagnostics)
+            return ForgeCertificate(branch=br, c_product=prod, straddle_ok=True, stages=1,
+                                    witnesses=witnesses, diagnostics=diagnostics,
+                                    branches=solved)
         # two-stage route: perturb the secondary tangency once more and use
         # its persistent transverse points as outer witnesses; either branch
         # of the first stage may carry the admissible configuration
@@ -534,7 +528,7 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
                                    f"failed: {exc}")
                 continue
             if cert is not None:
-                cert.diagnostics = diagnostics
+                cert.diagnostics, cert.branches = diagnostics, solved
                 return cert
         diagnostics.append(f"k={k}: straddle not restored by second stage")
     raise HypothesisError("forge schedule exhausted: " + "; ".join(diagnostics))
@@ -685,7 +679,7 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
             br3.straddle_ok = True
             br3.transverse_points = [witnesses["below"].preimage, witnesses["above"].preimage]
             return ForgeCertificate(branch=br3, c_product=prod, straddle_ok=True,
-                                    csign_ok=True, stages=2, witnesses=witnesses)
+                                    stages=2, witnesses=witnesses)
     return None
 
 

@@ -24,8 +24,7 @@ from hetdim.presets import (base_model, battery_coeffs, battery_model,
                             d4_model, forge_coeffs, hetdim_coeffs, hetdim_model,
                             leaf_coeffs, leaf_model)
 from hetdim.saddle import SplitVector, commutation_residual, identity_residuals
-from hetdim.tangency import (predicted_c_signs, secondary_c_coefficient,
-                             solve_secondary_tangency)
+from hetdim.tangency import predicted_c_signs, solve_secondary_tangency
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):
@@ -102,8 +101,7 @@ def test_criterion_4_branch_sign_law():
         coeffs = forge_coeffs(case)
         for k in range(12, 25, 2):
             b1, b2 = solve_secondary_tangency(model, coeffs, k)
-            s1 = int(np.sign(secondary_c_coefficient(model, coeffs, b1)))
-            s2 = int(np.sign(secondary_c_coefficient(model, coeffs, b2)))
+            s1, s2 = b1.c_sign, b2.c_sign
             ok &= s1 == -s2
             ok &= (s1, s2) == predicted_c_signs(model, coeffs, k)
     _report(4, "branch-sign law of the induced c", ok)

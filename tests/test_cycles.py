@@ -9,8 +9,8 @@ import pytest
 
 from hetdim.cycles import (PeriodTwoOrbit, certificate_to_dict, certificate_to_json,
                            closure_oracle_floor, closure_residual_forward, index2_criterion,
-                           index2_reductions, orbit_index, orbit_multipliers,
-                           orbit_to_unknowns, replay_certificate_dict,
+                           index2_reductions, orbit_index, orbit_jacobian_chain,
+                           orbit_multipliers, orbit_to_unknowns, replay_certificate_dict,
                            solve_hetdim_general, solve_hetdim_symmetric, solve_period2,
                            solve_period2_with_s, verify_transverse_connection,
                            _connection_gap, _period2_seed)
@@ -114,7 +114,7 @@ def test_eta_magnitudes_cdx_neg_regime():
     lam = model.multipliers.lam
     devs = []
     for (k, m) in ((14, 12), (18, 16), (22, 20)):
-        orbit = solve_period2_with_s(model, coeffs, k, m, 0.45, branch=-1)
+        orbit = solve_period2_with_s(model, coeffs, k, m, 0.45)
         scale = abs(lam) ** (m / 2) * np.sqrt(abs(coeffs.c * coeffs.x_plus / coeffs.d))
         big = max(abs(e) for e in orbit.eta)
         small = min(abs(e) for e in orbit.eta)
@@ -327,8 +327,8 @@ def test_replay_reproduces_recorded_residuals(hetdim_certificates):
         orbit = PeriodTwoOrbit(points=pts, itinerary=tuple(doc["itinerary"]),
                                eta=tuple(doc["eta"]), mu=doc["coeffs"]["mu"],
                                closure_residual=0.0)
-        mults = orbit_multipliers(model_from_json(doc["model"]),
-                                  coeffs_from_json(doc["coeffs"]), orbit)
+        mults = orbit_multipliers(orbit_jacobian_chain(model_from_json(doc["model"]),
+                                                       coeffs_from_json(doc["coeffs"]), orbit))
         assert [complex(e) for e in mults] == cert.index_evidence
 
 

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hetdim import runner
+from hetdim import runner, tangency
 from hetdim.cli import main
-from hetdim.presets import hetdim_coeffs, hetdim_model, leaf_coeffs, leaf_model
+from hetdim.presets import (base_model, forge_coeffs, hetdim_coeffs, hetdim_model,
+                            leaf_coeffs, leaf_model)
 
 
 def _write(tmp_path: Path, name: str, doc: dict) -> str:
@@ -187,3 +189,33 @@ def test_stale_jobs_key_is_ignored(tmp_path):
         assert main(["run", "--config", cfg]) == 0
     assert ((tmp_path / "plain" / "orbits.csv").read_bytes()
             == (tmp_path / "jobs" / "orbits.csv").read_bytes())
+
+
+def test_forge_solves_each_scheduled_k_once(tmp_path, monkeypatch):
+    # forge.csv reuses the branch pairs the forge solved, with its straddle
+    # verdict; only the ks past the certified one are solved again
+    solved = []
+    solve = tangency.solve_secondary_tangency
+
+    def counting(model, coeffs, k):
+        solved.append(k)
+        return solve(model, coeffs, k)
+
+    monkeypatch.setattr(tangency, "solve_secondary_tangency", counting)
+    monkeypatch.setattr(runner, "solve_secondary_tangency", counting)
+    out = tmp_path / "forge"
+    cfg = _write(tmp_path, "forge.json", {"experiment": "forge_tangency", "out": str(out),
+                                          "model": base_model("linear").spec(),
+                                          "coeffs": forge_coeffs("cdx_neg_d_neg").spec(),
+                                          "schedule": {"ks": [12, 14]}})
+    assert main(["run", "--config", cfg]) == 0
+    assert sorted(solved) == [12, 14]
+    with (out / "forge.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["k"], r["branch"]) for r in rows] == [("12", "1"), ("12", "2"),
+                                                     ("14", "1"), ("14", "2")]
+    assert all(r["c_sign"] in ("1", "-1") for r in rows)
+    cert = json.loads((out / "forge_certificate.json").read_text())
+    certified = [r["straddle_ok"] for r in rows
+                 if (int(r["k"]), int(r["branch"])) == (cert["k"], cert["branch"])]
+    assert certified == ["True"]

@@ -5,14 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+from hetdim import tangency
 from hetdim.errors import ValidationError
 from hetdim.global_map import first_return_array, t1_array, t1_jac_array
 from hetdim.presets import forge_coeffs
 from hetdim.tangency import (ROOT_TOL, SLOPE_MIN, axis_jet, curve_points,
                              find_transverse_homoclinics, forge_admissible_tangency,
-                             predicted_c_signs, secondary_c_coefficient,
-                             solve_secondary_tangency, stage_two_curve, verify_tangency_branch,
-                             vertex_at, branches_to_csv, double_return_y)
+                             predicted_c_signs, solve_secondary_tangency, stage_two_curve,
+                             verify_tangency_branch, vertex_at, branches_to_csv,
+                             double_return_y)
 
 CASES = ["cdx_neg_d_neg", "cdx_pos_d_neg", "cdx_neg_d_pos", "cdx_pos_d_pos"]
 
@@ -74,9 +75,9 @@ def test_c_coefficient_agrees_with_finite_differences(case, lin_model):
     coeffs = forge_coeffs(case)
     for k in range(12, 19, 2):
         for br in solve_secondary_tangency(lin_model, coeffs, k):
-            c = secondary_c_coefficient(lin_model, coeffs, br)
+            c = br.c_value
             ref = _fd_c_coefficient(lin_model, coeffs, br)
-            assert np.sign(c) == np.sign(ref)
+            assert np.sign(c) == np.sign(ref) == br.c_sign
             assert abs(c / ref - 1.0) < 1e-4, (k, br.branch)
 
 
@@ -146,8 +147,7 @@ def test_branch_sign_law(case, lin_model):
     coeffs = forge_coeffs(case)
     for k in (12, 16, 20):
         b1, b2 = solve_secondary_tangency(lin_model, coeffs, k)
-        s1 = int(np.sign(secondary_c_coefficient(lin_model, coeffs, b1)))
-        s2 = int(np.sign(secondary_c_coefficient(lin_model, coeffs, b2)))
+        s1, s2 = b1.c_sign, b2.c_sign
         assert s1 == -s2
         assert (s1, s2) == predicted_c_signs(lin_model, coeffs, k)
 
@@ -210,7 +210,7 @@ def test_forge_pipeline(case, stages, lin_model):
     # root seeds that fail to polish would be recorded, not warned about;
     # the vertex-model seeds all converge
     assert not [msg for msg in cert.diagnostics if "failed to converge" in msg]
-    assert cert.straddle_ok and cert.csign_ok
+    assert cert.straddle_ok
     assert cert.c_product > 0.0
     assert cert.stages == stages
     below = cert.witnesses["below"].preimage.y
@@ -261,6 +261,23 @@ def test_stage_two_split_pair_near_a_stage_one_tangency(index, lin_model):
     assert curve_points(lin_model, coeffs.with_mu(mu), vertex, (), []) == []
 
 
+def test_straddle_fallback_polishes_the_split_pair_once(lin_model, monkeypatch):
+    # at k = 14 in cdx_neg_d_pos the split pair does not straddle and the
+    # quartets decide: the fallback adds the quartets to the split pair it
+    # already has, so each stage-one split-pair search is logged once
+    polish = tangency.curve_points
+
+    def marked(model, cm, curve, ret, diagnostics):
+        if not ret and not curve.stays:
+            diagnostics.append(f"stage-one split pair at mu={float(cm.mu)!r}")
+        return polish(model, cm, curve, ret, diagnostics)
+
+    monkeypatch.setattr(tangency, "curve_points", marked)
+    cert = forge_admissible_tangency(lin_model, forge_coeffs("cdx_neg_d_pos"), [14])
+    assert cert.stages == 1 and cert.witnesses["below"].route == "quartet"
+    assert cert.diagnostics == [f"stage-one split pair at mu={cert.branch.mu_k!r}"]
+
+
 def test_forge_with_cubic_h_term(lin_model):
     # the optional cubic term of h2 must not break the solvers
     coeffs = forge_coeffs("cdx_neg_d_neg", e3=0.3)
@@ -268,9 +285,7 @@ def test_forge_with_cubic_h_term(lin_model):
     assert cert.straddle_ok and cert.c_product > 0.0
     b1, b2 = solve_secondary_tangency(lin_model, coeffs, 14)
     assert b1.residual < 1e-11 and b2.residual < 1e-11
-    s1 = np.sign(secondary_c_coefficient(lin_model, coeffs, b1))
-    s2 = np.sign(secondary_c_coefficient(lin_model, coeffs, b2))
-    assert s1 == -s2
+    assert b1.c_sign == -b2.c_sign
 
 
 def test_forge_on_polynomial_tier(poly_model):
