@@ -31,12 +31,12 @@ print("\n== transverse homoclinic points ==")
 br = solve_secondary_tangency(model, coeffs, 14)[0]
 pts = find_transverse_homoclinics(model, coeffs, br.mu_k)
 for p in pts:
-    print(f"  split pair: x = {p.point.x:+.6f}, slope = {p.slope:+.3f}")
+    print(f"  split pair: x = {p.point[0]:+.6f}, slope = {p.slope:+.3f}")
 
 print("\n== the full forge, one certificate per sign case ==")
 for case in ("cdx_neg_d_neg", "cdx_pos_d_neg", "cdx_neg_d_pos", "cdx_pos_d_pos"):
     cert = forge_admissible_tangency(model, forge_coeffs(case), [12, 14, 16])
     w = cert.witnesses
     print(f"  {case}: stages = {cert.stages}, c x+ y- = {cert.c_product:+.3e}, "
-          f"straddle {w['below'].preimage.y:.6f} < {cert.branch.preimage.y:.6f} "
-          f"< {w['above'].preimage.y:.6f}")
+          f"straddle {w['below'].preimage[1]:.6f} < {cert.branch.preimage[1]:.6f} "
+          f"< {w['above'].preimage[1]:.6f}")

@@ -14,7 +14,7 @@ model = base_model("linear")
 coeffs = hetdim_coeffs()
 
 print("== invariant subspaces over one return (stay number 12) ==")
-p = strip_center(model, coeffs, 12).as_array()
+p = strip_center(model, coeffs, 12)  # a flat (x, y, z) array, like every phase point
 chain = return_chain(model, coeffs, p, [12])
 cu = invariant_cu_subspace(chain)
 sw = invariant_s_subspace(chain)
@@ -28,7 +28,7 @@ for J in chain:
 print(f"full spectrum (dense): {[f'{abs(e):.4e}' for e in sorted_eigvals(M)]}")
 
 print("\n== a strong-stable leaf (graph over z) ==")
-leaf = strong_stable_leaf(model, coeffs, strip_center(model, coeffs, 12), 12, n_samples=5)
+leaf = strong_stable_leaf(model, coeffs, p, 12, n_samples=5)
 for i in range(len(leaf.z_points)):
     print(f"  z = {leaf.z_points[i, 0]:+.3f}: x = {leaf.xy_points[i, 0]:.8f}, "
           f"y = {leaf.xy_points[i, 1]:.3e}")

@@ -10,11 +10,10 @@ explicit parameter values, emitting self-verifying certificates.
 
 __version__ = "0.1.0"
 
-from .saddle import (Multipliers, SaddleModel, SplitVector, apply_symmetry,
-                     apply_T0, build_model, check_conditions, model_from_json)
-from .local import CrossFormResult, iterate_local, solve_cross_form, strong_derivative_bounds
-from .global_map import (GlobalMapCoeffs, Strip, apply_T1, apply_T1_symmetric,
-                         coeffs_from_json, first_return, k_star, locate_strip)
+from .saddle import (Multipliers, SaddleModel, SplitVector, build_model, check_conditions,
+                     model_from_json)
+from .local import CrossFormResult, solve_cross_form, strong_derivative_bounds
+from .global_map import GlobalMapCoeffs, Strip, coeffs_from_json, k_star, locate_strip
 from .tangency import (TangencyBranch, TransverseHomoclinic, find_transverse_homoclinics,
                        forge_admissible_tangency, solve_secondary_tangency,
                        verify_tangency_branch)

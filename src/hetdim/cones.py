@@ -21,7 +21,7 @@ from .errors import HypothesisError
 from .global_map import (GlobalMapCoeffs, t1_array, t1_jac_array, t1_tilde_array,
                          t1_tilde_jac_array)
 from .numerics import chain_product, orthonormal_frame, sorted_eigvals
-from .saddle import SaddleModel, SplitVector, orbit, t0_jac_array
+from .saddle import SaddleModel, orbit, t0_jac_array
 
 Array = np.ndarray
 
@@ -232,17 +232,13 @@ def stable_slopes(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
 class LeafSample:
     """A strong-stable leaf through a base point, sampled as a graph over z."""
 
-    base: SplitVector
+    base: Array                # flat (D,) point
     k: int
     z_points: Array            # (n, D-2)
     xy_points: Array           # (n, 2)
     phi1: Array                # (n, D-2) sampled dx/dz rows
     phi2: Array                # (n, D-2) sampled dy/dz rows
     fit_exponents: tuple | None = None
-
-    def point(self, i: int) -> SplitVector:
-        return SplitVector(float(self.xy_points[i, 0]), float(self.xy_points[i, 1]),
-                           self.z_points[i])
 
     @property
     def phi1_max(self) -> float:
@@ -286,10 +282,10 @@ def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
     return xy, Phi, z
 
 
-def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: SplitVector,
+def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array,
                        k: int, n_samples: int = 9, tilde: bool = False) -> LeafSample:
-    """Sample the strong-stable leaf through ``base`` over the z-box of
-    half-width delta / 2.
+    """Sample the strong-stable leaf through the flat (D,) point ``base`` over
+    the z-box of half-width delta / 2.
 
     For D = 3 the samples march along the z-axis; in higher dimension they
     march along coordinate rays from the base.  Slopes phi1 = dx/dz and
@@ -301,11 +297,11 @@ def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: SplitV
     z_pts, xy_pts, p1, p2 = [], [], [], []
     for axis in range(nz):
         for off in offsets:
-            z_t = base.z.copy()
+            z_t = base[2:].copy()
             z_t[axis] += off
             if np.linalg.norm(z_t) >= coeffs.delta:
                 continue
-            xy, Phi, z = leaf_march(model, coeffs, base.as_array(), k, z_t, tilde=tilde)
+            xy, Phi, z = leaf_march(model, coeffs, base, k, z_t, tilde=tilde)
             z_pts.append(z)
             xy_pts.append(xy)
             p1.append(Phi[0])
@@ -314,10 +310,10 @@ def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: SplitV
                       np.array(p1), np.array(p2))
 
 
-def strip_center(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int) -> SplitVector:
+def strip_center(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int) -> Array:
     """The natural base point of the stay-number-k strip."""
-    return SplitVector(coeffs.x_plus, coeffs.y_minus / model.multipliers.gamma ** k,
-                       coeffs.z_plus.copy())
+    return np.concatenate(([coeffs.x_plus, coeffs.y_minus / model.multipliers.gamma ** k],
+                           coeffs.z_plus))
 
 
 def leaf_exponent_fit(model: SaddleModel, coeffs: GlobalMapCoeffs,

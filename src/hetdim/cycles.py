@@ -155,18 +155,19 @@ def _orbit_from_unknowns(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
     Q11 = SplitVector.from_array(e1)
     Q02 = SplitVector.from_array(p2)
     Q12 = SplitVector.from_array(e2)
-    res = closure_residual_forward(model, coeffs, Q01, k, m)
+    res = closure_residual_forward(model, coeffs, p1, k, m)
     return PeriodTwoOrbit(points={"Q01": Q01, "Q11": Q11, "Q02": Q02, "Q12": Q12},
                           itinerary=(k, m), eta=(float(e1[1] - ym), float(e2[1] - ym)),
                           mu=coeffs.mu, closure_residual=res)
 
 
 def closure_residual_forward(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                             Q01: SplitVector, k: int, m: int) -> float:
-    """Independent oracle: iterate Q01 through T1 o T0^m o T1 o T0^k directly."""
-    v, _ = first_return_array(model, coeffs, Q01.as_array(), k, with_jacobian=False)
+                             Q01: Array, k: int, m: int) -> float:
+    """Independent oracle: iterate the flat (D,) point Q01 through
+    T1 o T0^m o T1 o T0^k directly."""
+    v, _ = first_return_array(model, coeffs, Q01, k, with_jacobian=False)
     v, _ = first_return_array(model, coeffs, v, m, with_jacobian=False)
-    return float(np.max(np.abs(v - Q01.as_array())))
+    return float(np.max(np.abs(v - Q01)))
 
 
 def orbit_to_unknowns(model: SaddleModel, coeffs: GlobalMapCoeffs,
@@ -813,7 +814,7 @@ def replay_certificate_dict(doc: dict) -> dict:
         return value
 
     guarded("closure", tol["closure"],
-            lambda: closure_residual_forward(model, coeffs, pts["Q01"], k, m))
+            lambda: closure_residual_forward(model, coeffs, pts["Q01"].as_array(), k, m))
 
     def legs():
         v = saddle.orbit(model, pts["Q01"].as_array(), k)[-1]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ItineraryError, ValidationError
-from .saddle import SaddleModel, SplitVector, jacobian_along, orbit, reflect_array
+from .errors import ItineraryError, ValidationError
+from .saddle import SaddleModel, jacobian_along, orbit, reflect_array
 
 Array = np.ndarray
 
@@ -113,12 +113,6 @@ def in_pi1(coeffs: GlobalMapCoeffs, v: Array) -> bool:
             and np.linalg.norm(v[2:]) < d)
 
 
-def in_pi1_tilde(coeffs: GlobalMapCoeffs, v: Array) -> bool:
-    d = coeffs.delta
-    return (abs(v[0]) < d and abs(v[1] + coeffs.y_minus) < d / 2
-            and np.linalg.norm(v[2:]) < d)
-
-
 # ---------------------------------------------------------------------------
 # the maps
 
@@ -150,15 +144,8 @@ def t1_jac_array(coeffs: GlobalMapCoeffs, v: Array) -> Array:
     return J
 
 
-def apply_T1(coeffs: GlobalMapCoeffs, p: SplitVector) -> SplitVector:
-    v = p.as_array()
-    if not in_pi1(coeffs, v):
-        raise DomainError("point outside Pi1")
-    return SplitVector.from_array(t1_array(coeffs, v))
-
-
 def t1_tilde_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array) -> Array:
-    """The twin global map R o T1 o R on flat arrays (no domain check)."""
+    """The twin global map R o T1 o R, near (0, -y-, 0); no domain check."""
     return reflect_array(model, t1_array(coeffs, reflect_array(model, v)))
 
 
@@ -167,14 +154,6 @@ def t1_tilde_jac_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array) ->
     R[1, 1] = -1.0
     R[2:, 2:] = np.diag(model.symmetry_signs)
     return R @ t1_jac_array(coeffs, reflect_array(model, v)) @ R
-
-
-def apply_T1_symmetric(model: SaddleModel, coeffs: GlobalMapCoeffs, p: SplitVector) -> SplitVector:
-    """Twin map near (0, -y-, 0), built by conjugation with R."""
-    v = p.as_array()
-    if not in_pi1_tilde(coeffs, v):
-        raise DomainError("point outside the twin neighborhood Pi1~")
-    return SplitVector.from_array(t1_tilde_array(model, coeffs, v))
 
 
 def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k: int,
@@ -186,12 +165,6 @@ def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k:
         raise ItineraryError(f"itinerary violated: T0^{k}(p) not in Pi1", step=k)
     J = t1_jac_array(coeffs, w) @ jacobian_along(model, traj) if with_jacobian else None
     return t1_array(coeffs, w), J
-
-
-def first_return(model: SaddleModel, coeffs: GlobalMapCoeffs, p: SplitVector,
-                 k: int) -> tuple[SplitVector, Array]:
-    out, J = first_return_array(model, coeffs, p.as_array(), k)
-    return SplitVector.from_array(out), J
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +210,15 @@ def strip_for(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int) -> Strip:
                  (min(lo, hi), max(lo, hi)), d)
 
 
-def locate_strip(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                 p: SplitVector) -> Strip | None:
-    """Smallest k >= k* with T0^k(p) in Pi1, or None within 80 steps."""
-    v = p.as_array()
+def locate_strip(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array) -> Strip | None:
+    """Smallest k >= k* with T0^k(v) in Pi1, or None within 80 steps."""
     if not in_pi0(coeffs, v):
         return None
     try:
         traj = orbit(model, v, 80)
     except ItineraryError as exc:
+        if not exc.step:
+            return None
         traj = orbit(model, v, exc.step - 1)
     for k in range(k_star(model, coeffs), len(traj)):
         if in_pi1(coeffs, traj[k]):

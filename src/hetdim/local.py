@@ -1,4 +1,5 @@
-"""Iterates of the local map in direct and cross (boundary-value) form.
+"""Iterates of the local map in cross (boundary-value) form; the direct
+iterates are ``saddle.orbit``.
 
 The cross form solves for the orbit segment connecting an entry plane to an
 exit plane: given (x0, yk, z0) it finds the unique (xk, y0, zk) such that k
@@ -13,26 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .numerics import newton_1d
-from .saddle import SaddleModel, SplitVector, jacobian_along, orbit
+from .saddle import SaddleModel, jacobian_along, orbit
 
 Array = np.ndarray
-
-
-def iterate_local(model: SaddleModel, p: SplitVector, k: int,
-                  with_jacobian: bool = True) -> tuple[SplitVector, Array | None, Array]:
-    """k-fold local map with chained Jacobian and the dense trajectory.
-
-    Raises ItineraryError carrying the first step j at which the orbit leaves
-    the validity box.  k = 0 returns the identity.
-    """
-    v = p.as_array()
-    if np.max(np.abs(v)) > model.box:
-        raise DomainError("starting point outside validity box")
-    traj = orbit(model, v, k)
-    J = jacobian_along(model, traj) if with_jacobian else None
-    return SplitVector.from_array(traj[k]), J, traj
 
 
 def _forward_y(model: SaddleModel, x0: float, y0: float, z0: Array, k: int) -> tuple[float, float, float, Array]:
@@ -71,13 +56,14 @@ def solve_cross_form(model: SaddleModel, x0: float, yk: float, z0, k: int) -> Cr
     return CrossFormResult(xk, y0, zk, abs(resid), evals)
 
 
-def strong_derivative_bounds(model: SaddleModel, p: SplitVector, k: int) -> tuple[float, float]:
-    """Decay ratios of the strong-stable derivative blocks after k steps.
+def strong_derivative_bounds(model: SaddleModel, v: Array, k: int) -> tuple[float, float]:
+    """Decay ratios of the strong-stable derivative blocks after k steps from
+    the flat (D,) point v.
 
     Returns (||dx_k/dz_0|| / lambda0^k, ||dz_k/dz_0|| / lambda0^k); both stay
     bounded uniformly in k for admissible models.
     """
-    _, J, _ = iterate_local(model, p, k)
+    J = jacobian_along(model, orbit(model, v, k))
     lam0 = model.multipliers.lambda0
     dx_dz = np.atleast_2d(J[0, 2:])
     dz_dz = J[2:, 2:]

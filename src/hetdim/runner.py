@@ -32,7 +32,8 @@ from .flows import (AbsConfig, abs_expansion_bound, check_c3prime,
                     equilibrium_exponents, exponents_report, orbit_csv, simulate_poincare)
 from .global_map import _check_itinerary, coeffs_from_json
 from .saddle import check_conditions, model_from_json
-from .tangency import branches_to_csv, forge_admissible_tangency, solve_secondary_tangency
+from .tangency import (STRADDLE_MARGIN, branches_to_csv, forge_admissible_tangency,
+                       solve_secondary_tangency)
 
 log = logging.getLogger("hetdim")
 
@@ -86,6 +87,11 @@ def _exp_forge_tangency(doc, rng):
     # the forge solved the ks up to the one it certified; solve the rest here
     branches = [br for k in ks
                 for br in cert.branches.get(k) or solve_secondary_tangency(model, coeffs, k)]
+    # the recorded witnesses straddle the tangency preimage in y, each gap
+    # (and so the order below < tangency < above) clear of STRADDLE_MARGIN
+    below, tangency_y, above = (float(rec.preimage[1]) for rec in (
+        cert.witnesses["below"], cert.branch, cert.witnesses["above"]))
+    straddled = tangency_y - below > STRADDLE_MARGIN and above - tangency_y > STRADDLE_MARGIN
     lam, gam = model.multipliers.lam, model.multipliers.gamma
     cdx = coeffs.c * coeffs.d * coeffs.x_plus
     devs = []
@@ -102,15 +108,13 @@ def _exp_forge_tangency(doc, rng):
             if b1.k == b2.k and b1.branch == 1 and b2.branch == 2),
         "asymptote_start": devs[0] < 0.2,
         "asymptote_decreasing": all(devs[i + 1] < devs[i] for i in range(len(devs) - 1)),
-        "straddle": cert.straddle_ok,
+        "straddle": straddled,
         "c_product_positive": cert.c_product > 0.0,
     }
     cert_doc = {
         "k": cert.branch.k, "branch": cert.branch.branch, "mu": cert.branch.mu_k,
         "stages": cert.stages, "c_product": cert.c_product,
-        "witness_below": cert.witnesses["below"].preimage.y,
-        "tangency_y": cert.branch.preimage.y,
-        "witness_above": cert.witnesses["above"].preimage.y,
+        "witness_below": below, "tangency_y": tangency_y, "witness_above": above,
     }
     files = {"forge.csv": branches_to_csv(branches),
              "forge_certificate.json": json.dumps(cert_doc, indent=2, sort_keys=True)}

@@ -13,6 +13,7 @@ identities that straighten the local invariant manifolds and foliations
 involution R(x,y,z) = (x, -y, S z) commutes with the map in symmetric mode.
 
 Models are immutable; every operation is a pure function of (model, inputs).
+Phase points are flat (D,) arrays ordered (x, y, z...).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ItineraryError, ValidationError
+from .errors import ContractError, ItineraryError, ValidationError
 from .numerics import chain_product
 
 Array = np.ndarray
@@ -31,7 +32,8 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class SplitVector:
-    """Phase point split along the saddle's eigen-splitting.
+    """Phase point split along the saddle's eigen-splitting: the record
+    format of a solved period-2 orbit's points (``PeriodTwoOrbit.points``).
 
     x: leading stable coordinate, y: unstable coordinate, z: strong-stable
     block of length D-2 (D >= 3).
@@ -332,12 +334,6 @@ def model_from_json(doc: dict) -> SaddleModel:
 # operations
 
 
-def _check_box(model: SaddleModel, v: Array) -> None:
-    if np.max(np.abs(v)) > model.box:
-        raise DomainError(f"point outside validity box (max-norm {np.max(np.abs(v)):.3f} "
-                          f"> {model.box})")
-
-
 def t0_array(model: SaddleModel, v: Array) -> Array:
     """One local-map step on a flat (D,) array; no box check."""
     out = model.diagonal * v
@@ -358,30 +354,31 @@ def orbit(model: SaddleModel, v: Array, n: int) -> Array:
     """The n-step trajectory of the local map from a flat (D,) point, as an
     (n+1, D) array whose row j is T0^j(v).
 
-    Raises ItineraryError carrying the first step that leaves the validity
-    box.  The linear tier takes the first step with ``t0_array`` and the rest
-    as one running product of the multipliers, which performs the same
-    multiplications (and the same ``+ 0.0``) as stepping, bit for bit.
+    Raises ItineraryError carrying the first row outside the validity box;
+    step 0 is a start outside it.  The linear tier takes the first step with
+    ``t0_array`` and the rest as one running product of the multipliers,
+    which performs the same multiplications (and the same ``+ 0.0``) as
+    stepping, bit for bit.
     """
     traj = np.empty((n + 1, model.dim))
     traj[0] = v
-    if n:
-        traj[1] = t0_array(model, traj[0])
     if model.nonlinearity.kind == "linear":
+        if n:
+            traj[1] = t0_array(model, traj[0])
         traj[2:] = model.diagonal
         np.multiply.accumulate(traj[1:], axis=0, out=traj[1:])
         traj[2:] += 0.0
     else:
-        for j in range(1, n):
+        for j in range(n):
             if not np.all(np.abs(traj[j]) <= model.box):
                 # past the box the nonlinear terms grow without bound and
                 # overflow; the check below reports row j
                 traj[j + 1:] = np.nan
                 break
             traj[j + 1] = t0_array(model, traj[j])
-    out = ~np.all(np.abs(traj[1:]) <= model.box, axis=1)
+    out = ~np.all(np.abs(traj) <= model.box, axis=1)
     if out.any():
-        step = int(np.argmax(out)) + 1
+        step = int(np.argmax(out))
         raise ItineraryError(f"orbit left the validity box at step {step}", step=step)
     return traj
 
@@ -403,25 +400,12 @@ def jacobian_along(model: SaddleModel, traj: Array, M: Array | None = None) -> A
     return chain_product(t0_jac_array(model, traj[:-1]), M)
 
 
-def apply_T0(model: SaddleModel, p: SplitVector) -> tuple[SplitVector, Array]:
-    """Image and exact Jacobian of the local map at ``p`` (inside the box)."""
-    v = p.as_array()
-    _check_box(model, v)
-    return SplitVector.from_array(t0_array(model, v)), t0_jac_array(model, v)
-
-
 def reflect_array(model: SaddleModel, v: Array) -> Array:
+    """The involution R(x, y, z) = (x, -y, S z) on a flat (D,) array."""
     out = v.copy()
     out[1] = -out[1]
     out[2:] = model.symmetry_signs * out[2:]
     return out
-
-
-def apply_symmetry(model: SaddleModel, p: SplitVector) -> SplitVector:
-    """The involution R(x, y, z) = (x, -y, S z); symmetric models only."""
-    if not model.symmetric:
-        raise ContractError("apply_symmetry called on a non-symmetric model")
-    return SplitVector.from_array(reflect_array(model, p.as_array()))
 
 
 IDENTITY_NAMES = (

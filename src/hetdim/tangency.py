@@ -34,7 +34,7 @@ from .global_map import (GlobalMapCoeffs, _check_itinerary, first_return_array, 
                          t1_array, t1_jac_array)
 from .local import CrossFormResult, solve_cross_form
 from .numerics import newton_1d, newton_solve
-from .saddle import SaddleModel, SplitVector, jacobian_along, orbit
+from .saddle import SaddleModel, jacobian_along, orbit
 
 Array = np.ndarray
 
@@ -42,6 +42,13 @@ Array = np.ndarray
 def case_tag(coeffs: GlobalMapCoeffs) -> str:
     cdx = coeffs.c * coeffs.d * coeffs.x_plus
     return ("cdx_pos" if cdx > 0 else "cdx_neg") + ("_d_pos" if coeffs.d > 0 else "_d_neg")
+
+
+def axis_point(model: SaddleModel, y: float) -> Array:
+    """The unstable-axis point (0, y, 0) as a flat (D,) array."""
+    v = np.zeros(model.dim)
+    v[1] = y
+    return v
 
 
 def axis_jet(model: SaddleModel, cm: GlobalMapCoeffs, y: float, stays=(),
@@ -56,8 +63,7 @@ def axis_jet(model: SaddleModel, cm: GlobalMapCoeffs, y: float, stays=(),
     axis coordinate itself, so a recorded preimage (0, y, 0) is exactly the
     point that was evaluated.
     """
-    v = np.zeros(model.dim)
-    v[1] = y
+    v = axis_point(model, y)
     w = t1_array(cm, v)
     J = t1_jac_array(cm, v) if jacobian else None
     for k in stays:
@@ -85,8 +91,7 @@ def _cross_form_jet(model: SaddleModel, cm: GlobalMapCoeffs, X: float, Y: float,
     height, and with it the sign of the 2 d Y entry of the exit Jacobian.
     """
     t = X / cm.b
-    v = np.zeros(model.dim)
-    v[1] = cm.y_minus + t
+    v = axis_point(model, cm.y_minus + t)
     x0 = cm.x_plus + X
     z0 = cm.z_plus + cm.b_t * t
     cf = solve_cross_form(model, x0, cm.y_minus + Y, z0, k)
@@ -106,8 +111,9 @@ class TangencyBranch:
     X = x - x+ and Y = y_k - y- are the offsets of the tangency point along
     the curve and at the strip exit; mu_k is the splitting value creating the
     tangency, and c_value the induced c of the composed global map.
-    straddle_ok and transverse_points record the forge's straddle check on
-    the branch it chose (None and empty when it checked none).
+    tangency_point and preimage are flat (D,) arrays.  straddle_ok records
+    the forge's straddle check on the branch it chose (None when it checked
+    none).
     """
 
     k: int
@@ -117,13 +123,12 @@ class TangencyBranch:
     Y: float
     residual: float
     case: str
-    tangency_point: SplitVector
-    preimage: SplitVector
+    tangency_point: Array
+    preimage: Array
     t_param: float = 0.0
     c_sign: int | None = None
     c_value: float | None = None
     straddle_ok: bool | None = None
-    transverse_points: list[SplitVector] = field(default_factory=list)
 
 
 def _seed(coeffs: GlobalMapCoeffs, lam: float, gamma: float, k: int, sign: int):
@@ -209,11 +214,10 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
             raise HypothesisError(f"secondary c is sign-indeterminate (k={k}, |c| < 1e-14)")
         t = X / b
         y = coeffs.y_minus + t
-        point = SplitVector.from_array(axis_jet(model, coeffs.with_mu(mu), y)[0])
         branches.append(TangencyBranch(
             k=k, branch=branch_id, mu_k=mu, X=X, Y=Y, residual=res,
-            case=case_tag(coeffs), tangency_point=point,
-            preimage=SplitVector(0.0, y, np.zeros(model.dim - 2)), t_param=t,
+            case=case_tag(coeffs), tangency_point=axis_jet(model, coeffs.with_mu(mu), y)[0],
+            preimage=axis_point(model, y), t_param=t,
             c_sign=int(np.sign(c)), c_value=c))
     return branches
 
@@ -253,10 +257,10 @@ def verify_tangency_branch(model: SaddleModel, coeffs: GlobalMapCoeffs,
 class TransverseHomoclinic:
     """A transverse homoclinic point: the image, on its stage's curve, of
     its unstable-manifold preimage (a quartet point lands on {y = 0} after
-    one more return T1 o T0^k)."""
+    one more return T1 o T0^k); both are flat (D,) arrays."""
 
-    point: SplitVector
-    preimage: SplitVector
+    point: Array
+    preimage: Array
     t: float
     slope: float
     route: str        # "split_pair" or "quartet", "_stage2" on the composed curve
@@ -369,8 +373,7 @@ def curve_points(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve, ret
     for t, slope in _polish_roots(f, seeds, label, diagnostics):
         y = curve.ybase + t
         found.append(TransverseHomoclinic(
-            point=SplitVector.from_array(axis_jet(model, cm, y, curve.stays)[0]),
-            preimage=SplitVector(0.0, y, np.zeros(model.dim - 2)),
+            point=axis_jet(model, cm, y, curve.stays)[0], preimage=axis_point(model, y),
             t=t, slope=float(slope), route=route, k=k))
     return found
 
@@ -444,7 +447,6 @@ class ForgeCertificate:
 
     branch: TangencyBranch
     c_product: float
-    straddle_ok: bool
     stages: int
     witnesses: dict
     diagnostics: list = field(default_factory=list)
@@ -457,16 +459,16 @@ STRADDLE_MARGIN = 1e-9
 def _collect_and_check(cands: list[TransverseHomoclinic], y_hat: float) -> tuple[bool, dict]:
     # the transversality filters already rejected near-double roots; the
     # remaining margin only guards against exact numerical coincidence
-    cands = [c for c in cands if abs(c.preimage.y - y_hat) > STRADDLE_MARGIN]
-    below = [c for c in cands if c.preimage.y < y_hat]
-    above = [c for c in cands if c.preimage.y > y_hat]
+    cands = [c for c in cands if abs(c.preimage[1] - y_hat) > STRADDLE_MARGIN]
+    below = [c for c in cands if c.preimage[1] < y_hat]
+    above = [c for c in cands if c.preimage[1] > y_hat]
     if below and above:
-        lower = max(below, key=lambda c: c.preimage.y)
-        upper = min(above, key=lambda c: c.preimage.y)
+        lower = max(below, key=lambda c: c.preimage[1])
+        upper = min(above, key=lambda c: c.preimage[1])
         return True, {"below": lower, "above": upper,
-                      "gap_below": y_hat - lower.preimage.y,
-                      "gap_above": upper.preimage.y - y_hat}
-    return False, {"candidate_ys": [c.preimage.y for c in cands], "y_hat": y_hat}
+                      "gap_below": float(y_hat - lower.preimage[1]),
+                      "gap_above": float(upper.preimage[1] - y_hat)}
+    return False, {"candidate_ys": [float(c.preimage[1]) for c in cands], "y_hat": y_hat}
 
 
 def _straddle(model: SaddleModel, coeffs: GlobalMapCoeffs, branch: TangencyBranch,
@@ -478,13 +480,14 @@ def _straddle(model: SaddleModel, coeffs: GlobalMapCoeffs, branch: TangencyBranc
     mu, cm = branch.mu_k, coeffs.with_mu(branch.mu_k)
     cands = list(extra or ()) + find_transverse_homoclinics(model, coeffs, mu,
                                                             diagnostics=diagnostics)
-    ok, witnesses = _collect_and_check(cands, branch.preimage.y)
+    y_hat = float(branch.preimage[1])
+    ok, witnesses = _collect_and_check(cands, y_hat)
     if ok:
         return ok, witnesses
     curve = stage_one_curve(cm)
     for n in islice(quartet_stays(model, cm, curve, skip=branch.k), 3):
         cands += curve_points(model, cm, curve, (n,), diagnostics)
-    return _collect_and_check(cands, branch.preimage.y)
+    return _collect_and_check(cands, y_hat)
 
 
 def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
@@ -502,8 +505,9 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
             continue
         for br in branches:
             # x+ and y- of the global map induced around the new tangency orbit
-            xp_eff = float(axis_jet(model, coeffs.with_mu(br.mu_k), br.preimage.y, (k,))[0][0])
-            prod = br.c_value * xp_eff * br.preimage.y
+            y = float(br.preimage[1])
+            xp_eff = float(axis_jet(model, coeffs.with_mu(br.mu_k), y, (k,))[0][0])
+            prod = br.c_value * xp_eff * y
             if prod > 0.0:
                 break
         else:
@@ -513,10 +517,8 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         ok, witnesses = _straddle(model, coeffs, br, diagnostics)
         br.straddle_ok = ok
         if ok:
-            br.transverse_points = [witnesses["below"].preimage, witnesses["above"].preimage]
-            return ForgeCertificate(branch=br, c_product=prod, straddle_ok=True, stages=1,
-                                    witnesses=witnesses, diagnostics=diagnostics,
-                                    branches=solved)
+            return ForgeCertificate(branch=br, c_product=prod, stages=1, witnesses=witnesses,
+                                    diagnostics=diagnostics, branches=solved)
         # two-stage route: perturb the secondary tangency once more and use
         # its persistent transverse points as outer witnesses; either branch
         # of the first stage may carry the admissible configuration
@@ -538,10 +540,10 @@ def stage_two_curve(model: SaddleModel, coeffs: GlobalMapCoeffs,
                     base: TangencyBranch) -> ForgeCurve:
     """The composed curve T1 o T0^k o T1 around the stage-one tangency
     preimage at its mu_k, with x+, b and D from central differences."""
-    h = 1e-6
-    wp, w0, wm = (axis_jet(model, coeffs.with_mu(base.mu_k), base.preimage.y + s, (base.k,))[0]
+    h, ybase = 1e-6, float(base.preimage[1])
+    wp, w0, wm = (axis_jet(model, coeffs.with_mu(base.mu_k), ybase + s, (base.k,))[0]
                   for s in (h, 0.0, -h))
-    return ForgeCurve(base.preimage.y, (base.k,), 0.0, float(w0[1]),
+    return ForgeCurve(ybase, (base.k,), 0.0, float(w0[1]),
                       D=float(wp[1] - 2.0 * w0[1] + wm[1]) / (h * h) / 2.0,
                       xp=float(w0[0]), b=float(wp[0] - wm[0]) / (2 * h))
 
@@ -574,7 +576,7 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
     at the nearby parameter value.  Every curve parameter t of this stage is
     the offset from the stage-one preimage: the axis point ybase + t.
     """
-    ybase, mu_base = base.preimage.y, base.mu_k
+    ybase, mu_base = float(base.preimage[1]), base.mu_k
     curve = stage_two_curve(model, coeffs, base)
 
     def G(t: float, mu: float, stays=(k,)) -> float:
@@ -648,17 +650,17 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
                 w2, _ = axis_jet(model, cm3, ybase + t3, (k,))
                 if abs(orbit(model, w2, j)[j, 1] - cm3.y_minus) >= 0.7 * cm3.delta / 2.0:
                     continue
-                pre3 = SplitVector(0.0, ybase + t3, np.zeros(model.dim - 2))
+                y3 = ybase + t3
                 # c of the induced (triple-composed) global map decides csign
-                w3, J3 = axis_jet(model, cm3, pre3.y, (k, j), jacobian=True)
+                w3, J3 = axis_jet(model, cm3, y3, (k, j), jacobian=True)
                 xp3, c3 = float(w3[0]), float(J3[1, 0])
                 br3 = TangencyBranch(k=j, branch=1 if Yp > 0 else 2, mu_k=mu3,
                                      X=t3 * curve.b, Y=float("nan"), residual=res,
                                      case=case_tag(coeffs) + "+stage2",
-                                     tangency_point=SplitVector.from_array(w2),
-                                     preimage=pre3, t_param=t3,
+                                     tangency_point=w2, preimage=axis_point(model, y3),
+                                     t_param=t3,
                                      c_sign=int(np.sign(c3)), c_value=c3)
-                prod = c3 * xp3 * pre3.y
+                prod = c3 * xp3 * y3
                 if prod <= 0.0:
                     continue
                 # straddle from stage-one structures persisting at mu3, and
@@ -677,9 +679,7 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
             if not ok:
                 continue
             br3.straddle_ok = True
-            br3.transverse_points = [witnesses["below"].preimage, witnesses["above"].preimage]
-            return ForgeCertificate(branch=br3, c_product=prod, straddle_ok=True,
-                                    stages=2, witnesses=witnesses)
+            return ForgeCertificate(branch=br3, c_product=prod, stages=2, witnesses=witnesses)
     return None
 
 

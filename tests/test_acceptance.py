@@ -18,12 +18,12 @@ from hetdim.cycles import (index2_criterion, index2_reductions,
                            solve_hetdim_symmetric, verify_transverse_connection)
 from hetdim.flows import (AbsConfig, abs_expansion_bound, check_c3prime,
                           equilibrium_exponents, simulate_poincare)
-from hetdim.local import iterate_local, solve_cross_form
+from hetdim.local import solve_cross_form
 from hetdim.numerics import sorted_eigvals
 from hetdim.presets import (base_model, battery_coeffs, battery_model,
                             d4_model, forge_coeffs, hetdim_coeffs, hetdim_model,
                             leaf_coeffs, leaf_model)
-from hetdim.saddle import SplitVector, commutation_residual, identity_residuals
+from hetdim.saddle import commutation_residual, identity_residuals, orbit
 from hetdim.tangency import predicted_c_signs, solve_secondary_tangency
 
 
@@ -66,9 +66,9 @@ def test_criterion_2_cross_form_fidelity():
         model = base_model(tier)
         for k in range(2, 31, 2):
             cf = solve_cross_form(model, 0.08, 0.3, [0.04], k)
-            out, _, _ = iterate_local(model, SplitVector(0.08, cf.y_0, [0.04]), k)
-            err = max(abs(out.y - 0.3), abs(out.x - cf.x_k),
-                      float(np.max(np.abs(out.z - cf.z_k))))
+            out = orbit(model, np.array([0.08, cf.y_0, 0.04]), k)[k]
+            err = max(abs(out[1] - 0.3), abs(out[0] - cf.x_k),
+                      float(np.max(np.abs(out[2:] - cf.z_k))))
             worst[tier] = max(worst[tier], err)
     ok = worst["linear"] < 1e-14 and worst["polynomial"] < 1e-11
     _report(2, "cross-form round trips (k <= 30)", ok,

@@ -11,7 +11,7 @@ from hetdim.cones import (invariant_cu_subspace, invariant_s_subspace,
 from hetdim.numerics import sorted_eigvals
 from hetdim.presets import (base_model, d4_model, decoupled_coeffs, hetdim_coeffs,
                             hetdim_model, leaf_coeffs, leaf_model)
-from hetdim.saddle import apply_symmetry
+from hetdim.saddle import reflect_array
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +19,7 @@ def lin_chain():
     model = base_model("linear")
     coeffs = hetdim_coeffs()
     k = 12
-    p = strip_center(model, coeffs, k).as_array()
+    p = strip_center(model, coeffs, k)
     return model, coeffs, k, return_chain(model, coeffs, p, [k])
 
 
@@ -53,7 +53,7 @@ def test_s_eigenvalue_exact_with_unit_block():
     model = base_model("linear")
     coeffs = dataclasses.replace(decoupled_coeffs(), alpha3=np.array([[1.0]]))
     k = 10
-    chain = return_chain(model, coeffs, strip_center(model, coeffs, k).as_array(), [k])
+    chain = return_chain(model, coeffs, strip_center(model, coeffs, k), [k])
     sw = invariant_s_subspace(chain)
     lam1 = model.multipliers.strong[0]
     assert abs(sw.eigenvalues[0]) == pytest.approx(lam1 ** k, abs=1e-20)
@@ -90,7 +90,7 @@ def test_complementarity_d4():
         b_t=np.array([0.1, 0.05]), alpha1=np.array([0.02, 0.01]),
         alpha2=np.array([0.03, 0.01]), alpha3=np.array([[0.4, 0.05], [0.0, 0.3]]))
     k = 10
-    chain = return_chain(model, coeffs, strip_center(model, coeffs, k).as_array(), [k])
+    chain = return_chain(model, coeffs, strip_center(model, coeffs, k), [k])
     cu = invariant_cu_subspace(chain)
     sw = invariant_s_subspace(chain)
     assert cu.subspace.shape == (4, 2) and sw.subspace.shape == (4, 2)
@@ -107,9 +107,9 @@ def test_leaf_through_base(lin_chain):
     model, coeffs, k, _ = lin_chain
     base = strip_center(model, coeffs, k)
     leaf = strong_stable_leaf(model, coeffs, base, k, n_samples=5)
-    i = int(np.argmin(np.abs(leaf.z_points[:, 0] - base.z[0])))
-    p = leaf.point(i)
-    assert abs(p.x - base.x) < 1e-14 and abs(p.y - base.y) < 1e-14
+    i = int(np.argmin(np.abs(leaf.z_points[:, 0] - base[2])))
+    x, y = leaf.xy_points[i]
+    assert abs(x - base[0]) < 1e-14 and abs(y - base[1]) < 1e-14
 
 
 def test_leaf_zero_slopes_when_decoupled():
@@ -152,7 +152,7 @@ def test_leaf_equivariance_in_symmetric_mode():
     k = 10
     base = strip_center(model, coeffs, k)
     leaf = strong_stable_leaf(model, coeffs, base, k, n_samples=5)
-    base_r = apply_symmetry(model, base)
+    base_r = reflect_array(model, base)
     leaf_r = strong_stable_leaf(model, coeffs, base_r, k, n_samples=5, tilde=True)
     for i in range(len(leaf.z_points)):
         z = leaf.z_points[i, 0]
@@ -165,7 +165,7 @@ def test_leaf_equivariance_in_symmetric_mode():
 def test_leaf_march_consistency(lin_chain):
     model, coeffs, k, _ = lin_chain
     base = strip_center(model, coeffs, k)
-    target = base.z + 0.04
-    xy_a, _, _ = leaf_march(model, coeffs, base.as_array(), k, target)
-    xy_b, _, _ = leaf_march(model, coeffs, base.as_array(), k, target, n_steps=80)
+    target = base[2:] + 0.04
+    xy_a, _, _ = leaf_march(model, coeffs, base, k, target)
+    xy_b, _, _ = leaf_march(model, coeffs, base, k, target, n_steps=80)
     assert np.max(np.abs(xy_a - xy_b)) < 1e-12

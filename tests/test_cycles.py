@@ -18,7 +18,7 @@ from hetdim.errors import ContractError, ValidationError
 from hetdim.global_map import coeffs_from_json, t1_tilde_array
 from hetdim.presets import (battery_coeffs, battery_model, battery_pairs, hetdim_coeffs,
                             hetdim_model, hetdim_schedule)
-from hetdim.saddle import SplitVector, apply_symmetry, model_from_json, t0_array
+from hetdim.saddle import SplitVector, model_from_json, reflect_array, t0_array
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def test_forward_iteration_oracle(bat):
     model, coeffs = bat
     orbit = solve_period2_with_s(model, coeffs, 14, 12, 0.0)
     res = closure_residual_forward(model, coeffs.with_mu(orbit.mu),
-                                   orbit.points["Q01"], 14, 12)
+                                   orbit.points["Q01"].as_array(), 14, 12)
     assert res < 1e-10
     assert res == orbit.closure_residual
 
@@ -240,7 +240,7 @@ def test_symmetric_twin_cycle(hetdim_certificates):
     model = model_from_json(cert.model_spec)
     cm = coeffs_from_json(cert.coeffs_spec)
     k, m = cert.orbit.itinerary
-    v = apply_symmetry(model, cert.orbit.points["Q01"]).as_array()
+    v = reflect_array(model, cert.orbit.points["Q01"].as_array())
     w = v.copy()
     for _ in range(k):
         w = t0_array(model, w)

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hetdim.errors import DomainError, ItineraryError, ValidationError
-from hetdim.global_map import (GlobalMapCoeffs, apply_T1, apply_T1_symmetric,
-                               coeffs_from_json, first_return, first_return_array,
-                               k_star, locate_strip, strip_for, t1_array,
-                               t1_jac_array)
+from hetdim.errors import ItineraryError, ValidationError
+from hetdim.global_map import (GlobalMapCoeffs, coeffs_from_json, first_return_array, in_pi0,
+                               in_pi1, k_star, locate_strip, strip_for, t1_array,
+                               t1_jac_array, t1_tilde_array)
 from hetdim.presets import hetdim_coeffs, hetdim_model
-from hetdim.saddle import SplitVector, apply_symmetry
+from hetdim.saddle import reflect_array
 
 
 @pytest.fixture(scope="module")
@@ -18,16 +19,16 @@ def coeffs():
 
 
 def test_tangency_point_maps_across(coeffs):
-    out = apply_T1(coeffs, SplitVector(0.0, coeffs.y_minus, [0.0]))
-    assert out.x == coeffs.x_plus
-    assert out.y == coeffs.mu == 0.0
-    assert np.array_equal(out.z, coeffs.z_plus)
+    out = t1_array(coeffs, np.array([0.0, coeffs.y_minus, 0.0]))
+    assert out[0] == coeffs.x_plus
+    assert out[1] == coeffs.mu == 0.0
+    assert np.array_equal(out[2:], coeffs.z_plus)
 
 
 def test_parabola_through_stable_manifold(coeffs):
     for t in (0.01, -0.02, 0.04):
-        out = apply_T1(coeffs, SplitVector(0.0, coeffs.y_minus + t, [0.0]))
-        assert abs(out.y - coeffs.d * t * t) < 1e-16
+        out = t1_array(coeffs, np.array([0.0, coeffs.y_minus + t, 0.0]))
+        assert abs(out[1] - coeffs.d * t * t) < 1e-16
 
 
 def test_quadratic_tangency_derivative(coeffs):
@@ -42,36 +43,37 @@ def test_quadratic_tangency_derivative(coeffs):
 
 
 def test_domain_checks(coeffs):
-    with pytest.raises(DomainError):
-        apply_T1(coeffs, SplitVector(0.0, 0.0, [0.0]))  # y too far from y-
+    # the Pi1 test behind first_return_array's itinerary check
+    assert in_pi1(coeffs, np.array([0.0, coeffs.y_minus, 0.0]))
+    assert not in_pi1(coeffs, np.zeros(3))  # y too far from y-
 
 
 def test_twin_map_is_conjugation(coeffs, rng):
     model = hetdim_model()
     worst = 0.0
     for _ in range(100):
-        p = SplitVector(rng.uniform(-0.05, 0.05),
-                        -coeffs.y_minus + rng.uniform(-0.02, 0.02),
-                        rng.uniform(-0.05, 0.05, 1))
-        lhs = apply_T1_symmetric(model, coeffs, p).as_array()
-        rhs = apply_symmetry(model, apply_T1(coeffs, apply_symmetry(model, p))).as_array()
+        p = np.concatenate(([rng.uniform(-0.05, 0.05),
+                             -coeffs.y_minus + rng.uniform(-0.02, 0.02)],
+                            rng.uniform(-0.05, 0.05, 1)))
+        lhs = t1_tilde_array(model, coeffs, p)
+        rhs = reflect_array(model, t1_array(coeffs, reflect_array(model, p)))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-12
 
 
 def test_twin_tangency_point(coeffs):
     model = hetdim_model()
-    out = apply_T1_symmetric(model, coeffs, SplitVector(0.0, -coeffs.y_minus, [0.0]))
-    assert out.x == coeffs.x_plus
-    assert out.y == -coeffs.mu == 0.0
-    assert np.array_equal(out.z, model.symmetry_signs * coeffs.z_plus)
+    out = t1_tilde_array(model, coeffs, np.array([0.0, -coeffs.y_minus, 0.0]))
+    assert out[0] == coeffs.x_plus
+    assert out[1] == -coeffs.mu == 0.0
+    assert np.array_equal(out[2:], model.symmetry_signs * coeffs.z_plus)
 
 
 def test_twin_parabola(coeffs):
     model = hetdim_model()
     for t in (0.013, -0.008):
-        out = apply_T1_symmetric(model, coeffs, SplitVector(0.0, -coeffs.y_minus + t, [0.0]))
-        assert abs(out.y - (-coeffs.mu - coeffs.d * t * t)) < 1e-16
+        out = t1_tilde_array(model, coeffs, np.array([0.0, -coeffs.y_minus + t, 0.0]))
+        assert abs(out[1] - (-coeffs.mu - coeffs.d * t * t)) < 1e-16
 
 
 def test_first_return_matches_symbolic_composition(coeffs):
@@ -81,11 +83,11 @@ def test_first_return_matches_symbolic_composition(coeffs):
     lam, gam = model.multipliers.lam, model.multipliers.gamma
     lam1 = model.multipliers.strong[0]
     k = 8
-    p = SplitVector(coeffs.x_plus + 0.01, 0.5 / gam ** k, coeffs.z_plus + 0.01)
-    out, J = first_return(model, coeffs, p, k)
-    q = np.array([lam ** k * p.x, gam ** k * p.y, lam1 ** k * p.z[0]])
+    p = np.concatenate(([coeffs.x_plus + 0.01, 0.5 / gam ** k], coeffs.z_plus + 0.01))
+    out, J = first_return_array(model, coeffs, p, k)
+    q = np.array([lam ** k * p[0], gam ** k * p[1], lam1 ** k * p[2]])
     expected = t1_array(coeffs, q)
-    assert np.max(np.abs(out.as_array() - expected)) < 1e-14
+    assert np.max(np.abs(out - expected)) < 1e-14
     Jexp = t1_jac_array(coeffs, q) @ np.diag([lam ** k, gam ** k, lam1 ** k])
     assert np.max(np.abs(J - Jexp)) < 1e-10
 
@@ -112,8 +114,8 @@ def test_return_determinant_block(coeffs):
     model = hetdim_model(tier="linear")
     lam, gam = model.multipliers.lam, model.multipliers.gamma
     for k in (10, 14, 18):
-        p = SplitVector(coeffs.x_plus, 0.5 / gam ** k, coeffs.z_plus)
-        _, J = first_return(model, coeffs, p, k)
+        p = np.concatenate(([coeffs.x_plus, 0.5 / gam ** k], coeffs.z_plus))
+        _, J = first_return_array(model, coeffs, p, k)
         det = np.linalg.det(J[:2, :2])
         target = -coeffs.b * coeffs.c * (lam * gam) ** k
         assert abs(det / target - 1.0) < 0.05
@@ -122,7 +124,8 @@ def test_return_determinant_block(coeffs):
 def test_itinerary_violation_named(coeffs):
     model = hetdim_model(tier="linear")
     with pytest.raises(ItineraryError):
-        first_return(model, coeffs, SplitVector(coeffs.x_plus, 0.3, coeffs.z_plus), 8)
+        first_return_array(model, coeffs, np.concatenate(([coeffs.x_plus, 0.3], coeffs.z_plus)),
+                           8)
 
 
 def test_k_star(coeffs):
@@ -137,15 +140,24 @@ def test_locate_strip_exact_stay(coeffs):
     model = hetdim_model(tier="linear")
     gam = model.multipliers.gamma
     for k in (5, 8, 12):
-        p = SplitVector(coeffs.x_plus, coeffs.y_minus / gam ** k, coeffs.z_plus)
+        p = np.concatenate(([coeffs.x_plus, coeffs.y_minus / gam ** k], coeffs.z_plus))
         s = locate_strip(model, coeffs, p)
         assert s is not None and s.k == k
 
 
 def test_stable_manifold_never_returns(coeffs):
     model = hetdim_model(tier="linear")
-    p = SplitVector(coeffs.x_plus, 0.0, coeffs.z_plus)
+    p = np.concatenate(([coeffs.x_plus, 0.0], coeffs.z_plus))
     assert locate_strip(model, coeffs, p) is None
+
+
+def test_locate_strip_start_outside_box(coeffs):
+    # a Pi0 point outside the validity box starts no itinerary
+    model = hetdim_model(tier="linear")
+    near_edge = dataclasses.replace(coeffs, x_plus=0.97)
+    p = np.concatenate(([1.01, 0.0], coeffs.z_plus))
+    assert in_pi0(near_edge, p)
+    assert locate_strip(model, near_edge, p) is None
 
 
 def test_strips_disjoint_on_grid(coeffs):
@@ -156,7 +168,7 @@ def test_strips_disjoint_on_grid(coeffs):
     seen = {}
     for x in xs:
         for y in ys:
-            s = locate_strip(model, coeffs, SplitVector(x, y, coeffs.z_plus))
+            s = locate_strip(model, coeffs, np.concatenate(([x, y], coeffs.z_plus)))
             if s is not None:
                 seen.setdefault(s.k, []).append(y)
     # strip y-ranges are disjoint and ratio of consecutive extents -> 1/gamma

@@ -22,7 +22,7 @@ from hetdim.local import _forward_y
 from hetdim.numerics import fd_jacobian, newton_1d, orthonormal_frame
 from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
                             forge_coeffs, hetdim_coeffs, hetdim_model)
-from hetdim.saddle import (Multipliers, apply_symmetry, build_model, orbit, t0_array,
+from hetdim.saddle import (Multipliers, build_model, orbit, reflect_array, t0_array,
                            t0_jac_array)
 
 TIERS = ("linear", "polynomial", "polynomial_symmetric")
@@ -137,7 +137,7 @@ def test_orbit_names_the_loops_first_exit_step(name, tier):
 def test_first_return_jacobian_matches_step_loop(tier):
     model, coeffs = base_model(tier), forge_coeffs("cdx_neg_d_neg")
     for k in (8, 12):
-        v = strip_center(model, coeffs, k).as_array()
+        v = strip_center(model, coeffs, k)
         J, w = np.eye(model.dim), v.copy()
         for _ in range(k):
             J = t0_jac_array(model, w) @ J
@@ -171,8 +171,8 @@ def test_return_chain_matches_step_loop(tilde):
     model, coeffs = hetdim_model(tier="polynomial_symmetric"), hetdim_coeffs()
     base = strip_center(model, coeffs, 12)
     if tilde:
-        base = apply_symmetry(model, base)
-    v, ref = base.as_array(), []
+        base = reflect_array(model, base)
+    v, ref = base, []
     for k in (12, 10):
         for _ in range(k):
             ref.append(t0_jac_array(model, v))
@@ -183,7 +183,7 @@ def test_return_chain_matches_step_loop(tilde):
         else:
             ref.append(t1_jac_array(coeffs, v))
             v = t1_array(coeffs, v)
-    chain = return_chain(model, coeffs, base.as_array(), [12, 10], tilde=tilde)
+    chain = return_chain(model, coeffs, base, [12, 10], tilde=tilde)
     assert chain.tobytes() == np.stack(ref).tobytes()
 
 
@@ -225,8 +225,8 @@ def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde):
         model, coeffs = d4_model(), _d4_coeffs()
     base = strip_center(model, coeffs, k)
     if tilde:
-        base = apply_symmetry(model, base)
-    chain = return_chain(model, coeffs, base.as_array(), [k], tilde=tilde)
+        base = reflect_array(model, base)
+    chain = return_chain(model, coeffs, base, [k], tilde=tilde)
     assert chain.shape == (k + 1, model.dim, model.dim)
     W = stable_frame(chain)
     assert W.shape == (model.dim, model.dim - 2)
@@ -255,10 +255,9 @@ def test_linear_stable_slopes_match_full_chain(lab, rel_tol, k, tilde):
     # the d4 tolerance is the power iteration's 1e-14 stopping tolerance,
     # amplified through the two-column frame
     model, coeffs = _slope_lab(lab, "linear")
-    base = strip_center(model, coeffs, k)
+    p = strip_center(model, coeffs, k)
     if tilde:
-        base = apply_symmetry(model, base)
-    p = base.as_array()
+        p = reflect_array(model, p)
     ref = _chain_slopes(model, coeffs, p, k, tilde)
     Phi = stable_slopes(model, coeffs, p, k, tilde=tilde)
     assert Phi.shape == (2, model.dim - 2)
@@ -269,7 +268,7 @@ def test_linear_stable_slopes_match_full_chain(lab, rel_tol, k, tilde):
 @pytest.mark.parametrize("lab", ["base", "d4"])
 def test_polynomial_stable_slopes_are_the_chain_path(lab, k):
     model, coeffs = _slope_lab(lab, "polynomial")
-    p = strip_center(model, coeffs, k).as_array()
+    p = strip_center(model, coeffs, k)
     ref = _chain_slopes(model, coeffs, p, k, False)
     assert stable_slopes(model, coeffs, p, k).tobytes() == ref.tobytes()
 

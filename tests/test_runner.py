@@ -219,3 +219,26 @@ def test_forge_solves_each_scheduled_k_once(tmp_path, monkeypatch):
     certified = [r["straddle_ok"] for r in rows
                  if (int(r["k"]), int(r["branch"])) == (cert["k"], cert["branch"])]
     assert certified == ["True"]
+
+
+def test_forge_straddle_check_reads_the_witnesses(tmp_path, monkeypatch):
+    # the straddle check verifies the certificate's recorded witnesses:
+    # swapped, they no longer straddle the tangency preimage and the run fails
+    forge = runner.forge_admissible_tangency
+
+    def swapped(model, coeffs, ks):
+        cert = forge(model, coeffs, ks)
+        w = cert.witnesses
+        w["below"], w["above"] = w["above"], w["below"]
+        return cert
+
+    out = tmp_path / "forge"
+    cfg = _write(tmp_path, "forge.json", {"experiment": "forge_tangency", "out": str(out),
+                                          "model": base_model("linear").spec(),
+                                          "coeffs": forge_coeffs("cdx_neg_d_neg").spec(),
+                                          "schedule": {"ks": [12]}})
+    assert main(["run", "--config", cfg]) == 0
+    assert json.loads((out / "summary.json").read_text())["checks"]["straddle"] is True
+    monkeypatch.setattr(runner, "forge_admissible_tangency", swapped)
+    assert main(["run", "--config", cfg]) == 1
+    assert json.loads((out / "summary.json").read_text())["checks"]["straddle"] is False

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hetdim.errors import ContractError, DomainError, ValidationError
+from hetdim.errors import ContractError, ItineraryError, ValidationError
 from hetdim.presets import base_model, d4_model
-from hetdim.saddle import (Multipliers, SplitVector, apply_symmetry, apply_T0,
-                           build_model, check_conditions, commutation_residual,
-                           identity_residuals, model_from_json, reflect_array,
-                           t0_array)
+from hetdim.saddle import (Multipliers, build_model, check_conditions, commutation_residual,
+                           identity_residuals, model_from_json, orbit, reflect_array,
+                           t0_array, t0_jac_array)
 
 
 def test_theta_of_default_multipliers(lin_model):
@@ -25,13 +24,14 @@ def test_theta_of_default_multipliers(lin_model):
 
 def test_origin_is_fixed(lin_model, poly_model):
     for model in (lin_model, poly_model):
-        img, _ = apply_T0(model, SplitVector(0.0, 0.0, [0.0]))
-        assert img.x == img.y == 0.0 and np.all(img.z == 0.0)
+        img = t0_array(model, np.zeros(3))
+        assert img[0] == img[1] == 0.0 and np.all(img[2:] == 0.0)
 
 
 def test_linear_action_example(lin_model):
-    img, J = apply_T0(lin_model, SplitVector(0.1, 0.2, [0.05]))
-    assert np.allclose([img.x, img.y, img.z[0]], [0.055, 0.44, 0.0125], atol=1e-15)
+    v = np.array([0.1, 0.2, 0.05])
+    img, J = t0_array(lin_model, v), t0_jac_array(lin_model, v)
+    assert np.allclose(img, [0.055, 0.44, 0.0125], atol=1e-15)
     assert np.allclose(J, np.diag([0.55, 2.2, 0.25]))
 
 
@@ -39,11 +39,11 @@ def test_invariant_axes(poly_model, rng):
     # W^u_loc = {x = 0, z = 0} and W^s_loc = {y = 0} are exactly invariant
     for _ in range(30):
         y = rng.uniform(-1, 1)
-        img, _ = apply_T0(poly_model, SplitVector(0.0, y, [0.0]))
-        assert img.x == 0.0 and np.all(img.z == 0.0)
+        img = t0_array(poly_model, np.array([0.0, y, 0.0]))
+        assert img[0] == 0.0 and np.all(img[2:] == 0.0)
         x, z = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        img, _ = apply_T0(poly_model, SplitVector(x, 0.0, [z]))
-        assert img.y == 0.0
+        img = t0_array(poly_model, np.array([x, 0.0, z]))
+        assert img[1] == 0.0
 
 
 def test_polynomial_identity_example(poly_model):
@@ -65,24 +65,33 @@ def test_identity_residuals_on_grid(tier, rng):
 
 
 def test_symmetry_involution_and_commutation(sym_model, rng):
-    pts = [SplitVector(*rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1)) for _ in range(100)]
+    pts = [np.concatenate((rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1))) for _ in range(100)]
     for p in pts:
-        q = apply_symmetry(sym_model, p)
-        assert (q.x, q.y, q.z[0]) == (p.x, -p.y, -p.z[0])
-        back = apply_symmetry(sym_model, q)
-        assert back.x == p.x and back.y == p.y and np.all(back.z == p.z)
-    arr = np.array([p.as_array() for p in pts])
-    assert commutation_residual(sym_model, arr) < 1e-12
+        q = reflect_array(sym_model, p)
+        assert (q[0], q[1], q[2]) == (p[0], -p[1], -p[2])
+        back = reflect_array(sym_model, q)
+        assert np.array_equal(back, p)
+    assert commutation_residual(sym_model, np.array(pts)) < 1e-12
 
 
 def test_symmetry_rejected_on_nonsymmetric(poly_model):
     with pytest.raises(ContractError):
-        apply_symmetry(poly_model, SplitVector(0.1, 0.2, [0.3]))
+        commutation_residual(poly_model, np.array([[0.1, 0.2, 0.3]]))
 
 
-def test_box_domain_error(lin_model):
-    with pytest.raises(DomainError):
-        apply_T0(lin_model, SplitVector(1.5, 0.0, [0.0]))
+def test_box_domain_error():
+    # a start outside the validity box is step 0 of its itinerary on every
+    # tier, for every length; a start far outside must not overflow first
+    for tier in ("linear", "polynomial", "polynomial_symmetric"):
+        model = base_model(tier)
+        for v in (np.array([1.5, 0.0, 0.0]), np.array([0.1, -0.2, -1.0 - 1e-12]),
+                  np.full(3, 1e200)):
+            for n in (0, 1, 6):
+                with np.errstate(all="raise"), pytest.raises(ItineraryError) as exc:
+                    orbit(model, v, n)
+                assert exc.value.step == 0, (tier, v, n)
+        # the box is closed: a start on its boundary is inside
+        assert orbit(model, np.array([1.0, 0.0, -1.0]), 1).shape == (2, 3)
 
 
 @pytest.mark.parametrize("mult,msg", [

@@ -43,7 +43,7 @@ def test_axis_jet_without_stays_is_the_global_map(lin_model, coeffs_a):
 def test_axis_jet_jacobian_matches_central_differences(lin_model, stage_two_cert):
     br = stage_two_cert.branch
     cm = forge_coeffs("cdx_pos_d_pos").with_mu(br.mu_k)
-    y, h = br.preimage.y, 1e-9
+    y, h = br.preimage[1], 1e-9
     for stays in ((), (12,), (12, br.k)):
         _, J = axis_jet(lin_model, cm, y, stays, jacobian=True)
         fd = (axis_jet(lin_model, cm, y + h, stays)[0]
@@ -60,7 +60,7 @@ def _fd_c_coefficient(model, coeffs, br):
     h = min(1e-7, 1e-3 * coeffs.delta * gam ** (-br.k) / max(abs(coeffs.c), 1.0))
 
     def g_y(dx):
-        v = br.preimage.as_array()
+        v = br.preimage.copy()
         v[0] += dx
         out, _ = first_return_array(model, cm, t1_array(cm, v), br.k, with_jacobian=False)
         return out[1]
@@ -83,9 +83,13 @@ def test_c_coefficient_agrees_with_finite_differences(case, lin_model):
 
 def test_stage_two_certificate_fields_are_floats(stage_two_cert):
     cert = stage_two_cert
-    values = [cert.c_product, cert.branch.mu_k, cert.branch.preimage.y,
-              cert.witnesses["below"].preimage.y, cert.witnesses["above"].preimage.y]
+    values = [cert.c_product, cert.branch.mu_k, cert.branch.t_param,
+              cert.witnesses["gap_below"], cert.witnesses["gap_above"]]
     assert all(type(v) is float for v in values)
+    # the preimages are flat (D,) float arrays
+    points = [cert.branch.preimage, cert.witnesses["below"].preimage,
+              cert.witnesses["above"].preimage]
+    assert all(p.shape == (3,) and p.dtype == np.float64 for p in points)
 
 
 def test_scaled_limit_systems():
@@ -159,11 +163,11 @@ def test_split_pair_positions(lin_model):
     pts = find_transverse_homoclinics(lin_model, coeffs, mu)
     assert len(pts) == 2
     off = coeffs.b * np.sqrt(-mu / coeffs.d)
-    xs = sorted(p.point.x for p in pts)
+    xs = sorted(p.point[0] for p in pts)
     assert abs(xs[0] - (coeffs.x_plus - off)) < 1e-12
     assert abs(xs[1] - (coeffs.x_plus + off)) < 1e-12
     for p in pts:
-        assert abs(p.point.y) < 1e-15          # on the local stable manifold
+        assert abs(p.point[1]) < 1e-15          # on the local stable manifold
         assert abs(p.slope) > 1e-6             # transversality
 
 
@@ -176,7 +180,7 @@ def test_quartet_positions(lin_model):
     pts = find_transverse_homoclinics(lin_model, coeffs, 0.0, k_range=[k])
     assert len(pts) == 4
     dy = lam ** (k / 2) * np.sqrt(abs(coeffs.c * coeffs.x_plus / coeffs.d))
-    ys = sorted(p.point.y for p in pts)
+    ys = sorted(p.point[1] for p in pts)
     lower = gam ** (-k) * (coeffs.y_minus - dy)
     upper = gam ** (-k) * (coeffs.y_minus + dy)
     assert abs(ys[0] / lower - 1.0) < 0.05 and abs(ys[1] / lower - 1.0) < 0.05
@@ -210,13 +214,13 @@ def test_forge_pipeline(case, stages, lin_model):
     # root seeds that fail to polish would be recorded, not warned about;
     # the vertex-model seeds all converge
     assert not [msg for msg in cert.diagnostics if "failed to converge" in msg]
-    assert cert.straddle_ok
+    assert cert.branch.straddle_ok
     assert cert.c_product > 0.0
     assert cert.stages == stages
-    below = cert.witnesses["below"].preimage.y
-    above = cert.witnesses["above"].preimage.y
-    assert below < cert.branch.preimage.y < above
-    assert len(cert.branch.transverse_points) == 2
+    below = cert.witnesses["below"].preimage
+    above = cert.witnesses["above"].preimage
+    assert below[1] < cert.branch.preimage[1] < above[1]
+    assert below.shape == above.shape == (lin_model.dim,)
 
 
 @pytest.mark.parametrize("case", CASES + ["stage_two"])
@@ -232,9 +236,9 @@ def test_forge_witnesses_are_homoclinic_points(case, lin_model, stage_two_cert):
     for side in ("below", "above"):
         w = cert.witnesses[side]
         if w.route.startswith("split_pair"):
-            y = w.point.y
+            y = w.point[1]
         else:
-            y = first_return_array(lin_model, cm, w.point.as_array(), w.k)[0][1]
+            y = first_return_array(lin_model, cm, w.point, w.k)[0][1]
         assert abs(y) <= ROOT_TOL, (side, w.route)
 
 
@@ -255,7 +259,7 @@ def test_stage_two_split_pair_near_a_stage_one_tangency(index, lin_model):
     assert not lo < 0.0 < hi     # a pair centred on the preimage misses them
     for p in pts:
         assert p.route == "split_pair_stage2" and p.k == 12
-        assert abs(p.point.y) <= ROOT_TOL and abs(p.slope) > SLOPE_MIN
+        assert abs(p.point[1]) <= ROOT_TOL and abs(p.slope) > SLOPE_MIN
     mu = base.mu_k + 1e-8
     vertex = vertex_at(lin_model, coeffs, curve, mu, 0.0)
     assert curve_points(lin_model, coeffs.with_mu(mu), vertex, (), []) == []
@@ -282,7 +286,7 @@ def test_forge_with_cubic_h_term(lin_model):
     # the optional cubic term of h2 must not break the solvers
     coeffs = forge_coeffs("cdx_neg_d_neg", e3=0.3)
     cert = forge_admissible_tangency(lin_model, coeffs, [12, 14])
-    assert cert.straddle_ok and cert.c_product > 0.0
+    assert cert.branch.straddle_ok and cert.c_product > 0.0
     b1, b2 = solve_secondary_tangency(lin_model, coeffs, 14)
     assert b1.residual < 1e-11 and b2.residual < 1e-11
     assert b1.c_sign == -b2.c_sign
@@ -291,7 +295,7 @@ def test_forge_with_cubic_h_term(lin_model):
 def test_forge_on_polynomial_tier(poly_model):
     coeffs = forge_coeffs("cdx_neg_d_neg")
     cert = forge_admissible_tangency(poly_model, coeffs, [12, 14])
-    assert cert.straddle_ok and cert.c_product > 0.0
+    assert cert.branch.straddle_ok and cert.c_product > 0.0
 
 
 def test_csv_emission(lin_model, coeffs_a):
