@@ -1,11 +1,12 @@
 """Invariant subspaces along return orbits and strong-stable leaves.
 
 Chains of per-step Jacobians along a return orbit define DT^(n+1); frame
-power iteration in the forward direction produces the two-dimensional
-center-unstable subspace (seeded in the (x, y)-plane), and in the backward
-direction the (D-2)-dimensional strong-stable one (seeded in z).  Cone
-invariance is certified by measuring the image opening of a sampled cone
-boundary.  Leaves of the strong-stable foliation are integrated as graphs
+power iteration in the forward direction, carried through the chain factor
+by factor, produces the two-dimensional center-unstable subspace (seeded in
+the (x, y)-plane), and in the backward direction, on the product of the
+factors' inverses, the (D-2)-dimensional strong-stable one (seeded in z).
+Cone invariance is certified by measuring the image opening of a sampled
+cone boundary.  Leaves of the strong-stable foliation are integrated as graphs
 x = x(z), y = y(z) by a predictor-corrector march that re-projects on the
 numerically computed stable subspace at every step.
 """
@@ -153,10 +154,20 @@ def _certify_cone(kind: str, apply, dim: int) -> tuple[float, float]:
                           "conditions violated at this delta")
 
 
+def _carry_frame(chain: Array, W: Array) -> Array:
+    """The frame W carried through the chain factor by factor,
+    re-orthonormalised after each factor."""
+    for J in chain:
+        W = orthonormal_frame(J @ W)
+    return W
+
+
 def invariant_cu_subspace(chain: Array) -> ConeWitness:
     """Forward-invariant 2-plane and its eigenvalues for a return chain.
 
-    Power-iterates 2-frames seeded in the (x, y)-plane; the restriction's
+    Power-iterates 2-frames seeded in the (x, y)-plane, carrying each sweep
+    through the chain factor by factor (the formed product's columns lose
+    every direction but the leading one to rounding); the restriction's
     eigenvalues are the two leading multipliers of the chain product.  The
     certified cone constant is the smallest grid K whose sampled boundary
     image has smaller opening.
@@ -165,8 +176,8 @@ def invariant_cu_subspace(chain: Array) -> ConeWitness:
     Q = np.zeros((dim, 2))
     Q[0, 0] = 1.0
     Q[1, 1] = 1.0
+    Q, iters = _power_frame(partial(_carry_frame, chain), Q, 1e-13)
     forward = partial(chain_product, chain)
-    Q, iters = _power_frame(forward, Q, 1e-13)
     eigs = sorted_eigvals(Q.T @ forward(Q))
     K, ratio = _certify_cone("cu", forward, dim)
     return ConeWitness("cu", K, Q, list(eigs), ratio, iters)

@@ -34,10 +34,10 @@ from .cones import invariant_cu_subspace, leaf_march, return_chain
 from .errors import (AmbiguousIndexError, ContractError, ConvergenceError,
                      DomainError, HypothesisError, NumericalError,
                      ValidationError)
-from .global_map import (GlobalMapCoeffs, _check_itinerary, first_return_array,
-                         coeffs_from_json, t1_array, t1_tilde_array)
+from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, coeffs_from_json,
+                         first_return_array, t1_array)
 from .numerics import chain_product, newton_1d, newton_solve, sorted_eigvals
-from .saddle import SaddleModel, SplitVector, build_model, model_from_json
+from .saddle import SaddleModel, SplitVector, build_model, model_from_json, reflect_array
 
 Array = np.ndarray
 
@@ -415,15 +415,6 @@ class CycleCertificate:
     schema_version: int = SCHEMA_VERSION
 
 
-def _tilde_curve(model: SaddleModel, coeffs2: GlobalMapCoeffs, t: float,
-                 mu2: float) -> Array:
-    """Point of the twin global map's image of the unstable axis at offset t
-    from the twin tangency parameter."""
-    cm = coeffs2.with_mu(mu2)
-    v = np.concatenate(([0.0, -coeffs2.y_minus + t], np.zeros(model.dim - 2)))
-    return t1_tilde_array(model, cm, v)
-
-
 def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs,
                     coeffs2: GlobalMapCoeffs, mu2: float, Q02: Array, m: int,
                     eta1: float, leaf_steps: int | None = None) -> tuple[float, dict]:
@@ -434,13 +425,14 @@ def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs,
     Newton matches x and z, leaving the y-mismatch as the reported gap.
     """
     # the z-equations are explicit (z* = q_z(t)), so the inner match is a
-    # 1d solve in t with a near-analytic derivative from the leaf slopes
+    # 1d solve in t whose derivative comes from the leaf slopes and the
+    # twin curve's exact slope: q(t) = R T1(0, y- - t, 0), so dq/dt = -R J e_y
+    cm2 = coeffs2.with_mu(mu2)
+
     def x_mismatch(t: float) -> tuple[float, float, tuple[Array, Array]]:
-        q = _tilde_curve(model, coeffs2, t, mu2)
+        w, J = axis_jet(model, cm2, coeffs2.y_minus - t, jacobian=True)
+        q, dq = reflect_array(model, w), -reflect_array(model, J[:, 1])
         xy, Phi, _ = leaf_march(model, coeffs, Q02, m, q[2:], n_steps=leaf_steps)
-        hq = 1e-7
-        dq = (_tilde_curve(model, coeffs2, t + hq, mu2)
-              - _tilde_curve(model, coeffs2, t - hq, mu2)) / (2.0 * hq)
         slope = float(Phi[0] @ dq[2:]) - dq[0]
         return float(xy[0] - q[0]), slope, (q, xy)
 
@@ -506,7 +498,7 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
     # freeze a coarse leaf step count for the Newton iterations (the leaf is
     # nearly straight); the reported gap is re-measured afterwards at the
     # leaf module's reference resolution
-    q0 = _tilde_curve(model_g, coeffs2, 0.0, mu0)
+    q0 = reflect_array(model_g, axis_jet(model_g, coeffs2.with_mu(mu0), coeffs2.y_minus)[0])
     dist0 = float(np.linalg.norm(q0[2:] - coeffs.z_plus))
     leaf_steps = max(4, int(np.ceil(dist0 / 5e-3)))
 
@@ -690,9 +682,9 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
                 a, fa = mid, fm
         crossing = 0.5 * (a + bpt)
         seg = p_hi - p_lo
-        seg_n = seg / np.linalg.norm(seg)
-        h = 1e-9
-        slope = abs(f(crossing + h * seg_n) - f(crossing - h * seg_n)) / (2 * h)
+        # the exit height's exact derivative along the segment
+        D_exit = saddle.jacobian_along(mdl, saddle.orbit(mdl, crossing, stay))
+        slope = abs(float(D_exit[1] @ seg)) / float(np.linalg.norm(seg))
         return {"found": True, "iterations_used": ret + 1,
                 "crossing_point": list(crossing), "crossing_slope": slope,
                 "boundary_level": level, "stay": stay,

@@ -167,6 +167,35 @@ def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k:
     return t1_array(coeffs, w), J
 
 
+def axis_point(model: SaddleModel, y: float) -> Array:
+    """The unstable-axis point (0, y, 0) as a flat (D,) array."""
+    v = np.zeros(model.dim)
+    v[1] = y
+    return v
+
+
+def axis_jet(model: SaddleModel, cm: GlobalMapCoeffs, y: float, stays=(),
+             jacobian: bool = False) -> tuple[Array, Array | None]:
+    """Image of the unstable-axis point (0, y, 0) under T1 and then under
+    T1 o T0^k for each k in ``stays``, with the chained Jacobian when asked
+    (None otherwise).
+
+    This is the one evaluation of every curve the constructions intersect:
+    stays () is T1(W^u_loc), (k,) the composed map T1 o T0^k o T1 and (k, j)
+    its stage-two composition with a further return; the twin curve is
+    R applied to the jet at y- - t.  The caller passes the axis coordinate
+    itself, so a recorded preimage (0, y, 0) is exactly the point that was
+    evaluated, and a curve's slope along the axis is the Jacobian's column 1.
+    """
+    v = axis_point(model, y)
+    w = t1_array(cm, v)
+    J = t1_jac_array(cm, v) if jacobian else None
+    for k in stays:
+        w, Jk = first_return_array(model, cm, w, k, with_jacobian=jacobian)
+        J = Jk @ J if jacobian else None
+    return w, J
+
+
 # ---------------------------------------------------------------------------
 # strips
 

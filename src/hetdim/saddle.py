@@ -51,10 +51,6 @@ class SplitVector:
         if not (np.isfinite(self.x) and np.isfinite(self.y) and np.all(np.isfinite(z))):
             raise ValidationError("SplitVector components must be finite")
 
-    @property
-    def dim(self) -> int:
-        return 2 + self.z.size
-
     def as_array(self) -> Array:
         return np.concatenate(([self.x, self.y], self.z))
 
@@ -246,10 +242,6 @@ class SaddleModel:
     symmetry_signs: Array
     symmetric: bool
     box: float = 1.0
-
-    @property
-    def A(self) -> Array:
-        return np.diag(self.multipliers.strong)
 
     @functools.cached_property
     def diagonal(self) -> Array:

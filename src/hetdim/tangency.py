@@ -30,8 +30,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, NumericalError
-from .global_map import (GlobalMapCoeffs, _check_itinerary, first_return_array, k_star,
-                         t1_array, t1_jac_array)
+from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, axis_point, k_star,
+                         t1_jac_array)
 from .local import CrossFormResult, solve_cross_form
 from .numerics import newton_1d, newton_solve
 from .saddle import SaddleModel, jacobian_along, orbit
@@ -42,34 +42,6 @@ Array = np.ndarray
 def case_tag(coeffs: GlobalMapCoeffs) -> str:
     cdx = coeffs.c * coeffs.d * coeffs.x_plus
     return ("cdx_pos" if cdx > 0 else "cdx_neg") + ("_d_pos" if coeffs.d > 0 else "_d_neg")
-
-
-def axis_point(model: SaddleModel, y: float) -> Array:
-    """The unstable-axis point (0, y, 0) as a flat (D,) array."""
-    v = np.zeros(model.dim)
-    v[1] = y
-    return v
-
-
-def axis_jet(model: SaddleModel, cm: GlobalMapCoeffs, y: float, stays=(),
-             jacobian: bool = False) -> tuple[Array, Array | None]:
-    """Image of the unstable-axis point (0, y, 0) under T1 and then under
-    T1 o T0^k for each k in ``stays``, with the chained Jacobian when asked
-    (None otherwise).
-
-    This is the one evaluation of the forge's composed curves: stays () is
-    the curve T1(W^u_loc), (k,) the composed map T1 o T0^k o T1 and (k, j)
-    its stage-two composition with a further return.  The caller passes the
-    axis coordinate itself, so a recorded preimage (0, y, 0) is exactly the
-    point that was evaluated.
-    """
-    v = axis_point(model, y)
-    w = t1_array(cm, v)
-    J = t1_jac_array(cm, v) if jacobian else None
-    for k in stays:
-        w, Jk = first_return_array(model, cm, w, k, with_jacobian=jacobian)
-        J = Jk @ J if jacobian else None
-    return w, J
 
 
 def double_return_y(model: SaddleModel, coeffs: GlobalMapCoeffs, t: float, k: int,
@@ -539,31 +511,30 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
 def stage_two_curve(model: SaddleModel, coeffs: GlobalMapCoeffs,
                     base: TangencyBranch) -> ForgeCurve:
     """The composed curve T1 o T0^k o T1 around the stage-one tangency
-    preimage at its mu_k, with x+, b and D from central differences."""
-    h, ybase = 1e-6, float(base.preimage[1])
-    wp, w0, wm = (axis_jet(model, coeffs.with_mu(base.mu_k), ybase + s, (base.k,))[0]
-                  for s in (h, 0.0, -h))
+    preimage at its mu_k: x+ and b from the jet and its exact Jacobian, D
+    from a second difference."""
+    h, ybase, cm = 1e-6, float(base.preimage[1]), coeffs.with_mu(base.mu_k)
+    w0, J = axis_jet(model, cm, ybase, (base.k,), jacobian=True)
+    wp, wm = (axis_jet(model, cm, ybase + s, (base.k,))[0] for s in (h, -h))
     return ForgeCurve(ybase, (base.k,), 0.0, float(w0[1]),
                       D=float(wp[1] - 2.0 * w0[1] + wm[1]) / (h * h) / 2.0,
-                      xp=float(w0[0]), b=float(wp[0] - wm[0]) / (2 * h))
+                      xp=float(w0[0]), b=float(J[0, 1]))
 
 
 def vertex_at(model: SaddleModel, coeffs: GlobalMapCoeffs, curve: ForgeCurve, mu: float,
               tc_guess: float) -> ForgeCurve:
-    """The curve at mu, its vertex (tc, level) found by Newton on the central
-    slope from ``tc_guess`` with the curvature 2 D held fixed."""
+    """The curve at mu, its vertex (tc, level) found by ``newton_1d`` on the
+    jet's exact slope from ``tc_guess``, with the curvature 2 D held fixed;
+    it stops once the Newton step |slope| / 2|D| is below 1e-13."""
     cm = coeffs.with_mu(mu)
 
-    def G(t: float) -> float:
-        return float(axis_jet(model, cm, curve.ybase + t, curve.stays)[0][1])
+    def slope(t: float) -> tuple[float, float, float]:
+        w, J = axis_jet(model, cm, curve.ybase + t, curve.stays, jacobian=True)
+        return float(J[1, 1]), 2.0 * curve.D, float(w[1])
 
-    h, tc = 1e-6, tc_guess
-    for _ in range(8):
-        step = -(G(tc + h) - G(tc - h)) / (2.0 * h) / (2.0 * curve.D)
-        tc += step
-        if abs(step) < 1e-13:
-            break
-    return replace(curve, tc=tc, level=G(tc))
+    tc, _, _, level, _ = newton_1d(slope, tc_guess, tol=2.0 * abs(curve.D) * 1e-13,
+                                   name="stage-two vertex")
+    return replace(curve, tc=tc, level=level)
 
 
 def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBranch,
@@ -607,18 +578,11 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
             Xp = (-coeffs.c * curve.b ** 2 * lam ** j * gamma ** (-j)
                   / (4.0 * coeffs.d * curve.D * Yp))
             mu_eff_needed = gamma ** (-j) * (coeffs.y_minus + Yp)
-            # precondition: walk mu until the composed curve's critical level
-            # sits at the needed gamma^-j height (the linearized envelope is
-            # not accurate enough across this mu-shift)
+            # the linearized mu-shift that lifts the composed curve's vertex
+            # to the needed gamma^-j height, and the vertex itself there
             mu_seed = mu_base + mu_eff_needed / dmu
-            tc = dtc_dmu * (mu_seed - mu_base)
             try:
-                for _ in range(8):
-                    vertex = vertex_at(model, coeffs, curve, mu_seed, tc)
-                    tc = vertex.tc
-                    if abs(vertex.level - mu_eff_needed) < 1e-2 * abs(mu_eff_needed):
-                        break
-                    mu_seed -= (vertex.level - mu_eff_needed) / dmu
+                tc = vertex_at(model, coeffs, curve, mu_seed, dtc_dmu * (mu_seed - mu_base)).tc
             except NumericalError:
                 continue
             tseed = tc + Xp / curve.b

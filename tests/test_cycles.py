@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from hetdim.cones import FRAME_MAX_SWEEPS, invariant_cu_subspace, return_chain
 from hetdim.cycles import (PeriodTwoOrbit, certificate_to_dict, certificate_to_json,
                            closure_oracle_floor, closure_residual_forward, index2_criterion,
                            index2_reductions, orbit_index, orbit_jacobian_chain,
@@ -270,6 +271,41 @@ def test_transverse_connection_iteration_bound(hetdim_certificates, het):
     factor = tw["predicted_first_factor"]
     bound = int(np.ceil(np.log(0.1 / tw["r0"]) / np.log(np.sqrt(factor)))) + 5
     assert tw["iterations_used"] <= bound
+
+
+def _leading_plane(chain: np.ndarray, mp) -> np.ndarray:
+    """Orthonormal basis of the span of the two leading eigenvectors of the
+    chain's product, formed and solved at 120 digits."""
+    with mp.workdps(120):
+        M = mp.eye(chain.shape[1])
+        for J in chain:
+            M = mp.matrix(J.tolist()) * M
+        vals, vecs = mp.eig(M)
+        lead = sorted(range(len(vals)), key=lambda i: -abs(vals[i]))[:2]
+        if mp.im(vals[lead[0]]) != 0:
+            cols = [vecs[:, lead[0]].apply(mp.re), vecs[:, lead[0]].apply(mp.im)]
+        else:
+            cols = [vecs[:, i].apply(mp.re) for i in lead]
+        q1 = cols[0] / mp.norm(cols[0])
+        q2 = cols[1] - (q1.T * cols[1])[0] * q1
+        q2 = q2 / mp.norm(q2)
+        return np.array([[float(q1[i]), float(q2[i])] for i in range(chain.shape[1])])
+
+
+@pytest.mark.parametrize("index,bound", [(0, 1e-12), (1, 1e-7), (2, 1e-5)])
+def test_cu_frame_matches_high_precision_eigenvectors(hetdim_certificates, index, bound):
+    # the plane verify_transverse_connection grows its disk in, against the
+    # 120-digit leading eigenvectors of the same float chain: sin of the
+    # largest principal angle; the frame converges within a few sweeps
+    mp = pytest.importorskip("mpmath")
+    cert = hetdim_certificates[index]
+    model, cm = model_from_json(cert.model_spec), coeffs_from_json(cert.coeffs_spec)
+    chain = return_chain(model, cm, cert.orbit.points["Q01"].as_array(),
+                         list(cert.orbit.itinerary))
+    cu = invariant_cu_subspace(chain)
+    E, Q = _leading_plane(chain, mp), cu.subspace
+    assert np.linalg.norm(Q - E @ (E.T @ Q), 2) < bound
+    assert cu.iterations < FRAME_MAX_SWEEPS
 
 
 def test_general_reproduces_symmetric(hetdim_certificates, het):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hetdim.errors import ItineraryError, ValidationError
-from hetdim.global_map import (GlobalMapCoeffs, coeffs_from_json, first_return_array, in_pi0,
-                               in_pi1, k_star, locate_strip, strip_for, t1_array,
-                               t1_jac_array, t1_tilde_array)
-from hetdim.presets import hetdim_coeffs, hetdim_model
+from hetdim.global_map import (GlobalMapCoeffs, axis_jet, axis_point, coeffs_from_json,
+                               first_return_array, in_pi0, in_pi1, k_star, locate_strip,
+                               strip_for, t1_array, t1_jac_array, t1_tilde_array)
+from hetdim.presets import d4_model, hetdim_coeffs, hetdim_model
 from hetdim.saddle import reflect_array
 
 
@@ -48,17 +48,53 @@ def test_domain_checks(coeffs):
     assert not in_pi1(coeffs, np.zeros(3))  # y too far from y-
 
 
-def test_twin_map_is_conjugation(coeffs, rng):
-    model = hetdim_model()
-    worst = 0.0
-    for _ in range(100):
-        p = np.concatenate(([rng.uniform(-0.05, 0.05),
-                             -coeffs.y_minus + rng.uniform(-0.02, 0.02)],
-                            rng.uniform(-0.05, 0.05, 1)))
-        lhs = t1_tilde_array(model, coeffs, p)
-        rhs = reflect_array(model, t1_array(coeffs, reflect_array(model, p)))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    assert worst < 1e-12
+def _twin_lab(dim: int):
+    """A symmetric linear model in D = 3 or 4 with the cubic term e3 != 0."""
+    coeffs = hetdim_coeffs(e3=0.3)
+    if dim == 3:
+        return hetdim_model(), coeffs
+    return d4_model("linear"), dataclasses.replace(
+        coeffs, z_plus=np.array([0.03, 0.01]), a_t=np.array([0.05, 0.02]),
+        b_t=np.array([0.1, 0.05]), alpha1=np.array([0.02, 0.01]),
+        alpha2=np.array([0.03, 0.01]), alpha3=np.array([[0.4, 0.05], [0.0, 0.3]]))
+
+
+def test_twin_map_is_conjugation(rng):
+    # R o T1 o R written out around (0, -y-, 0), with s = y + y- the offset
+    # from the twin tangency point and S the symmetry signs:
+    #   x' = x+ + a x - b s + alpha1 . S z
+    #   y' = -mu - c x - d s^2 - alpha2 . S z + e3 s^3
+    #   z' = S (z+ + at x - bt s + alpha3 S z)
+    for dim in (3, 4):
+        model, coeffs = _twin_lab(dim)
+        cm, S = coeffs.with_mu(3e-4), model.symmetry_signs
+        worst = 0.0
+        for _ in range(100):
+            x, s = rng.uniform(-0.05, 0.05), rng.uniform(-0.02, 0.02)
+            z = rng.uniform(-0.05, 0.05, dim - 2)
+            closed = np.concatenate((
+                [cm.x_plus + cm.a * x - cm.b * s + cm.alpha1 @ (S * z),
+                 -cm.mu - cm.c * x - cm.d * s * s - cm.alpha2 @ (S * z) + cm.e3 * s ** 3],
+                S * (cm.z_plus + cm.a_t * x - cm.b_t * s + cm.alpha3 @ (S * z))))
+            p = np.concatenate(([x, -cm.y_minus + s], z))
+            worst = max(worst, float(np.max(np.abs(t1_tilde_array(model, cm, p) - closed))))
+        assert worst < 1e-15, dim
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_twin_curve_slope_from_the_axis_jet(dim):
+    # the twin curve q(t) = R T1(0, y- - t, 0) = T1~(0, -y- + t, 0) is R of
+    # the axis jet, and its exact slope -R J[:, 1] matches central
+    # differences of the twin map along its axis
+    model, coeffs = _twin_lab(dim)
+    cm, h = coeffs.with_mu(2e-4), 1e-6
+    for t in (-0.03, -3e-4, 0.0, 1e-3, 0.02):
+        w, J = axis_jet(model, cm, cm.y_minus - t, jacobian=True)
+        assert np.array_equal(reflect_array(model, w),
+                              t1_tilde_array(model, cm, axis_point(model, -cm.y_minus + t)))
+        fd = (t1_tilde_array(model, cm, axis_point(model, -cm.y_minus + t + h))
+              - t1_tilde_array(model, cm, axis_point(model, -cm.y_minus + t - h))) / (2.0 * h)
+        assert np.max(np.abs(fd + reflect_array(model, J[:, 1]))) < 1e-9, t
 
 
 def test_twin_tangency_point(coeffs):

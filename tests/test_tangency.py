@@ -7,9 +7,9 @@ import pytest
 
 from hetdim import tangency
 from hetdim.errors import ValidationError
-from hetdim.global_map import first_return_array, t1_array, t1_jac_array
+from hetdim.global_map import axis_jet, first_return_array, t1_array, t1_jac_array
 from hetdim.presets import forge_coeffs
-from hetdim.tangency import (ROOT_TOL, SLOPE_MIN, axis_jet, curve_points,
+from hetdim.tangency import (ROOT_TOL, SLOPE_MIN, curve_points,
                              find_transverse_homoclinics, forge_admissible_tangency,
                              predicted_c_signs, solve_secondary_tangency, stage_two_curve,
                              verify_tangency_branch, vertex_at, branches_to_csv,
@@ -263,6 +263,26 @@ def test_stage_two_split_pair_near_a_stage_one_tangency(index, lin_model):
     mu = base.mu_k + 1e-8
     vertex = vertex_at(lin_model, coeffs, curve, mu, 0.0)
     assert curve_points(lin_model, coeffs.with_mu(mu), vertex, (), []) == []
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_stage_two_vertex_is_a_zero_of_the_exact_slope(index, lin_model):
+    # the stage-two curve's b is the jet's exact x-slope at the preimage, and
+    # its vertex at each mu a zero of the jet's exact y-slope, to the stop
+    # |slope| < 2 |D| 1e-13 of a Newton step below 1e-13
+    coeffs = forge_coeffs("cdx_pos_d_pos")
+    base = solve_secondary_tangency(lin_model, coeffs, 12)[index]
+    curve = stage_two_curve(lin_model, coeffs, base)
+    cm, h = coeffs.with_mu(base.mu_k), 1e-7
+    fd_b = (axis_jet(lin_model, cm, curve.ybase + h, curve.stays)[0][0]
+            - axis_jet(lin_model, cm, curve.ybase - h, curve.stays)[0][0]) / (2.0 * h)
+    assert abs(fd_b / curve.b - 1.0) < 1e-6
+    for mu in (base.mu_k - 1e-8, base.mu_k, base.mu_k + 1e-8):
+        vertex = vertex_at(lin_model, coeffs, curve, mu, 0.0)
+        w, J = axis_jet(lin_model, coeffs.with_mu(mu), curve.ybase + vertex.tc, curve.stays,
+                        jacobian=True)
+        assert abs(J[1, 1]) < 2.0 * abs(curve.D) * 1e-13
+        assert vertex.level == w[1]
 
 
 def test_straddle_fallback_polishes_the_split_pair_once(lin_model, monkeypatch):
