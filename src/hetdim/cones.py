@@ -19,8 +19,7 @@ from functools import partial
 import numpy as np
 
 from .errors import HypothesisError
-from .global_map import (GlobalMapCoeffs, t1_array, t1_jac_array, t1_tilde_array,
-                         t1_tilde_jac_array)
+from .global_map import GlobalMapCoeffs, t1_array, t1_jac_array
 from .numerics import chain_product, orthonormal_frame, sorted_eigvals
 from .saddle import SaddleModel, orbit, t0_jac_array
 
@@ -28,14 +27,13 @@ Array = np.ndarray
 
 
 def return_chain(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
-                 stays: list[int], tilde: bool = False) -> Array:
+                 stays: list[int]) -> Array:
     """Per-step Jacobians of T1 o T0^k_n o ... o T1 o T0^k_0 along an orbit,
     as an (n, D, D) array with n = sum(k_i + 1).
 
     Per-step factors stay well conditioned individually, which matters for
     the backward (inverse) iteration; the full product's condition number is
-    astronomically large.  ``tilde`` routes the global legs through the twin
-    map (orbits on the mirrored side).
+    astronomically large.
     """
     D = model.dim
     chain = np.empty((sum(stays) + len(stays), D, D))
@@ -45,12 +43,8 @@ def return_chain(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
         traj = orbit(model, v, k)
         chain[i:i + k] = t0_jac_array(model, traj[:k])
         v = traj[k]
-        if tilde:
-            chain[i + k] = t1_tilde_jac_array(model, coeffs, v)
-            v = t1_tilde_array(model, coeffs, v)
-        else:
-            chain[i + k] = t1_jac_array(coeffs, v)
-            v = t1_array(coeffs, v)
+        chain[i + k] = t1_jac_array(coeffs, v)
+        v = t1_array(coeffs, v)
         i += k + 1
     return chain
 
@@ -217,7 +211,7 @@ def stable_frame(chain: Array) -> Array:
 
 
 def stable_slopes(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
-                  k: int, tilde: bool = False) -> Array:
+                  k: int) -> Array:
     """Graph slopes d(x, y)/dz of the stable subspace at a stay-number-k point.
 
     Returns a (2, D-2) matrix Phi with (dx, dy) = Phi dz on E^s(p).
@@ -228,15 +222,12 @@ def stable_slopes(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
     product would be inverted at a condition number near 1e20.
     """
     if model.nonlinearity.kind == "linear":
-        v = orbit(model, p, k)[k]
-        J1 = t1_tilde_jac_array(model, coeffs, v) if tilde else t1_jac_array(coeffs, v)
+        J1 = t1_jac_array(coeffs, orbit(model, p, k)[k])
         chain = np.stack((np.diag(model.diagonal ** k), J1))
     else:
-        chain = return_chain(model, coeffs, p, [k], tilde=tilde)
+        chain = return_chain(model, coeffs, p, [k])
     V = stable_frame(chain)
-    top = V[:2, :]
-    bottom = V[2:, :]
-    return top @ np.linalg.inv(bottom)
+    return V[:2, :] @ np.linalg.inv(V[2:, :])
 
 
 @dataclass
@@ -264,8 +255,7 @@ LEAF_STEP = 1e-3
 
 
 def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
-               z_target: Array, n_steps: int | None = None,
-               tilde: bool = False) -> tuple[Array, Array, Array]:
+               z_target: Array, n_steps: int | None = None) -> tuple[Array, Array, Array]:
     """March the leaf graph from the flat (D,) point base to z_target (Heun
     predictor-corrector).
 
@@ -282,19 +272,18 @@ def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
     dz = dz_total / n_steps
     xy = base[:2].astype(float)
     z = z0.copy()
-    Phi = stable_slopes(model, coeffs, np.concatenate((xy, z)), k, tilde=tilde)
+    Phi = stable_slopes(model, coeffs, np.concatenate((xy, z)), k)
     for _ in range(n_steps):
         pred = xy + Phi @ dz
-        Phi_pred = stable_slopes(model, coeffs, np.concatenate((pred, z + dz)), k,
-                                 tilde=tilde)
+        Phi_pred = stable_slopes(model, coeffs, np.concatenate((pred, z + dz)), k)
         xy = xy + 0.5 * (Phi + Phi_pred) @ dz
         z = z + dz
-        Phi = stable_slopes(model, coeffs, np.concatenate((xy, z)), k, tilde=tilde)
+        Phi = stable_slopes(model, coeffs, np.concatenate((xy, z)), k)
     return xy, Phi, z
 
 
 def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array,
-                       k: int, n_samples: int = 9, tilde: bool = False) -> LeafSample:
+                       k: int, n_samples: int = 9) -> LeafSample:
     """Sample the strong-stable leaf through the flat (D,) point ``base`` over
     the z-box of half-width delta / 2.
 
@@ -312,7 +301,7 @@ def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array,
             z_t[axis] += off
             if np.linalg.norm(z_t) >= coeffs.delta:
                 continue
-            xy, Phi, z = leaf_march(model, coeffs, base, k, z_t, tilde=tilde)
+            xy, Phi, z = leaf_march(model, coeffs, base, k, z_t)
             z_pts.append(z)
             xy_pts.append(xy)
             p1.append(Phi[0])

@@ -35,7 +35,7 @@ from .errors import (AmbiguousIndexError, ContractError, ConvergenceError,
                      DomainError, HypothesisError, NumericalError,
                      ValidationError)
 from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, coeffs_from_json,
-                         first_return_array, t1_array)
+                         first_return_array, in_pi1, t1_array)
 from .numerics import chain_product, newton_1d, newton_solve, sorted_eigvals
 from .saddle import SaddleModel, SplitVector, build_model, model_from_json, reflect_array
 
@@ -594,6 +594,36 @@ def solve_hetdim_general(model: SaddleModel, coeffs1: GlobalMapCoeffs,
 TRANSVERSE_MAX_RETURNS = 50
 
 
+def _poly_area(P: Array) -> float:
+    """Area of the (x, y)-projection of the closed polygon P."""
+    # center first: the polygons are tiny and the raw shoelace would cancel
+    # catastrophically against O(0.1) coordinates
+    x = P[:, 0] - np.mean(P[:, 0])
+    y = P[:, 1] - np.mean(P[:, 1])
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def _return_block(model: SaddleModel, coeffs: GlobalMapCoeffs, pts: Array,
+                  stay: int) -> tuple[Array, Array]:
+    """One return T1 o T0^stay of each row of pts, from one orbit per row.
+
+    Returns the exit heights T0^stay(p)_y, NaN where the orbit leaves the
+    box, and the images T1(T0^stay(p)), NaN where the exit misses Pi1: the
+    values of ``first_return_array`` wherever it does not raise.
+    """
+    exits = np.full(len(pts), np.nan)
+    images = np.full(pts.shape, np.nan)
+    for i, p in enumerate(pts):
+        try:
+            w = saddle.orbit(model, p, stay)[-1]
+        except NumericalError:
+            continue
+        exits[i] = w[1]
+        if in_pi1(coeffs, w):
+            images[i] = t1_array(coeffs, w)
+    return exits, images
+
+
 def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
                                  cert: CycleCertificate) -> dict:
     """Grow a disk in the center-unstable plane at Q01 until it crosses a
@@ -608,8 +638,7 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
     """
     mdl = model_from_json(cert.model_spec)
     cm = coeffs_from_json(cert.coeffs_spec)
-    mu = cm.mu
-    if mu * cm.d >= 0.0:
+    if cm.mu * cm.d >= 0.0:
         raise HypothesisError("no straddling transverse pair at this mu "
                               "(mu * d >= 0); install quartet boundaries instead")
     k, m = cert.orbit.itinerary
@@ -617,31 +646,17 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
     # the disk radius: small enough that the first return stays inside the
     # installed sub-strip (the orbit sits margin-deep inside it), so at least
     # one clean area factor is measured before the crossing
-    width = math.sqrt(-mu / cm.d)  # half-width of the installed sub-strip
+    width = math.sqrt(-cm.mu / cm.d)  # half-width of the installed sub-strip
     margin = width - abs(cert.orbit.eta[0])
     r0 = min(1e-6, 2e-3 * abs(gamma) ** (-k))
     if margin > 0:
         r0 = min(r0, 0.25 * margin * abs(gamma) ** (-k))
 
-    chain = return_chain(mdl, cm, cert.orbit.points["Q01"].as_array(), [k, m])
-    cu = invariant_cu_subspace(chain)
-    E = cu.subspace  # D x 2 orthonormal
-
-    phis = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     base = cert.orbit.points["Q01"].as_array()
-    stays = [k, m]
+    E = invariant_cu_subspace(return_chain(mdl, cm, base, [k, m])).subspace  # D x 2
+    phis = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+    circle = np.cos(phis)[:, None] * E[:, 0] + np.sin(phis)[:, None] * E[:, 1]
     predicted = abs(cm.b * cm.c) * abs(lam * gamma) ** k
-
-    def poly_area(P: Array) -> float:
-        # center first: the polygons are tiny and the raw shoelace would
-        # cancel catastrophically against O(0.1) coordinates
-        x = P[:, 0] - np.mean(P[:, 0])
-        y = P[:, 1] - np.mean(P[:, 1])
-        return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-    def disk(r: float) -> Array:
-        return np.array([base + r * (np.cos(p) * E[:, 0] + np.sin(p) * E[:, 1])
-                         for p in phis])
 
     # the per-return area factor is measured on its own disk, small enough
     # that the exit spread stays below the orbit's exit offset (otherwise
@@ -652,25 +667,14 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
                  0.2 * abs(cert.orbit.eta[0]) * abs(gamma) ** (-k))
     factor_measurable = r_area >= 64.0 * 2.3e-16
     if factor_measurable:
-        P0 = disk(r_area)
-        P1 = []
-        for p in P0:
-            try:
-                out, _ = first_return_array(mdl, cm, p, k, with_jacobian=False)
-                P1.append(out)
-            except NumericalError:
-                pass
-        if len(P1) == len(P0):
-            area_factors.append(poly_area(np.array(P1)) / poly_area(P0))
-
-    pts = disk(r0)
-
-    def exit_y(p: Array, n: int) -> float:
-        return float(saddle.orbit(mdl, p, n)[-1, 1])
+        P0 = base + r_area * circle
+        _, P1 = _return_block(mdl, cm, P0, k)
+        if not np.isnan(P1).any():
+            area_factors.append(_poly_area(P1) / _poly_area(P0))
 
     def _crossing(p_lo: Array, p_hi: Array, stay: int, level: float, ret: int) -> dict:
         """Bisect the segment onto the boundary sheet {T0^stay(p)_y = level}."""
-        f = lambda p: exit_y(p, stay) - level
+        f = lambda p: float(saddle.orbit(mdl, p, stay)[-1, 1]) - level
         a, bpt = p_lo.copy(), p_hi.copy()
         fa = f(a)
         for _ in range(60):
@@ -692,18 +696,14 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
                 "factor_measurable": factor_measurable,
                 "predicted_first_factor": predicted, "r0": r0}
 
-    area_prev = poly_area(pts)
+    pts = base + r0 * circle
+    area_prev = _poly_area(pts)
     for ret in range(TRANSVERSE_MAX_RETURNS):
-        stay = stays[ret % 2]
+        stay = (k, m)[ret % 2]
+        exits, images = _return_block(mdl, cm, pts, stay)
         # a segment crosses a W^s(O) piece when the exit heights of its ends
         # straddle one of the installed boundary levels y- +- width (the
         # sheets through the split transverse pair)
-        exits = np.full(len(pts), np.nan)
-        for i, p in enumerate(pts):
-            try:
-                exits[i] = exit_y(p, stay)
-            except NumericalError:
-                continue
         for i in range(len(pts)):
             j = (i + 1) % len(pts)
             if np.isnan(exits[i]) or np.isnan(exits[j]):
@@ -718,21 +718,12 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
                                      stay, level, ret)
                 except NumericalError:
                     continue
-        nxt = []
-        for i, p in enumerate(pts):
-            if np.isnan(exits[i]):
-                continue
-            try:
-                out, _ = first_return_array(mdl, cm, p, stay, with_jacobian=False)
-                nxt.append(out)
-            except NumericalError:
-                continue
-        if len(nxt) < 3:
+        kept = ~np.isnan(images).any(axis=1)
+        pts = images[kept]
+        if len(pts) < 3:
             raise HypothesisError("tracked polyline degenerated before crossing")
-        coherent = len(nxt) == len(pts)
-        pts = np.array(nxt)
-        area = poly_area(pts)
-        if coherent and area_prev > 0 and area / area_prev <= 1.0:
+        area = _poly_area(pts)
+        if kept.all() and area_prev > 0 and area / area_prev <= 1.0:
             raise HypothesisError("area growth stalled (factor <= 1); "
                                   "expansion hypothesis violated")
         area_prev = area

@@ -149,13 +149,6 @@ def t1_tilde_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array) -> Arr
     return reflect_array(model, t1_array(coeffs, reflect_array(model, v)))
 
 
-def t1_tilde_jac_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array) -> Array:
-    R = np.eye(model.dim)
-    R[1, 1] = -1.0
-    R[2:, 2:] = np.diag(model.symmetry_signs)
-    return R @ t1_jac_array(coeffs, reflect_array(model, v)) @ R
-
-
 def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k: int,
                        with_jacobian: bool = True) -> tuple[Array, Array | None]:
     """T1 o T0^k on flat arrays; ItineraryError names the first violated step."""

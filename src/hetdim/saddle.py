@@ -241,7 +241,6 @@ class SaddleModel:
     nonlinearity: _Nonlinearity
     symmetry_signs: Array
     symmetric: bool
-    box: float = 1.0
 
     @functools.cached_property
     def diagonal(self) -> Array:
@@ -325,6 +324,8 @@ def model_from_json(doc: dict) -> SaddleModel:
 # ---------------------------------------------------------------------------
 # operations
 
+BOX = 1.0  # half-width of the normal form's validity box |x|, |y|, |z_i| <= BOX
+
 
 def t0_array(model: SaddleModel, v: Array) -> Array:
     """One local-map step on a flat (D,) array; no box check."""
@@ -362,13 +363,13 @@ def orbit(model: SaddleModel, v: Array, n: int) -> Array:
         traj[2:] += 0.0
     else:
         for j in range(n):
-            if not np.all(np.abs(traj[j]) <= model.box):
+            if not np.all(np.abs(traj[j]) <= BOX):
                 # past the box the nonlinear terms grow without bound and
                 # overflow; the check below reports row j
                 traj[j + 1:] = np.nan
                 break
             traj[j + 1] = t0_array(model, traj[j])
-    out = ~np.all(np.abs(traj) <= model.box, axis=1)
+    out = ~np.all(np.abs(traj) <= BOX, axis=1)
     if out.any():
         step = int(np.argmax(out))
         raise ItineraryError(f"orbit left the validity box at step {step}", step=step)

@@ -351,25 +351,20 @@ def curve_points(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve, ret
 
 
 def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu: float,
-                                k_range=(), diagnostics: list | None = None
+                                diagnostics: list | None = None
                                 ) -> list[TransverseHomoclinic]:
-    """Transverse homoclinic points of the stage-one curve T1(W^u_loc) at the
-    given mu, polished to |y| < ROOT_TOL.
+    """The split pair of the stage-one curve T1(W^u_loc) at the given mu,
+    polished to |y| < ROOT_TOL: where mu*d < 0 the curve itself crosses the
+    local stable manifold at t = +-sqrt(-mu/d) + o(1).
 
-    Route "split_pair" (needs mu*d < 0): the curve itself crosses the local
-    stable manifold at t = +-sqrt(-mu/d) + o(1).  Route "quartet": for each k
-    in k_range, the doubly-iterated curve crosses it in up to four points.
     Seeds that fail to converge and roots that are not transverse are
     dropped, with a message appended to ``diagnostics`` when a list is given.
+    The quartet at stay n, where the doubly-iterated curve crosses in up to
+    four points, is ``curve_points(model, cm, stage_one_curve(cm), (n,), ...)``.
     """
-    if diagnostics is None:
-        diagnostics = []
     cm = coeffs.with_mu(mu)
-    curve = stage_one_curve(cm)
-    found = curve_points(model, cm, curve, (), diagnostics)
-    for k in k_range:
-        found += curve_points(model, cm, curve, (k,), diagnostics)
-    return found
+    return curve_points(model, cm, stage_one_curve(cm), (),
+                        [] if diagnostics is None else diagnostics)
 
 
 def quartet_stays(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,22 @@ def sym_model():
 @pytest.fixture(scope="session")
 def coeffs_a():
     return forge_coeffs("cdx_neg_d_neg")
+
+
+def twin_coeffs(model, coeffs):
+    """The coefficient set of the twin global map R o T1 o R, with
+    R(x, y, z) = (x, -y, S z): the twin side runs through the same solvers."""
+    S = model.symmetry_signs
+    return dataclasses.replace(
+        coeffs, mu=-coeffs.mu, y_minus=-coeffs.y_minus, z_plus=S * coeffs.z_plus,
+        b=-coeffs.b, c=-coeffs.c, d=-coeffs.d, a_t=S * coeffs.a_t, b_t=-S * coeffs.b_t,
+        alpha1=coeffs.alpha1 * S, alpha2=-coeffs.alpha2 * S,
+        alpha3=S[:, None] * coeffs.alpha3 * S)
+
+
+@pytest.fixture(scope="session")
+def twin():
+    return twin_coeffs
 
 
 @pytest.fixture(scope="session")

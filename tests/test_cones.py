@@ -144,8 +144,9 @@ def test_leaf_exponent_fit_matches_report_rates():
     assert all(s.fit_exponents == (e1, e2) for s in samples)
 
 
-def test_leaf_equivariance_in_symmetric_mode():
-    # leaf(R base) = R leaf(base): slopes transform as phi1 -> -phi1,
+def test_leaf_equivariance_in_symmetric_mode(twin):
+    # leaf(R base) = R leaf(base), the mirrored leaf taken with the twin
+    # coefficients of R o T1 o R: slopes transform as phi1 -> -phi1,
     # phi2 -> +phi2 under (x, y, z) -> (x, -y, -z)
     model = hetdim_model(tier="polynomial_symmetric")
     coeffs = hetdim_coeffs()
@@ -153,7 +154,7 @@ def test_leaf_equivariance_in_symmetric_mode():
     base = strip_center(model, coeffs, k)
     leaf = strong_stable_leaf(model, coeffs, base, k, n_samples=5)
     base_r = reflect_array(model, base)
-    leaf_r = strong_stable_leaf(model, coeffs, base_r, k, n_samples=5, tilde=True)
+    leaf_r = strong_stable_leaf(model, twin(model, coeffs), base_r, k, n_samples=5)
     for i in range(len(leaf.z_points)):
         z = leaf.z_points[i, 0]
         j = int(np.argmin(np.abs(leaf_r.z_points[:, 0] + z)))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from hetdim import saddle
 from hetdim.cones import FRAME_MAX_SWEEPS, invariant_cu_subspace, return_chain
 from hetdim.cycles import (PeriodTwoOrbit, certificate_to_dict, certificate_to_json,
                            closure_oracle_floor, closure_residual_forward, index2_criterion,
@@ -14,9 +15,9 @@ from hetdim.cycles import (PeriodTwoOrbit, certificate_to_dict, certificate_to_j
                            orbit_multipliers, orbit_to_unknowns, replay_certificate_dict,
                            solve_hetdim_general, solve_hetdim_symmetric, solve_period2,
                            solve_period2_with_s, verify_transverse_connection,
-                           _connection_gap, _period2_seed)
-from hetdim.errors import ContractError, ValidationError
-from hetdim.global_map import coeffs_from_json, t1_tilde_array
+                           _connection_gap, _period2_seed, _return_block)
+from hetdim.errors import ContractError, NumericalError, ValidationError
+from hetdim.global_map import coeffs_from_json, first_return_array, t1_tilde_array
 from hetdim.presets import (battery_coeffs, battery_model, battery_pairs, hetdim_coeffs,
                             hetdim_model, hetdim_schedule)
 from hetdim.saddle import SplitVector, model_from_json, reflect_array, t0_array
@@ -271,6 +272,44 @@ def test_transverse_connection_iteration_bound(hetdim_certificates, het):
     factor = tw["predicted_first_factor"]
     bound = int(np.ceil(np.log(0.1 / tw["r0"]) / np.log(np.sqrt(factor)))) + 5
     assert tw["iterations_used"] <= bound
+
+
+def test_return_block_matches_single_point_returns(hetdim_certificates):
+    # a disk around Q01 of the (12,10) certificate, plus a start outside the
+    # box, a row that leaves it on the way and one whose exit misses Pi1
+    cert = hetdim_certificates[0]
+    model, cm = model_from_json(cert.model_spec), coeffs_from_json(cert.coeffs_spec)
+    k, m = cert.orbit.itinerary
+    q = cert.orbit.points["Q01"].as_array()
+    E = invariant_cu_subspace(return_chain(model, cm, q, [k, m])).subspace
+    phis = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    disk = q + 1e-9 * (np.cos(phis)[:, None] * E[:, 0] + np.sin(phis)[:, None] * E[:, 1])
+    extra = np.array([[1.5, q[1], q[2]], q * [1.0, 3.0, 1.0], q * [1.0, 0.8, 1.0]])
+    pts = np.concatenate((disk, extra))
+    blocks = {stay: _return_block(model, cm, pts, stay) for stay in (k, m)}
+    for stay, (exits, images) in blocks.items():
+        for p, e, img in zip(pts, exits, images):
+            try:
+                ref_exit = saddle.orbit(model, p, stay)[-1, 1]
+            except NumericalError:
+                assert np.isnan(e) and np.isnan(img).all()
+                continue
+            assert e.tobytes() == ref_exit.tobytes()
+            try:
+                ref_img, _ = first_return_array(model, cm, p, stay, with_jacobian=False)
+            except NumericalError:
+                assert np.isnan(img).all()
+                continue
+            assert img.tobytes() == ref_img.tobytes()
+    # every kind of row occurs: at stay k the disk returns, the first two
+    # extra rows leave the box and the last one misses Pi1; at stay m the
+    # disk misses Pi1
+    exits, images = blocks[k]
+    assert np.isfinite(images[:-3]).all()
+    assert np.isnan(exits[-3:-1]).all() and np.isfinite(exits[-1])
+    assert np.isnan(images[-1]).all()
+    exits, images = blocks[m]
+    assert np.isfinite(exits[:-3]).all() and np.isnan(images[:-3]).all()
 
 
 def _leading_plane(chain: np.ndarray, mp) -> np.ndarray:

@@ -16,13 +16,12 @@ import pytest
 from hetdim.cones import return_chain, stable_frame, stable_slopes, strip_center
 from hetdim.cycles import orbit_index, orbit_jacobian_chain
 from hetdim.errors import ConvergenceError, DomainError, ItineraryError
-from hetdim.global_map import (first_return_array, t1_array, t1_jac_array, t1_tilde_array,
-                               t1_tilde_jac_array)
+from hetdim.global_map import first_return_array, t1_array, t1_jac_array, t1_tilde_array
 from hetdim.local import _forward_y
 from hetdim.numerics import fd_jacobian, newton_1d, orthonormal_frame
 from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
                             forge_coeffs, hetdim_coeffs, hetdim_model)
-from hetdim.saddle import (Multipliers, build_model, orbit, reflect_array, t0_array,
+from hetdim.saddle import (BOX, Multipliers, build_model, orbit, reflect_array, t0_array,
                            t0_jac_array)
 
 TIERS = ("linear", "polynomial", "polynomial_symmetric")
@@ -95,7 +94,7 @@ def _step_loop(model, v, n):
     rows = [np.array(v, dtype=float)]
     for j in range(n):
         rows.append(t0_array(model, rows[-1]))
-        if np.max(np.abs(rows[-1])) > model.box:
+        if np.max(np.abs(rows[-1])) > BOX:
             return np.stack(rows), j + 1
     return np.stack(rows), None
 
@@ -167,9 +166,12 @@ def test_forward_y_matches_step_loop(make, tier):
 
 
 @pytest.mark.parametrize("tilde", [False, True])
-def test_return_chain_matches_step_loop(tilde):
+def test_return_chain_matches_step_loop(tilde, twin):
+    # the twin side is the chain of the twin coefficient set, checked here
+    # against the closed form R o T1 o R and its conjugated Jacobian
     model, coeffs = hetdim_model(tier="polynomial_symmetric"), hetdim_coeffs()
     base = strip_center(model, coeffs, 12)
+    R = np.diag(np.concatenate(([1.0, -1.0], model.symmetry_signs)))
     if tilde:
         base = reflect_array(model, base)
     v, ref = base, []
@@ -178,12 +180,12 @@ def test_return_chain_matches_step_loop(tilde):
             ref.append(t0_jac_array(model, v))
             v = t0_array(model, v)
         if tilde:
-            ref.append(t1_tilde_jac_array(model, coeffs, v))
+            ref.append(R @ t1_jac_array(coeffs, reflect_array(model, v)) @ R)
             v = t1_tilde_array(model, coeffs, v)
         else:
             ref.append(t1_jac_array(coeffs, v))
             v = t1_array(coeffs, v)
-    chain = return_chain(model, coeffs, base, [12, 10], tilde=tilde)
+    chain = return_chain(model, twin(model, coeffs) if tilde else coeffs, base, [12, 10])
     assert chain.tobytes() == np.stack(ref).tobytes()
 
 
@@ -218,7 +220,7 @@ def _d4_coeffs():
 @pytest.mark.parametrize("tilde", [False, True])
 @pytest.mark.parametrize("k", [10, 20, 36])
 @pytest.mark.parametrize("lab", ["hetdim", "d4"])
-def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde):
+def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde, twin):
     if lab == "hetdim":
         model, coeffs = hetdim_model(), hetdim_coeffs()
     else:
@@ -226,7 +228,8 @@ def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde):
     base = strip_center(model, coeffs, k)
     if tilde:
         base = reflect_array(model, base)
-    chain = return_chain(model, coeffs, base, [k], tilde=tilde)
+        coeffs = twin(model, coeffs)
+    chain = return_chain(model, coeffs, base, [k])
     assert chain.shape == (k + 1, model.dim, model.dim)
     W = stable_frame(chain)
     assert W.shape == (model.dim, model.dim - 2)
@@ -234,9 +237,9 @@ def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde):
     assert subspace_distance(W, _reference_stable_frame(chain)) < 1e-13
 
 
-def _chain_slopes(model, coeffs, p, k, tilde):
+def _chain_slopes(model, coeffs, p, k):
     """Leaf slopes from the full per-step chain."""
-    V = stable_frame(return_chain(model, coeffs, p, [k], tilde=tilde))
+    V = stable_frame(return_chain(model, coeffs, p, [k]))
     return V[:2, :] @ np.linalg.inv(V[2:, :])
 
 
@@ -251,15 +254,16 @@ def _slope_lab(lab, tier):
 @pytest.mark.parametrize("tilde", [False, True])
 @pytest.mark.parametrize("k", [10, 20, 36])
 @pytest.mark.parametrize("lab, rel_tol", [("hetdim", 1e-14), ("base", 1e-14), ("d4", 1e-8)])
-def test_linear_stable_slopes_match_full_chain(lab, rel_tol, k, tilde):
+def test_linear_stable_slopes_match_full_chain(lab, rel_tol, k, tilde, twin):
     # the d4 tolerance is the power iteration's 1e-14 stopping tolerance,
     # amplified through the two-column frame
     model, coeffs = _slope_lab(lab, "linear")
     p = strip_center(model, coeffs, k)
     if tilde:
         p = reflect_array(model, p)
-    ref = _chain_slopes(model, coeffs, p, k, tilde)
-    Phi = stable_slopes(model, coeffs, p, k, tilde=tilde)
+        coeffs = twin(model, coeffs)
+    ref = _chain_slopes(model, coeffs, p, k)
+    Phi = stable_slopes(model, coeffs, p, k)
     assert Phi.shape == (2, model.dim - 2)
     assert np.max(np.abs(Phi - ref)) <= rel_tol * np.max(np.abs(ref))
 
@@ -269,7 +273,7 @@ def test_linear_stable_slopes_match_full_chain(lab, rel_tol, k, tilde):
 def test_polynomial_stable_slopes_are_the_chain_path(lab, k):
     model, coeffs = _slope_lab(lab, "polynomial")
     p = strip_center(model, coeffs, k)
-    ref = _chain_slopes(model, coeffs, p, k, False)
+    ref = _chain_slopes(model, coeffs, p, k)
     assert stable_slopes(model, coeffs, p, k).tobytes() == ref.tobytes()
 
 

@@ -11,9 +11,9 @@ from hetdim.global_map import axis_jet, first_return_array, t1_array, t1_jac_arr
 from hetdim.presets import forge_coeffs
 from hetdim.tangency import (ROOT_TOL, SLOPE_MIN, curve_points,
                              find_transverse_homoclinics, forge_admissible_tangency,
-                             predicted_c_signs, solve_secondary_tangency, stage_two_curve,
-                             verify_tangency_branch, vertex_at, branches_to_csv,
-                             double_return_y)
+                             predicted_c_signs, solve_secondary_tangency, stage_one_curve,
+                             stage_two_curve, verify_tangency_branch, vertex_at,
+                             branches_to_csv, double_return_y)
 
 CASES = ["cdx_neg_d_neg", "cdx_pos_d_neg", "cdx_neg_d_pos", "cdx_pos_d_pos"]
 
@@ -177,7 +177,8 @@ def test_quartet_positions(lin_model):
     coeffs = forge_coeffs("cdx_neg_d_pos")
     lam, gam = lin_model.multipliers.lam, lin_model.multipliers.gamma
     k = 14
-    pts = find_transverse_homoclinics(lin_model, coeffs, 0.0, k_range=[k])
+    cm = coeffs.with_mu(0.0)
+    pts = curve_points(lin_model, cm, stage_one_curve(cm), (k,), [])
     assert len(pts) == 4
     dy = lam ** (k / 2) * np.sqrt(abs(coeffs.c * coeffs.x_plus / coeffs.d))
     ys = sorted(p.point[1] for p in pts)
