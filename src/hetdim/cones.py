@@ -7,8 +7,8 @@ the (x, y)-plane), and in the backward direction, on the product of the
 factors' inverses, the (D-2)-dimensional strong-stable one (seeded in z).
 Cone invariance is certified by measuring the image opening of a sampled
 cone boundary.  Leaves of the strong-stable foliation are integrated as graphs
-x = x(z), y = y(z) by a predictor-corrector march that re-projects on the
-numerically computed stable subspace at every step.
+x = x(z), y = y(z) along the slopes of the numerically computed stable
+subspace, by Heun steps whose error is checked against two half steps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import ConvergenceError, HypothesisError
 from .global_map import GlobalMapCoeffs, t1_array, t1_jac_array
 from .numerics import chain_product, orthonormal_frame, sorted_eigvals
 from .saddle import SaddleModel, orbit, t0_jac_array
@@ -251,35 +251,46 @@ class LeafSample:
         return float(np.max(np.abs(self.phi2)))
 
 
-LEAF_STEP = 1e-3
+# a leaf piece is accepted when one Heun step and two half steps agree to
+# LEAF_ULPS ulps per component, and is halved otherwise, at most LEAF_MAX_DEPTH deep
+LEAF_ULPS, LEAF_MAX_DEPTH = 64, 8
+
+
+def _leaf_piece(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, xy: Array,
+                Phi: Array, z0: Array, z1: Array, depth: int) -> tuple[Array, Array]:
+    """The (x, y) arrival at z1 and its slopes, from (xy, z0) with slopes Phi, by
+    step doubling (Richardson error estimation; Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4); the ulps are those of the larger of start and arrival."""
+    def slopes(xy, z):
+        return stable_slopes(model, coeffs, np.concatenate((xy, z)), k)
+
+    def heun(xy, Phi, za, zb):
+        return xy + 0.5 * (Phi + slopes(xy + Phi @ (zb - za), zb)) @ (zb - za)
+
+    zm = z0 + 0.5 * (z1 - z0)
+    mid = heun(xy, Phi, z0, zm)
+    two = heun(mid, slopes(mid, zm), zm, z1)
+    err = np.abs(heun(xy, Phi, z0, z1) - two)
+    if np.all(err <= LEAF_ULPS * np.spacing(np.maximum(np.abs(xy), np.abs(two)))):
+        return two, slopes(two, z1)
+    if depth == LEAF_MAX_DEPTH:
+        raise ConvergenceError(f"leaf march unsettled after {depth} halvings",
+                               residual=float(np.max(err)))
+    mid, Phi_mid = _leaf_piece(model, coeffs, k, xy, Phi, z0, zm, depth + 1)
+    return _leaf_piece(model, coeffs, k, mid, Phi_mid, zm, z1, depth + 1)
 
 
 def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
-               z_target: Array, n_steps: int | None = None) -> tuple[Array, Array, Array]:
-    """March the leaf graph from the flat (D,) point base to z_target (Heun
-    predictor-corrector).
-
-    Returns the (x, y) arrival, the slope matrix at arrival, and the arrival
-    z (= z_target).  Without ``n_steps`` the step count is frozen from the
-    step size LEAF_STEP, so the result is a smooth function of the endpoints.
-    """
-    z0 = base[2:].astype(float)
+               z_target: Array) -> tuple[Array, Array, Array]:
+    """March the leaf graph from the flat (D,) point base to z_target by Heun
+    steps, each checked by two half steps (``_leaf_piece``); a leaf straight to
+    rounding takes six slope evaluations.  Returns the (x, y) arrival, the slope
+    matrix there, and z_target itself; raises ConvergenceError past
+    LEAF_MAX_DEPTH halvings."""
     z_target = np.atleast_1d(np.asarray(z_target, dtype=float))
-    dz_total = z_target - z0
-    dist = float(np.linalg.norm(dz_total))
-    if n_steps is None:
-        n_steps = max(1, int(np.ceil(dist / LEAF_STEP)))
-    dz = dz_total / n_steps
-    xy = base[:2].astype(float)
-    z = z0.copy()
-    Phi = stable_slopes(model, coeffs, np.concatenate((xy, z)), k)
-    for _ in range(n_steps):
-        pred = xy + Phi @ dz
-        Phi_pred = stable_slopes(model, coeffs, np.concatenate((pred, z + dz)), k)
-        xy = xy + 0.5 * (Phi + Phi_pred) @ dz
-        z = z + dz
-        Phi = stable_slopes(model, coeffs, np.concatenate((xy, z)), k)
-    return xy, Phi, z
+    xy, z0 = base[:2].astype(float), base[2:].astype(float)
+    Phi = stable_slopes(model, coeffs, np.concatenate((xy, z0)), k)
+    return (*_leaf_piece(model, coeffs, k, xy, Phi, z0, z_target, 0), z_target)
 
 
 def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array,

@@ -415,9 +415,8 @@ class CycleCertificate:
     schema_version: int = SCHEMA_VERSION
 
 
-def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                    coeffs2: GlobalMapCoeffs, mu2: float, Q02: Array, m: int,
-                    eta1: float, leaf_steps: int | None = None) -> tuple[float, dict]:
+def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs, coeffs2: GlobalMapCoeffs,
+                    mu2: float, Q02: Array, m: int, eta1: float) -> tuple[float, dict]:
     """Gap along y between the strong-stable leaf of the flat point Q02 and
     the twin curve.
 
@@ -432,7 +431,7 @@ def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs,
     def x_mismatch(t: float) -> tuple[float, float, tuple[Array, Array]]:
         w, J = axis_jet(model, cm2, coeffs2.y_minus - t, jacobian=True)
         q, dq = reflect_array(model, w), -reflect_array(model, J[:, 1])
-        xy, Phi, _ = leaf_march(model, coeffs, Q02, m, q[2:], n_steps=leaf_steps)
+        xy, Phi, _ = leaf_march(model, coeffs, Q02, m, q[2:])
         slope = float(Phi[0] @ dq[2:]) - dq[0]
         return float(xy[0] - q[0]), slope, (q, xy)
 
@@ -495,20 +494,12 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
             mu2 = mu2 + 2.0 * coeffs.c * lam ** k * coeffs.x_plus
         return mu2
 
-    # freeze a coarse leaf step count for the Newton iterations (the leaf is
-    # nearly straight); the reported gap is re-measured afterwards at the
-    # leaf module's reference resolution
-    q0 = reflect_array(model_g, axis_jet(model_g, coeffs2.with_mu(mu0), coeffs2.y_minus)[0])
-    dist0 = float(np.linalg.norm(q0[2:] - coeffs.z_plus))
-    leaf_steps = max(4, int(np.ceil(dist0 / 5e-3)))
-
     def F(w: Array) -> Array:
         u, mu1, g = w[:-2], w[-2], w[-1]
         mdl = _rebuild_gamma(model, g)
         cm = coeffs.with_mu(mu1)
         rows, eta1, Q02 = _period2_residual(mdl, cm, u, k, m, s_target)
-        gap, _ = _connection_gap(mdl, cm, coeffs2, mu2_of(mu1, eta1), Q02, m, eta1,
-                                 leaf_steps=leaf_steps)
+        gap, _ = _connection_gap(mdl, cm, coeffs2, mu2_of(mu1, eta1), Q02, m, eta1)
         return np.append(rows, gap / max(abs(mdl.multipliers.gamma) ** (-m), 1e-300))
 
     scales, tol, accept = _period2_tolerances(model_g, coeffs, k, m, mu0)
@@ -525,8 +516,7 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
     orbit.s_value = s_target
     eta1 = orbit.eta[0]
     mu2 = mu2_of(mu1, eta1)
-    gap, conn = _connection_gap(mdl, cm, coeffs2, mu2, orbit.points["Q02"].as_array(), m,
-                                eta1, leaf_steps=None)
+    gap, conn = _connection_gap(mdl, cm, coeffs2, mu2, orbit.points["Q02"].as_array(), m, eta1)
 
     eigs = orbit_multipliers(orbit_jacobian_chain(mdl, cm, orbit))
     idx = _count_outside(eigs)
@@ -545,7 +535,7 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
         parameters=params,
         orbit=orbit,
         index_evidence=[complex(e) for e in eigs],
-        quasi_connection={"gap": gap, **conn, "mu2": mu2, "leaf_steps": None},
+        quasi_connection={"gap": gap, **conn, "mu2": mu2},
         theta_decomposition={"m_over_k": m / k, "C_star": c_star,
                              "lambda_k_gamma_m": lam_k_gam_m,
                              "target_ratio": c_star_ratio},
@@ -823,8 +813,7 @@ def replay_certificate_dict(doc: dict) -> dict:
         # coefficient set, so its splitting parameter is coeffs.mu itself
         mu2 = coeffs.mu if doc["mode"] == "symmetric" else doc["quasi_connection"]["mu2"]
         gap, _ = _connection_gap(model, coeffs, coeffs2, mu2, pts["Q02"].as_array(), m,
-                                 eta1=float(doc["eta"][0]),
-                                 leaf_steps=doc["quasi_connection"].get("leaf_steps"))
+                                 float(doc["eta"][0]))
         return abs(gap)
 
     guarded("gap", tol["gap"], gap_check)

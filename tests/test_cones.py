@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hetdim import cones
 from hetdim.cones import (invariant_cu_subspace, invariant_s_subspace,
-                          leaf_exponent_fit, leaf_march, return_chain,
+                          leaf_exponent_fit, leaf_march, return_chain, stable_slopes,
                           strip_center, strong_stable_leaf)
+from hetdim.errors import ConvergenceError
 from hetdim.numerics import sorted_eigvals
 from hetdim.presets import (base_model, d4_model, decoupled_coeffs, hetdim_coeffs,
                             hetdim_model, leaf_coeffs, leaf_model)
@@ -163,10 +165,70 @@ def test_leaf_equivariance_in_symmetric_mode(twin):
         assert abs(leaf_r.xy_points[j, 1] + leaf.xy_points[i, 1]) < 1e-10
 
 
+def _heun_reference(model, coeffs, base, k, target, n_steps):
+    """The leaf arrival at target by n_steps fixed Heun steps over stable_slopes."""
+    xy, z = base[:2].astype(float), base[2:].astype(float)
+    dz = (target - z) / n_steps
+    Phi = stable_slopes(model, coeffs, base, k)
+    for _ in range(n_steps):
+        Phi_pred = stable_slopes(model, coeffs, np.concatenate((xy + Phi @ dz, z + dz)), k)
+        xy = xy + 0.5 * (Phi + Phi_pred) @ dz
+        z = z + dz
+        Phi = stable_slopes(model, coeffs, np.concatenate((xy, z)), k)
+    return xy
+
+
 def test_leaf_march_consistency(lin_chain):
     model, coeffs, k, _ = lin_chain
     base = strip_center(model, coeffs, k)
     target = base[2:] + 0.04
-    xy_a, _, _ = leaf_march(model, coeffs, base, k, target)
-    xy_b, _, _ = leaf_march(model, coeffs, base, k, target, n_steps=80)
-    assert np.max(np.abs(xy_a - xy_b)) < 1e-12
+    xy, _, _ = leaf_march(model, coeffs, base, k, target)
+    assert np.max(np.abs(xy - _heun_reference(model, coeffs, base, k, target, 80))) < 1e-12
+
+
+def test_leaf_march_splits_a_curved_leaf(monkeypatch):
+    # at k = 4 the leaf_model leaf is curved: one Heun step over the half box
+    # misses, so the march halves its span and still lands on the fine march
+    model, coeffs = leaf_model(), leaf_coeffs()
+    k = 4
+    base = strip_center(model, coeffs, k)
+    target = base[2:] + coeffs.delta / 2
+    ref = _heun_reference(model, coeffs, base, k, target, 1000)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return stable_slopes(*args)
+
+    monkeypatch.setattr(cones, "stable_slopes", counted)
+    xy, _, _ = leaf_march(model, coeffs, base, k, target)
+    assert len(calls) > 6
+    assert np.max(np.abs(xy - ref)) < 1e-14
+
+
+def test_leaf_samples_sit_at_the_requested_points():
+    model, coeffs = leaf_model(), leaf_coeffs()
+    k = 8
+    base = strip_center(model, coeffs, k)
+    leaf = strong_stable_leaf(model, coeffs, base, k)
+    offsets = np.linspace(-coeffs.delta / 2, coeffs.delta / 2, 9)
+    wanted = np.array([[base[2] + off] for off in offsets
+                       if abs(base[2] + off) < coeffs.delta])
+    assert np.array_equal(leaf.z_points, wanted)
+
+
+def test_leaf_march_depth_cap(monkeypatch, lin_chain):
+    # slopes that flip sign on every call never let the one step and the two
+    # half steps agree: the march gives up with a typed error at the depth cap
+    model, coeffs, k, _ = lin_chain
+    calls = []
+
+    def alternating(*args):
+        calls.append(1)
+        return np.full((2, 1), (-1.0) ** len(calls))
+
+    monkeypatch.setattr(cones, "stable_slopes", alternating)
+    base = strip_center(model, coeffs, k)
+    with pytest.raises(ConvergenceError, match="leaf march"):
+        leaf_march(model, coeffs, base, k, base[2:] + 0.04)
+    assert len(calls) <= 1 + 5 * (cones.LEAF_MAX_DEPTH + 1)

@@ -264,6 +264,21 @@ def test_transverse_connection(hetdim_certificates, het):
         assert abs(tw["area_factors"][0] / tw["predicted_first_factor"] - 1.0) < 0.15
 
 
+def test_nonlinear_cycle_certifies_replays_and_crosses():
+    # the polynomial_symmetric tier: the leaf slopes come from full return
+    # chains rather than the linear tier's two-factor chain
+    model, coeffs = hetdim_model(tier="polynomial_symmetric"), hetdim_coeffs()
+    cert = solve_hetdim_symmetric(model, coeffs, 12, 10, s_target=0.0)
+    doc = json.loads(certificate_to_json(cert))
+    assert replay_certificate_dict(doc)["all_ok"]
+    tw = verify_transverse_connection(model, coeffs, cert)
+    assert tw["found"] and tw["iterations_used"] <= 50
+    # certificates written before the checked leaf march carry
+    # "leaf_steps": null in their quasi_connection; replay still accepts them
+    doc["quasi_connection"]["leaf_steps"] = None
+    assert replay_certificate_dict(doc)["all_ok"]
+
+
 def test_transverse_connection_iteration_bound(hetdim_certificates, het):
     # crossing within ceil(log(delta / r0) / log(factor^(1/2))) + 5 returns
     model, coeffs = het
