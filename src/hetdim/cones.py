@@ -257,10 +257,13 @@ LEAF_ULPS, LEAF_MAX_DEPTH = 64, 8
 
 
 def _leaf_piece(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, xy: Array,
-                Phi: Array, z0: Array, z1: Array, depth: int) -> tuple[Array, Array]:
+                Phi: Array, z0: Array, z1: Array, depth: int,
+                one: Array | None = None) -> tuple[Array, Array]:
     """The (x, y) arrival at z1 and its slopes, from (xy, z0) with slopes Phi, by
     step doubling (Richardson error estimation; Hairer, Norsett & Wanner, Solving
-    ODEs I, II.4); the ulps are those of the larger of start and arrival."""
+    ODEs I, II.4); the ulps are those of the larger of start and arrival.  ``one``
+    is the one-step arrival when the caller has it: a split piece's first half
+    step is its first child's one step."""
     def slopes(xy, z):
         return stable_slopes(model, coeffs, np.concatenate((xy, z)), k)
 
@@ -270,14 +273,14 @@ def _leaf_piece(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, xy: Array,
     zm = z0 + 0.5 * (z1 - z0)
     mid = heun(xy, Phi, z0, zm)
     two = heun(mid, slopes(mid, zm), zm, z1)
-    err = np.abs(heun(xy, Phi, z0, z1) - two)
+    err = np.abs((heun(xy, Phi, z0, z1) if one is None else one) - two)
     if np.all(err <= LEAF_ULPS * np.spacing(np.maximum(np.abs(xy), np.abs(two)))):
         return two, slopes(two, z1)
     if depth == LEAF_MAX_DEPTH:
         raise ConvergenceError(f"leaf march unsettled after {depth} halvings",
                                residual=float(np.max(err)))
-    mid, Phi_mid = _leaf_piece(model, coeffs, k, xy, Phi, z0, zm, depth + 1)
-    return _leaf_piece(model, coeffs, k, mid, Phi_mid, zm, z1, depth + 1)
+    xy_m, Phi_m = _leaf_piece(model, coeffs, k, xy, Phi, z0, zm, depth + 1, one=mid)
+    return _leaf_piece(model, coeffs, k, xy_m, Phi_m, zm, z1, depth + 1)
 
 
 def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,

@@ -85,7 +85,8 @@ class TangencyBranch:
     tangency, and c_value the induced c of the composed global map.
     tangency_point and preimage are flat (D,) arrays.  straddle_ok records
     the forge's straddle check on the branch it chose (None when it checked
-    none).
+    none).  slope_tol is the tolerance the solve held the slope row to, its
+    float floor at the seed (None on branches no secondary solve produced).
     """
 
     k: int
@@ -101,6 +102,7 @@ class TangencyBranch:
     c_sign: int | None = None
     c_value: float | None = None
     straddle_ok: bool | None = None
+    slope_tol: float | None = None
 
 
 def _seed(coeffs: GlobalMapCoeffs, lam: float, gamma: float, k: int, sign: int):
@@ -131,6 +133,9 @@ def _seed(coeffs: GlobalMapCoeffs, lam: float, gamma: float, k: int, sign: int):
     return float(X), float(Y), float(mu)
 
 
+FOLD_ULPS = 256  # the ulps each floor probe of the slope row moves
+
+
 def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
                              k: int) -> list[TangencyBranch]:
     """Both secondary-tangency branches at stay number k.
@@ -138,7 +143,12 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     Newton on (X, Y, mu): cross-form consistency of the curve point, the
     homoclinic condition after the second global-map application, and the
     vanishing derivative along the curve (quadratic contact).  Seeds come
-    from the scaled-limit solutions and are polished to residual 1e-12.
+    from the scaled-limit solutions.  The first two rows stop at 1e-14; the
+    slope row stops at twice its float floor, which grows like gamma^k: the
+    sum of its changes per ulp of the axis point y- + X/b and per ulp of the
+    exit height y- + Y, each measured over FOLD_ULPS ulps at the seed.  That
+    tolerance, kept within [1e-13, 1e-10], is the branch's slope_tol; below
+    the floor a fold's Newton only random-walks X and Y.
     The induced c = d(G_y)/dx, G = T1 o T0^k o T1, is the [1, 0] entry of the
     final evaluation's exact Jacobian (an FD probe in x would be amplified by
     gamma^k); HypothesisError when |c| < 1e-14 leaves its sign open.
@@ -167,9 +177,15 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         scales = np.array([0.01 * abs(b), min(0.01, max(10.0 * abs(Y0), 1e-9)),
                            max(10.0 * abs(mu0), 1e-6)])
         try:
+            r3 = jet(np.array([X0, Y0, mu0]))[0][2]
+            dX = FOLD_ULPS * b * np.spacing(coeffs.y_minus + X0 / b)
+            dY = FOLD_ULPS * np.spacing(coeffs.y_minus + Y0)
+            floor = (abs(jet(np.array([X0 + dX, Y0, mu0]))[0][2] - r3)
+                     + abs(jet(np.array([X0, Y0 + dY, mu0]))[0][2] - r3)) / FOLD_ULPS
+            slope_tol = float(min(1e-10, max(1e-13, 2.0 * floor)))
             u, _, _ = newton_solve(lambda u: jet(u)[0], np.array([X0, Y0, mu0]),
                                    scales=scales,
-                                   tol=np.array([1e-14, 1e-14, 1e-13]),
+                                   tol=np.array([1e-14, 1e-14, slope_tol]),
                                    accept_tol=np.array([1e-12, 1e-12, 1e-10]),
                                    max_iter=60,
                                    name=f"secondary tangency k={k} branch {branch_id}")
@@ -190,7 +206,7 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
             k=k, branch=branch_id, mu_k=mu, X=X, Y=Y, residual=res,
             case=case_tag(coeffs), tangency_point=axis_jet(model, coeffs.with_mu(mu), y)[0],
             preimage=axis_point(model, y), t_param=t,
-            c_sign=int(np.sign(c)), c_value=c))
+            c_sign=int(np.sign(c)), c_value=c, slope_tol=slope_tol))
     return branches
 
 

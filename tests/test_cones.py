@@ -188,7 +188,8 @@ def test_leaf_march_consistency(lin_chain):
 
 def test_leaf_march_splits_a_curved_leaf(monkeypatch):
     # at k = 4 the leaf_model leaf is curved: one Heun step over the half box
-    # misses, so the march halves its span and still lands on the fine march
+    # misses, so the march halves its span and still lands on the fine march;
+    # each split's first half step serves as its first child's one step
     model, coeffs = leaf_model(), leaf_coeffs()
     k = 4
     base = strip_center(model, coeffs, k)
@@ -202,7 +203,7 @@ def test_leaf_march_splits_a_curved_leaf(monkeypatch):
 
     monkeypatch.setattr(cones, "stable_slopes", counted)
     xy, _, _ = leaf_march(model, coeffs, base, k, target)
-    assert len(calls) > 6
+    assert len(calls) == 62
     assert np.max(np.abs(xy - ref)) < 1e-14
 
 
@@ -218,17 +219,21 @@ def test_leaf_samples_sit_at_the_requested_points():
 
 
 def test_leaf_march_depth_cap(monkeypatch, lin_chain):
-    # slopes that flip sign on every call never let the one step and the two
-    # half steps agree: the march gives up with a typed error at the depth cap
+    # slopes dx/dz = dy/dz = z^2 curve far more than any leaf: over a span h
+    # the one step and the two half steps differ by h^3 / 8, about 5e-13 at
+    # the 8th halving of 0.04, never within 64 ulps of x+.  So the march gives
+    # up with a typed error at the depth cap, after the first piece's four
+    # slope calls and three per halving (each reuses its parent's half step)
     model, coeffs, k, _ = lin_chain
     calls = []
 
-    def alternating(*args):
+    def curved(model, coeffs, p, k):
         calls.append(1)
-        return np.full((2, 1), (-1.0) ** len(calls))
+        return np.tile(p[2:] ** 2, (2, 1))
 
-    monkeypatch.setattr(cones, "stable_slopes", alternating)
+    monkeypatch.setattr(cones, "stable_slopes", curved)
     base = strip_center(model, coeffs, k)
     with pytest.raises(ConvergenceError, match="leaf march"):
         leaf_march(model, coeffs, base, k, base[2:] + 0.04)
+    assert len(calls) == 1 + 4 + 3 * cones.LEAF_MAX_DEPTH
     assert len(calls) <= 1 + 5 * (cones.LEAF_MAX_DEPTH + 1)

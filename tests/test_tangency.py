@@ -113,6 +113,35 @@ def test_branches_solve_and_verify(case, lin_model):
             assert abs(second) > 1.0    # quadratic contact, not higher order
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_secondary_solve_stops_at_the_slope_floor(case, lin_model, monkeypatch):
+    # the slope row J[1, 1] of the fold cannot fall below its float floor,
+    # which grows like gamma^k: each branch solve stops there within a few
+    # dozen residual evaluations instead of grinding to its iteration cap
+    jet, solve = tangency._cross_form_jet, tangency.newton_solve
+    jets, solves = [], []
+
+    def counted_jet(*args):
+        jets.append(1)
+        return jet(*args)
+
+    def counted_solve(*args, **kwargs):
+        start = len(jets)
+        out = solve(*args, **kwargs)
+        solves.append(len(jets) - start)
+        return out
+
+    monkeypatch.setattr(tangency, "_cross_form_jet", counted_jet)
+    monkeypatch.setattr(tangency, "newton_solve", counted_solve)
+    coeffs = forge_coeffs(case)
+    for k in range(12, 25, 2):
+        solves.clear()
+        for br in solve_secondary_tangency(lin_model, coeffs, k):
+            _, J = jet(lin_model, coeffs.with_mu(br.mu_k), br.X, br.Y, k)
+            assert abs(J[1, 1]) <= br.slope_tol <= 1e-10, (k, br.branch)
+        assert len(solves) == 2 and max(solves) <= 40, (k, solves)
+
+
 def test_parity_required(lin_model, coeffs_a):
     with pytest.raises(ValidationError, match="itinerary parity: k must be even"):
         solve_secondary_tangency(lin_model, coeffs_a, 13)
@@ -313,10 +342,16 @@ def test_forge_with_cubic_h_term(lin_model):
     assert b1.c_sign == -b2.c_sign
 
 
-def test_forge_on_polynomial_tier(poly_model):
-    coeffs = forge_coeffs("cdx_neg_d_neg")
-    cert = forge_admissible_tangency(poly_model, coeffs, [12, 14])
-    assert cert.branch.straddle_ok and cert.c_product > 0.0
+def test_forge_on_polynomial_tier(poly_model, sym_model):
+    # both nonlinear tiers certify every sign case at the linear tier's k and
+    # stage count (a two-stage certificate's k is its tertiary stay j)
+    expected = {"cdx_neg_d_neg": (12, 1), "cdx_pos_d_neg": (12, 1),
+                "cdx_neg_d_pos": (14, 1), "cdx_pos_d_pos": (14, 2)}
+    for model in (poly_model, sym_model):
+        for case, (k, stages) in expected.items():
+            cert = forge_admissible_tangency(model, forge_coeffs(case), [12, 14])
+            assert cert.branch.straddle_ok and cert.c_product > 0.0
+            assert (cert.branch.k, cert.stages) == (k, stages), (model.nonlinearity.kind, case)
 
 
 def test_csv_emission(lin_model, coeffs_a):
