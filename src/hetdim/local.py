@@ -3,9 +3,10 @@ iterates are ``saddle.orbit``.
 
 The cross form solves for the orbit segment connecting an entry plane to an
 exit plane: given (x0, yk, z0) it finds the unique (xk, y0, zk) such that k
-forward steps from (x0, y0, z0) land at (xk, yk, zk).  The y-equation is a
-scalar contraction at rate |gamma|^-k, so a Newton polish of y0 with forward
-shooting closes it quickly; the linear tier converges in one step.
+forward steps from (x0, y0, z0) land at (xk, yk, zk).  On the linear tier
+y0 = yk / gamma^k in closed form, and one forward orbit gives xk and zk.  On
+the nonlinear tiers the y-equation is a scalar contraction at rate
+|gamma|^-k, so a Newton polish of y0 with forward shooting closes it quickly.
 """
 
 from __future__ import annotations
@@ -42,17 +43,25 @@ class CrossFormResult:
 def solve_cross_form(model: SaddleModel, x0: float, yk: float, z0, k: int) -> CrossFormResult:
     """Solve the cross form: find (x_k, y_0, z_k) with prescribed (x0, yk, z0).
 
-    Newton on y0 (the shooting derivative dyk/dy0 ~ gamma^k) from the linear
-    guess yk / gamma^k; tolerance 1e-12 on |yk(y0) - yk|.
+    On the linear tier y0 = yk / gamma^k, and x_k, z_k come from one
+    ``orbit`` from (x0, y0, z0): its y_k misses yk by a few ulps, far below
+    the 1e-12 tolerance, so the result is the one shooting would return
+    after its first evaluation (iterations 1).  The nonlinear tiers polish y0
+    by Newton (the shooting derivative dyk/dy0 ~ gamma^k) from that guess;
+    tolerance 1e-12 on |yk(y0) - yk|.  ItineraryError when the orbit leaves
+    the box.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
+    y0 = float(yk / model.multipliers.gamma ** k)
+    if model.nonlinearity.kind == "linear":
+        v = orbit(model, np.concatenate(([x0, y0], z0)), k)[k]
+        return CrossFormResult(float(v[0]), y0, v[2:], abs(float(v[1]) - yk), 1)
 
     def shoot(y0: float) -> tuple[float, float, tuple[float, Array]]:
         y_end, slope, xk, zk = _forward_y(model, x0, y0, z0, k)
         return y_end - yk, slope, (xk, zk)
 
-    y0, resid, _, (xk, zk), evals = newton_1d(
-        shoot, yk / model.multipliers.gamma ** k, tol=1e-12, name=f"cross form k={k}")
+    y0, resid, _, (xk, zk), evals = newton_1d(shoot, y0, tol=1e-12, name=f"cross form k={k}")
     return CrossFormResult(xk, y0, zk, abs(resid), evals)
 
 

@@ -67,9 +67,19 @@ def _cross_form_jet(model: SaddleModel, cm: GlobalMapCoeffs, X: float, Y: float,
     x0 = cm.x_plus + X
     z0 = cm.z_plus + cm.b_t * t
     cf = solve_cross_form(model, x0, cm.y_minus + Y, z0, k)
-    traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), k)
+    if model.nonlinearity.kind == "linear":
+        # the stay's Jacobian is diagonal: carry T1's Jacobian through it as
+        # a running product of the multipliers, the multiplications that
+        # chaining the step Jacobians performs
+        stack = np.empty((k + 1, model.dim, model.dim))
+        stack[0] = t1_jac_array(cm, v)
+        stack[1:] = model.diagonal[:, None]
+        chain = np.multiply.accumulate(stack, axis=0, out=stack)[k]
+    else:
+        traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), k)
+        chain = jacobian_along(model, traj, t1_jac_array(cm, v))
     endpoint = np.concatenate(([cf.x_k, cm.y_minus + Y], cf.z_k))
-    return cf, t1_jac_array(cm, endpoint) @ jacobian_along(model, traj, t1_jac_array(cm, v))
+    return cf, t1_jac_array(cm, endpoint) @ chain
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +230,14 @@ def verify_tangency_branch(model: SaddleModel, coeffs: GlobalMapCoeffs,
     point must coincide with the claimed parameter, and the contact must be
     quadratic.  Slopes use the exact chained derivative; the raw slope at t*
     itself only reflects the last-ulp placement of t* against a curvature of
-    order gamma^k.
+    order gamma^k.  The second-difference step in t is 1e-6 at k = 12 and
+    scales with the stay like |gamma|^(12 - k): the t-width of the stay-k
+    strip shrinks like |gamma|^-k while the curvature grows like |gamma|^k,
+    so a fixed step would leave the strip at deep k.
     """
     cm = coeffs.with_mu(branch.mu_k)
     t = branch.t_param
-    h = 1e-6  # second-difference step in t
+    h = 1e-6 * abs(model.multipliers.gamma) ** (12 - branch.k)
     g0, slope0 = double_return_y(model, cm, t, branch.k, with_slope=True)
     gp = double_return_y(model, cm, t + h, branch.k)
     gm = double_return_y(model, cm, t - h, branch.k)

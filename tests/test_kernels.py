@@ -12,17 +12,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import coordinates, linear_models, phase_points, stays
 
 from hetdim.cones import return_chain, stable_frame, stable_slopes, strip_center
 from hetdim.cycles import orbit_index, orbit_jacobian_chain
 from hetdim.errors import ConvergenceError, DomainError, ItineraryError
-from hetdim.global_map import first_return_array, t1_array, t1_jac_array, t1_tilde_array
-from hetdim.local import _forward_y
+from hetdim.global_map import (axis_point, first_return_array, t1_array, t1_jac_array,
+                               t1_tilde_array)
+from hetdim.local import _forward_y, solve_cross_form
 from hetdim.numerics import fd_jacobian, newton_1d, orthonormal_frame
 from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
                             forge_coeffs, hetdim_coeffs, hetdim_model)
 from hetdim.saddle import (BOX, Multipliers, build_model, orbit, reflect_array, t0_array,
                            t0_jac_array)
+from hetdim.tangency import _cross_form_jet
 
 TIERS = ("linear", "polynomial", "polynomial_symmetric")
 
@@ -90,12 +95,13 @@ MODELS = {"D3": base_model, "D4": d4_model, "negative": _negative_model}
 
 def _step_loop(model, v, n):
     """The trajectory stepped one t0_array call at a time, and the first
-    step that leaves the box (None if none does)."""
+    row outside the box (None if none is; row 0 is the start)."""
     rows = [np.array(v, dtype=float)]
-    for j in range(n):
-        rows.append(t0_array(model, rows[-1]))
-        if np.max(np.abs(rows[-1])) > BOX:
-            return np.stack(rows), j + 1
+    for j in range(n + 1):
+        if np.max(np.abs(rows[j])) > BOX:
+            return np.stack(rows), j
+        if j < n:
+            rows.append(t0_array(model, rows[j]))
     return np.stack(rows), None
 
 
@@ -163,6 +169,100 @@ def test_forward_y_matches_step_loop(make, tier):
         yk, slope, xk, zk = _forward_y(model, 0.1, y0, z0, k)
         assert (yk, slope, xk) == (float(v[1]), float(dy[1]), float(v[0]))
         assert zk.tobytes() == v[2:].tobytes()
+
+
+def _cross_form_reference(model, x0, yk, z0, k):
+    """The linear cross form by the step loop from (x0, yk / gamma^k, z0):
+    the (x_k, y_0, z_k...) bytes and the residual, or the exit step."""
+    y0 = yk / model.multipliers.gamma ** k
+    traj, exit_step = _step_loop(model, np.concatenate(([x0, y0], z0)), k)
+    if exit_step is not None:
+        return None, None, exit_step
+    end = traj[k]
+    return np.r_[end[0], y0, end[2:]].tobytes(), abs(end[1] - yk), None
+
+
+def _cross_form_bytes(cf):
+    return np.r_[cf.x_k, cf.y_0, cf.z_k].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_linear_cross_form_is_the_step_loop_bitwise(name):
+    model = MODELS[name]("linear")
+    for v in _orbit_starts(model.dim):
+        for yk in (0.45, -0.3, -0.0):
+            for k in (0, 2, 6, 12, 24, 30):
+                ref, residual, exit_step = _cross_form_reference(model, v[0], yk, v[2:], k)
+                assert exit_step is None
+                cf = solve_cross_form(model, v[0], yk, v[2:], k)
+                assert _cross_form_bytes(cf) == ref, (v, yk, k)
+                assert cf.iterations == 1 and cf.residual == residual < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_linear_cross_form_raises_the_orbits_exit_step(name):
+    model = MODELS[name]("linear")
+    z0 = np.full(model.dim - 2, 0.03)
+    # a start outside the box, and a y that leaves it at the last step
+    for x0, yk, step in ((1.5, 0.3, 0), (0.1, 1.5, 6)):
+        assert _cross_form_reference(model, x0, yk, z0, 6)[2] == step
+        with pytest.raises(ItineraryError) as exc:
+            solve_cross_form(model, x0, yk, z0, 6)
+        assert exc.value.step == step
+
+
+def _d4_forge_coeffs(case):
+    return dataclasses.replace(
+        forge_coeffs(case), z_plus=np.array([0.03, 0.01]), a_t=np.array([0.05, 0.02]),
+        b_t=np.array([0.1, 0.05]), alpha1=np.array([0.02, 0.01]),
+        alpha2=np.array([0.03, 0.01]), alpha3=np.array([[0.4, 0.05], [0.0, 0.3]]))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("case", ["cdx_neg_d_neg", "cdx_pos_d_pos"])
+def test_linear_cross_form_jet_is_the_step_loop_chain_bitwise(name, case, rng):
+    model = MODELS[name]("linear")
+    coeffs = forge_coeffs(case) if model.dim == 3 else _d4_forge_coeffs(case)
+    for k in range(2, 31, 4):
+        X, Y, mu = rng.uniform(-0.02, 0.02, size=3)
+        cm = coeffs.with_mu(mu)
+        cf, J_jet = _cross_form_jet(model, cm, X, Y, k)
+        t = X / cm.b
+        J = t1_jac_array(cm, axis_point(model, cm.y_minus + t))
+        w = np.concatenate(([cm.x_plus + X, cf.y_0], cm.z_plus + cm.b_t * t))
+        for _ in range(k):
+            J = t0_jac_array(model, w) @ J
+            w = t0_array(model, w)
+        endpoint = np.concatenate(([cf.x_k, cm.y_minus + Y], cf.z_k))
+        assert J_jet.tobytes() == (t1_jac_array(cm, endpoint) @ J).tobytes(), k
+
+
+@settings(derandomize=True, database=None, max_examples=100)
+@given(model=linear_models(), k=stays, data=st.data())
+def test_linear_orbit_is_the_step_loop_property(model, k, data):
+    v = data.draw(phase_points(model.dim))
+    traj, exit_step = _step_loop(model, v, k)
+    if exit_step is None:
+        assert orbit(model, v, k).tobytes() == traj.tobytes()
+    else:
+        with pytest.raises(ItineraryError) as exc:
+            orbit(model, v, k)
+        assert exc.value.step == exit_step
+
+
+@settings(derandomize=True, database=None, max_examples=100)
+@given(model=linear_models(), k=stays, x0=coordinates, yk=coordinates, data=st.data())
+def test_linear_cross_form_is_the_step_loop_property(model, k, x0, yk, data):
+    z0 = data.draw(phase_points(model.dim - 2))
+    ref, residual, exit_step = _cross_form_reference(model, x0, yk, z0, k)
+    if exit_step is None:
+        cf = solve_cross_form(model, x0, yk, z0, k)
+        assert _cross_form_bytes(cf) == ref
+        assert cf.iterations == 1 and cf.residual == residual < 1e-12
+    else:
+        with pytest.raises(ItineraryError) as exc:
+            solve_cross_form(model, x0, yk, z0, k)
+        assert exc.value.step == exit_step
 
 
 @pytest.mark.parametrize("tilde", [False, True])

@@ -114,6 +114,20 @@ def test_branches_solve_and_verify(case, lin_model):
 
 
 @pytest.mark.parametrize("case", CASES)
+def test_every_forge_branch_verifies_through_k24(case, lin_model):
+    # the second-difference probe scales with the stay, so it stays inside
+    # the stay-k strip; past k = 16 the vertex slope is bounded by its
+    # change per ulp of the axis point y- + t*, |second| * spacing(y- + t*)
+    coeffs = forge_coeffs(case)
+    for k in range(12, 25, 2):
+        for br in solve_secondary_tangency(lin_model, coeffs, k):
+            value, slope, second, voff = verify_tangency_branch(lin_model, coeffs, br)
+            assert value < 1e-9 and voff < 1e-6 and abs(second) > 1.0, (k, br.branch)
+            ulp_slope = abs(second) * np.spacing(coeffs.y_minus + br.t_param)
+            assert slope <= 2.0 * ulp_slope, (k, br.branch, slope / ulp_slope)
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_secondary_solve_stops_at_the_slope_floor(case, lin_model, monkeypatch):
     # the slope row J[1, 1] of the fold cannot fall below its float floor,
     # which grows like gamma^k: each branch solve stops there within a few
