@@ -73,14 +73,18 @@ def _power_frame(apply, W: Array, tol: float) -> tuple[Array, int]:
     by less than ``tol``; returns the frame and the sweeps taken.
 
     The move is the principal-angle residual ||Wn - W (W^T Wn)||_F, the part
-    of the new frame outside the old span.
+    of the new frame outside the old span.  ConvergenceError carries the last
+    move when FRAME_MAX_SWEEPS sweeps do not get below ``tol``.
     """
     for it in range(FRAME_MAX_SWEEPS):
         Wn = orthonormal_frame(apply(W))
-        if np.linalg.norm(Wn - W @ (W.T @ Wn)) < tol:
+        move = np.linalg.norm(Wn - W @ (W.T @ Wn))
+        if move < tol:
             return Wn, it + 1
         W = Wn
-    return W, FRAME_MAX_SWEEPS
+    raise ConvergenceError(f"frame power iteration: span still moves by {move:.3e} "
+                           f"after {FRAME_MAX_SWEEPS} sweeps (tolerance {tol:g})",
+                           residual=float(move))
 
 
 def _z_seed(dim: int) -> Array:

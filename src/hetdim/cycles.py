@@ -5,10 +5,10 @@ A period-2 orbit with itinerary (k, m) visits
 
     Q01 --T0^k--> Q11 --T1--> Q02 --T0^m--> Q12 --T1--> Q01,
 
-with k > m both even.  The closure system is solved in offset unknowns
-(xi = x - x+, eta = y_exit - y-, zeta = z - z+) with cross-form local blocks;
-residuals are verified afterwards by direct forward iteration, which is the
-independent oracle for every solved orbit.
+with k > m both even: two legs of one kind, a stay T0^n and then T1.  The
+closure system is solved in per-leg unknowns (xi, ups = gamma^n y, zeta) at the
+entries (``_legs``); residuals are verified afterwards by direct forward
+iteration, which is the independent oracle for every solved orbit.
 
 The cycle solvers append to the closure system the index relation
 
@@ -34,8 +34,8 @@ from .cones import invariant_cu_subspace, leaf_march, return_chain
 from .errors import (AmbiguousIndexError, ContractError, ConvergenceError,
                      DomainError, HypothesisError, NumericalError,
                      ValidationError)
-from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, coeffs_from_json,
-                         first_return_array, in_pi1, t1_array)
+from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, check_dimensions,
+                         coeffs_from_json, first_return_array, in_pi1, t1_array)
 from .numerics import chain_product, newton_1d, newton_solve, sorted_eigvals
 from .saddle import SaddleModel, SplitVector, build_model, model_from_json, reflect_array
 
@@ -79,23 +79,26 @@ class PeriodTwoOrbit:
         return self.itinerary[1]
 
 
-def _leg_points(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
-                k: int, m: int) -> tuple[Array, Array, Array, Array]:
-    """Entry points and leg exits from the unknown vector.
+_LEG_NAMES = (("Q01", "Q11"), ("Q02", "Q12"))
 
-    Unknowns are (xi1, ups1, zeta1, xi2, ups2, zeta2) with ups = gamma^n * y
-    at the entry: pre-amplifying the tiny entry heights keeps every residual
-    and every float at the exit scale, where gamma^n no longer amplifies
-    errors (this is what makes the forward-iteration oracle attainable at
-    1e-10 for large itineraries).
+
+def _legs(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
+          stays: tuple[int, int]) -> list[tuple[Array, Array]]:
+    """[(entry, exit), (entry, exit)] of the legs (Q01, Q11) and (Q02, Q12).
+
+    Leg j's unknowns are u[j*D:(j+1)*D] = (x - x+, gamma^n y, z - z+) at its
+    entry, with n = stays[j]; its exit is T0^n(entry).  Pre-amplifying the
+    tiny entry heights keeps every residual and float at the exit scale,
+    where gamma^n no longer amplifies errors (this makes the forward oracle
+    attainable at 1e-10 for large itineraries).
     """
-    nz = model.dim - 2
-    gam = model.multipliers.gamma
-    p1 = np.concatenate(([coeffs.x_plus + u[0], u[1] / gam ** k],
-                         coeffs.z_plus + u[2:2 + nz]))
-    p2 = np.concatenate(([coeffs.x_plus + u[2 + nz], u[3 + nz] / gam ** m],
-                         coeffs.z_plus + u[4 + nz:4 + 2 * nz]))
-    return p1, saddle.orbit(model, p1, k)[-1], p2, saddle.orbit(model, p2, m)[-1]
+    D, gam = model.dim, model.multipliers.gamma
+    legs = []
+    for j, n in enumerate(stays):
+        v = u[j * D:(j + 1) * D]
+        entry = np.concatenate(([coeffs.x_plus + v[0], v[1] / gam ** n], coeffs.z_plus + v[2:]))
+        legs.append((entry, saddle.orbit(model, entry, n)[-1]))
+    return legs
 
 
 def _period2_residual(model: SaddleModel, cm: GlobalMapCoeffs, u: Array, k: int,
@@ -104,21 +107,21 @@ def _period2_residual(model: SaddleModel, cm: GlobalMapCoeffs, u: Array, k: int,
     (eta1 eta2 - s lambda^(k+m) - shift) / lambda^(k+m); also returns the
     exit offset eta1 and the flat entry point Q02 of this evaluation.
 
-    Both global legs use the same T1 (the whole orbit stays near the first
-    tangency); the twin map enters only through the connection curve.
+    Leg j's block is T1(exit_j) - entry_other, with the y row at the other
+    leg's exit scale.  Both legs use the same T1 (the whole orbit stays near
+    the first tangency); the twin map enters only through the connection curve.
     """
-    nz = model.dim - 2
+    D = model.dim
     lam, gam = model.multipliers.lam, model.multipliers.gamma
-    p1, e1, p2, e2 = _leg_points(model, cm, u, k, m)
-    A = t1_array(cm, e1)
-    B = t1_array(cm, e2)
-    r = np.empty(2 * model.dim + 1)
-    r[0] = A[0] - p2[0]
-    r[1] = A[1] * gam ** m - u[3 + nz]
-    r[2:2 + nz] = A[2:] - p2[2:]
-    r[2 + nz] = B[0] - p1[0]
-    r[3 + nz] = B[1] * gam ** k - u[1]
-    r[4 + nz:-1] = B[2:] - p1[2:]
+    stays = (k, m)
+    legs = _legs(model, cm, u, stays)
+    r = np.empty(2 * D + 1)
+    for j, (_, exit_j) in enumerate(legs):
+        o = 1 - j
+        image = t1_array(cm, exit_j)
+        r[j * D:(j + 1) * D] = image - legs[o][0]
+        r[j * D + 1] = image[1] * gam ** stays[o] - u[o * D + 1]
+    (_, e1), (p2, e2) = legs
     eta1, eta2 = float(e1[1] - cm.y_minus), float(e2[1] - cm.y_minus)
     scale_idx = lam ** (k + m)
     r[-1] = (eta1 * eta2 - s_target * scale_idx
@@ -135,51 +138,48 @@ def _period2_tolerances(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: 
     amplification-aware acceptance floors (the Newton polishes until progress
     stalls, then the best iterate is accepted if below the floors).
     """
-    nz = model.dim - 2
+    D = model.dim
     fl1, fl2 = closure_floors(model, coeffs, k, m)
     fl_idx = index_relation_floor(model, coeffs, k, m)
     # axis sizes: offsets perturb quantities of order x+, y- ~ 0.1 .. 0.5
-    scales = np.append(np.full(2 * model.dim, 0.02), max(10 * abs(mu0), 1e-6))
-    tol = np.append(np.full(2 * model.dim, 1e-13), max(1e-11, fl_idx))
-    accept = np.append(np.full(2 * model.dim, 1e-12), 10.0 * fl_idx)
-    accept[1] = max(fl2, 1e-12)
-    accept[3 + nz] = max(fl1, 1e-12)
+    scales = np.append(np.full(2 * D, 0.02), max(10 * abs(mu0), 1e-6))
+    tol = np.append(np.full(2 * D, 1e-13), max(1e-11, fl_idx))
+    accept = np.append(np.full(2 * D, 1e-12), 10.0 * fl_idx)
+    # the y rows of legs 0 and 1 (see _legs)
+    accept[1:2 * D:D] = max(fl2, 1e-12), max(fl1, 1e-12)
     return scales, tol, accept
 
 
 def _orbit_from_unknowns(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
                          k: int, m: int) -> PeriodTwoOrbit:
-    p1, e1, p2, e2 = _leg_points(model, coeffs, u, k, m)
-    ym = coeffs.y_minus
-    Q01 = SplitVector.from_array(p1)
-    Q11 = SplitVector.from_array(e1)
-    Q02 = SplitVector.from_array(p2)
-    Q12 = SplitVector.from_array(e2)
-    res = closure_residual_forward(model, coeffs, p1, k, m)
-    return PeriodTwoOrbit(points={"Q01": Q01, "Q11": Q11, "Q02": Q02, "Q12": Q12},
-                          itinerary=(k, m), eta=(float(e1[1] - ym), float(e2[1] - ym)),
-                          mu=coeffs.mu, closure_residual=res)
+    legs = _legs(model, coeffs, u, (k, m))
+    points = {name: SplitVector.from_array(p)
+              for names, leg in zip(_LEG_NAMES, legs) for name, p in zip(names, leg)}
+    eta = tuple(float(exit_j[1] - coeffs.y_minus) for _, exit_j in legs)
+    res = closure_residual_forward(model, coeffs, legs[0][0], k, m)
+    return PeriodTwoOrbit(points=points, itinerary=(k, m), eta=eta, mu=coeffs.mu,
+                          closure_residual=res)
 
 
 def closure_residual_forward(model: SaddleModel, coeffs: GlobalMapCoeffs,
                              Q01: Array, k: int, m: int) -> float:
     """Independent oracle: iterate the flat (D,) point Q01 through
     T1 o T0^m o T1 o T0^k directly."""
-    v, _ = first_return_array(model, coeffs, Q01, k, with_jacobian=False)
-    v, _ = first_return_array(model, coeffs, v, m, with_jacobian=False)
+    v = Q01
+    for n in (k, m):
+        v, _ = first_return_array(model, coeffs, v, n, with_jacobian=False)
     return float(np.max(np.abs(v - Q01)))
 
 
 def orbit_to_unknowns(model: SaddleModel, coeffs: GlobalMapCoeffs,
                       orbit: PeriodTwoOrbit) -> Array:
-    """Unknown vector (xi1, ups1, zeta1, xi2, ups2, zeta2) of a solved orbit."""
+    """Unknown vector of a solved orbit, in the layout of ``_legs``."""
     gam = model.multipliers.gamma
-    k, m = orbit.itinerary
-    return np.concatenate((
-        [orbit.points["Q01"].x - coeffs.x_plus, orbit.points["Q01"].y * gam ** k],
-        orbit.points["Q01"].z - coeffs.z_plus,
-        [orbit.points["Q02"].x - coeffs.x_plus, orbit.points["Q02"].y * gam ** m],
-        orbit.points["Q02"].z - coeffs.z_plus))
+    parts = []
+    for (name, _), n in zip(_LEG_NAMES, orbit.itinerary):
+        p = orbit.points[name]
+        parts += [[p.x - coeffs.x_plus, p.y * gam ** n], p.z - coeffs.z_plus]
+    return np.concatenate(parts)
 
 
 def _index_relation(coeffs: GlobalMapCoeffs, lam: float, gamma: float,
@@ -248,7 +248,6 @@ def _period2_seed(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
     """
     lam = model.multipliers.lam
     c, d, xp, ym, b = coeffs.c, coeffs.d, coeffs.x_plus, coeffs.y_minus, coeffs.b
-    nz = model.dim - 2
     half_m = lam ** (m // 2)
     if c * d * xp > 0:
         P = (s_target * lam ** (k + m)
@@ -260,8 +259,10 @@ def _period2_seed(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
         eta2 = SEED_BRANCH * s_target * lam ** k * half_m * math.sqrt(abs(d / (c * xp)))
     mu = (-0.5 * c * lam ** k * xp - 0.5 * coeffs.b * c * lam ** k * eta2
           - d * eta1 * eta1 - coeffs.e3 * eta1 ** 3)
-    u = np.concatenate(([b * eta2, ym + eta1], np.zeros(nz),
-                        [b * eta1, ym + eta2], np.zeros(nz)))
+    # leg j enters at x+ + b eta_other and exits at y- + eta_j (see _legs)
+    D = model.dim
+    u = np.zeros(2 * D)
+    u[0:2 * D:D], u[1:2 * D:D] = (b * eta2, b * eta1), (ym + eta1, ym + eta2)
     return u, mu
 
 
@@ -273,14 +274,13 @@ def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
         seed, _ = _period2_seed(model, coeffs, k, m, 0.0)
         # at fixed mu the exit offsets follow from the static balance
         lam, gamma = model.multipliers.lam, model.multipliers.gamma
-        nz = model.dim - 2
         ym, mu = coeffs.y_minus, coeffs.mu
-        e2_sq = (ym * gamma ** (-k) - mu - coeffs.c * lam ** m * coeffs.x_plus) / coeffs.d
-        e1_sq = (ym * gamma ** (-m) - mu - coeffs.c * lam ** k * coeffs.x_plus) / coeffs.d
-        if e2_sq > 0:
-            seed[3 + nz] = ym + SEED_BRANCH * math.sqrt(e2_sq)
-        if e1_sq > 0:
-            seed[1] = ym + SEED_BRANCH * math.sqrt(e1_sq)
+        stays = (k, m)
+        for j, n in enumerate(stays):
+            e_sq = (ym * gamma ** (-stays[1 - j]) - mu
+                    - coeffs.c * lam ** n * coeffs.x_plus) / coeffs.d
+            if e_sq > 0:
+                seed[j * model.dim + 1] = ym + SEED_BRANCH * math.sqrt(e_sq)
 
     def F(u: Array) -> Array:
         return _period2_residual(model, coeffs, u, k, m, 0.0)[0][:-1]
@@ -321,8 +321,8 @@ def orbit_jacobian_chain(model: SaddleModel, coeffs: GlobalMapCoeffs,
     straight through both legs amplifies the closure residual by gamma^m,
     enough to perturb the exit Jacobians and flip marginal indices."""
     cm = coeffs.with_mu(orbit.mu)
-    return np.concatenate((return_chain(model, cm, orbit.points["Q01"].as_array(), [orbit.k]),
-                           return_chain(model, cm, orbit.points["Q02"].as_array(), [orbit.m])))
+    return np.concatenate([return_chain(model, cm, orbit.points[name].as_array(), [n])
+                           for (name, _), n in zip(_LEG_NAMES, orbit.itinerary)])
 
 
 def orbit_multipliers(chain: Array) -> Array:
@@ -360,7 +360,6 @@ def index2_criterion(model: SaddleModel, coeffs: GlobalMapCoeffs,
     s = (orbit.eta[0] * orbit.eta[1] - shift) / lam ** (k + m)
     idx = orbit_index(model, coeffs, orbit)
     match = (abs(s) < 1.0) == (idx == 2)
-    orbit.s_value = float(s)
     return float(s), idx, match
 
 
@@ -622,9 +621,9 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
     The strip's horizontal boundaries are pieces of W^s(O) through the
     transverse homoclinic points that exist at the certificate's mu (the
     split pair requires mu * d < 0 there); crossing is detected as a sign
-    change of the next-return y along the tracked polyline, refined by
-    bisection.  The first-return area factor of the z-projected polygon is
-    compared against |b c (lambda gamma)^k|.
+    change of the next-return y along the tracked polyline and located by a
+    scalar Newton along the segment.  The first-return area factor of the
+    z-projected polygon is compared against |b c (lambda gamma)^k|.
     """
     mdl = model_from_json(cert.model_spec)
     cm = coeffs_from_json(cert.coeffs_spec)
@@ -663,22 +662,19 @@ def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
             area_factors.append(_poly_area(P1) / _poly_area(P0))
 
     def _crossing(p_lo: Array, p_hi: Array, stay: int, level: float, ret: int) -> dict:
-        """Bisect the segment onto the boundary sheet {T0^stay(p)_y = level}."""
-        f = lambda p: float(saddle.orbit(mdl, p, stay)[-1, 1]) - level
-        a, bpt = p_lo.copy(), p_hi.copy()
-        fa = f(a)
-        for _ in range(60):
-            mid = 0.5 * (a + bpt)
-            fm = f(mid)
-            if fa * fm <= 0.0:
-                bpt = mid
-            else:
-                a, fa = mid, fm
-        crossing = 0.5 * (a + bpt)
+        """Newton along the segment onto the boundary sheet {T0^stay(p)_y = level}."""
         seg = p_hi - p_lo
-        # the exit height's exact derivative along the segment
-        D_exit = saddle.jacobian_along(mdl, saddle.orbit(mdl, crossing, stay))
-        slope = abs(float(D_exit[1] @ seg)) / float(np.linalg.norm(seg))
+
+        def exit_height(s: float) -> tuple[float, float, Array]:
+            # the exit height and its exact derivative along the segment
+            p = p_lo + s * seg
+            traj = saddle.orbit(mdl, p, stay)
+            return (float(traj[-1, 1]) - level,
+                    float(saddle.jacobian_along(mdl, traj)[1] @ seg), p)
+
+        _, _, d_exit, crossing, _ = newton_1d(exit_height, 0.5, tol=4 * np.spacing(level),
+                                              name="transverse crossing")
+        slope = abs(d_exit) / float(np.linalg.norm(seg))
         return {"found": True, "iterations_used": ret + 1,
                 "crossing_point": list(crossing), "crossing_slope": slope,
                 "boundary_level": level, "stay": stay,
@@ -766,6 +762,7 @@ def replay_certificate_dict(doc: dict) -> dict:
     model = model_from_json(doc["model"])
     coeffs = coeffs_from_json(doc["coeffs"])
     coeffs2 = coeffs_from_json(doc["coeffs2"]) if doc.get("coeffs2") else coeffs
+    check_dimensions(model, coeffs, coeffs2)
     k, m = doc["itinerary"]
     tol = doc["tolerances"]
     pts = {name: SplitVector(v[0], v[1], np.array(v[2:]))

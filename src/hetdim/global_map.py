@@ -50,6 +50,12 @@ class GlobalMapCoeffs:
         for name in ("z_plus", "a_t", "b_t", "alpha1", "alpha2"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         object.__setattr__(self, "alpha3", np.atleast_2d(np.asarray(self.alpha3, dtype=float)))
+        nz = self.z_plus.size
+        for name, shape in (("a_t", (nz,)), ("b_t", (nz,)), ("alpha1", (nz,)),
+                            ("alpha2", (nz,)), ("alpha3", (nz, nz))):
+            if getattr(self, name).shape != shape:
+                raise ValidationError(f"{name} has shape {getattr(self, name).shape}, but "
+                                      f"z_plus has {nz} entries: expected {shape}")
         for name, val in (("b", self.b), ("c", self.c), ("d", self.d), ("x_plus", self.x_plus)):
             if val == 0.0:
                 raise ValidationError(f"non-degeneracy violated: {name} must be nonzero")
@@ -94,6 +100,14 @@ def coeffs_from_json(doc: dict) -> GlobalMapCoeffs:
         )
     except KeyError as exc:
         raise ValidationError(f"coefficient spec missing key {exc.args[0]!r}") from None
+
+
+def check_dimensions(model: SaddleModel, *coeff_sets: GlobalMapCoeffs) -> None:
+    """Each coefficient set's z-block must have the model's dim - 2 entries."""
+    for cm in coeff_sets:
+        if cm.z_plus.size != model.dim - 2:
+            raise ValidationError(f"coefficient z-block has {cm.z_plus.size} entries, but "
+                                  f"a dim-{model.dim} model needs {model.dim - 2}")
 
 
 # ---------------------------------------------------------------------------

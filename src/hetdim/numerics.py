@@ -62,9 +62,9 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array,
 
 
 def newton_solve(f: Callable[[Array], Array], u0: Array, *,
-                 scales: Array | None = None,
-                 tol: float | Array = 1e-13,
-                 accept_tol: float | Array | None = None,
+                 scales: Array,
+                 tol: float | Array,
+                 accept_tol: float | Array,
                  max_iter: int = 40,
                  jac_reuse: int = 1,
                  name: str = "newton") -> tuple[Array, float, int]:
@@ -81,15 +81,15 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     systems mix residual scales from O(1) down to O(gamma^-k).
     """
     u = np.asarray(u0, dtype=float).copy()
-    scales_arr = None if scales is None else np.asarray(scales, dtype=float)
+    scales_arr = np.asarray(scales, dtype=float)
     tol_arr = np.atleast_1d(np.asarray(tol, dtype=float))
-    accept = tol_arr if accept_tol is None else np.atleast_1d(np.asarray(accept_tol, dtype=float))
+    accept = np.atleast_1d(np.asarray(accept_tol, dtype=float))
 
     def _score(F: Array) -> float:
         return float(np.max(np.abs(F) / tol_arr))
 
-    best_u, best_res = u.copy(), np.inf
     F = np.asarray(f(u), dtype=float)
+    best_u, best_F, best_res = u.copy(), F, np.inf
     fact = None
     window_best = np.inf
     for it in range(max_iter):
@@ -97,7 +97,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
         if not np.isfinite(res):
             raise ConvergenceError(f"{name}: residual became non-finite", residual=res, seed=u0)
         if res < best_res:
-            best_u, best_res = u.copy(), res
+            best_u, best_F, best_res = u.copy(), F, res
         if np.all(np.abs(F) < tol_arr):
             return u, float(np.max(np.abs(F))), it
         if it % 12 == 11:
@@ -150,15 +150,13 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                                    residual=best_res, seed=u0)
         u = u + alpha * step
         F = F_new
-    res = _score(F)
-    if res < best_res:
-        best_u, best_res = u.copy(), res
-    F_best = np.asarray(f(best_u), dtype=float)
-    if np.all(np.abs(F_best) < accept):
-        return best_u, float(np.max(np.abs(F_best))), max_iter
+    if _score(F) < best_res:
+        best_u, best_F = u.copy(), F
+    if np.all(np.abs(best_F) < accept):
+        return best_u, float(np.max(np.abs(best_F))), max_iter
     raise ConvergenceError(f"{name}: no convergence after {max_iter} iterations "
-                           f"(residual {np.max(np.abs(F_best)):.3e})",
-                           residual=float(np.max(np.abs(F_best))), seed=u0)
+                           f"(residual {np.max(np.abs(best_F)):.3e})",
+                           residual=float(np.max(np.abs(best_F))), seed=u0)
 
 
 NEWTON_1D_MAX_ITER = 60

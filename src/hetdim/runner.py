@@ -30,7 +30,7 @@ from .cycles import (CERT_TOLERANCES, certificate_to_json, closure_oracle_floor,
 from .errors import NumericalError, ValidationError
 from .flows import (AbsConfig, abs_expansion_bound, check_c3prime,
                     equilibrium_exponents, exponents_report, orbit_csv, simulate_poincare)
-from .global_map import _check_itinerary, coeffs_from_json
+from .global_map import _check_itinerary, check_dimensions, coeffs_from_json
 from .saddle import check_conditions, model_from_json
 from .tangency import (STRADDLE_MARGIN, branches_to_csv, forge_admissible_tangency,
                        solve_secondary_tangency)
@@ -75,13 +75,21 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+def _read_specs(doc: dict, *names: str) -> tuple:
+    """The config's model and its named coefficient sets (None where the
+    config has none), checked to be of one dimension."""
+    model = model_from_json(doc["model"])
+    coeff_sets = [coeffs_from_json(doc[name]) if name in doc else None for name in names]
+    check_dimensions(model, *(cm for cm in coeff_sets if cm is not None))
+    return (model, *coeff_sets)
+
+
 # ---------------------------------------------------------------------------
 # experiments; each returns (files, checks)
 
 
 def _exp_forge_tangency(doc, rng):
-    model = model_from_json(doc["model"])
-    coeffs = coeffs_from_json(doc["coeffs"])
+    model, coeffs = _read_specs(doc, "coeffs")
     ks = doc.get("schedule", {}).get("ks", [12, 14, 16, 18, 20, 22, 24])
     cert = forge_admissible_tangency(model, coeffs, ks)
     # the forge solved the ks up to the one it certified; solve the rest here
@@ -122,8 +130,7 @@ def _exp_forge_tangency(doc, rng):
 
 
 def _exp_period2_sweep(doc, rng):
-    model = model_from_json(doc["model"])
-    coeffs = coeffs_from_json(doc["coeffs"])
+    model, coeffs = _read_specs(doc, "coeffs")
     pairs = [tuple(p) for p in doc.get("schedule", {}).get("pairs", [])]
     targets = doc.get("s_targets", [-0.9, 0.0, 0.9])
 
@@ -149,9 +156,7 @@ def _exp_period2_sweep(doc, rng):
 
 
 def _exp_hetdim(doc, rng, general: bool):
-    model = model_from_json(doc["model"])
-    coeffs = coeffs_from_json(doc["coeffs"])
-    coeffs2 = coeffs_from_json(doc["coeffs2"]) if general else None
+    model, coeffs, coeffs2 = _read_specs(doc, "coeffs", "coeffs2")
     pairs = [tuple(p) for p in doc.get("schedule", {}).get("pairs", [])]
     s_target = doc.get("s_target", 0.0)
     files = {}
@@ -184,8 +189,7 @@ def _exp_hetdim(doc, rng, general: bool):
 
 
 def _exp_cone_battery(doc, rng):
-    model = model_from_json(doc["model"])
-    coeffs = coeffs_from_json(doc["coeffs"])
+    model, coeffs = _read_specs(doc, "coeffs")
     pairs = [tuple(p) for p in doc.get("schedule", {}).get("pairs", [])]
     s_target = doc.get("s_target", 0.0)
     witnesses, labels = [], []
@@ -212,8 +216,7 @@ def _exp_cone_battery(doc, rng):
 
 
 def _exp_leaf_fit(doc, rng):
-    model = model_from_json(doc["model"])
-    coeffs = coeffs_from_json(doc["coeffs"])
+    model, coeffs = _read_specs(doc, "coeffs")
     ks = doc.get("schedule", {}).get("ks", list(range(8, 21, 2)))
     e1, e2, samples = leaf_exponent_fit(model, coeffs, ks)
     mult = model.multipliers
@@ -353,9 +356,7 @@ def check_model(config_path: str) -> int:
     _setup_logging()
     try:
         doc = json.loads(Path(config_path).read_text())
-        model = model_from_json(doc["model"])
-        coeffs = coeffs_from_json(doc["coeffs"]) if "coeffs" in doc else None
-        coeffs2 = coeffs_from_json(doc["coeffs2"]) if "coeffs2" in doc else None
+        model, coeffs, coeffs2 = _read_specs(doc, "coeffs", "coeffs2")
     except (OSError, json.JSONDecodeError, KeyError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

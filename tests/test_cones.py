@@ -237,3 +237,13 @@ def test_leaf_march_depth_cap(monkeypatch, lin_chain):
         leaf_march(model, coeffs, base, k, base[2:] + 0.04)
     assert len(calls) == 1 + 4 + 3 * cones.LEAF_MAX_DEPTH
     assert len(calls) <= 1 + 5 * (cones.LEAF_MAX_DEPTH + 1)
+
+
+def test_power_frame_raises_when_the_span_keeps_moving():
+    # a quarter turn in the (x, y) plane: each sweep moves the span by 1
+    R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    W = np.array([[1.0], [0.0], [0.0]])
+    with pytest.raises(ConvergenceError,
+                       match=f"after {cones.FRAME_MAX_SWEEPS} sweeps") as info:
+        cones._power_frame(lambda V: R @ V, W, 1e-13)
+    assert info.value.residual == pytest.approx(1.0)

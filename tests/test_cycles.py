@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hetdim import saddle
+from hetdim import cycles, saddle
 from hetdim.cones import FRAME_MAX_SWEEPS, invariant_cu_subspace, return_chain
 from hetdim.cycles import (PeriodTwoOrbit, certificate_to_dict, certificate_to_json,
                            closure_oracle_floor, closure_residual_forward, index2_criterion,
@@ -15,9 +15,11 @@ from hetdim.cycles import (PeriodTwoOrbit, certificate_to_dict, certificate_to_j
                            orbit_multipliers, orbit_to_unknowns, replay_certificate_dict,
                            solve_hetdim_general, solve_hetdim_symmetric, solve_period2,
                            solve_period2_with_s, verify_transverse_connection,
-                           _connection_gap, _period2_seed, _return_block)
+                           _connection_gap, _orbit_from_unknowns, _period2_residual,
+                           _period2_seed, _return_block)
 from hetdim.errors import ContractError, NumericalError, ValidationError
-from hetdim.global_map import coeffs_from_json, first_return_array, t1_tilde_array
+from hetdim.global_map import coeffs_from_json, first_return_array, t1_array, t1_tilde_array
+from hetdim.numerics import newton_1d
 from hetdim.presets import (battery_coeffs, battery_model, battery_pairs, hetdim_coeffs,
                             hetdim_model, hetdim_schedule)
 from hetdim.saddle import SplitVector, model_from_json, reflect_array, t0_array
@@ -443,3 +445,149 @@ def test_certificate_replay_deterministic(hetdim_certificates):
     a = replay_certificate_dict(json.loads(json.dumps(doc)))
     b = replay_certificate_dict(json.loads(json.dumps(doc)))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the per-leg layout against the two legs written out row by row
+
+
+def _d4_lab():
+    from test_kernels import _d4_coeffs
+    from hetdim.presets import d4_model
+    return d4_model(), _d4_coeffs()
+
+
+def _reference_residual(model, cm, u, k, m, s):
+    """The closure and index rows with both legs spelled out."""
+    nz = model.dim - 2
+    lam, gam = model.multipliers.lam, model.multipliers.gamma
+    p1 = np.concatenate(([cm.x_plus + u[0], u[1] / gam ** k], cm.z_plus + u[2:2 + nz]))
+    p2 = np.concatenate(([cm.x_plus + u[2 + nz], u[3 + nz] / gam ** m],
+                         cm.z_plus + u[4 + nz:4 + 2 * nz]))
+    e1, e2 = saddle.orbit(model, p1, k)[-1], saddle.orbit(model, p2, m)[-1]
+    A, B = t1_array(cm, e1), t1_array(cm, e2)
+    r = np.empty(2 * model.dim + 1)
+    r[0] = A[0] - p2[0]
+    r[1] = A[1] * gam ** m - u[3 + nz]
+    r[2:2 + nz] = A[2:] - p2[2:]
+    r[2 + nz] = B[0] - p1[0]
+    r[3 + nz] = B[1] * gam ** k - u[1]
+    r[4 + nz:-1] = B[2:] - p1[2:]
+    eta1, eta2 = float(e1[1] - cm.y_minus), float(e2[1] - cm.y_minus)
+    scale = lam ** (k + m)
+    shift = cm.b * cm.c / (4.0 * cm.d ** 2) * (lam ** k * gam ** (-k) + lam ** m * gam ** (-m))
+    r[-1] = (eta1 * eta2 - s * scale - shift) / scale
+    return r, eta1, (p1, e1, p2, e2)
+
+
+@pytest.fixture(scope="module")
+def layout_cases():
+    """(model, coeffs at the orbit's mu, k, m, s, solved orbit): the battery
+    at (20,16) and the D=4 linear lab at (14,12)."""
+    cases = []
+    for (model, coeffs), (k, m), s in (((battery_model(), battery_coeffs()), (20, 16), 0.45),
+                                       (_d4_lab(), (14, 12), 0.0)):
+        orbit = solve_period2_with_s(model, coeffs, k, m, s)
+        cases.append((model, coeffs.with_mu(orbit.mu), k, m, s, orbit))
+    return cases
+
+
+def test_period2_residual_is_bit_identical_to_the_written_out_legs(layout_cases):
+    # at the seed, its z offsets moved off zero, and at the solved orbit
+    rng = np.random.default_rng(7)
+    for model, cm, k, m, s, orbit in layout_cases:
+        seed, _ = _period2_seed(model, cm, k, m, s)
+        D = model.dim
+        for j in (0, 1):
+            seed[j * D + 2:(j + 1) * D] = 1e-3 * rng.standard_normal(D - 2)
+        for u in (seed, orbit_to_unknowns(model, cm, orbit)):
+            ref, eta1_ref, (_, _, p2, _) = _reference_residual(model, cm, u, k, m, s)
+            r, eta1, Q02 = _period2_residual(model, cm, u, k, m, s)
+            assert r.tobytes() == ref.tobytes()
+            assert eta1 == eta1_ref and Q02.tobytes() == p2.tobytes()
+
+
+def test_orbit_from_unknowns_is_bit_identical_to_the_written_out_legs(layout_cases):
+    for model, cm, k, m, s, orbit in layout_cases:
+        u = orbit_to_unknowns(model, cm, orbit)
+        _, eta1_ref, (p1, e1, p2, e2) = _reference_residual(model, cm, u, k, m, s)
+        solved = _orbit_from_unknowns(model, cm, u, k, m)
+        for name, p in zip(("Q01", "Q11", "Q02", "Q12"), (p1, e1, p2, e2)):
+            assert solved.points[name].as_array().tobytes() == p.tobytes(), name
+        assert solved.eta == (eta1_ref, float(e2[1] - cm.y_minus))
+        v, _ = first_return_array(model, cm, p1, k, with_jacobian=False)
+        v, _ = first_return_array(model, cm, v, m, with_jacobian=False)
+        assert solved.closure_residual == float(np.max(np.abs(v - p1)))
+
+
+def test_orbit_to_unknowns_is_bit_identical_to_the_written_out_legs(layout_cases):
+    for model, cm, k, m, _, orbit in layout_cases:
+        gam = model.multipliers.gamma
+        Q01, Q02 = orbit.points["Q01"], orbit.points["Q02"]
+        ref = np.concatenate(([Q01.x - cm.x_plus, Q01.y * gam ** k], Q01.z - cm.z_plus,
+                              [Q02.x - cm.x_plus, Q02.y * gam ** m], Q02.z - cm.z_plus))
+        assert orbit_to_unknowns(model, cm, orbit).tobytes() == ref.tobytes()
+
+
+def test_index2_criterion_leaves_the_recorded_target(bat):
+    model, coeffs = bat
+    orbit = solve_period2_with_s(model, coeffs, 16, 14, 0.45)
+    s, _, _ = index2_criterion(model, coeffs, orbit)
+    assert s != 0.45 and orbit.s_value == 0.45
+
+
+# ---------------------------------------------------------------------------
+# the transverse crossing
+
+
+def _crossing_witness(monkeypatch, model, coeffs, cert):
+    """The witness, and the segment the crossing Newton searched along."""
+    calls = []
+
+    def recorded(f, t0, **kw):
+        calls.append(f)
+        return newton_1d(f, t0, **kw)
+
+    monkeypatch.setattr(cycles, "newton_1d", recorded)
+    tw = verify_transverse_connection(model, coeffs, cert)
+    monkeypatch.undo()
+    f = calls[-1]
+    return tw, f(0.0)[2], f(1.0)[2]
+
+
+def test_transverse_crossing_lands_on_the_boundary_sheet(hetdim_certificates, het,
+                                                         monkeypatch):
+    model, coeffs = het
+    for cert in hetdim_certificates:
+        tw, p_lo, p_hi = _crossing_witness(monkeypatch, model, coeffs, cert)
+        assert tw["found"]
+        mdl = model_from_json(cert.model_spec)
+        level, stay = tw["boundary_level"], tw["stay"]
+        p = np.array(tw["crossing_point"])
+        traj = saddle.orbit(mdl, p, stay)
+        # the exit height is the boundary level up to a few ulp
+        assert abs(traj[-1, 1] - level) <= 4 * np.spacing(level)
+        # and the recorded slope is the exact derivative along the segment there
+        seg = p_hi - p_lo
+        fresh = abs(float(saddle.jacobian_along(mdl, traj)[1] @ seg)) / np.linalg.norm(seg)
+        assert abs(tw["crossing_slope"] / fresh - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_transverse_verdict_holds_under_ulp_moves_of_Q01(hetdim_certificates, het, index):
+    # the crossing is found after the same number of returns when any
+    # coordinate of Q01 moves by one ulp either way; at (36,30) the disk
+    # radius is below the float spacing of Q01
+    model, coeffs = het
+    cert = hetdim_certificates[index]
+    ref = verify_transverse_connection(model, coeffs, cert)
+    q = cert.orbit.points["Q01"].as_array()
+    for i in range(len(q)):
+        for direction in (-np.inf, np.inf):
+            moved = q.copy()
+            moved[i] = np.nextafter(q[i], direction)
+            points = {**cert.orbit.points, "Q01": SplitVector.from_array(moved)}
+            shifted = dataclasses.replace(cert, orbit=dataclasses.replace(cert.orbit,
+                                                                          points=points))
+            tw = verify_transverse_connection(model, coeffs, shifted)
+            assert tw["found"] and tw["iterations_used"] == ref["iterations_used"], (i, direction)

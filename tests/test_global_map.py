@@ -232,3 +232,11 @@ def test_nondegeneracy_rejections():
         GlobalMapCoeffs(mu=0.0, x_plus=0.1, y_minus=0.5, z_plus=[0.0], a=0.1,
                         b=1.0, c=1.0, d=0.0, a_t=[0.0], b_t=[0.0],
                         alpha1=[0.0], alpha2=[0.0], alpha3=[[0.5]])
+
+
+@pytest.mark.parametrize("name", ["a_t", "b_t", "alpha1", "alpha2", "alpha3"])
+def test_coupling_shapes_must_match_the_z_block(coeffs, name):
+    # a D=4 coupling next to the single z entry of z_plus
+    bad = [[0.4, 0.05], [0.0, 0.3]] if name == "alpha3" else [0.05, 0.02]
+    with pytest.raises(ValidationError, match=f"{name} has shape .* z_plus has 1 entries"):
+        dataclasses.replace(coeffs, **{name: bad})

@@ -22,7 +22,7 @@ from hetdim.errors import ConvergenceError, DomainError, ItineraryError
 from hetdim.global_map import (axis_point, first_return_array, t1_array, t1_jac_array,
                                t1_tilde_array)
 from hetdim.local import _forward_y, solve_cross_form
-from hetdim.numerics import fd_jacobian, newton_1d, orthonormal_frame
+from hetdim.numerics import fd_jacobian, newton_1d, newton_solve, orthonormal_frame
 from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
                             forge_coeffs, hetdim_coeffs, hetdim_model)
 from hetdim.saddle import (BOX, Multipliers, build_model, orbit, reflect_array, t0_array,
@@ -512,3 +512,21 @@ def test_newton_1d_returns_the_payload_of_the_root_as_a_float():
     assert payload == ("at", calls[-1]) and calls[-1] == t
     assert (val, slope) == f(t)[:2]
     assert evals == len(calls) - 1
+
+
+def test_newton_solve_floor_accept_reports_the_best_iterates_residual():
+    calls = []
+
+    def plateau(u):
+        # a root at (1, 2) whose residual never drops below 3e-12
+        calls.append(u.copy())
+        d = u - np.array([1.0, 2.0])
+        return np.where(np.abs(d) > 1e-12, d, 3e-12)
+
+    u, res, iterations = newton_solve(plateau, np.array([1.5, 2.5]), scales=np.ones(2),
+                                      tol=1e-13, accept_tol=1e-11, max_iter=40)
+    assert iterations == 40 and res == 3e-12
+    # the accepted iterate's residual was kept from its own evaluation: the
+    # last evaluation is elsewhere
+    assert any(np.array_equal(c, u) for c in calls) and not np.array_equal(calls[-1], u)
+    assert float(np.max(np.abs(plateau(u)))) == res

@@ -9,8 +9,9 @@ import pytest
 
 from hetdim import runner, tangency
 from hetdim.cli import main
-from hetdim.presets import (base_model, forge_coeffs, hetdim_coeffs, hetdim_model,
-                            leaf_coeffs, leaf_model)
+from hetdim.cycles import SCHEMA_VERSION
+from hetdim.presets import (base_model, battery_coeffs, d4_model, forge_coeffs,
+                            hetdim_coeffs, hetdim_model, leaf_coeffs, leaf_model)
 
 
 def _write(tmp_path: Path, name: str, doc: dict) -> str:
@@ -242,3 +243,36 @@ def test_forge_straddle_check_reads_the_witnesses(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "forge_admissible_tangency", swapped)
     assert main(["run", "--config", cfg]) == 1
     assert json.loads((out / "summary.json").read_text())["checks"]["straddle"] is False
+
+
+def _mixed_dimensions(tmp_path, experiment):
+    """A D=4 model next to a coefficient set with one z entry."""
+    return _write(tmp_path, "mixed.json", {
+        "experiment": experiment, "model": d4_model().spec(),
+        "coeffs": battery_coeffs().spec(),
+        "schedule": {"pairs": [[14, 12]], "ks": [12]}, "out": str(tmp_path / "out")})
+
+
+@pytest.mark.parametrize("experiment", ["period2_sweep", "forge_tangency", "hetdim_symmetric"])
+def test_run_with_mixed_dimensions_is_a_config_error(tmp_path, capsys, experiment):
+    assert main(["run", "--config", _mixed_dimensions(tmp_path, experiment)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coefficient z-block has 1 entries")
+    assert "dim-4 model needs 2" in err
+
+
+def test_check_model_with_mixed_dimensions_is_a_config_error(tmp_path, capsys):
+    assert main(["check-model", "--config", _mixed_dimensions(tmp_path, "period2_sweep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coefficient z-block has 1 entries")
+    assert "dim-4 model needs 2" in err
+
+
+def test_replay_with_mixed_dimensions_is_a_certificate_error(tmp_path, capsys):
+    cert = _write(tmp_path, "cert.json", {"schema_version": SCHEMA_VERSION,
+                                          "model": d4_model().spec(),
+                                          "coeffs": battery_coeffs().spec()})
+    assert main(["replay", cert]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("certificate error: coefficient z-block has 1 entries")
+    assert "dim-4 model needs 2" in err
