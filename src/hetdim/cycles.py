@@ -409,7 +409,6 @@ class CycleCertificate:
     model_spec: dict
     coeffs_spec: dict
     coeffs2_spec: dict | None = None
-    transverse_connection: dict | None = None
     residuals: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
@@ -740,7 +739,6 @@ def certificate_to_dict(cert: CycleCertificate) -> dict:
         "model": cert.model_spec,
         "coeffs": cert.coeffs_spec,
         "coeffs2": cert.coeffs2_spec,
-        "transverse_connection": cert.transverse_connection,
         "residuals": cert.residuals,
         "tolerances": dict(CERT_TOLERANCES),
     }

@@ -88,7 +88,10 @@ def coeffs_from_json(doc: dict) -> GlobalMapCoeffs:
     followed by the z-block itself.
     """
     try:
-        alpha = [np.asarray(r, dtype=float) for r in doc["alpha"]]
+        alpha = [np.atleast_1d(np.asarray(r, dtype=float)) for r in doc["alpha"]]
+        if len(alpha) < 3 or len({r.shape for r in alpha}) > 1:
+            raise ValidationError(f"alpha has rows of lengths {[r.size for r in alpha]}: "
+                                  "expected 2 + (D-2) rows of length D-2")
         return GlobalMapCoeffs(
             mu=float(doc["mu"]), x_plus=float(doc["x_plus"]), y_minus=float(doc["y_minus"]),
             z_plus=np.asarray(doc["z_plus"], dtype=float),

@@ -37,10 +37,6 @@ from .tangency import (STRADDLE_MARGIN, branches_to_csv, forge_admissible_tangen
 
 log = logging.getLogger("hetdim")
 
-EXPERIMENTS = ("forge_tangency", "period2_sweep", "hetdim_symmetric",
-               "hetdim_general", "cone_battery", "leaf_fit", "c3prime_scan",
-               "abs_orbits")
-
 
 def _setup_logging():
     level = os.environ.get("HETDIM_LOG", "error").lower()
@@ -281,6 +277,7 @@ _RUNNERS = {
     "c3prime_scan": _exp_c3prime_scan,
     "abs_orbits": _exp_abs_orbits,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config_path: str, out_dir: str | None = None) -> int:

@@ -30,8 +30,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, NumericalError
-from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, axis_point, k_star,
-                         t1_jac_array)
+from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, axis_point,
+                         first_return_array, k_star, t1_array, t1_jac_array)
 from .local import CrossFormResult, solve_cross_form
 from .numerics import newton_1d, newton_solve
 from .saddle import SaddleModel, jacobian_along, orbit
@@ -95,8 +95,8 @@ class TangencyBranch:
     tangency, and c_value the induced c of the composed global map.
     tangency_point and preimage are flat (D,) arrays.  straddle_ok records
     the forge's straddle check on the branch it chose (None when it checked
-    none).  slope_tol is the tolerance the solve held the slope row to, its
-    float floor at the seed (None on branches no secondary solve produced).
+    none).  slope_tol is the ``fold_tol`` the secondary or the stage-two
+    tertiary solve held the slope row to (None on a branch built by hand).
     """
 
     k: int
@@ -143,7 +143,18 @@ def _seed(coeffs: GlobalMapCoeffs, lam: float, gamma: float, k: int, sign: int):
     return float(X), float(Y), float(mu)
 
 
-FOLD_ULPS = 256  # the ulps each floor probe of the slope row moves
+FOLD_ULPS = 256  # the ulps each floor probe of a slope row moves
+
+
+def fold_tol(slope, u, ulps) -> float:
+    """The stop tolerance of a fold's slope row ``slope(u)``: twice its float
+    floor at u, never below 1e-13.  ``ulps`` holds one step of u per input
+    of the row, each one ulp of that input's float coordinate; the floor is
+    the sum of the row's changes over FOLD_ULPS such steps, per ulp.  Below
+    it a fold's Newton only random-walks its inputs."""
+    s0 = slope(u)
+    floor = sum(abs(slope(u + FOLD_ULPS * e) - s0) for e in ulps) / FOLD_ULPS
+    return float(max(1e-13, 2.0 * floor))
 
 
 def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
@@ -154,11 +165,9 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     homoclinic condition after the second global-map application, and the
     vanishing derivative along the curve (quadratic contact).  Seeds come
     from the scaled-limit solutions.  The first two rows stop at 1e-14; the
-    slope row stops at twice its float floor, which grows like gamma^k: the
-    sum of its changes per ulp of the axis point y- + X/b and per ulp of the
-    exit height y- + Y, each measured over FOLD_ULPS ulps at the seed.  That
-    tolerance, kept within [1e-13, 1e-10], is the branch's slope_tol; below
-    the floor a fold's Newton only random-walks X and Y.
+    slope row stops at ``fold_tol`` at the seed, which grows like gamma^k:
+    its inputs are the axis point y- + X/b and the exit height y- + Y.  That
+    tolerance is the branch's slope_tol.
     The induced c = d(G_y)/dx, G = T1 o T0^k o T1, is the [1, 0] entry of the
     final evaluation's exact Jacobian (an FD probe in x would be amplified by
     gamma^k); HypothesisError when |c| < 1e-14 leaves its sign open.
@@ -187,12 +196,9 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         scales = np.array([0.01 * abs(b), min(0.01, max(10.0 * abs(Y0), 1e-9)),
                            max(10.0 * abs(mu0), 1e-6)])
         try:
-            r3 = jet(np.array([X0, Y0, mu0]))[0][2]
-            dX = FOLD_ULPS * b * np.spacing(coeffs.y_minus + X0 / b)
-            dY = FOLD_ULPS * np.spacing(coeffs.y_minus + Y0)
-            floor = (abs(jet(np.array([X0 + dX, Y0, mu0]))[0][2] - r3)
-                     + abs(jet(np.array([X0, Y0 + dY, mu0]))[0][2] - r3)) / FOLD_ULPS
-            slope_tol = float(min(1e-10, max(1e-13, 2.0 * floor)))
+            slope_tol = fold_tol(lambda u: jet(u)[0][2], np.array([X0, Y0, mu0]),
+                                 [np.array([b * np.spacing(coeffs.y_minus + X0 / b), 0.0, 0.0]),
+                                  np.array([0.0, np.spacing(coeffs.y_minus + Y0), 0.0])])
             u, _, _ = newton_solve(lambda u: jet(u)[0], np.array([X0, Y0, mu0]),
                                    scales=scales,
                                    tol=np.array([1e-14, 1e-14, slope_tol]),
@@ -549,15 +555,15 @@ def vertex_at(model: SaddleModel, coeffs: GlobalMapCoeffs, curve: ForgeCurve, mu
               tc_guess: float) -> ForgeCurve:
     """The curve at mu, its vertex (tc, level) found by ``newton_1d`` on the
     jet's exact slope from ``tc_guess``, with the curvature 2 D held fixed;
-    it stops once the Newton step |slope| / 2|D| is below 1e-13."""
+    it stops at the slope's ``fold_tol`` at tc_guess (input: ybase + t)."""
     cm = coeffs.with_mu(mu)
 
     def slope(t: float) -> tuple[float, float, float]:
         w, J = axis_jet(model, cm, curve.ybase + t, curve.stays, jacobian=True)
         return float(J[1, 1]), 2.0 * curve.D, float(w[1])
 
-    tc, _, _, level, _ = newton_1d(slope, tc_guess, tol=2.0 * abs(curve.D) * 1e-13,
-                                   name="stage-two vertex")
+    tol = fold_tol(lambda t: slope(t)[0], tc_guess, [np.spacing(curve.ybase + tc_guess)])
+    tc, _, _, level, _ = newton_1d(slope, tc_guess, tol=tol, name="stage-two vertex")
     return replace(curve, tc=tc, level=level)
 
 
@@ -569,22 +575,21 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
     effective coefficients seed the tertiary solve, and the straddle is
     inherited from the stage-one tangency's transverse points, which persist
     at the nearby parameter value.  Every curve parameter t of this stage is
-    the offset from the stage-one preimage: the axis point ybase + t.
+    the offset from the stage-one preimage: the axis point ybase + t.  mu
+    enters each T1 additively in its y row, so the composed height moves
+    with mu at 1 + J[1, 1], J that of T1 o T0^k at T1(preimage).  The
+    tertiary slope row stops at ``fold_tol`` at its seed, its slope_tol.
     """
     ybase, mu_base = float(base.preimage[1]), base.mu_k
     curve = stage_two_curve(model, coeffs, base)
+    cm = coeffs.with_mu(mu_base)
+    dmu = 1.0 + float(first_return_array(model, cm, t1_array(cm, base.preimage), k)[1][1, 1])
 
-    def G(t: float, mu: float, stays=(k,)) -> float:
-        return float(axis_jet(model, coeffs.with_mu(mu), ybase + t, stays)[0][1])
-
-    h = 1e-6
-    dmu = (G(0.0, mu_base + 1e-8) - G(0.0, mu_base - 1e-8)) / 2e-8
     # the composed curve's critical parameter drifts with mu; without this
     # recentering the seeds land outside the stay-k strip of the first leg
-    hm = 1e-8
-    g_tmu = ((G(h, mu_base + hm) - G(-h, mu_base + hm))
-             - (G(h, mu_base - hm) - G(-h, mu_base - hm))) / (4.0 * h * hm)
-    dtc_dmu = -g_tmu / (2.0 * curve.D)
+    sp, sm = (axis_jet(model, coeffs.with_mu(mu_base + s), ybase, (k,), jacobian=True)[1][1, 1]
+              for s in (1e-8, -1e-8))
+    dtc_dmu = -float(sp - sm) / 2e-8 / (2.0 * curve.D)
 
     lam, gamma = model.multipliers.lam, model.multipliers.gamma
     # the delta^k_j sequence accumulates on mu_k, so the needed mu-shift
@@ -593,7 +598,7 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
     # balance as the secondary solve, with the curve side played by the
     # composed map (b', d', x+') and the final leg by the original (c, d).
     for j in range(k + 2, k + 14, 2):
-        r = _exit_offset(model, coeffs.with_mu(mu_base), curve, j)
+        r = _exit_offset(model, cm, curve, j)
         if r is None:
             continue
         for Yp in (r, -r):
@@ -617,15 +622,12 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
                 return np.array([w3[1], J[1, 1]])
 
             try:
-                # the slope cannot be driven below |G''| * ulp(y): the curve
-                # parameter is only resolvable to the float granularity of y
-                d2_3 = (G(tseed + h, mu_seed, (k, j)) - 2.0 * G(tseed, mu_seed, (k, j))
-                        + G(tseed - h, mu_seed, (k, j))) / (h * h)
-                slope_floor = max(1e-12, 3.0 * abs(d2_3) * 1.2e-16 * max(1.0, abs(ybase)))
+                slope_tol = fold_tol(lambda u: F(u)[1], np.array([tseed, mu_seed]),
+                                     [np.array([np.spacing(ybase + tseed), 0.0])])
                 u, res, _ = newton_solve(F, np.array([tseed, mu_seed]),
                                          scales=np.array([1e-4, max(abs(mu_seed), 1e-6)]),
-                                         tol=np.array([1e-13, slope_floor]),
-                                         accept_tol=np.array([1e-11, 30.0 * slope_floor]),
+                                         tol=np.array([1e-13, slope_tol]),
+                                         accept_tol=np.array([1e-11, 30.0 * slope_tol]),
                                          max_iter=40,
                                          name=f"tertiary tangency j={j}")
             except NumericalError:
@@ -646,8 +648,8 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
                                      X=t3 * curve.b, Y=float("nan"), residual=res,
                                      case=case_tag(coeffs) + "+stage2",
                                      tangency_point=w2, preimage=axis_point(model, y3),
-                                     t_param=t3,
-                                     c_sign=int(np.sign(c3)), c_value=c3)
+                                     t_param=t3, c_sign=int(np.sign(c3)), c_value=c3,
+                                     slope_tol=slope_tol)
                 prod = c3 * xp3 * y3
                 if prod <= 0.0:
                     continue

@@ -406,6 +406,15 @@ def test_certificate_replay_roundtrip(hetdim_certificates):
     assert checks["all_ok"]
 
 
+def test_certificate_with_the_retired_null_connection_key_replays(hetdim_certificates):
+    # certificates written before the always-null "transverse_connection"
+    # field was dropped still carry it; replay ignores the key
+    doc = json.loads(certificate_to_json(hetdim_certificates[0]))
+    assert "transverse_connection" not in doc
+    doc["transverse_connection"] = None
+    assert replay_certificate_dict(doc)["all_ok"]
+
+
 def test_replay_reproduces_recorded_residuals(hetdim_certificates):
     # replay evaluates the certified point itself, so every recorded residual
     # comes back bit for bit, and so do the multipliers

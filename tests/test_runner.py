@@ -245,34 +245,49 @@ def test_forge_straddle_check_reads_the_witnesses(tmp_path, monkeypatch):
     assert json.loads((out / "summary.json").read_text())["checks"]["straddle"] is False
 
 
-def _mixed_dimensions(tmp_path, experiment):
-    """A D=4 model next to a coefficient set with one z entry."""
+# input errors next to a D=4 model, each with the message that names it: a
+# coefficient set with one z entry, then its alpha with one row, with two
+# rows, and with a ragged z-block
+MIXED_INPUTS = [
+    (None, "coefficient z-block has 1 entries, but a dim-4 model needs 2"),
+    ([[0.1]], "alpha has rows of lengths [1]: expected 2 + (D-2) rows of length D-2"),
+    ([[0.1, 0.0], [0.2, 0.0]], "alpha has rows of lengths [2, 2]"),
+    ([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [0.4]], "alpha has rows of lengths [2, 2, 2, 1]"),
+]
+
+
+def _mixed_coeffs(alpha):
+    spec = battery_coeffs().spec()
+    return spec if alpha is None else {**spec, "alpha": alpha}
+
+
+def _mixed_dimensions(tmp_path, experiment, alpha=None):
+    """A D=4 model next to a coefficient set with one z entry, or with the
+    given alpha rows."""
     return _write(tmp_path, "mixed.json", {
         "experiment": experiment, "model": d4_model().spec(),
-        "coeffs": battery_coeffs().spec(),
+        "coeffs": _mixed_coeffs(alpha),
         "schedule": {"pairs": [[14, 12]], "ks": [12]}, "out": str(tmp_path / "out")})
 
 
 @pytest.mark.parametrize("experiment", ["period2_sweep", "forge_tangency", "hetdim_symmetric"])
 def test_run_with_mixed_dimensions_is_a_config_error(tmp_path, capsys, experiment):
-    assert main(["run", "--config", _mixed_dimensions(tmp_path, experiment)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: coefficient z-block has 1 entries")
-    assert "dim-4 model needs 2" in err
+    for alpha, message in MIXED_INPUTS:
+        assert main(["run", "--config", _mixed_dimensions(tmp_path, experiment, alpha)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}"), alpha
 
 
 def test_check_model_with_mixed_dimensions_is_a_config_error(tmp_path, capsys):
-    assert main(["check-model", "--config", _mixed_dimensions(tmp_path, "period2_sweep")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: coefficient z-block has 1 entries")
-    assert "dim-4 model needs 2" in err
+    for alpha, message in MIXED_INPUTS:
+        cfg = _mixed_dimensions(tmp_path, "period2_sweep", alpha)
+        assert main(["check-model", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}"), alpha
 
 
 def test_replay_with_mixed_dimensions_is_a_certificate_error(tmp_path, capsys):
-    cert = _write(tmp_path, "cert.json", {"schema_version": SCHEMA_VERSION,
-                                          "model": d4_model().spec(),
-                                          "coeffs": battery_coeffs().spec()})
-    assert main(["replay", cert]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("certificate error: coefficient z-block has 1 entries")
-    assert "dim-4 model needs 2" in err
+    for alpha, message in MIXED_INPUTS:
+        cert = _write(tmp_path, "cert.json", {"schema_version": SCHEMA_VERSION,
+                                              "model": d4_model().spec(),
+                                              "coeffs": _mixed_coeffs(alpha)})
+        assert main(["replay", cert]) == 2
+        assert capsys.readouterr().err.startswith(f"certificate error: {message}"), alpha

@@ -10,7 +10,7 @@ from hetdim.errors import ValidationError
 from hetdim.global_map import axis_jet, first_return_array, t1_array, t1_jac_array
 from hetdim.presets import forge_coeffs
 from hetdim.tangency import (ROOT_TOL, SLOPE_MIN, curve_points,
-                             find_transverse_homoclinics, forge_admissible_tangency,
+                             find_transverse_homoclinics, fold_tol, forge_admissible_tangency,
                              predicted_c_signs, solve_secondary_tangency, stage_one_curve,
                              stage_two_curve, verify_tangency_branch, vertex_at,
                              branches_to_csv, double_return_y)
@@ -312,8 +312,9 @@ def test_stage_two_split_pair_near_a_stage_one_tangency(index, lin_model):
 @pytest.mark.parametrize("index", [0, 1])
 def test_stage_two_vertex_is_a_zero_of_the_exact_slope(index, lin_model):
     # the stage-two curve's b is the jet's exact x-slope at the preimage, and
-    # its vertex at each mu a zero of the jet's exact y-slope, to the stop
-    # |slope| < 2 |D| 1e-13 of a Newton step below 1e-13
+    # its vertex at each mu a zero of the jet's exact y-slope: the stop at
+    # twice the slope's measured float floor holds it well inside
+    # |slope| < 2 |D| 1e-13, a Newton step below 1e-13
     coeffs = forge_coeffs("cdx_pos_d_pos")
     base = solve_secondary_tangency(lin_model, coeffs, 12)[index]
     curve = stage_two_curve(lin_model, coeffs, base)
@@ -327,6 +328,25 @@ def test_stage_two_vertex_is_a_zero_of_the_exact_slope(index, lin_model):
                         jacobian=True)
         assert abs(J[1, 1]) < 2.0 * abs(curve.D) * 1e-13
         assert vertex.level == w[1]
+
+
+@pytest.mark.parametrize("tier", ["lin_model", "poly_model", "sym_model"])
+def test_stage_two_certificate_holds_its_slope_tol(tier, request):
+    # the tertiary solve stops its slope row at the fold tolerance measured
+    # at its seed (about 6e-8, far above stage one's): the certified point's
+    # slope along the axis lies within the tolerance the branch records
+    model, coeffs = request.getfixturevalue(tier), forge_coeffs("cdx_pos_d_pos")
+    br = forge_admissible_tangency(model, coeffs, [12]).branch
+    _, J = axis_jet(model, coeffs.with_mu(br.mu_k), br.preimage[1], (12, br.k), jacobian=True)
+    assert abs(J[1, 1]) <= br.slope_tol
+
+
+def test_fold_tol_is_twice_the_float_floor():
+    # a row with slope a along one input moves a * ulp per ulp of it (a power
+    # of two keeps every product exact); a flat row gets the 1e-13 bound
+    u, ulp, a = 0.3, np.spacing(0.3), 2.0 ** 31
+    assert fold_tol(lambda t: a * t, u, [ulp]) == 2.0 * a * ulp
+    assert fold_tol(lambda t: 0.0, u, [ulp]) == 1e-13
 
 
 def test_straddle_fallback_polishes_the_split_pair_once(lin_model, monkeypatch):
