@@ -36,7 +36,7 @@ from .errors import (AmbiguousIndexError, ContractError, ConvergenceError,
                      ValidationError)
 from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, check_dimensions,
                          coeffs_from_json, first_return_array, in_pi1, t1_array)
-from .numerics import chain_product, newton_1d, newton_solve, sorted_eigvals
+from .numerics import chain_product, fold_tol, newton_1d, newton_solve, sorted_eigvals
 from .saddle import SaddleModel, SplitVector, build_model, model_from_json, reflect_array
 
 Array = np.ndarray
@@ -135,8 +135,11 @@ def _period2_tolerances(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: 
     ``_period2_residual``.
 
     Targets stay tight; the y-matching rows and the index row get
-    amplification-aware acceptance floors (the Newton polishes until progress
-    stalls, then the best iterate is accepted if below the floors).
+    amplification-aware acceptance floors, modelled from the itinerary.  The
+    period-2 solves stop at ``tol`` or, once progress stalls, accept the
+    best iterate below the floors.  The cycle solver raises each ``tol`` to
+    twice its row's float floor as measured at its seed (``_hetdim_solve``),
+    never above ``accept``.
     """
     D = model.dim
     fl1, fl2 = closure_floors(model, coeffs, k, m)
@@ -462,6 +465,19 @@ def _rebuild_gamma(model: SaddleModel, g: float) -> SaddleModel:
 def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
                   coeffs2: GlobalMapCoeffs, k: int, m: int, s_target: float,
                   general: bool) -> CycleCertificate:
+    """The cycle Newton of ``solve_hetdim_symmetric`` and
+    ``solve_hetdim_general``: phase A solves the period-2 orbit with s at
+    the seed's frozen gamma, then one Newton on (u, mu, ln|gamma|) closes
+    the period-2 rows and the connection-gap row together.
+
+    Its rows land on float floors that grow with the itinerary, so each row
+    stops at ``numerics.fold_tol``: twice the row's float floor, measured at
+    the seed w0 = (u0, mu0, ln|gamma|0) with one FOLD_ULPS-ulp probe per
+    unknown, each one ulp of that unknown (2D + 3 residuals), never below
+    the row's fixed tolerance and never above its accept floor.  Below its
+    floor a row only random-walks, and every residual marches a
+    strong-stable leaf.
+    """
     _check_itinerary(k, m)
     if abs(coeffs.x_plus - coeffs2.x_plus) > 1e-12:
         raise ValidationError("coincidence condition violated: the two global maps "
@@ -501,10 +517,12 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
         return np.append(rows, gap / max(abs(mdl.multipliers.gamma) ** (-m), 1e-300))
 
     scales, tol, accept = _period2_tolerances(model_g, coeffs, k, m, mu0)
-    w, res, _ = newton_solve(F, np.concatenate((u0, [mu0, g0])),
-                             scales=np.append(scales, 0.05), tol=np.append(tol, 1e-12),
-                             accept_tol=np.append(accept, 1e-10), max_iter=60,
-                             jac_reuse=4,
+    w0 = np.concatenate((u0, [mu0, g0]))
+    accept = np.append(accept, 1e-10)
+    tol = np.minimum(accept, fold_tol(F, w0, np.diag(np.spacing(np.abs(w0))),
+                                      least=np.append(tol, 1e-12)))
+    w, res, _ = newton_solve(F, w0, scales=np.append(scales, 0.05), tol=tol,
+                             accept_tol=accept, max_iter=60, jac_reuse=4,
                              name=f"heterodimensional cycle (k={k}, m={m})")
 
     u, mu1, g = w[:-2], float(w[-2]), float(w[-1])

@@ -30,13 +30,15 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array,
     Probes that step outside a map's domain fall back to one-sided
     differences; when every probe of a variable leaves the domain the
     Jacobian is unknown there and ConvergenceError names the variable.
+    ``f(u)`` itself is evaluated only for a one-sided difference: the
+    Newton that asks for the Jacobian already holds it.
     """
     u = np.asarray(u, dtype=float)
-    f0 = np.asarray(f(u), dtype=float)
-    n, m = u.size, f0.size
+    n = u.size
     if scales is None:
         scales = np.ones(n)
-    J = np.empty((m, n))
+    columns = []
+    f0 = None
     for i in range(n):
         h = FD_REL_STEP * max(abs(u[i]), scales[i])
         up = u.copy()
@@ -44,21 +46,42 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array,
         up[i] += h
         um[i] -= h
         try:
-            J[:, i] = (np.asarray(f(up)) - np.asarray(f(um))) / (2.0 * h)
+            columns.append((np.asarray(f(up)) - np.asarray(f(um))) / (2.0 * h))
+            continue
+        except NumericalError:
+            pass
+        if f0 is None:
+            f0 = np.asarray(f(u), dtype=float)
+        try:
+            columns.append((np.asarray(f(up)) - f0) / h)
             continue
         except NumericalError:
             pass
         try:
-            J[:, i] = (np.asarray(f(up)) - f0) / h
-            continue
-        except NumericalError:
-            pass
-        try:
-            J[:, i] = (f0 - np.asarray(f(um))) / h
+            columns.append((f0 - np.asarray(f(um))) / h)
         except NumericalError:
             raise ConvergenceError(f"fd_jacobian: every probe of variable {i} "
                                    "left the domain", seed=u) from None
-    return J
+    return np.column_stack(columns)
+
+
+FOLD_ULPS = 256  # the ulps each floor probe moves its input
+
+
+def fold_tol(f: Callable[[Array], Any], u: Array, ulps,
+             least: float | Array = 1e-13) -> float | Array:
+    """The stop tolerance of a Newton whose rows ``f(u)`` land on a float
+    floor: twice each row's floor at u, never below ``least``.  ``ulps``
+    holds one step of u per probed input, each one ulp of that input; a
+    row's floor is the sum of its changes over FOLD_ULPS such steps, per ulp.
+    Below it a Newton only random-walks its unknowns.  Returns a float for a
+    scalar row and an array (one tolerance per row) for a vector of rows.
+    """
+    f0 = np.asarray(f(u), dtype=float)
+    floor = sum(np.abs(np.asarray(f(u + FOLD_ULPS * e), dtype=float) - f0)
+                for e in ulps) / FOLD_ULPS
+    tol = np.maximum(least, 2.0 * floor)
+    return float(tol) if tol.ndim == 0 else tol
 
 
 def newton_solve(f: Callable[[Array], Array], u0: Array, *,

@@ -291,7 +291,6 @@ def run_experiment(config_path: str, out_dir: str | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(out_dir or doc.get("out", "hetdim-out"))
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(doc.get("seed", 0))
     log.info("running %s -> %s", doc["experiment"], out)
     try:
@@ -302,6 +301,9 @@ def run_experiment(config_path: str, out_dir: str | None = None) -> int:
     except NumericalError as exc:
         print(f"solver failure in {doc['experiment']}: {exc}", file=sys.stderr)
         return 1
+    # only a run that got this far writes anything, so a config or solver
+    # error leaves no output directory behind
+    out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         (out / name).write_text(content)
     # a comparison on numpy scalars yields np.bool_, which is not a bool

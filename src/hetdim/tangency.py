@@ -33,7 +33,7 @@ from .errors import ConvergenceError, HypothesisError, NumericalError
 from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, axis_point,
                          first_return_array, k_star, t1_array, t1_jac_array)
 from .local import CrossFormResult, solve_cross_form
-from .numerics import newton_1d, newton_solve
+from .numerics import fold_tol, newton_1d, newton_solve
 from .saddle import SaddleModel, jacobian_along, orbit
 
 Array = np.ndarray
@@ -141,20 +141,6 @@ def _seed(coeffs: GlobalMapCoeffs, lam: float, gamma: float, k: int, sign: int):
     t = X / b
     mu = (ym + Y) / gamma ** k - (d / b ** 2) * X * X - coeffs.e3 * t ** 3
     return float(X), float(Y), float(mu)
-
-
-FOLD_ULPS = 256  # the ulps each floor probe of a slope row moves
-
-
-def fold_tol(slope, u, ulps) -> float:
-    """The stop tolerance of a fold's slope row ``slope(u)``: twice its float
-    floor at u, never below 1e-13.  ``ulps`` holds one step of u per input
-    of the row, each one ulp of that input's float coordinate; the floor is
-    the sum of the row's changes over FOLD_ULPS such steps, per ulp.  Below
-    it a fold's Newton only random-walks its inputs."""
-    s0 = slope(u)
-    floor = sum(abs(slope(u + FOLD_ULPS * e) - s0) for e in ulps) / FOLD_ULPS
-    return float(max(1e-13, 2.0 * floor))
 
 
 def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,

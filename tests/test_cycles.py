@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -279,6 +280,37 @@ def test_nonlinear_cycle_certifies_replays_and_crosses():
     # "leaf_steps": null in their quasi_connection; replay still accepts them
     doc["quasi_connection"]["leaf_steps"] = None
     assert replay_certificate_dict(doc)["all_ok"]
+
+
+# sha256 of the (12,10) certificate's JSON as written under fixed row
+# tolerances (numpy 2.4 on x86-64): there every measured float floor lies
+# under its fixed tolerance, so the floor rule leaves it bit for bit
+CYCLE_12_10_SHA256 = "015a83463de164302031ed6dc04e273a56e615f96669038d91143fc9602e3d80"
+
+
+def test_cycle_newton_stops_at_its_rows_float_floors(monkeypatch):
+    # each row stops at twice its float floor measured at the seed, capped by
+    # its accept floor: the cycle Newton converges before its iteration cap
+    # along the schedule, where it would otherwise random-walk to the cap
+    solve, iterations = cycles.newton_solve, {}
+
+    def recorded(f, u0, **kwargs):
+        out = solve(f, u0, **kwargs)
+        iterations[kwargs["name"]] = (out[2], kwargs["max_iter"])
+        return out
+
+    monkeypatch.setattr(cycles, "newton_solve", recorded)
+    model, coeffs = hetdim_model(), hetdim_coeffs()
+    certs = {}
+    for k, m in hetdim_schedule():
+        certs[k, m] = solve_hetdim_symmetric(model, coeffs, k, m, s_target=0.0)
+        used, cap = iterations[f"heterodimensional cycle (k={k}, m={m})"]
+        assert used < cap, (k, m)
+    digest = hashlib.sha256(certificate_to_json(certs[12, 10]).encode()).hexdigest()
+    assert digest == CYCLE_12_10_SHA256
+    deep = certs[36, 30]
+    assert deep.residuals["closure"] < 1e-10
+    assert replay_certificate_dict(json.loads(certificate_to_json(deep)))["all_ok"]
 
 
 def test_transverse_connection_iteration_bound(hetdim_certificates, het):

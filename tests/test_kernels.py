@@ -22,7 +22,7 @@ from hetdim.errors import ConvergenceError, DomainError, ItineraryError
 from hetdim.global_map import (axis_point, first_return_array, t1_array, t1_jac_array,
                                t1_tilde_array)
 from hetdim.local import _forward_y, solve_cross_form
-from hetdim.numerics import fd_jacobian, newton_1d, newton_solve, orthonormal_frame
+from hetdim.numerics import fd_jacobian, fold_tol, newton_1d, newton_solve, orthonormal_frame
 from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
                             forge_coeffs, hetdim_coeffs, hetdim_model)
 from hetdim.saddle import (BOX, Multipliers, build_model, orbit, reflect_array, t0_array,
@@ -441,6 +441,23 @@ def test_fd_jacobian_one_sided_fallback():
     J = fd_jacobian(f, np.array([0.3, 1.0]))
     assert J[0, 0] == pytest.approx(0.6, rel=1e-6)
     assert J[1, 1] == pytest.approx(3.0, rel=1e-9)
+
+
+def test_fold_tol_gives_each_row_its_own_floor():
+    # rows a*u0, b*u1 and a*u0 + b*u1 move a*ulp0, b*ulp1 and both per ulp
+    # (powers of two keep every product exact); the floors sum over the
+    # probed inputs row by row, and a row under ``least`` gets ``least``
+    u = np.array([0.3, 5.0])
+    ulp0, ulp1 = np.spacing(u)
+    a, b = 2.0 ** 31, 2.0 ** 20
+
+    def f(w):
+        return np.array([a * w[0], b * w[1], a * w[0] + b * w[1], 0.0])
+
+    tol = fold_tol(f, u, [np.array([ulp0, 0.0]), np.array([0.0, ulp1])],
+                   least=np.array([0.0, 0.0, 0.0, 1e-12]))
+    assert tol.tolist() == [2.0 * a * ulp0, 2.0 * b * ulp1,
+                            2.0 * (a * ulp0 + b * ulp1), 1e-12]
 
 
 def _fold_parabola(t):

@@ -275,6 +275,8 @@ def test_run_with_mixed_dimensions_is_a_config_error(tmp_path, capsys, experimen
     for alpha, message in MIXED_INPUTS:
         assert main(["run", "--config", _mixed_dimensions(tmp_path, experiment, alpha)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}"), alpha
+        # the config failed before any artifact: no output directory is left
+        assert not (tmp_path / "out").exists(), alpha
 
 
 def test_check_model_with_mixed_dimensions_is_a_config_error(tmp_path, capsys):

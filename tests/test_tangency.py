@@ -8,9 +8,10 @@ import pytest
 from hetdim import tangency
 from hetdim.errors import ValidationError
 from hetdim.global_map import axis_jet, first_return_array, t1_array, t1_jac_array
+from hetdim.numerics import fold_tol
 from hetdim.presets import forge_coeffs
 from hetdim.tangency import (ROOT_TOL, SLOPE_MIN, curve_points,
-                             find_transverse_homoclinics, fold_tol, forge_admissible_tangency,
+                             find_transverse_homoclinics, forge_admissible_tangency,
                              predicted_c_signs, solve_secondary_tangency, stage_one_curve,
                              stage_two_curve, verify_tangency_branch, vertex_at,
                              branches_to_csv, double_return_y)
@@ -154,6 +155,56 @@ def test_secondary_solve_stops_at_the_slope_floor(case, lin_model, monkeypatch):
             _, J = jet(lin_model, coeffs.with_mu(br.mu_k), br.X, br.Y, k)
             assert abs(J[1, 1]) <= br.slope_tol <= 1e-10, (k, br.branch)
         assert len(solves) == 2 and max(solves) <= 40, (k, solves)
+
+
+# every stage-one branch's slope_tol over ks 12..24, in (k, branch) order,
+# as recorded under numpy 2.4 on x86-64: the fold rule's vector form must
+# leave each one bit for bit as it was
+SLOPE_TOLS = {
+    "cdx_neg_d_neg": [
+        "0x1.c25c268497682p-44", "0x1.3ee5d45ddb9b8p-43",
+        "0x1.9715b36db597ap-43", "0x1.97109925955b8p-42",
+        "0x1.06b761b72d6c1p-41", "0x1.06b6a88bfe3fep-40",
+        "0x1.5608119d40a17p-40", "0x1.5607dd8e50318p-39",
+        "0x1.c02a31896a4bdp-39", "0x1.c02a22fe8b251p-38",
+        "0x1.26fe36a98f1ccp-37", "0x1.26fe34a4033c0p-36",
+        "0x1.85a4cf5d73f74p-36", "0x1.85a4cece0951bp-35",
+    ],
+    "cdx_pos_d_neg": [
+        "0x1.c25c268497682p-44", "0x1.c25c268497682p-44",
+        "0x1.41b6be3710934p-43", "0x1.41b0495e94900p-42",
+        "0x1.c01a20554a0cdp-42", "0x1.c0186e1b33e05p-41",
+        "0x1.32f0a1296e51bp-40", "0x1.32f06727355d6p-39",
+        "0x1.a049c768e18b3p-39", "0x1.a049b7c0fd337p-38",
+        "0x1.1882471159316p-37", "0x1.188244f1130f8p-36",
+        "0x1.787a8742ec0fap-36", "0x1.787a86ae7ccaep-35",
+    ],
+    "cdx_neg_d_pos": [
+        "0x1.c25c268497682p-44", "0x1.c25c268497682p-44",
+        "0x1.41b27062f4ea8p-42", "0x1.41b2704dc7932p-43",
+        "0x1.c018fedbd7f9fp-41", "0x1.c018fee1f04d7p-42",
+        "0x1.32f07a7d3b43ap-39", "0x1.32f07a7d1fbf9p-40",
+        "0x1.a049bcf9099d2p-38", "0x1.a049bcf9099d2p-39",
+        "0x1.188245a67efb3p-36", "0x1.188245a67f402p-37",
+        "0x1.787a86dff7c09p-35", "0x1.787a86dff7493p-36",
+    ],
+    "cdx_pos_d_pos": [
+        "0x1.c25c268497682p-44", "0x1.3ee5d43c335c8p-43",
+        "0x1.9715b317194d8p-43", "0x1.9710991d6471ep-42",
+        "0x1.06b761b6ca586p-41", "0x1.06b6a88c78205p-40",
+        "0x1.5608119d24a8fp-40", "0x1.5607dd8e5494fp-39",
+        "0x1.c02a3189579ccp-39", "0x1.c02a22fe824acp-38",
+        "0x1.26fe36a98ed94p-37", "0x1.26fe34a402922p-36",
+        "0x1.85a4cf5d745f7p-36", "0x1.85a4cece093bcp-35",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_secondary_slope_tols_are_bit_identical(case, lin_model):
+    tols = [float(br.slope_tol).hex() for k in range(12, 25, 2)
+            for br in solve_secondary_tangency(lin_model, forge_coeffs(case), k)]
+    assert tols == SLOPE_TOLS[case]
 
 
 def test_parity_required(lin_model, coeffs_a):
