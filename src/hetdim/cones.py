@@ -14,14 +14,14 @@ subspace, by Heun steps whose error is checked against two half steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError
 from .global_map import GlobalMapCoeffs, t1_array, t1_jac_array
-from .numerics import chain_product, orthonormal_frame, sorted_eigvals
-from .saddle import SaddleModel, orbit, t0_jac_array
+from .numerics import chain_product, frobenius, orthonormal_frame, sorted_eigvals
+from .saddle import SaddleModel, orbit, stay_exit, t0_jac_array
 
 Array = np.ndarray
 
@@ -78,7 +78,7 @@ def _power_frame(apply, W: Array, tol: float) -> tuple[Array, int]:
     """
     for it in range(FRAME_MAX_SWEEPS):
         Wn = orthonormal_frame(apply(W))
-        move = np.linalg.norm(Wn - W @ (W.T @ Wn))
+        move = frobenius(Wn - W @ (W.T @ Wn))
         if move < tol:
             return Wn, it + 1
         W = Wn
@@ -87,9 +87,12 @@ def _power_frame(apply, W: Array, tol: float) -> tuple[Array, int]:
                            residual=float(move))
 
 
+@cache
 def _z_seed(dim: int) -> Array:
+    """The z-axes as a read-only (D, D-2) frame, built once per dimension."""
     W = np.zeros((dim, dim - 2))
     W[2:, :] = np.eye(dim - 2)
+    W.flags.writeable = False
     return W
 
 
@@ -105,20 +108,25 @@ class ConeWitness:
     iterations: int = 0
 
 
-def _slope_cu(v: Array) -> float:
-    """Cone coordinate ||dz|| / (|dx| + |dy|) of a vector."""
-    denom = abs(v[0]) + abs(v[1])
-    return float(np.linalg.norm(v[2:]) / denom) if denom > 0 else np.inf
+def _opening(kind: str, img: Array) -> float:
+    """The largest cone coordinate over the rows of img: ||dz|| / (|dx| + |dy|)
+    for the cu-cone, max(|dx|, |dy|) / ||dz|| for the s-cone, inf on a row
+    whose denominator is 0.  Each ||dz|| is ``np.linalg.norm``'s sqrt of the
+    dot product: matmul on a contiguous stack of (row, column) pairs takes
+    the same dot."""
+    z = np.ascontiguousarray(img[:, 2:])
+    dz = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
+    x, y = np.abs(img[:, 0]), np.abs(img[:, 1])
+    num, den = (dz, x + y) if kind == "cu" else (np.maximum(x, y), dz)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(den > 0, num / den, np.inf)))
 
 
-def _slope_s(v: Array) -> float:
-    denom = float(np.linalg.norm(v[2:]))
-    return float(max(abs(v[0]), abs(v[1])) / denom) if denom > 0 else np.inf
-
-
+@cache
 def _cone_boundary(kind: str, K: float, dim: int) -> Array:
-    """Sample vectors on the boundary of the cu- or s-cone of opening K: 48
-    directions in the (x, y)-plane, each with 2 (D = 3) or 12 z-directions."""
+    """Sample vectors on the boundary of the cu- or s-cone of opening K, as
+    a read-only (n, D) array built once: 48 directions in the (x, y)-plane,
+    each with 2 (D = 3) or 12 z-directions."""
     if dim == 3:
         dirs = [np.array([1.0]), np.array([-1.0])]
     else:
@@ -132,7 +140,9 @@ def _cone_boundary(kind: str, K: float, dim: int) -> Array:
                 out.append(np.concatenate((w, K * (abs(w[0]) + abs(w[1])) * e)))
             else:
                 out.append(np.concatenate((K * w, e)))
-    return np.array(out)
+    out = np.array(out)
+    out.flags.writeable = False
+    return out
 
 
 _K_GRID = [10.0 ** e for e in range(-3, 4)]
@@ -142,10 +152,8 @@ K_MAX = 1e3
 def _certify_cone(kind: str, apply, dim: int) -> tuple[float, float]:
     """The smallest grid K whose sampled cone boundary ``apply`` maps inside
     the cone, with the ratio image opening / K."""
-    slope = _slope_cu if kind == "cu" else _slope_s
     for K in _K_GRID:
-        img = apply(_cone_boundary(kind, K, dim).T).T
-        opening = max(slope(v) for v in img)
+        opening = _opening(kind, apply(_cone_boundary(kind, K, dim).T).T)
         if opening < K:
             return K, float(opening / K)
     raise HypothesisError(f"no invariant {kind}-cone with K <= {K_MAX:g}; "
@@ -202,15 +210,18 @@ def invariant_s_subspace(chain: Array) -> ConeWitness:
 # strong-stable leaves
 
 
-def stable_frame(chain: Array) -> Array:
-    """Frame of the backward-invariant (D-2)-plane, without the cone
-    certificate; this is the hot path of the leaf integration.
+def stable_frame(P: Array) -> Array:
+    """Frame of the backward-invariant (D-2)-plane of the D x D inverse
+    product P of a return chain (``_inverse_product``), without the cone
+    certificate; this is the hot path of the leaf integration.  An (n, D, D)
+    chain itself is inverted first.
 
     The spectral gap |strong/lambda|^k of the inverse product makes two
     sweeps the rule: one to converge, one to confirm.
     """
-    P = _inverse_product(chain)
-    W, _ = _power_frame(lambda V: P @ V, _z_seed(chain.shape[1]), 1e-14)
+    if P.ndim == 3:
+        P = _inverse_product(P)
+    W, _ = _power_frame(partial(np.matmul, P), _z_seed(P.shape[0]), 1e-14)
     return W
 
 
@@ -221,16 +232,17 @@ def stable_slopes(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
     Returns a (2, D-2) matrix Phi with (dx, dy) = Phi dz on E^s(p).
 
     On the linear tier every local step has the Jacobian diag(multipliers),
-    so the stay's k factors are the one diagonal factor diag(d^k), inverted
-    entry by entry.  The nonlinear tiers keep one factor per step: their
-    product would be inverted at a condition number near 1e20.
+    so the stay's k factors are the one diagonal factor diag(d^k), and the
+    inverse product is inv(J1) with its rows divided by d^k: the bits of
+    inverting the two-factor chain.  The nonlinear tiers keep one factor per
+    step: their product would be inverted at a condition number near 1e20.
     """
     if model.nonlinearity.kind == "linear":
-        J1 = t1_jac_array(coeffs, orbit(model, p, k)[k])
-        chain = np.stack((np.diag(model.diagonal ** k), J1))
+        J1 = t1_jac_array(coeffs, stay_exit(model, p, k))
+        P = (1.0 / model.diagonal ** k)[:, None] * np.linalg.inv(J1)
     else:
-        chain = return_chain(model, coeffs, p, [k])
-    V = stable_frame(chain)
+        P = _inverse_product(return_chain(model, coeffs, p, [k]))
+    V = stable_frame(P)
     return V[:2, :] @ np.linalg.inv(V[2:, :])
 
 
@@ -288,16 +300,16 @@ def _leaf_piece(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, xy: Array,
 
 
 def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
-               z_target: Array) -> tuple[Array, Array, Array]:
+               z_target: Array, base_slopes: Array) -> tuple[Array, Array, Array]:
     """March the leaf graph from the flat (D,) point base to z_target by Heun
     steps, each checked by two half steps (``_leaf_piece``); a leaf straight to
-    rounding takes six slope evaluations.  Returns the (x, y) arrival, the slope
-    matrix there, and z_target itself; raises ConvergenceError past
-    LEAF_MAX_DEPTH halvings."""
+    rounding takes five slope evaluations.  ``base_slopes`` is
+    ``stable_slopes`` at base, which a caller computes once for all its marches
+    from that base.  Returns the (x, y) arrival, the slope matrix there, and
+    z_target itself; raises ConvergenceError past LEAF_MAX_DEPTH halvings."""
     z_target = np.atleast_1d(np.asarray(z_target, dtype=float))
     xy, z0 = base[:2].astype(float), base[2:].astype(float)
-    Phi = stable_slopes(model, coeffs, np.concatenate((xy, z0)), k)
-    return (*_leaf_piece(model, coeffs, k, xy, Phi, z0, z_target, 0), z_target)
+    return (*_leaf_piece(model, coeffs, k, xy, base_slopes, z0, z_target, 0), z_target)
 
 
 def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array,
@@ -312,6 +324,7 @@ def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array,
     half_width = coeffs.delta / 2.0
     nz = model.dim - 2
     offsets = np.linspace(-half_width, half_width, n_samples)
+    base_slopes = stable_slopes(model, coeffs, base, k)
     z_pts, xy_pts, p1, p2 = [], [], [], []
     for axis in range(nz):
         for off in offsets:
@@ -319,7 +332,7 @@ def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array,
             z_t[axis] += off
             if np.linalg.norm(z_t) >= coeffs.delta:
                 continue
-            xy, Phi, z = leaf_march(model, coeffs, base, k, z_t)
+            xy, Phi, z = leaf_march(model, coeffs, base, k, z_t, base_slopes)
             z_pts.append(z)
             xy_pts.append(xy)
             p1.append(Phi[0])

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import saddle
-from .cones import invariant_cu_subspace, leaf_march, return_chain
+from .cones import invariant_cu_subspace, leaf_march, return_chain, stable_slopes
 from .errors import (AmbiguousIndexError, ContractError, ConvergenceError,
                      DomainError, HypothesisError, NumericalError,
                      ValidationError)
@@ -97,7 +97,7 @@ def _legs(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
     for j, n in enumerate(stays):
         v = u[j * D:(j + 1) * D]
         entry = np.concatenate(([coeffs.x_plus + v[0], v[1] / gam ** n], coeffs.z_plus + v[2:]))
-        legs.append((entry, saddle.orbit(model, entry, n)[-1]))
+        legs.append((entry, saddle.stay_exit(model, entry, n)))
     return legs
 
 
@@ -428,11 +428,13 @@ def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs, coeffs2: Global
     # 1d solve in t whose derivative comes from the leaf slopes and the
     # twin curve's exact slope: q(t) = R T1(0, y- - t, 0), so dq/dt = -R J e_y
     cm2 = coeffs2.with_mu(mu2)
+    # every march of the t-match starts at Q02
+    base_slopes = stable_slopes(model, coeffs, Q02, m)
 
     def x_mismatch(t: float) -> tuple[float, float, tuple[Array, Array]]:
         w, J = axis_jet(model, cm2, coeffs2.y_minus - t, jacobian=True)
         q, dq = reflect_array(model, w), -reflect_array(model, J[:, 1])
-        xy, Phi, _ = leaf_march(model, coeffs, Q02, m, q[2:])
+        xy, Phi, _ = leaf_march(model, coeffs, Q02, m, q[2:], base_slopes)
         slope = float(Phi[0] @ dq[2:]) - dq[0]
         return float(xy[0] - q[0]), slope, (q, xy)
 
@@ -611,23 +613,19 @@ def _poly_area(P: Array) -> float:
 
 def _return_block(model: SaddleModel, coeffs: GlobalMapCoeffs, pts: Array,
                   stay: int) -> tuple[Array, Array]:
-    """One return T1 o T0^stay of each row of pts, from one orbit per row.
+    """One return T1 o T0^stay of each row of pts, the stay as one block.
 
     Returns the exit heights T0^stay(p)_y, NaN where the orbit leaves the
     box, and the images T1(T0^stay(p)), NaN where the exit misses Pi1: the
     values of ``first_return_array`` wherever it does not raise.
     """
-    exits = np.full(len(pts), np.nan)
+    w = saddle.stay_exit(model, pts, stay)
     images = np.full(pts.shape, np.nan)
-    for i, p in enumerate(pts):
-        try:
-            w = saddle.orbit(model, p, stay)[-1]
-        except NumericalError:
-            continue
-        exits[i] = w[1]
-        if in_pi1(coeffs, w):
-            images[i] = t1_array(coeffs, w)
-    return exits, images
+    for i, exit_i in enumerate(w):
+        # a NaN row (a box exit) is not in Pi1
+        if in_pi1(coeffs, exit_i):
+            images[i] = t1_array(coeffs, exit_i)
+    return w[:, 1], images
 
 
 def verify_transverse_connection(model: SaddleModel, coeffs: GlobalMapCoeffs,
@@ -803,11 +801,11 @@ def replay_certificate_dict(doc: dict) -> dict:
             lambda: closure_residual_forward(model, coeffs, pts["Q01"].as_array(), k, m))
 
     def legs():
-        v = saddle.orbit(model, pts["Q01"].as_array(), k)[-1]
+        v = saddle.stay_exit(model, pts["Q01"].as_array(), k)
         leg = float(np.max(np.abs(v - pts["Q11"].as_array())))
         v = t1_array(coeffs, v)
         leg = max(leg, float(np.max(np.abs(v - pts["Q02"].as_array()))))
-        v = saddle.orbit(model, v, m)[-1]
+        v = saddle.stay_exit(model, v, m)
         return max(leg, float(np.max(np.abs(v - pts["Q12"].as_array()))))
 
     guarded("legs", CERT_TOLERANCES["closure"], legs)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ItineraryError, ValidationError
-from .saddle import SaddleModel, jacobian_along, orbit, reflect_array
+from .saddle import SaddleModel, jacobian_along, orbit, reflect_array, stay_exit
 
 Array = np.ndarray
 
@@ -168,9 +168,13 @@ def t1_tilde_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array) -> Arr
 
 def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k: int,
                        with_jacobian: bool = True) -> tuple[Array, Array | None]:
-    """T1 o T0^k on flat arrays; ItineraryError names the first violated step."""
-    traj = orbit(model, v, k)
-    w = traj[k]
+    """T1 o T0^k on flat arrays; ItineraryError names the first violated step.
+    Without the Jacobian only the stay's exit is computed (``stay_exit``)."""
+    if with_jacobian:
+        traj = orbit(model, v, k)
+        w = traj[k]
+    else:
+        w = stay_exit(model, v, k)
     if not in_pi1(coeffs, w):
         raise ItineraryError(f"itinerary violated: T0^{k}(p) not in Pi1", step=k)
     J = t1_jac_array(coeffs, w) @ jacobian_along(model, traj) if with_jacobian else None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import newton_1d
-from .saddle import SaddleModel, jacobian_along, orbit
+from .saddle import SaddleModel, jacobian_along, orbit, stay_exit
 
 Array = np.ndarray
 
@@ -44,7 +44,7 @@ def solve_cross_form(model: SaddleModel, x0: float, yk: float, z0, k: int) -> Cr
     """Solve the cross form: find (x_k, y_0, z_k) with prescribed (x0, yk, z0).
 
     On the linear tier y0 = yk / gamma^k, and x_k, z_k come from one
-    ``orbit`` from (x0, y0, z0): its y_k misses yk by a few ulps, far below
+    ``stay_exit`` from (x0, y0, z0): its y_k misses yk by a few ulps, far below
     the 1e-12 tolerance, so the result is the one shooting would return
     after its first evaluation (iterations 1).  The nonlinear tiers polish y0
     by Newton (the shooting derivative dyk/dy0 ~ gamma^k) from that guess;
@@ -54,7 +54,7 @@ def solve_cross_form(model: SaddleModel, x0: float, yk: float, z0, k: int) -> Cr
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     y0 = float(yk / model.multipliers.gamma ** k)
     if model.nonlinearity.kind == "linear":
-        v = orbit(model, np.concatenate(([x0, y0], z0)), k)[k]
+        v = stay_exit(model, np.concatenate(([x0, y0], z0)), k)
         return CrossFormResult(float(v[0]), y0, v[2:], abs(float(v[1]) - yk), 1)
 
     def shoot(y0: float) -> tuple[float, float, tuple[float, Array]]:

@@ -245,6 +245,13 @@ def chain_product(chain: Array, M: Array | None = None) -> Array:
     return M
 
 
+def frobenius(A: Array) -> float:
+    """``np.linalg.norm(A)`` of a real array, bit for bit, without its
+    dispatch: the sqrt of the dot product of A's entries in memory order."""
+    a = A.ravel(order="K")
+    return math.sqrt(a @ a)
+
+
 def orthonormal_frame(V: Array) -> Array:
     """Orthonormalize the columns of ``V`` (thin QR with sign fixing).
 
@@ -252,7 +259,7 @@ def orthonormal_frame(V: Array) -> Array:
     an error relative to each component rather than to ||V||.
     """
     if V.shape[1] == 1:
-        norm = np.linalg.norm(V)
+        norm = frobenius(V)
         if norm > 0.0:
             return V / norm
     Q, R = np.linalg.qr(V)

@@ -376,6 +376,46 @@ def orbit(model: SaddleModel, v: Array, n: int) -> Array:
     return traj
 
 
+def stay_exit(model: SaddleModel, v: Array, n: int) -> Array:
+    """T0^n of a flat (D,) point, or of each row of an (N, D) block: the
+    last row of ``orbit``, bit for bit.
+
+    A point that leaves the box raises ``orbit``'s ItineraryError, with the
+    same step; a block gets a NaN row for each such point.  The linear tier
+    takes the stay as one product of the start and n multipliers, the
+    multiplications ``orbit`` performs, and checks the box at the two ends
+    only: along a stay each coordinate's modulus is monotone in floats
+    (rounding is monotone and every multiplier has modulus >= 1 or <= 1),
+    so a point inside the box at both ends never left it.  The nonlinear
+    tiers step each point with ``orbit``.
+    """
+    v = np.asarray(v, dtype=float)
+    if model.nonlinearity.kind != "linear":
+        if v.ndim == 1:
+            return orbit(model, v, n)[-1]
+        w = np.full(v.shape, np.nan)
+        for i, p in enumerate(v):
+            try:
+                w[i] = orbit(model, p, n)[-1]
+            except ItineraryError:
+                pass
+        return w
+    stack = np.empty((n + 1,) + v.shape)
+    stack[0] = v
+    stack[1:] = model.diagonal
+    w = np.multiply.reduce(stack, axis=0)
+    if n:
+        # turns a -0.0 product into +0.0, as each step of the normal form does
+        w += 0.0
+    # the larger modulus of each coordinate's two ends; NaN fails the test
+    ends = np.maximum(np.abs(v), np.abs(w))
+    if v.ndim == 1:
+        # orbit raises with the first step outside the box
+        return w if ends.max() <= BOX else orbit(model, v, n)[-1]
+    w[~(ends <= BOX).all(axis=-1)] = np.nan
+    return w
+
+
 def t0_jac_array(model: SaddleModel, v: Array) -> Array:
     """Exact Jacobian of the local map: (D, D) at a flat (D,) point ``v``,
     or (N, D, D) at the N rows of an (N, D) block."""

@@ -34,7 +34,7 @@ from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, axis_point
                          first_return_array, k_star, t1_array, t1_jac_array)
 from .local import CrossFormResult, solve_cross_form
 from .numerics import fold_tol, newton_1d, newton_solve
-from .saddle import SaddleModel, jacobian_along, orbit
+from .saddle import SaddleModel, jacobian_along, orbit, stay_exit
 
 Array = np.ndarray
 
@@ -624,7 +624,7 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
                 # reject solutions whose j-leg exits near the strip boundary
                 # (Newton occasionally settles on such artifacts)
                 w2, _ = axis_jet(model, cm3, ybase + t3, (k,))
-                if abs(orbit(model, w2, j)[j, 1] - cm3.y_minus) >= 0.7 * cm3.delta / 2.0:
+                if abs(stay_exit(model, w2, j)[1] - cm3.y_minus) >= 0.7 * cm3.delta / 2.0:
                     continue
                 y3 = ybase + t3
                 # c of the induced (triple-composed) global map decides csign

@@ -182,7 +182,8 @@ def test_leaf_march_consistency(lin_chain):
     model, coeffs, k, _ = lin_chain
     base = strip_center(model, coeffs, k)
     target = base[2:] + 0.04
-    xy, _, _ = leaf_march(model, coeffs, base, k, target)
+    xy, _, _ = leaf_march(model, coeffs, base, k, target,
+                          stable_slopes(model, coeffs, base, k))
     assert np.max(np.abs(xy - _heun_reference(model, coeffs, base, k, target, 80))) < 1e-12
 
 
@@ -202,7 +203,9 @@ def test_leaf_march_splits_a_curved_leaf(monkeypatch):
         return stable_slopes(*args)
 
     monkeypatch.setattr(cones, "stable_slopes", counted)
-    xy, _, _ = leaf_march(model, coeffs, base, k, target)
+    # the count includes the base slopes the caller hands the march
+    xy, _, _ = leaf_march(model, coeffs, base, k, target,
+                          cones.stable_slopes(model, coeffs, base, k))
     assert len(calls) == 62
     assert np.max(np.abs(xy - ref)) < 1e-14
 
@@ -234,7 +237,8 @@ def test_leaf_march_depth_cap(monkeypatch, lin_chain):
     monkeypatch.setattr(cones, "stable_slopes", curved)
     base = strip_center(model, coeffs, k)
     with pytest.raises(ConvergenceError, match="leaf march"):
-        leaf_march(model, coeffs, base, k, base[2:] + 0.04)
+        leaf_march(model, coeffs, base, k, base[2:] + 0.04,
+                   cones.stable_slopes(model, coeffs, base, k))
     assert len(calls) == 1 + 4 + 3 * cones.LEAF_MAX_DEPTH
     assert len(calls) <= 1 + 5 * (cones.LEAF_MAX_DEPTH + 1)
 

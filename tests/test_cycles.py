@@ -323,11 +323,11 @@ def test_transverse_connection_iteration_bound(hetdim_certificates, het):
     assert tw["iterations_used"] <= bound
 
 
-def test_return_block_matches_single_point_returns(hetdim_certificates):
+def _assert_return_block_is_per_row(cert, tier):
     # a disk around Q01 of the (12,10) certificate, plus a start outside the
     # box, a row that leaves it on the way and one whose exit misses Pi1
-    cert = hetdim_certificates[0]
-    model, cm = model_from_json(cert.model_spec), coeffs_from_json(cert.coeffs_spec)
+    spec = {**cert.model_spec, "nonlinearity": {"kind": tier, "eps": 0.05}}
+    model, cm = model_from_json(spec), coeffs_from_json(cert.coeffs_spec)
     k, m = cert.orbit.itinerary
     q = cert.orbit.points["Q01"].as_array()
     E = invariant_cu_subspace(return_chain(model, cm, q, [k, m])).subspace
@@ -359,6 +359,16 @@ def test_return_block_matches_single_point_returns(hetdim_certificates):
     assert np.isnan(images[-1]).all()
     exits, images = blocks[m]
     assert np.isfinite(exits[:-3]).all() and np.isnan(images[:-3]).all()
+
+
+def test_return_block_matches_single_point_returns(hetdim_certificates):
+    # the linear tier takes the stay as one block
+    _assert_return_block_is_per_row(hetdim_certificates[0], "linear")
+
+
+def test_nonlinear_return_block_matches_single_point_returns(hetdim_certificates):
+    # the nonlinear tiers step the block row by row
+    _assert_return_block_is_per_row(hetdim_certificates[0], "polynomial_symmetric")
 
 
 def _leading_plane(chain: np.ndarray, mp) -> np.ndarray:

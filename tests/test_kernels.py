@@ -3,7 +3,8 @@ the local map against the normal-form formula, the trajectory kernel and the
 Jacobian chains built on it against per-step loops, the batched Jacobian
 against single-point calls, the stable frame against per-step inverse
 iteration, the diagonal-factor leaf slopes against the full chain, the
-one-column frame against QR, and the scalar root polish's step rules."""
+one-column frame against QR, the block stay and the vectorised cone opening
+against per-point loops, and the scalar root polish's step rules."""
 
 from __future__ import annotations
 
@@ -16,17 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import coordinates, linear_models, phase_points, stays
 
-from hetdim.cones import return_chain, stable_frame, stable_slopes, strip_center
+from hetdim import cones, runner
+from hetdim.cones import (_inverse_product, return_chain, stable_frame, stable_slopes,
+                          strip_center)
 from hetdim.cycles import orbit_index, orbit_jacobian_chain
 from hetdim.errors import ConvergenceError, DomainError, ItineraryError
 from hetdim.global_map import (axis_point, first_return_array, t1_array, t1_jac_array,
                                t1_tilde_array)
 from hetdim.local import _forward_y, solve_cross_form
-from hetdim.numerics import fd_jacobian, fold_tol, newton_1d, newton_solve, orthonormal_frame
-from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
-                            forge_coeffs, hetdim_coeffs, hetdim_model)
-from hetdim.saddle import (BOX, Multipliers, build_model, orbit, reflect_array, t0_array,
-                           t0_jac_array)
+from hetdim.numerics import (chain_product, fd_jacobian, fold_tol, frobenius, newton_1d,
+                             newton_solve, orthonormal_frame)
+from hetdim.presets import (base_model, battery_coeffs, battery_model, battery_pairs,
+                            d4_model, forge_coeffs, hetdim_coeffs, hetdim_model)
+from hetdim.saddle import (BOX, Multipliers, build_model, orbit, reflect_array, stay_exit,
+                           t0_array, t0_jac_array)
 from hetdim.tangency import _cross_form_jet
 
 TIERS = ("linear", "polynomial", "polynomial_symmetric")
@@ -136,6 +140,55 @@ def test_orbit_names_the_loops_first_exit_step(name, tier):
         assert exc.value.step == exit_step
         # shorter than the exit, the trajectory is returned whole
         assert orbit(model, v, exit_step - 1).shape == (exit_step, model.dim)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("tier", TIERS)
+def test_stay_exit_is_the_last_orbit_row_bitwise(name, tier):
+    # single points and one (N, D) block, signed zeros included
+    model = MODELS[name](tier)
+    starts = _orbit_starts(model.dim)
+    for n in (0, 1, 12):
+        block = stay_exit(model, starts, n)
+        assert block.shape == starts.shape
+        for v, row in zip(starts, block):
+            ref = orbit(model, v, n)[-1]
+            assert stay_exit(model, v, n).tobytes() == ref.tobytes()
+            assert row.tobytes() == ref.tobytes()
+
+
+def test_stay_exit_keeps_the_normal_forms_signed_zeros():
+    # under negative multipliers a -0.0 start maps to +0.0 (the normal form
+    # adds f = +0.0); a stay of 0 steps returns the start itself
+    model = _negative_model("linear")
+    start = np.array([-0.0, -0.0, -0.0])
+    assert np.signbit(stay_exit(model, start, 0)).all()
+    for n in (1, 2, 7):
+        assert not np.signbit(stay_exit(model, start, n)).any()
+        assert not np.signbit(stay_exit(model, start[None, :], n)).any()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("tier", TIERS)
+def test_stay_exit_names_the_orbits_exit_step(name, tier):
+    # exits at the start, inside the stay and at its end: a single point
+    # raises orbit's ItineraryError, a block gets a NaN row for it
+    model = MODELS[name](tier)
+    fixed = np.zeros(model.dim)
+    for y0, n in ((0.9, 40), (0.4, 40), (1e-3, 40), (2e-6, 40), (0.05, 0)):
+        v = np.zeros(model.dim)
+        v[:3] = (0.05 if n else 1.5, y0, -0.02)
+        _, exit_step = _step_loop(model, v, n)
+        with pytest.raises(ItineraryError) as exc:
+            stay_exit(model, v, n)
+        assert exc.value.step == exit_step
+        block = stay_exit(model, np.stack((fixed, v, fixed)), n)
+        assert np.isnan(block[1]).all()
+        assert block[[0, 2]].tobytes() == np.stack([orbit(model, fixed, n)[-1]] * 2).tobytes()
+        # one step short of the exit, the stay ends inside the box
+        if exit_step:
+            ref = orbit(model, v, exit_step - 1)[-1]
+            assert stay_exit(model, v, exit_step - 1).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -251,6 +304,25 @@ def test_linear_orbit_is_the_step_loop_property(model, k, data):
 
 
 @settings(derandomize=True, database=None, max_examples=100)
+@given(model=linear_models(), k=stays, data=st.data())
+def test_linear_stay_exit_is_the_last_orbit_row_property(model, k, data):
+    # points around the box and points deep inside it, whose stays end inside
+    rows = [data.draw(phase_points(model.dim)) for _ in range(2)]
+    rows.append(rows[0] * data.draw(st.sampled_from((1e-3, 1e-9))))
+    block = stay_exit(model, np.stack(rows), k)
+    for v, row in zip(rows, block):
+        try:
+            ref = orbit(model, v, k)[-1]
+        except ItineraryError as exc:
+            with pytest.raises(ItineraryError) as got:
+                stay_exit(model, v, k)
+            assert got.value.step == exc.step
+            assert np.isnan(row).all()
+            continue
+        assert stay_exit(model, v, k).tobytes() == ref.tobytes() == row.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100)
 @given(model=linear_models(), k=stays, x0=coordinates, yk=coordinates, data=st.data())
 def test_linear_cross_form_is_the_step_loop_property(model, k, x0, yk, data):
     z0 = data.draw(phase_points(model.dim - 2))
@@ -331,7 +403,7 @@ def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde, twin):
         coeffs = twin(model, coeffs)
     chain = return_chain(model, coeffs, base, [k])
     assert chain.shape == (k + 1, model.dim, model.dim)
-    W = stable_frame(chain)
+    W = stable_frame(_inverse_product(chain))
     assert W.shape == (model.dim, model.dim - 2)
     assert np.max(np.abs(W.T @ W - np.eye(model.dim - 2))) < 1e-14
     assert subspace_distance(W, _reference_stable_frame(chain)) < 1e-13
@@ -339,7 +411,7 @@ def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde, twin):
 
 def _chain_slopes(model, coeffs, p, k):
     """Leaf slopes from the full per-step chain."""
-    V = stable_frame(return_chain(model, coeffs, p, [k]))
+    V = stable_frame(_inverse_product(return_chain(model, coeffs, p, [k])))
     return V[:2, :] @ np.linalg.inv(V[2:, :])
 
 
@@ -377,6 +449,52 @@ def test_polynomial_stable_slopes_are_the_chain_path(lab, k):
     assert stable_slopes(model, coeffs, p, k).tobytes() == ref.tobytes()
 
 
+def _slope_cu(v):
+    """The cu-cone coordinate ||dz|| / (|dx| + |dy|) of one vector."""
+    denom = abs(v[0]) + abs(v[1])
+    return float(np.linalg.norm(v[2:]) / denom) if denom > 0 else np.inf
+
+
+def _slope_s(v):
+    """The s-cone coordinate max(|dx|, |dy|) / ||dz|| of one vector."""
+    denom = float(np.linalg.norm(v[2:]))
+    return float(max(abs(v[0]), abs(v[1])) / denom) if denom > 0 else np.inf
+
+
+def _opening_reference(kind, img):
+    slope = _slope_cu if kind == "cu" else _slope_s
+    return max(slope(v) for v in img)
+
+
+@pytest.mark.parametrize("lab", ["hetdim", "d4"])
+@pytest.mark.parametrize("kind", ["cu", "s"])
+def test_cone_opening_is_the_per_vector_max_bitwise(lab, kind):
+    # the images _certify_cone measures: the cu boundary under the chain,
+    # the s boundary under its inverse product
+    model, coeffs = _slope_lab(lab, "linear")
+    chain = return_chain(model, coeffs, strip_center(model, coeffs, 12), [12])
+    P = _inverse_product(chain)
+    for K in cones._K_GRID:
+        B = cones._cone_boundary(kind, K, model.dim)
+        img = (chain_product(chain, B.T) if kind == "cu" else P @ B.T).T
+        assert cones._opening(kind, img).hex() == _opening_reference(kind, img).hex()
+        # a row whose denominator is zero opens the cone to inf
+        flat = img.copy()
+        flat[5, :2] = 0.0
+        flat[7, 2:] = 0.0
+        assert cones._opening(kind, flat) == _opening_reference(kind, flat) == np.inf
+
+
+def test_cone_battery_csv_is_the_per_vector_opening(monkeypatch):
+    # all 13 battery pairs; the run's complementarity check is ROADMAP item 4's
+    doc = {"model": battery_model().spec(), "coeffs": battery_coeffs().spec(),
+           "schedule": {"pairs": [list(p) for p in battery_pairs()]}}
+    files, _ = runner._exp_cone_battery(doc, None)
+    monkeypatch.setattr(cones, "_opening", _opening_reference)
+    ref, _ = runner._exp_cone_battery(doc, None)
+    assert files["cones.csv"] == ref["cones.csv"]
+
+
 def _qr_frame(V):
     Q, R = np.linalg.qr(V)
     signs = np.sign(np.diag(R))
@@ -401,6 +519,15 @@ def test_one_column_frame_is_the_qr_frame(dim):
 def test_one_column_frame_of_a_zero_column_is_unchanged():
     V = np.zeros((3, 1))
     assert orthonormal_frame(V).tobytes() == _qr_frame(V).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1), (4, 2), (6, 4)])
+def test_frobenius_is_np_linalg_norm_bitwise(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    for _ in range(200):
+        A = rng.standard_normal(shape) * 10.0 ** rng.uniform(-20.0, 20.0)
+        for B in (A, A.T, A[::-1]):
+            assert frobenius(B).hex() == float(np.linalg.norm(B)).hex()
 
 
 def test_orbit_jacobian_chain_shape_and_index(battery_orbits):
