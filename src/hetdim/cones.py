@@ -13,14 +13,15 @@ subspace, by Heun steps whose error is checked against two half steps.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
 
-from .errors import ConvergenceError, HypothesisError
+from .errors import ConvergenceError, HypothesisError, NumericalError
 from .global_map import GlobalMapCoeffs, t1_array, t1_jac_array
-from .numerics import chain_product, frobenius, orthonormal_frame, sorted_eigvals
+from .numerics import chain_product, frobenius, orthonormal_frame, row_norms, sorted_eigvals
 from .saddle import SaddleModel, orbit, stay_exit, t0_jac_array
 
 Array = np.ndarray
@@ -112,10 +113,8 @@ def _opening(kind: str, img: Array) -> float:
     """The largest cone coordinate over the rows of img: ||dz|| / (|dx| + |dy|)
     for the cu-cone, max(|dx|, |dy|) / ||dz|| for the s-cone, inf on a row
     whose denominator is 0.  Each ||dz|| is ``np.linalg.norm``'s sqrt of the
-    dot product: matmul on a contiguous stack of (row, column) pairs takes
-    the same dot."""
-    z = np.ascontiguousarray(img[:, 2:])
-    dz = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
+    dot product (``row_norms``)."""
+    dz = row_norms(img[:, 2:])
     x, y = np.abs(img[:, 0]), np.abs(img[:, 1])
     num, den = (dz, x + y) if kind == "cu" else (np.maximum(x, y), dz)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -210,40 +209,79 @@ def invariant_s_subspace(chain: Array) -> ConeWitness:
 # strong-stable leaves
 
 
+def _inverse(A: Array) -> Array:
+    """``np.linalg.inv`` of a matrix, or of each matrix of an (N, D, D)
+    block, bit for bit; a block's matrix that is not finite or is singular
+    comes back NaN, where a point raises."""
+    if A.ndim == 2:
+        return np.linalg.inv(A)
+    finite = np.isfinite(A).all(axis=(1, 2))
+    if finite.all():
+        with contextlib.suppress(np.linalg.LinAlgError):
+            return np.linalg.inv(A)
+    out = np.full(A.shape, np.nan)
+    for i in np.flatnonzero(finite):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            out[i] = np.linalg.inv(A[i])
+    return out
+
+
 def stable_frame(P: Array) -> Array:
     """Frame of the backward-invariant (D-2)-plane of the D x D inverse
     product P of a return chain (``_inverse_product``), without the cone
-    certificate; this is the hot path of the leaf integration.  An (n, D, D)
-    chain itself is inverted first.
+    certificate; this is the hot path of the leaf integration.
 
     The spectral gap |strong/lambda|^k of the inverse product makes two
-    sweeps the rule: one to converge, one to confirm.
+    sweeps the rule: one to converge, one to confirm.  An (N, D, D) block
+    holds N inverse products: each row sweeps until its own span stops
+    moving, so it takes its point call's sweeps and bits, and a row that is
+    not finite or does not settle comes back NaN.
     """
-    if P.ndim == 3:
-        P = _inverse_product(P)
-    W, _ = _power_frame(partial(np.matmul, P), _z_seed(P.shape[0]), 1e-14)
-    return W
+    W = _z_seed(P.shape[-1])
+    if P.ndim == 2:
+        return _power_frame(partial(np.matmul, P), W, 1e-14)[0]
+    out = np.full(P.shape[:2] + W.shape[1:], np.nan)
+    live = np.flatnonzero(np.isfinite(P).all(axis=(1, 2)))
+    for _ in range(FRAME_MAX_SWEEPS):
+        if not live.size:
+            break
+        Wn = orthonormal_frame(P[live] @ W)
+        settled = row_norms(Wn - W @ (np.swapaxes(W, -2, -1) @ Wn)) < 1e-14
+        out[live[settled]] = Wn[settled]
+        live, W = live[~settled], Wn[~settled]
+    return out
 
 
 def stable_slopes(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
                   k: int) -> Array:
     """Graph slopes d(x, y)/dz of the stable subspace at a stay-number-k point.
 
-    Returns a (2, D-2) matrix Phi with (dx, dy) = Phi dz on E^s(p).
+    Returns a (2, D-2) matrix Phi with (dx, dy) = Phi dz on E^s(p); for an
+    (N, D) block of points, (N, 2, D-2), each row bit for bit its point
+    call, NaN where that call raises (a stay leaves the box, a frame does
+    not settle).
 
     On the linear tier every local step has the Jacobian diag(multipliers),
     so the stay's k factors are the one diagonal factor diag(d^k), and the
     inverse product is inv(J1) with its rows divided by d^k: the bits of
     inverting the two-factor chain.  The nonlinear tiers keep one factor per
     step: their product would be inverted at a condition number near 1e20.
+    They take a block's rows one at a time.
     """
     if model.nonlinearity.kind == "linear":
         J1 = t1_jac_array(coeffs, stay_exit(model, p, k))
-        P = (1.0 / model.diagonal ** k)[:, None] * np.linalg.inv(J1)
-    else:
+        P = (1.0 / model.diagonal ** k)[:, None] * _inverse(J1)
+    elif p.ndim == 1:
         P = _inverse_product(return_chain(model, coeffs, p, [k]))
+    else:
+        P = np.full((len(p), model.dim, model.dim), np.nan)
+        for i, q in enumerate(p):
+            try:
+                P[i] = _inverse_product(return_chain(model, coeffs, q, [k]))
+            except (NumericalError, np.linalg.LinAlgError):
+                pass
     V = stable_frame(P)
-    return V[:2, :] @ np.linalg.inv(V[2:, :])
+    return V[..., :2, :] @ _inverse(V[..., 2:, :])
 
 
 @dataclass
@@ -272,6 +310,11 @@ class LeafSample:
 LEAF_ULPS, LEAF_MAX_DEPTH = 64, 8
 
 
+def _apply(M: Array, v: Array) -> Array:
+    """M @ v, or M[i] @ v[i] for each row of a block, bit for bit."""
+    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+
+
 def _leaf_piece(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, xy: Array,
                 Phi: Array, z0: Array, z1: Array, depth: int,
                 one: Array | None = None) -> tuple[Array, Array]:
@@ -279,24 +322,46 @@ def _leaf_piece(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, xy: Array,
     step doubling (Richardson error estimation; Hairer, Norsett & Wanner, Solving
     ODEs I, II.4); the ulps are those of the larger of start and arrival.  ``one``
     is the one-step arrival when the caller has it: a split piece's first half
-    step is its first child's one step."""
+    step is its first child's one step.
+
+    A block of N rows ((N, 2) xy, (N, 2, D-2) Phi, (N, D-2) z0 and z1) takes
+    its first piece as one: the rows accepted there finish together, a row
+    that must split finishes on the point path, and a row that raises comes
+    back NaN."""
     def slopes(xy, z):
-        return stable_slopes(model, coeffs, np.concatenate((xy, z)), k)
+        return stable_slopes(model, coeffs, np.concatenate((xy, z), axis=-1), k)
 
     def heun(xy, Phi, za, zb):
-        return xy + 0.5 * (Phi + slopes(xy + Phi @ (zb - za), zb)) @ (zb - za)
+        return xy + 0.5 * _apply(Phi + slopes(xy + _apply(Phi, zb - za), zb), zb - za)
 
     zm = z0 + 0.5 * (z1 - z0)
     mid = heun(xy, Phi, z0, zm)
     two = heun(mid, slopes(mid, zm), zm, z1)
     err = np.abs((heun(xy, Phi, z0, z1) if one is None else one) - two)
-    if np.all(err <= LEAF_ULPS * np.spacing(np.maximum(np.abs(xy), np.abs(two)))):
-        return two, slopes(two, z1)
-    if depth == LEAF_MAX_DEPTH:
-        raise ConvergenceError(f"leaf march unsettled after {depth} halvings",
-                               residual=float(np.max(err)))
-    xy_m, Phi_m = _leaf_piece(model, coeffs, k, xy, Phi, z0, zm, depth + 1, one=mid)
-    return _leaf_piece(model, coeffs, k, xy_m, Phi_m, zm, z1, depth + 1)
+    ok = np.all(err <= LEAF_ULPS * np.spacing(np.maximum(np.abs(xy), np.abs(two))), axis=-1)
+
+    def split(i=...):
+        # the two halves, the first taking the half step as its one step
+        if depth == LEAF_MAX_DEPTH:
+            raise ConvergenceError(f"leaf march unsettled after {depth} halvings",
+                                   residual=float(np.max(err[i])))
+        xy_m, Phi_m = _leaf_piece(model, coeffs, k, xy[i], Phi[i], z0[i], zm[i],
+                                  depth + 1, one=mid[i])
+        return _leaf_piece(model, coeffs, k, xy_m, Phi_m, zm[i], z1[i], depth + 1)
+
+    if xy.ndim == 1:
+        return (two, slopes(two, z1)) if ok else split()
+    out_xy, out_Phi = np.full(xy.shape, np.nan), np.full(Phi.shape, np.nan)
+    if ok.any():
+        out_xy[ok], out_Phi[ok] = two[ok], slopes(two[ok], z1[ok])
+    for i in np.flatnonzero(~ok & np.isfinite(err).all(axis=-1)):
+        try:
+            out_xy[i], out_Phi[i] = split(i)
+        except NumericalError:
+            pass
+    # a row whose slopes raised has no arrival either
+    out_xy[~np.isfinite(out_Phi).all(axis=(1, 2))] = np.nan
+    return out_xy, out_Phi
 
 
 def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
@@ -306,9 +371,13 @@ def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
     rounding takes five slope evaluations.  ``base_slopes`` is
     ``stable_slopes`` at base, which a caller computes once for all its marches
     from that base.  Returns the (x, y) arrival, the slope matrix there, and
-    z_target itself; raises ConvergenceError past LEAF_MAX_DEPTH halvings."""
+    z_target itself; raises ConvergenceError past LEAF_MAX_DEPTH halvings.
+
+    An (N, D) block of bases with (N, D-2) targets and (N, 2, D-2) base
+    slopes marches its rows together, each bit for bit its point call; a row
+    whose point call raises comes back NaN."""
     z_target = np.atleast_1d(np.asarray(z_target, dtype=float))
-    xy, z0 = base[:2].astype(float), base[2:].astype(float)
+    xy, z0 = base[..., :2].astype(float), base[..., 2:].astype(float)
     return (*_leaf_piece(model, coeffs, k, xy, base_slopes, z0, z_target, 0), z_target)
 
 

@@ -23,6 +23,7 @@ realized by adjusting gamma with lambda fixed).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -417,12 +418,16 @@ class CycleCertificate:
 
 
 def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs, coeffs2: GlobalMapCoeffs,
-                    mu2: float, Q02: Array, m: int, eta1: float) -> tuple[float, dict]:
+                    mu2: float | Array, Q02: Array, m: int,
+                    eta1: float | Array) -> tuple[float | Array, dict]:
     """Gap along y between the strong-stable leaf of the flat point Q02 and
     the twin curve.
 
     The curve is a graph over t and the leaf a graph over z; the inner
     Newton matches x and z, leaving the y-mismatch as the reported gap.
+    An (N, D) block Q02 with (N,) arrays mu2 and eta1 matches its rows in
+    lock-step and returns (N,) gaps and arrays in the dict, each row bit
+    for bit its point call, NaN where that call raises.
     """
     # the z-equations are explicit (z* = q_z(t)), so the inner match is a
     # 1d solve in t whose derivative comes from the leaf slopes and the
@@ -431,20 +436,25 @@ def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs, coeffs2: Global
     # every march of the t-match starts at Q02
     base_slopes = stable_slopes(model, coeffs, Q02, m)
 
-    def x_mismatch(t: float) -> tuple[float, float, tuple[Array, Array]]:
-        w, J = axis_jet(model, cm2, coeffs2.y_minus - t, jacobian=True)
-        q, dq = reflect_array(model, w), -reflect_array(model, J[:, 1])
-        xy, Phi, _ = leaf_march(model, coeffs, Q02, m, q[2:], base_slopes)
-        slope = float(Phi[0] @ dq[2:]) - dq[0]
-        return float(xy[0] - q[0]), slope, (q, xy)
+    def x_mismatch(t, rows=...):
+        # rows: a block's rows still matching (all of a point)
+        w, J = axis_jet(model, cm2 if rows is ... else coeffs2.with_mu(mu2[rows]),
+                        coeffs2.y_minus - t, jacobian=True)
+        q, dq = reflect_array(model, w), -reflect_array(model, J[..., 1])
+        xy, Phi, _ = leaf_march(model, coeffs, Q02[rows], m, q[..., 2:], base_slopes[rows])
+        slope = (Phi[..., :1, :] @ dq[..., 2:, None])[..., 0, 0] - dq[..., 0]
+        return xy[..., 0] - q[..., 0], slope, (q, xy)
 
     # seeded at t ~ (b1/b2) eta1
     t, _, _, (q, xy), _ = newton_1d(x_mismatch, eta1 * coeffs.b / coeffs2.b, tol=1e-13,
                                     accept_tol=1e-11, name="connection t-match")
-    gap = float(xy[1] - q[1])
-    return gap, {"t_param": t, "z_star": list(q[2:]),
-                 "leaf_point": [float(xy[0]), float(xy[1])] + list(q[2:]),
-                 "curve_point": list(q)}
+    gap = xy[..., 1] - q[..., 1]
+    if Q02.ndim == 2:
+        return gap, {"t_param": t, "z_star": q[:, 2:],
+                     "leaf_point": np.concatenate((xy, q[:, 2:]), axis=1), "curve_point": q}
+    return float(gap), {"t_param": t, "z_star": list(q[2:]),
+                        "leaf_point": [float(xy[0]), float(xy[1])] + list(q[2:]),
+                        "curve_point": list(q)}
 
 
 def _rebuild_gamma(model: SaddleModel, g: float) -> SaddleModel:
@@ -511,6 +521,8 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
         return mu2
 
     def F(w: Array) -> Array:
+        if w.ndim == 2:
+            return F_block(w)
         u, mu1, g = w[:-2], w[-2], w[-1]
         mdl = _rebuild_gamma(model, g)
         cm = coeffs.with_mu(mu1)
@@ -518,13 +530,47 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
         gap, _ = _connection_gap(mdl, cm, coeffs2, mu2_of(mu1, eta1), Q02, m, eta1)
         return np.append(rows, gap / max(abs(mdl.multipliers.gamma) ** (-m), 1e-300))
 
+    def F_block(W: Array) -> Array:
+        # F at each row of a block of probes, NaN where F raises.  The
+        # period-2 rows are cheap and go row by row; the rows that share a
+        # gamma take their connection gaps in one call
+        out = np.full(W.shape, np.nan)
+        for g in dict.fromkeys(W[:, -1].tolist()):
+            group = np.flatnonzero(W[:, -1] == g)
+            if len(group) == 1:
+                with contextlib.suppress(NumericalError):
+                    out[group[0]] = F(W[group[0]])
+                continue
+            try:
+                mdl = _rebuild_gamma(model, g)
+            except DomainError:
+                continue
+            rows, etas, Q02s = [], [], []
+            for i in group:
+                try:
+                    out[i, :-1], eta1, Q02 = _period2_residual(
+                        mdl, coeffs.with_mu(W[i, -2]), W[i, :-2], k, m, s_target)
+                except NumericalError:
+                    continue
+                rows.append(i)
+                etas.append(eta1)
+                Q02s.append(Q02)
+            if rows:
+                # the leaf slopes do not depend on mu, only the twin curve does
+                eta1 = np.array(etas)
+                gap, _ = _connection_gap(mdl, coeffs, coeffs2, mu2_of(W[rows, -2], eta1),
+                                         np.array(Q02s), m, eta1)
+                out[rows, -1] = gap / max(abs(mdl.multipliers.gamma) ** (-m), 1e-300)
+        return out
+
     scales, tol, accept = _period2_tolerances(model_g, coeffs, k, m, mu0)
     w0 = np.concatenate((u0, [mu0, g0]))
     accept = np.append(accept, 1e-10)
+    # the probes of every floor and FD Jacobian go to F as one block
     tol = np.minimum(accept, fold_tol(F, w0, np.diag(np.spacing(np.abs(w0))),
-                                      least=np.append(tol, 1e-12)))
+                                      least=np.append(tol, 1e-12), block=True))
     w, res, _ = newton_solve(F, w0, scales=np.append(scales, 0.05), tol=tol,
-                             accept_tol=accept, max_iter=60, jac_reuse=4,
+                             accept_tol=accept, max_iter=60, jac_reuse=4, block=True,
                              name=f"heterodimensional cycle (k={k}, m={m})")
 
     u, mu1, g = w[:-2], float(w[-2]), float(w[-1])
@@ -620,11 +666,9 @@ def _return_block(model: SaddleModel, coeffs: GlobalMapCoeffs, pts: Array,
     values of ``first_return_array`` wherever it does not raise.
     """
     w = saddle.stay_exit(model, pts, stay)
-    images = np.full(pts.shape, np.nan)
-    for i, exit_i in enumerate(w):
-        # a NaN row (a box exit) is not in Pi1
-        if in_pi1(coeffs, exit_i):
-            images[i] = t1_array(coeffs, exit_i)
+    images = t1_array(coeffs, w)
+    # a NaN row (a box exit) is not in Pi1
+    images[~in_pi1(coeffs, w)] = np.nan
     return w[:, 1], images
 
 

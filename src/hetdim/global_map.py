@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ItineraryError, ValidationError
+from .numerics import row_norms
 from .saddle import SaddleModel, jacobian_along, orbit, reflect_array, stay_exit
 
 Array = np.ndarray
@@ -60,11 +61,13 @@ class GlobalMapCoeffs:
             if val == 0.0:
                 raise ValidationError(f"non-degeneracy violated: {name} must be nonzero")
 
-    def with_mu(self, mu: float) -> "GlobalMapCoeffs":
+    def with_mu(self, mu: float | Array) -> "GlobalMapCoeffs":
+        """The same maps at splitting parameter mu; an (N,) array mu gives
+        each row of an (N, D) block its own (``t1_array``)."""
         # a shallow copy sharing the validated arrays: dataclasses.replace
         # would re-run __post_init__ on every closure or tangency residual
         new = copy.copy(self)
-        object.__setattr__(new, "mu", float(mu))
+        object.__setattr__(new, "mu", mu if getattr(mu, "ndim", 0) else float(mu))
         return new
 
     def spec(self) -> dict:
@@ -124,10 +127,15 @@ def in_pi0(coeffs: GlobalMapCoeffs, v: Array) -> bool:
             and np.linalg.norm(v[2:]) < d)
 
 
-def in_pi1(coeffs: GlobalMapCoeffs, v: Array) -> bool:
+def in_pi1(coeffs: GlobalMapCoeffs, v: Array) -> bool | Array:
+    """Whether the flat (D,) point v lies in Pi1, or which rows of an (N, D)
+    block do (False for a NaN row), bit for bit."""
     d = coeffs.delta
-    return (abs(v[0]) < d and abs(v[1] - coeffs.y_minus) < d / 2
-            and np.linalg.norm(v[2:]) < d)
+    if v.ndim == 1:
+        return (abs(v[0]) < d and abs(v[1] - coeffs.y_minus) < d / 2
+                and np.linalg.norm(v[2:]) < d)
+    return ((np.abs(v[:, 0]) < d) & (np.abs(v[:, 1] - coeffs.y_minus) < d / 2)
+            & (row_norms(v[:, 2:]) < d))
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +143,45 @@ def in_pi1(coeffs: GlobalMapCoeffs, v: Array) -> bool:
 
 
 def t1_array(coeffs: GlobalMapCoeffs, v: Array) -> Array:
-    t = v[1] - coeffs.y_minus
-    x1, z1 = v[0], v[2:]
+    """T1 of a flat (D,) point, or of each row of an (N, D) block, bit for
+    bit; a block's coefficient set may carry one mu per row (``with_mu``).
+
+    A block takes each coupling as a stack of the point's dot and
+    matrix-vector products, and each cube with the scalar power: numpy's
+    batched matrix-vector product and vectorised power round differently.
+    """
+    if v.ndim == 1:
+        t = v[1] - coeffs.y_minus
+        x1, z1 = v[0], v[2:]
+        out = np.empty_like(v)
+        out[0] = coeffs.x_plus + coeffs.a * x1 + coeffs.b * t + coeffs.alpha1 @ z1
+        out[1] = (coeffs.mu + coeffs.c * x1 + coeffs.d * t * t + coeffs.alpha2 @ z1
+                  + coeffs.e3 * t ** 3)
+        out[2:] = coeffs.z_plus + coeffs.a_t * x1 + coeffs.b_t * t + coeffs.alpha3 @ z1
+        return out
+    t = v[:, 1] - coeffs.y_minus
+    x1, z1 = v[:, 0], v[:, 2:, None]
+    cube = np.array([s ** 3 for s in t.tolist()])
     out = np.empty_like(v)
-    out[0] = coeffs.x_plus + coeffs.a * x1 + coeffs.b * t + coeffs.alpha1 @ z1
-    out[1] = (coeffs.mu + coeffs.c * x1 + coeffs.d * t * t + coeffs.alpha2 @ z1
-              + coeffs.e3 * t ** 3)
-    out[2:] = coeffs.z_plus + coeffs.a_t * x1 + coeffs.b_t * t + coeffs.alpha3 @ z1
+    out[:, 0] = (coeffs.x_plus + coeffs.a * x1 + coeffs.b * t
+                 + (coeffs.alpha1 @ z1)[:, 0])
+    out[:, 1] = (coeffs.mu + coeffs.c * x1 + coeffs.d * t * t
+                 + (coeffs.alpha2 @ z1)[:, 0] + coeffs.e3 * cube)
+    out[:, 2:] = (coeffs.z_plus + coeffs.a_t * x1[:, None] + coeffs.b_t * t[:, None]
+                  + (coeffs.alpha3 @ z1)[:, :, 0])
     return out
 
 
 def t1_jac_array(coeffs: GlobalMapCoeffs, v: Array) -> Array:
+    """The Jacobian of T1: (D, D) at a flat (D,) point, or (N, D, D) at the
+    rows of an (N, D) block, bit for bit."""
+    if v.ndim == 2:
+        # every entry but dy0/dy1 is a coefficient of the map
+        J = np.tile(t1_jac_array(coeffs, np.zeros(v.shape[1])), (len(v), 1, 1))
+        t = v[:, 1] - coeffs.y_minus
+        J[:, 1, 1] = 2.0 * coeffs.d * t + 3.0 * coeffs.e3 * t * t
+        return J
     t = v[1] - coeffs.y_minus
-    n = v.size - 2
     J = np.zeros((v.size, v.size))
     J[0, 0] = coeffs.a
     J[0, 1] = coeffs.b
@@ -181,18 +215,24 @@ def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k:
     return t1_array(coeffs, w), J
 
 
-def axis_point(model: SaddleModel, y: float) -> Array:
-    """The unstable-axis point (0, y, 0) as a flat (D,) array."""
+def axis_point(model: SaddleModel, y: float | Array) -> Array:
+    """The unstable-axis point (0, y, 0) as a flat (D,) array, or one row
+    per height of an (N,) array y."""
+    if getattr(y, "ndim", 0):
+        v = np.zeros((len(y), model.dim))
+        v[:, 1] = y
+        return v
     v = np.zeros(model.dim)
     v[1] = y
     return v
 
 
-def axis_jet(model: SaddleModel, cm: GlobalMapCoeffs, y: float, stays=(),
+def axis_jet(model: SaddleModel, cm: GlobalMapCoeffs, y: float | Array, stays=(),
              jacobian: bool = False) -> tuple[Array, Array | None]:
     """Image of the unstable-axis point (0, y, 0) under T1 and then under
     T1 o T0^k for each k in ``stays``, with the chained Jacobian when asked
-    (None otherwise).
+    (None otherwise).  An (N,) array y without stays gives an (N, D) block
+    of images and (N, D, D) Jacobians, each row bit for bit its point call.
 
     This is the one evaluation of every curve the constructions intersect:
     stays () is T1(W^u_loc), (k,) the composed map T1 o T0^k o T1 and (k, j)

@@ -21,8 +21,16 @@ Array = np.ndarray
 FD_REL_STEP = 1e-7
 
 
+def _block_rows(f: Callable[[Array], Array], points: list[Array]) -> list[Array | None]:
+    """``f`` at each of the points in one call on their (N, n) block: the
+    rows it returns, None for a row that is not finite (the point's own
+    call then redoes it, and raises where it raises)."""
+    rows = np.asarray(f(np.array(points)), dtype=float)
+    return [r if np.isfinite(r).all() else None for r in rows]
+
+
 def fd_jacobian(f: Callable[[Array], Array], u: Array,
-                scales: Array | None = None) -> Array:
+                scales: Array | None = None, block: bool = False) -> Array:
     """Central finite-difference Jacobian of ``f`` at ``u``.
 
     ``scales`` sets the magnitude floor per variable so offsets of very
@@ -31,20 +39,33 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array,
     differences; when every probe of a variable leaves the domain the
     Jacobian is unknown there and ConvergenceError names the variable.
     ``f(u)`` itself is evaluated only for a one-sided difference: the
-    Newton that asks for the Jacobian already holds it.
+    Newton that asks for the Jacobian already holds it.  With ``block``,
+    ``f`` takes all 2n probes as one (2n, n) block and returns their rows,
+    NaN for a probe that raises; such a variable is redone probe by probe,
+    so the Jacobian is bit for bit the one of the point calls.
     """
     u = np.asarray(u, dtype=float)
     n = u.size
     if scales is None:
         scales = np.ones(n)
-    columns = []
-    f0 = None
-    for i in range(n):
+
+    def probes(i):
         h = FD_REL_STEP * max(abs(u[i]), scales[i])
         up = u.copy()
         um = u.copy()
         up[i] += h
         um[i] -= h
+        return h, up, um
+
+    if block:
+        rows = _block_rows(f, [p for i in range(n) for p in probes(i)[1:]])
+    columns = []
+    f0 = None
+    for i in range(n):
+        h, up, um = probes(i)
+        if block and rows[2 * i] is not None and rows[2 * i + 1] is not None:
+            columns.append((rows[2 * i] - rows[2 * i + 1]) / (2.0 * h))
+            continue
         try:
             columns.append((np.asarray(f(up)) - np.asarray(f(um))) / (2.0 * h))
             continue
@@ -69,17 +90,24 @@ FOLD_ULPS = 256  # the ulps each floor probe moves its input
 
 
 def fold_tol(f: Callable[[Array], Any], u: Array, ulps,
-             least: float | Array = 1e-13) -> float | Array:
+             least: float | Array = 1e-13, block: bool = False) -> float | Array:
     """The stop tolerance of a Newton whose rows ``f(u)`` land on a float
     floor: twice each row's floor at u, never below ``least``.  ``ulps``
     holds one step of u per probed input, each one ulp of that input; a
     row's floor is the sum of its changes over FOLD_ULPS such steps, per ulp.
     Below it a Newton only random-walks its unknowns.  Returns a float for a
     scalar row and an array (one tolerance per row) for a vector of rows.
+    With ``block``, ``f`` takes u and every probe as one block (see
+    ``fd_jacobian``); a point that comes back NaN is redone on its own.
     """
-    f0 = np.asarray(f(u), dtype=float)
-    floor = sum(np.abs(np.asarray(f(u + FOLD_ULPS * e), dtype=float) - f0)
-                for e in ulps) / FOLD_ULPS
+    if block:
+        points = [u] + [u + FOLD_ULPS * e for e in ulps]
+        f0, *probed = [np.asarray(f(p), dtype=float) if r is None else r
+                       for p, r in zip(points, _block_rows(f, points))]
+    else:
+        f0 = np.asarray(f(u), dtype=float)
+        probed = (np.asarray(f(u + FOLD_ULPS * e), dtype=float) for e in ulps)
+    floor = sum(np.abs(fp - f0) for fp in probed) / FOLD_ULPS
     tol = np.maximum(least, 2.0 * floor)
     return float(tol) if tol.ndim == 0 else tol
 
@@ -90,6 +118,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                  accept_tol: float | Array,
                  max_iter: int = 40,
                  jac_reuse: int = 1,
+                 block: bool = False,
                  name: str = "newton") -> tuple[Array, float, int]:
     """Newton iteration with FD Jacobian and row/column equilibration.
 
@@ -100,7 +129,8 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     raising.  Raises ConvergenceError with the seed and last residual
     otherwise.  ``jac_reuse`` > 1 switches to a modified Newton that
     refreshes the FD Jacobian only every so many iterations (the cycle
-    solvers' evaluations are expensive).  The equilibration matters: closure
+    solvers' evaluations are expensive).  ``block`` hands ``fd_jacobian``'s
+    probes to ``f`` as one block.  The equilibration matters: closure
     systems mix residual scales from O(1) down to O(gamma^-k).
     """
     u = np.asarray(u0, dtype=float).copy()
@@ -129,7 +159,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
             window_best = best_res
         fresh = fact is None or it % jac_reuse == 0
         if fresh:
-            J = fd_jacobian(f, u, scales=scales_arr)
+            J = fd_jacobian(f, u, scales=scales_arr, block=block)
             # equilibrate rows then columns to tame the gamma^k dynamic range
             r = np.max(np.abs(J), axis=1)
             r[r == 0.0] = 1.0
@@ -185,7 +215,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
 NEWTON_1D_MAX_ITER = 60
 
 
-def newton_1d(f: Callable[[float], tuple[float, float, Any]], t0: float, *,
+def newton_1d(f: Callable[..., tuple[Any, Any, Any]], t0: float | Array, *,
               tol: float, accept_tol: float | None = None,
               name: str) -> tuple[float, float, float, Any, int]:
     """Scalar Newton root polish on ``f(t) -> (value, slope, payload)``.
@@ -199,7 +229,12 @@ def newton_1d(f: Callable[[float], tuple[float, float, Any]], t0: float, *,
     |value| < tol; after NEWTON_1D_MAX_ITER steps, |value| < accept_tol is
     accepted too.  Raises ConvergenceError naming ``name`` otherwise, or on a
     flat or non-finite spot or a domain trap.
+
+    An (N,) array t0 starts N rows that take these steps in lock-step, each
+    to its own stop (``_newton_1d_rows``).
     """
+    if np.ndim(t0):
+        return _newton_1d_rows(f, np.asarray(t0, dtype=float), tol, accept_tol)
     t = t0
     val, slope, payload = f(t)
     evals = 1
@@ -235,6 +270,58 @@ def newton_1d(f: Callable[[float], tuple[float, float, Any]], t0: float, *,
                            f"(residual {abs(val):.3e})", residual=abs(val), seed=t0)
 
 
+def _newton_1d_rows(f: Callable[[Array, Array], tuple], t0: Array, tol: float,
+                    accept_tol: float | None) -> tuple[Array, Array, Array, tuple, Array]:
+    """``newton_1d`` for N rows at once: each row takes the point call's
+    steps, bit for bit, and stops where that call stops.  ``f(t, rows)``
+    evaluates the rows still iterating (indices ``rows``) at their t and
+    returns their values, slopes and payload, a tuple of arrays with one row
+    each, NaN on a row that leaves a domain.  Returns the point call's five
+    results as arrays: NaN (and 0 evaluations) on each row whose point call
+    would halve a step or raise, for that call to redo.
+    """
+    n = t0.size
+    t = t0.copy()
+    val, slope, payload = f(t, np.arange(n))
+    val, slope = np.array(val, dtype=float), np.array(slope, dtype=float)
+    payload = tuple(np.array(p, dtype=float) for p in payload)
+    evals = np.ones(n, dtype=int)
+    # NaN before a row's first step: no secant curvature yet
+    t_prev, slope_prev = np.full(n, np.nan), np.full(n, np.nan)
+    done, live = np.zeros(n, bool), np.ones(n, bool)
+    for _ in range(NEWTON_1D_MAX_ITER):
+        i = np.flatnonzero(live)
+        stop = np.abs(val[i]) < tol
+        done[i[stop]] = True
+        # a row that stops, or that is flat or non-finite, iterates no more
+        live[i[stop | (slope[i] == 0.0) | ~np.isfinite(val[i])]] = False
+        i = np.flatnonzero(live)
+        if not i.size:
+            break
+        v, s, ti = val[i], slope[i], t[i]
+        step = -v / s
+        with np.errstate(all="ignore"):
+            d2 = (s - slope_prev[i]) / (ti - t_prev[i])
+            disc = s * s - 2.0 * d2 * v
+            small = -2.0 * v / (s + np.copysign(np.sqrt(disc), s))
+        quad = (ti != t_prev[i]) & (d2 != 0.0) & (disc > 0.0)
+        step = np.where(quad, small, step)
+        new_val, new_slope, new_payload = f(ti + step, i)
+        evals[i] += 1
+        t_prev[i], slope_prev[i] = ti, s
+        t[i] = ti + step
+        val[i], slope[i] = new_val, new_slope
+        for full, p in zip(payload, new_payload):
+            full[i] = p
+    if accept_tol is not None:
+        i = np.flatnonzero(live)
+        done[i[np.abs(val[i]) < accept_tol]] = True
+    for a in (t, val, slope) + payload:
+        a[~done] = np.nan
+    evals[~done] = 0
+    return t, val, slope, payload, evals
+
+
 def chain_product(chain: Array, M: Array | None = None) -> Array:
     """The product chain[-1] @ ... @ chain[0] @ M of a chain of step
     Jacobians, multiplied in step order; M is the identity when None."""
@@ -252,12 +339,35 @@ def frobenius(A: Array) -> float:
     return math.sqrt(a @ a)
 
 
+def row_norms(A: Array) -> Array:
+    """``frobenius(A[i])`` of each C-ordered A[i], bit for bit: matmul on a
+    stack of (row, column) pairs takes the same dot product."""
+    a = np.ascontiguousarray(A).reshape(len(A), -1)
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
 def orthonormal_frame(V: Array) -> Array:
-    """Orthonormalize the columns of ``V`` (thin QR with sign fixing).
+    """Orthonormalize the columns of ``V`` (thin QR with sign fixing), or
+    of each matrix of an (N, D, c) block, bit for bit.
 
     One nonzero column is divided by its norm: that is the QR frame, with
     an error relative to each component rather than to ||V||.
     """
+    if V.ndim == 3:
+        single = V.shape[2] == 1
+        if single:
+            norm = row_norms(V)[:, None, None]
+            if (norm > 0.0).all():
+                return V / norm
+        Q, R = np.linalg.qr(V)
+        signs = np.sign(np.diagonal(R, axis1=1, axis2=2))
+        signs[signs == 0.0] = 1.0
+        out = Q * signs[:, None, :]
+        if single:
+            # only a zero column keeps the QR frame, as in its point call
+            div = norm[:, 0, 0] > 0.0
+            out[div] = V[div] / norm[div]
+        return out
     if V.shape[1] == 1:
         norm = frobenius(V)
         if norm > 0.0:

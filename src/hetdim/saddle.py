@@ -434,8 +434,13 @@ def jacobian_along(model: SaddleModel, traj: Array, M: Array | None = None) -> A
 
 
 def reflect_array(model: SaddleModel, v: Array) -> Array:
-    """The involution R(x, y, z) = (x, -y, S z) on a flat (D,) array."""
+    """The involution R(x, y, z) = (x, -y, S z) on a flat (D,) array, or on
+    each row of an (N, D) block."""
     out = v.copy()
+    if v.ndim == 2:
+        out[:, 1] = -out[:, 1]
+        out[:, 2:] = model.symmetry_signs * out[:, 2:]
+        return out
     out[1] = -out[1]
     out[2:] = model.symmetry_signs * out[2:]
     return out

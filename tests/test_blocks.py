@@ -1,0 +1,394 @@
+"""Block evaluation: every layer of the connection gap takes a point or an
+(N, D) block, and each block row is its point call, bit for bit, or NaN
+where that call raises.
+
+The cycle Newton hands every FD and floor probe of its residual to one
+block call; its Jacobians and floors must be the per-probe ones exactly,
+because the Newton stops on float noise."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import linear_models, phase_points, stays
+from test_kernels import _d4_coeffs
+
+from hetdim import cones, cycles
+from hetdim.cones import (_inverse_product, leaf_march, return_chain, stable_frame,
+                          stable_slopes, strip_center)
+from hetdim.cycles import _connection_gap, solve_period2_with_s
+from hetdim.errors import ConvergenceError, DomainError, ItineraryError, NumericalError
+from hetdim.global_map import axis_jet, in_pi1, t1_array, t1_jac_array
+from hetdim.numerics import (fd_jacobian, fold_tol, frobenius, newton_1d, orthonormal_frame,
+                             row_norms)
+from hetdim.presets import d4_model, hetdim_coeffs, hetdim_model, leaf_coeffs, leaf_model
+from hetdim.saddle import reflect_array
+
+
+def _hex(a) -> list[str]:
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def _lab(name, tier="linear"):
+    if name == "D3":
+        return hetdim_model(tier=tier), hetdim_coeffs()
+    return d4_model(tier), _d4_coeffs()
+
+
+def _assert_rows(block, point_call, n):
+    """Row i of ``block`` (a tuple of arrays) is point_call(i) bit for bit,
+    or NaN throughout where point_call(i) raises NumericalError."""
+    for i in range(n):
+        try:
+            ref = point_call(i)
+        except NumericalError:
+            assert all(np.isnan(b[i]).all() for b in block), i
+            continue
+        for b, r in zip(block, ref):
+            assert np.asarray(b[i]).tobytes() == np.asarray(r, dtype=float).tobytes(), i
+
+
+# ---------------------------------------------------------------------------
+# the global map, the reflection and the axis jets
+
+
+@pytest.mark.parametrize("e3", [0.0, 0.3])
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_t1_block_rows_are_point_calls_bitwise(lab, e3, rng):
+    # one mu per row; signed zeros and a NaN row among the points
+    model, coeffs = _lab(lab)
+    coeffs = dataclasses.replace(coeffs, e3=e3)
+    # enough rows that numpy's vectorised cube would differ on some
+    V = rng.uniform(-0.6, 0.6, size=(400, model.dim))
+    V[:, 1] += coeffs.y_minus
+    V[0] = -0.0
+    V[1, 2:] = 0.0
+    V[2] = np.nan
+    mu = rng.uniform(-1e-3, 1e-3, size=len(V))
+    block = coeffs.with_mu(mu)
+    images, jacs = t1_array(block, V), t1_jac_array(block, V)
+    inside, mirrored = in_pi1(block, V), reflect_array(model, V)
+    for i, v in enumerate(V):
+        cm = coeffs.with_mu(mu[i])
+        assert images[i].tobytes() == t1_array(cm, v).tobytes()
+        assert jacs[i].tobytes() == t1_jac_array(cm, v).tobytes()
+        assert mirrored[i].tobytes() == reflect_array(model, v).tobytes()
+        assert inside[i] == (not np.isnan(v).any() and in_pi1(cm, v))
+
+
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_axis_jet_block_rows_are_point_calls_bitwise(lab, rng):
+    model, coeffs = _lab(lab)
+    y = coeffs.y_minus + rng.uniform(-0.02, 0.02, size=9)
+    mu = rng.uniform(-1e-3, 1e-3, size=len(y))
+    w, J = axis_jet(model, coeffs.with_mu(mu), y, jacobian=True)
+    assert w.shape == (len(y), model.dim) and J.shape == (len(y), model.dim, model.dim)
+    _assert_rows((w, J), lambda i: axis_jet(model, coeffs.with_mu(mu[i]), y[i],
+                                            jacobian=True), len(y))
+
+
+# ---------------------------------------------------------------------------
+# frames and slopes
+
+
+def test_block_inverse_is_the_point_inverse_or_nan_where_it_raises(rng):
+    for dim in (1, 3):
+        A = rng.standard_normal((5, dim, dim))
+        A[1] = 0.0
+        A[2, 0, 0] = np.inf
+        inv = cones._inverse(A)
+        for i in (0, 3, 4):
+            assert inv[i].tobytes() == np.linalg.inv(A[i]).tobytes()
+        assert np.isnan(inv[1:3]).all() and not np.isnan(inv[3:]).any()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(A[1])
+
+
+def test_row_norms_and_block_frames_are_the_point_kernels_bitwise(rng):
+    A = rng.standard_normal((7, 4, 2))
+    assert _hex(row_norms(A)) == _hex([frobenius(a) for a in A])
+    for cols in (1, 2):
+        V = rng.standard_normal((6, 4, cols))
+        # a zero column keeps its QR frame
+        V[3] = 0.0
+        frames = orthonormal_frame(V)
+        for v, f in zip(V, frames):
+            assert f.tobytes() == orthonormal_frame(v).tobytes()
+
+
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_stable_frame_rows_sweep_as_their_point_calls(lab):
+    # stay numbers 1..36 settle after their own sweep counts (11 down to 1 at
+    # D = 3); a product that is not finite and a quarter turn that never
+    # settles come back NaN
+    model, coeffs = _lab(lab)
+    P = [_inverse_product(return_chain(model, coeffs, strip_center(model, coeffs, k),
+                                       [k])) for k in (1, 4, 12, 36)]
+    turn = np.eye(model.dim)
+    turn[[1, 2], [1, 2]] = 0.0
+    turn[1, 2], turn[2, 1] = -1.0, 1.0
+    P = np.array(P + [np.full_like(P[0], np.nan), turn])
+    W = stable_frame(P)
+    assert W.shape == (len(P), model.dim, model.dim - 2)
+    for p, w in zip(P[:4], W):
+        assert w.tobytes() == stable_frame(p).tobytes()
+    with pytest.raises(ConvergenceError, match="sweeps"):
+        stable_frame(turn)
+    assert np.isnan(W[4:]).all()
+
+
+def _slope_points(model, coeffs, k):
+    """Five points across the stay-k strip centre, and one whose stay leaves
+    the box."""
+    p = strip_center(model, coeffs, k)
+    spread = np.r_[0.05, 0.05 * p[1], np.full(model.dim - 2, 0.02)]
+    pts = p + np.outer(np.linspace(-0.3, 0.3, 5), spread)
+    out = pts[0].copy()
+    out[1] *= 3.0
+    return np.vstack((pts, out))
+
+
+@pytest.mark.parametrize("tier", ["linear", "polynomial_symmetric"])
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_stable_slopes_block_rows_are_point_calls_bitwise(lab, tier):
+    model, coeffs = _lab(lab, tier)
+    for k in (10, 20):
+        pts = _slope_points(model, coeffs, k)
+        Phi = stable_slopes(model, coeffs, pts, k)
+        assert Phi.shape == (len(pts), 2, model.dim - 2)
+        _assert_rows((Phi,), lambda i: (stable_slopes(model, coeffs, pts[i], k),), len(pts))
+        # the last row's stay leaves the box
+        with pytest.raises(ItineraryError):
+            stable_slopes(model, coeffs, pts[-1], k)
+        assert np.isnan(Phi[-1]).all() and not np.isnan(Phi[:-1]).any()
+
+
+@settings(derandomize=True, database=None, max_examples=60)
+@given(model=linear_models(), k=stays, data=st.data())
+def test_linear_stable_slopes_block_is_its_point_calls_property(model, k, data):
+    # any admissible linear model, stay and points in and around the box:
+    # each row is its point call, or NaN where that call raises
+    coeffs = hetdim_coeffs() if model.dim == 3 else _d4_coeffs()
+    pts = np.array([data.draw(phase_points(model.dim)) for _ in range(3)])
+    # exit heights in and around the box
+    pts[:, 1] /= abs(model.multipliers.gamma) ** k
+    Phi = stable_slopes(model, coeffs, pts, k)
+    _assert_rows((Phi,), lambda i: (stable_slopes(model, coeffs, pts[i], k),), len(pts))
+
+
+# ---------------------------------------------------------------------------
+# the leaf march
+
+
+def test_leaf_march_block_rows_are_point_calls_bitwise():
+    # leaf_model at k = 4 is curved: the half-box row must split and finishes
+    # on the point path, the short rows settle at once, the last row's base
+    # leaves the box
+    model, coeffs = leaf_model(), leaf_coeffs()
+    k = 4
+    base = strip_center(model, coeffs, k)
+    bases = np.array([base, base, base + [1e-3, 0.0, 1e-3], base])
+    bases[3, 1] *= 40.0
+    targets = base[2:] + np.array([[coeffs.delta / 2], [1e-4], [-2e-4], [1e-4]])
+    slopes = stable_slopes(model, coeffs, bases, k)
+    xy, Phi, z = leaf_march(model, coeffs, bases, k, targets, slopes)
+    assert np.array_equal(z, targets)
+    _assert_rows((xy, Phi), lambda i: leaf_march(model, coeffs, bases[i], k, targets[i],
+                                                 stable_slopes(model, coeffs, bases[i], k))[:2],
+                 len(bases))
+    assert not np.isnan(xy[:3]).any() and np.isnan(xy[3]).all()
+
+
+def test_leaf_march_row_without_arrival_slopes_comes_back_nan(monkeypatch):
+    # the arrival's slopes fail on one row only (its point call would raise
+    # there): that row loses its arrival too, so no caller reads a finite
+    # point without its slopes
+    model, coeffs = hetdim_model(), hetdim_coeffs()
+    k = 12
+    base = strip_center(model, coeffs, k)
+    bases = np.array([base, base])
+    targets = base[2:] + np.array([[0.01], [0.02]])
+    slopes = stable_slopes(model, coeffs, bases, k)
+    calls = []
+
+    def failing(model, coeffs, p, k):
+        calls.append(1)
+        out = stable_slopes(model, coeffs, p, k)
+        if len(calls) == 5:
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(cones, "stable_slopes", failing)
+    xy, Phi, _ = leaf_march(model, coeffs, bases, k, targets, slopes)
+    assert len(calls) == 5
+    assert np.isnan(xy[0]).all() and np.isnan(Phi[0]).all()
+    assert not np.isnan(xy[1]).any()
+
+
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_linear_leaf_march_block_rows_are_point_calls_bitwise(lab, rng):
+    model, coeffs = _lab(lab)
+    k = 12
+    base = strip_center(model, coeffs, k)
+    bases = base + 1e-3 * rng.standard_normal((6, model.dim)) * np.abs(base)
+    targets = bases[:, 2:] + rng.uniform(-0.04, 0.04, size=(6, model.dim - 2))
+    slopes = stable_slopes(model, coeffs, bases, k)
+    xy, Phi, _ = leaf_march(model, coeffs, bases, k, targets, slopes)
+    _assert_rows((xy, Phi), lambda i: leaf_march(model, coeffs, bases[i], k, targets[i],
+                                                 slopes[i])[:2], len(bases))
+
+
+# ---------------------------------------------------------------------------
+# the lock-step t-match and the connection gap
+
+
+def _parabola_rows(roots, domain):
+    """Rows 1e6 (t - r1)(t - r2); past t = domain a point raises and a
+    block row is NaN."""
+    def f(t, rows=...):
+        r1, r2 = roots[rows, 0], roots[rows, 1]
+        val, slope = 1e6 * (t - r1) * (t - r2), 1e6 * (2.0 * t - r1 - r2)
+        if np.ndim(t) == 0 and t > domain:
+            raise DomainError("past the domain")
+        return np.where(t > domain, np.nan, val), slope, (2.0 * t,)
+
+    return f
+
+
+def test_newton_1d_rows_step_in_lock_step_bitwise():
+    # a fold's small-root steps, plain steps, a root at the start, a flat
+    # start (the point call raises) and a first step past the domain (the
+    # point call halves it): those two rows come back NaN for the point
+    # calls to redo
+    roots = np.array([[1.0, 1.0 + 1e-6], [0.5, 0.7], [0.25, 0.45], [0.0, 1.0], [1.0, 1.2]])
+    t0 = np.array([1.0 + 5e-7 + 1e-12, 0.0, 0.25, 0.5, 1.1 + 1e-3])
+    f = _parabola_rows(roots, domain=1.5)
+    t, val, slope, (pay,), evals = newton_1d(f, t0, tol=1e-13, accept_tol=1e-11, name="rows")
+    for i in (0, 1, 2):
+        ref = newton_1d(lambda s, i=i: f(s, i), float(t0[i]), tol=1e-13, accept_tol=1e-11,
+                        name="rows")
+        assert _hex([t[i], val[i], slope[i], pay[i]]) == _hex([*ref[:3], ref[3][0]])
+        assert evals[i] == ref[4]
+    assert evals[2] == 1
+    with pytest.raises(ConvergenceError, match="flat"):
+        newton_1d(lambda s: f(s, 3), 0.5, tol=1e-13, name="rows")
+    # the point call halves its first step back into the domain, and converges
+    assert newton_1d(lambda s: f(s, 4), float(t0[4]), tol=1e-13, name="rows")[0] < 1.5
+    assert np.isnan([t[3:], val[3:], slope[3:], pay[3:]]).all() and not evals[3:].any()
+
+
+def _gap_rows(model, coeffs, k, m, rng, n=6):
+    """Q02, eta1 and mu2 around a solved period-2 orbit, one row per probe,
+    the last one's Q02 far outside the box."""
+    orbit = solve_period2_with_s(model, coeffs, k, m, 0.0)
+    Q02 = orbit.points["Q02"].as_array()
+    Q = Q02 + 1e-9 * rng.standard_normal((n, model.dim)) * np.abs(Q02)
+    Q[-1, 1] = 2.0
+    eta1 = orbit.eta[0] * (1.0 + 1e-6 * rng.standard_normal(n))
+    mu2 = orbit.mu * (1.0 + 1e-6 * rng.standard_normal(n))
+    return coeffs.with_mu(orbit.mu), Q, eta1, mu2
+
+
+@pytest.mark.parametrize("lab, k, m", [("D3", 12, 10), ("D4", 14, 12)])
+def test_connection_gap_block_rows_are_point_calls_bitwise(lab, k, m, rng):
+    model, coeffs = _lab(lab)
+    cm, Q, eta1, mu2 = _gap_rows(model, coeffs, k, m, rng)
+    gap, info = _connection_gap(model, cm, cm, mu2, Q, m, eta1)
+
+    def point(i):
+        g, doc = _connection_gap(model, cm, cm, mu2[i], Q[i], m, eta1[i])
+        return g, doc["t_param"], doc["curve_point"], doc["leaf_point"]
+
+    _assert_rows((gap, info["t_param"], info["curve_point"], info["leaf_point"]), point,
+                 len(Q))
+    with pytest.raises(ItineraryError):
+        point(len(Q) - 1)
+    assert not np.isnan(gap[:-1]).any() and np.isnan(gap[-1])
+
+
+# ---------------------------------------------------------------------------
+# the cycle Newton's probes as one block
+
+
+class _Seed(Exception):
+    pass
+
+
+def _cycle_probes(monkeypatch, k, m):
+    """The cycle residual F, its seed w0, the FD scales and the floor probes
+    of ``_hetdim_solve`` at (k, m), captured before the Newton starts."""
+    got = {}
+
+    def floors(f, u, ulps, least, block):
+        got.update(F=f, w0=u, ulps=ulps, least=least, block=block)
+        return np.asarray(least)
+
+    solve = cycles.newton_solve
+
+    def newton(f, u0, *, scales, block=False, **kw):
+        if not block:
+            # phase A's period-2 solve
+            return solve(f, u0, scales=scales, **kw)
+        got["scales"] = scales
+        raise _Seed
+
+    monkeypatch.setattr(cycles, "fold_tol", floors)
+    monkeypatch.setattr(cycles, "newton_solve", newton)
+    with pytest.raises(_Seed):
+        cycles.solve_hetdim_symmetric(hetdim_model(), hetdim_coeffs(), k, m)
+    assert got["block"]
+    return got
+
+
+@pytest.mark.parametrize("k, m", [(12, 10), (24, 20)])
+def test_cycle_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, k, m):
+    got = _cycle_probes(monkeypatch, k, m)
+    F, w0 = got["F"], got["w0"]
+    calls = []
+
+    def counted(w):
+        calls.append(np.ndim(w))
+        return F(w)
+
+    J = fd_jacobian(counted, w0, scales=got["scales"], block=True)
+    assert calls == [2]
+    ref = fd_jacobian(F, w0, scales=got["scales"])
+    assert _hex(J) == _hex(ref)
+    del calls[:]
+    tol = fold_tol(counted, w0, got["ulps"], least=got["least"], block=True)
+    assert calls == [2]
+    assert _hex(tol) == _hex(fold_tol(F, w0, got["ulps"], least=got["least"]))
+    # the block's rows are the point residuals, probe by probe
+    probes = np.array([w0 + s * e for e in np.diag(got["scales"] * 1e-7) for s in (1, -1)])
+    rows = F(probes)
+    for p, r in zip(probes, rows):
+        assert r.tobytes() == F(p).tobytes()
+
+
+def test_block_fd_jacobian_takes_the_point_one_sided_fallback():
+    # probes beyond x = 0.3 leave the domain: a point raises, a block row is
+    # NaN; the point calls redo that variable with the backward difference
+    def point(u):
+        if u[0] > 0.3:
+            raise DomainError("probe left the domain")
+        return np.array([u[0] ** 2, 3.0 * u[1]])
+
+    calls = []
+
+    def f(u):
+        calls.append(np.ndim(u))
+        if u.ndim == 1:
+            return point(u)
+        return np.array([[np.nan, np.nan] if r[0] > 0.3 else point(r) for r in u])
+
+    u = np.array([0.3, 1.0])
+    J = fd_jacobian(f, u, block=True)
+    assert J.tobytes() == fd_jacobian(point, u).tobytes()
+    assert J[0, 0] == pytest.approx(0.6, rel=1e-6)
+    # one block, then variable 0 point by point: f(up) raises, f(u), f(up)
+    # raises again, f(um)
+    assert calls == [2, 1, 1, 1, 1]
