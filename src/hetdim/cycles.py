@@ -91,13 +91,18 @@ def _legs(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
     entry, with n = stays[j]; its exit is T0^n(entry).  Pre-amplifying the
     tiny entry heights keeps every residual and float at the exit scale,
     where gamma^n no longer amplifies errors (this makes the forward oracle
-    attainable at 1e-10 for large itineraries).
+    attainable at 1e-10 for large itineraries).  An (N, 2D) block u gives
+    (N, D) entries and exits, each row its point call's bit for bit, and a
+    NaN exit where that call raises (``saddle.stay_exit``).
     """
     D, gam = model.dim, model.multipliers.gamma
     legs = []
     for j, n in enumerate(stays):
-        v = u[j * D:(j + 1) * D]
-        entry = np.concatenate(([coeffs.x_plus + v[0], v[1] / gam ** n], coeffs.z_plus + v[2:]))
+        v = u[..., j * D:(j + 1) * D]
+        entry = np.empty_like(v)
+        entry[..., 0] = coeffs.x_plus + v[..., 0]
+        entry[..., 1] = v[..., 1] / gam ** n
+        entry[..., 2:] = coeffs.z_plus + v[..., 2:]
         legs.append((entry, saddle.stay_exit(model, entry, n)))
     return legs
 
@@ -111,22 +116,34 @@ def _period2_residual(model: SaddleModel, cm: GlobalMapCoeffs, u: Array, k: int,
     Leg j's block is T1(exit_j) - entry_other, with the y row at the other
     leg's exit scale.  Both legs use the same T1 (the whole orbit stays near
     the first tangency); the twin map enters only through the connection curve.
+
+    An (N, 2D) block u, with cm carrying one mu or one per row
+    (``GlobalMapCoeffs.with_mu``), gives (N, 2D+1) rows, (N,) eta1 and
+    (N, D) Q02: each row its point call's, bit for bit, NaN where that call
+    raises.
     """
     D = model.dim
     lam, gam = model.multipliers.lam, model.multipliers.gamma
     stays = (k, m)
     legs = _legs(model, cm, u, stays)
-    r = np.empty(2 * D + 1)
+    r = np.empty(u.shape[:-1] + (2 * D + 1,))
     for j, (_, exit_j) in enumerate(legs):
         o = 1 - j
         image = t1_array(cm, exit_j)
-        r[j * D:(j + 1) * D] = image - legs[o][0]
-        r[j * D + 1] = image[1] * gam ** stays[o] - u[o * D + 1]
+        r[..., j * D:(j + 1) * D] = image - legs[o][0]
+        r[..., j * D + 1] = image[..., 1] * gam ** stays[o] - u[..., o * D + 1]
     (_, e1), (p2, e2) = legs
-    eta1, eta2 = float(e1[1] - cm.y_minus), float(e2[1] - cm.y_minus)
+    eta1, eta2 = e1[..., 1] - cm.y_minus, e2[..., 1] - cm.y_minus
+    if u.ndim == 1:
+        eta1, eta2 = float(eta1), float(eta2)
     scale_idx = lam ** (k + m)
-    r[-1] = (eta1 * eta2 - s_target * scale_idx
-             - _index_relation(cm, lam, gam, k, m)) / scale_idx
+    r[..., -1] = (eta1 * eta2 - s_target * scale_idx
+                  - _index_relation(cm, lam, gam, k, m)) / scale_idx
+    if u.ndim == 2:
+        # a row whose point call raises (one of its stays left the box) is
+        # NaN throughout, not only in the rows that read that stay's exit
+        out = np.isnan(e1).any(axis=1) | np.isnan(e2).any(axis=1)
+        r[out] = eta1[out] = p2[out] = np.nan
     return r, eta1, p2
 
 
@@ -287,11 +304,12 @@ def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
                 seed[j * model.dim + 1] = ym + SEED_BRANCH * math.sqrt(e_sq)
 
     def F(u: Array) -> Array:
-        return _period2_residual(model, coeffs, u, k, m, 0.0)[0][:-1]
+        return _period2_residual(model, coeffs, u, k, m, 0.0)[0][..., :-1]
 
     scales, tol, accept = _period2_tolerances(model, coeffs, k, m, coeffs.mu)
+    # the probes of every FD Jacobian go to F as one block
     u, res, _ = newton_solve(F, seed, scales=scales[:-1], tol=tol[:-1],
-                             accept_tol=accept[:-1], max_iter=60,
+                             accept_tol=accept[:-1], max_iter=60, block=True,
                              name=f"period-2 closure (k={k}, m={m})")
     return _orbit_from_unknowns(model, coeffs, u, k, m)
 
@@ -303,11 +321,13 @@ def solve_period2_with_s(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m:
     u0, mu0 = _period2_seed(model, coeffs, k, m, s_target)
 
     def F(w: Array) -> Array:
-        return _period2_residual(model, coeffs.with_mu(w[-1]), w[:-1], k, m, s_target)[0]
+        return _period2_residual(model, coeffs.with_mu(w[..., -1]), w[..., :-1], k, m,
+                                 s_target)[0]
 
     scales, tol, accept = _period2_tolerances(model, coeffs, k, m, mu0)
+    # the probes of every FD Jacobian go to F as one block, one mu per row
     w, res, _ = newton_solve(F, np.append(u0, mu0), scales=scales, tol=tol,
-                             accept_tol=accept, max_iter=60,
+                             accept_tol=accept, max_iter=60, block=True,
                              name=f"period-2 with s (k={k}, m={m})")
     orbit = _orbit_from_unknowns(model, coeffs.with_mu(w[-1]), w[:-1], k, m)
     orbit.s_value = s_target
@@ -531,9 +551,9 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
         return np.append(rows, gap / max(abs(mdl.multipliers.gamma) ** (-m), 1e-300))
 
     def F_block(W: Array) -> Array:
-        # F at each row of a block of probes, NaN where F raises.  The
-        # period-2 rows are cheap and go row by row; the rows that share a
-        # gamma take their connection gaps in one call
+        # F at each row of a block of probes, NaN where F raises.  The rows
+        # that share a gamma take their period-2 rows in one call, one mu
+        # per row, and the connection gaps of the finite ones in another
         out = np.full(W.shape, np.nan)
         for g in dict.fromkeys(W[:, -1].tolist()):
             group = np.flatnonzero(W[:, -1] == g)
@@ -545,22 +565,16 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
                 mdl = _rebuild_gamma(model, g)
             except DomainError:
                 continue
-            rows, etas, Q02s = [], [], []
-            for i in group:
-                try:
-                    out[i, :-1], eta1, Q02 = _period2_residual(
-                        mdl, coeffs.with_mu(W[i, -2]), W[i, :-2], k, m, s_target)
-                except NumericalError:
-                    continue
-                rows.append(i)
-                etas.append(eta1)
-                Q02s.append(Q02)
-            if rows:
+            mu1 = W[group, -2]
+            rows, eta1, Q02 = _period2_residual(mdl, coeffs.with_mu(mu1), W[group, :-2],
+                                                k, m, s_target)
+            out[group, :-1] = rows
+            ok = np.isfinite(rows).all(axis=1)
+            if ok.any():
                 # the leaf slopes do not depend on mu, only the twin curve does
-                eta1 = np.array(etas)
-                gap, _ = _connection_gap(mdl, coeffs, coeffs2, mu2_of(W[rows, -2], eta1),
-                                         np.array(Q02s), m, eta1)
-                out[rows, -1] = gap / max(abs(mdl.multipliers.gamma) ** (-m), 1e-300)
+                gap, _ = _connection_gap(mdl, coeffs, coeffs2, mu2_of(mu1[ok], eta1[ok]),
+                                         Q02[ok], m, eta1[ok])
+                out[group[ok], -1] = gap / max(abs(mdl.multipliers.gamma) ** (-m), 1e-300)
         return out
 
     scales, tol, accept = _period2_tolerances(model_g, coeffs, k, m, mu0)

@@ -1,10 +1,11 @@
-"""Block evaluation: every layer of the connection gap takes a point or an
-(N, D) block, and each block row is its point call, bit for bit, or NaN
-where that call raises.
+"""Block evaluation: every layer of the connection gap and of the period-2
+residual takes a point or an (N, D) block, and each block row is its point
+call, bit for bit, or NaN where that call raises.
 
-The cycle Newton hands every FD and floor probe of its residual to one
-block call; its Jacobians and floors must be the per-probe ones exactly,
-because the Newton stops on float noise."""
+The cycle and period-2 Newtons hand every FD probe of their residuals (and
+the cycle Newton every floor probe) to one block call; their Jacobians and
+floors must be the per-probe ones exactly, because the Newtons stop on
+float noise."""
 
 from __future__ import annotations
 
@@ -20,12 +21,14 @@ from test_kernels import _d4_coeffs
 from hetdim import cones, cycles
 from hetdim.cones import (_inverse_product, leaf_march, return_chain, stable_frame,
                           stable_slopes, strip_center)
-from hetdim.cycles import _connection_gap, solve_period2_with_s
+from hetdim.cycles import (_connection_gap, _period2_residual, _period2_seed,
+                           orbit_to_unknowns, solve_period2_with_s)
 from hetdim.errors import ConvergenceError, DomainError, ItineraryError, NumericalError
 from hetdim.global_map import axis_jet, in_pi1, t1_array, t1_jac_array
 from hetdim.numerics import (fd_jacobian, fold_tol, frobenius, newton_1d, orthonormal_frame,
                              row_norms)
-from hetdim.presets import d4_model, hetdim_coeffs, hetdim_model, leaf_coeffs, leaf_model
+from hetdim.presets import (battery_coeffs, battery_model, battery_pairs, d4_model,
+                            hetdim_coeffs, hetdim_model, leaf_coeffs, leaf_model)
 from hetdim.saddle import reflect_array
 
 
@@ -329,10 +332,11 @@ def _cycle_probes(monkeypatch, k, m):
 
     solve = cycles.newton_solve
 
-    def newton(f, u0, *, scales, block=False, **kw):
-        if not block:
+    def newton(f, u0, *, scales, name, **kw):
+        if name.startswith("period-2"):
             # phase A's period-2 solve
-            return solve(f, u0, scales=scales, **kw)
+            return solve(f, u0, scales=scales, name=name, **kw)
+        assert kw["block"]
         got["scales"] = scales
         raise _Seed
 
@@ -392,3 +396,83 @@ def test_block_fd_jacobian_takes_the_point_one_sided_fallback():
     # one block, then variable 0 point by point: f(up) raises, f(u), f(up)
     # raises again, f(um)
     assert calls == [2, 1, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the period-2 residual and its Newton's probes as one block
+
+
+def _period2_rows(lab, k, m, rng, n=6):
+    """Unknowns and one mu per row around the linear tier's solved orbit;
+    the last two rows leave the box, one in each leg's stay."""
+    model, coeffs = _lab(lab)
+    orbit = solve_period2_with_s(model, coeffs, k, m, 0.3)
+    u = orbit_to_unknowns(model, coeffs, orbit)
+    U = u + 1e-6 * rng.standard_normal((n, u.size)) * np.maximum(np.abs(u), 1e-3)
+    U[-2, model.dim + 1] = U[-1, 1] = 3.0
+    mu = orbit.mu * (1.0 + 1e-6 * rng.standard_normal(n))
+    return coeffs, U, mu
+
+
+@pytest.mark.parametrize("tier", ["linear", "polynomial_symmetric"])
+@pytest.mark.parametrize("lab, k, m", [("D3", 12, 10), ("D4", 14, 12)])
+def test_period2_residual_block_rows_are_point_calls_bitwise(lab, k, m, tier, rng):
+    coeffs, U, mu = _period2_rows(lab, k, m, rng)
+    model = _lab(lab, tier)[0]
+    s = 0.3
+    rows, eta1, Q02 = _period2_residual(model, coeffs.with_mu(mu), U, k, m, s)
+    assert rows.shape == (len(U), 2 * model.dim + 1) and Q02.shape == (len(U), model.dim)
+    _assert_rows((rows, eta1, Q02),
+                 lambda i: _period2_residual(model, coeffs.with_mu(mu[i]), U[i], k, m, s),
+                 len(U))
+    # one mu for the whole block
+    rows1, eta11, Q021 = _period2_residual(model, coeffs.with_mu(mu[0]), U, k, m, s)
+    _assert_rows((rows1, eta11, Q021),
+                 lambda i: _period2_residual(model, coeffs.with_mu(mu[0]), U[i], k, m, s),
+                 len(U))
+    # a stay of each of the last two rows leaves the box, so _assert_rows
+    # found their block rows NaN throughout; no other row is
+    for i in (-2, -1):
+        with pytest.raises(ItineraryError):
+            _period2_residual(model, coeffs.with_mu(mu[i]), U[i], k, m, s)
+    assert np.isfinite(rows[:-2]).all()
+
+
+def _period2_newton(monkeypatch, solve, *args):
+    """The residual F, seed and FD scales that ``solve`` hands its Newton."""
+    got = {}
+
+    def newton(f, u0, *, scales, block=False, **kw):
+        got.update(F=f, u0=u0, scales=scales, block=block)
+        raise _Seed
+
+    monkeypatch.setattr(cycles, "newton_solve", newton)
+    with pytest.raises(_Seed):
+        solve(*args)
+    assert got["block"]
+    return got
+
+
+@pytest.mark.parametrize("pair", [0, -1])
+@pytest.mark.parametrize("s", [-0.9, 0.45])
+def test_period2_fd_jacobian_block_is_the_per_probe_jacobian_bitwise(monkeypatch, pair, s):
+    # at a battery seed, for the joint Newton with s (one mu per probe row)
+    # and for the closure Newton at fixed mu: one block call, the point
+    # calls' Jacobian bit for bit
+    model, coeffs = battery_model(), battery_coeffs()
+    k, m = battery_pairs()[pair]
+    _, mu0 = _period2_seed(model, coeffs, k, m, s)
+    for got in (_period2_newton(monkeypatch, cycles.solve_period2_with_s, model, coeffs,
+                                k, m, s),
+                _period2_newton(monkeypatch, cycles.solve_period2, model,
+                                coeffs.with_mu(mu0), k, m)):
+        F, u0 = got["F"], got["u0"]
+        calls = []
+
+        def counted(w):
+            calls.append(np.ndim(w))
+            return F(w)
+
+        J = fd_jacobian(counted, u0, scales=got["scales"], block=True)
+        assert calls == [2]
+        assert _hex(J) == _hex(fd_jacobian(F, u0, scales=got["scales"]))

@@ -489,9 +489,9 @@ def test_cone_battery_csv_is_the_per_vector_opening(monkeypatch):
     # all 13 battery pairs; the run's complementarity check is ROADMAP item 4's
     doc = {"model": battery_model().spec(), "coeffs": battery_coeffs().spec(),
            "schedule": {"pairs": [list(p) for p in battery_pairs()]}}
-    files, _ = runner._exp_cone_battery(doc, None)
+    files, _ = runner._exp_cone_battery(doc)
     monkeypatch.setattr(cones, "_opening", _opening_reference)
-    ref, _ = runner._exp_cone_battery(doc, None)
+    ref, _ = runner._exp_cone_battery(doc)
     assert files["cones.csv"] == ref["cones.csv"]
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,9 @@ import pytest
 from hetdim import runner, tangency
 from hetdim.cli import main
 from hetdim.cycles import SCHEMA_VERSION
-from hetdim.presets import (base_model, battery_coeffs, d4_model, forge_coeffs,
-                            hetdim_coeffs, hetdim_model, leaf_coeffs, leaf_model)
+from hetdim.presets import (base_model, battery_coeffs, battery_model, d4_model,
+                            forge_coeffs, hetdim_coeffs, hetdim_model, leaf_coeffs,
+                            leaf_model)
 
 
 def _write(tmp_path: Path, name: str, doc: dict) -> str:
@@ -121,6 +125,44 @@ def test_runs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_abs_orbits_draws_are_pinned(tmp_path):
+    # the seed feeds abs_orbits' own generator; these digests were taken when
+    # run_experiment built one generator for every experiment, so moving it
+    # changed no draw (glibc x86-64; abs_report.json's trapping maximum is
+    # the largest step of the seed-7 orbits)
+    cfg = _write(tmp_path, "a.json", {"seed": 7, "experiment": "abs_orbits",
+                                      "orbits": {"n": 500, "steps": 40},
+                                      "out": str(tmp_path / "a")})
+    assert main(["run", "--config", cfg]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
+               for name in ("abs_orbit.csv", "abs_report.json")}
+    assert digests == {
+        "abs_orbit.csv": "22bab97d2880b08a4b26a4c5f42bbc53ede142bf9e398f519a7e2cad6d2ac5b1",
+        "abs_report.json": "b826d50d8d83aa9cb23ef5d747c803c6a2b752435998d284c9c601d02bc6a8f7",
+    }
+
+
+@pytest.mark.parametrize("experiment, loaded", [("period2_sweep", False),
+                                                ("abs_orbits", True)])
+def test_only_abs_orbits_loads_numpy_random(tmp_path, experiment, loaded):
+    # numpy.random costs a fresh process about 6 MB of resident memory; only
+    # the experiment that draws random numbers may import it
+    doc = {"experiment": experiment, "out": str(tmp_path / experiment)}
+    if experiment == "period2_sweep":
+        doc.update(model=battery_model().spec(), coeffs=battery_coeffs().spec(),
+                   schedule={"pairs": [[14, 12]]}, s_targets=[0.0])
+    else:
+        doc.update(orbits={"n": 5, "steps": 10})
+    cfg = _write(tmp_path, "cfg.json", doc)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from hetdim import runner; "
+            "rc = runner.run_experiment(sys.argv[2]); "
+            "print(rc, 'numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(src), cfg],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split()[-2:] == ["0", str(loaded)]
+
+
 def test_remaining_experiments_run(tmp_path):
     from hetdim.presets import battery_coeffs, battery_model
     runs = [
@@ -165,7 +207,7 @@ def test_numpy_bool_checks_are_reported(tmp_path, capsys):
 
 def test_numpy_false_check_fails_the_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(runner._RUNNERS, "leaf_fit",
-                        lambda doc, rng: ({}, {"fit_ok": np.False_, "count": 3}))
+                        lambda doc: ({}, {"fit_ok": np.False_, "count": 3}))
     out = tmp_path / "leaf"
     cfg = _write(tmp_path, "leaf.json", {"experiment": "leaf_fit", "out": str(out),
                                          "model": leaf_model().spec(),
