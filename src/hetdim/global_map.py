@@ -17,7 +17,6 @@ set: it is the conjugation R o T1 o R.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +64,10 @@ class GlobalMapCoeffs:
         """The same maps at splitting parameter mu; an (N,) array mu gives
         each row of an (N, D) block its own (``t1_array``)."""
         # a shallow copy sharing the validated arrays: dataclasses.replace
-        # would re-run __post_init__ on every closure or tangency residual
-        new = copy.copy(self)
-        object.__setattr__(new, "mu", mu if getattr(mu, "ndim", 0) else float(mu))
+        # would re-run __post_init__ on every closure or tangency residual,
+        # and copy.copy takes the slower __reduce_ex__ path
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, mu=mu if getattr(mu, "ndim", 0) else float(mu))
         return new
 
     def spec(self) -> dict:

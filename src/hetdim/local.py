@@ -40,7 +40,7 @@ class CrossFormResult:
     iterations: int
 
 
-def solve_cross_form(model: SaddleModel, x0: float, yk: float, z0, k: int) -> CrossFormResult:
+def solve_cross_form(model: SaddleModel, x0, yk, z0, k: int) -> CrossFormResult:
     """Solve the cross form: find (x_k, y_0, z_k) with prescribed (x0, yk, z0).
 
     On the linear tier y0 = yk / gamma^k, and x_k, z_k come from one
@@ -49,13 +49,21 @@ def solve_cross_form(model: SaddleModel, x0: float, yk: float, z0, k: int) -> Cr
     after its first evaluation (iterations 1).  The nonlinear tiers polish y0
     by Newton (the shooting derivative dyk/dy0 ~ gamma^k) from that guess;
     tolerance 1e-12 on |yk(y0) - yk|.  ItineraryError when the orbit leaves
-    the box.
+    the box.  On the linear tier, (N,) arrays x0 and yk with an (N, D-2)
+    z0 solve N cross forms in one ``stay_exit`` block: each row of the
+    result's arrays is its point call's, bit for bit, and NaN throughout
+    where that call raises.
     """
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    y0 = float(yk / model.multipliers.gamma ** k)
+    y0 = yk / model.multipliers.gamma ** k
     if model.nonlinearity.kind == "linear":
-        v = stay_exit(model, np.concatenate(([x0, y0], z0)), k)
-        return CrossFormResult(float(v[0]), y0, v[2:], abs(float(v[1]) - yk), 1)
+        if getattr(x0, "ndim", 0):
+            v = stay_exit(model, np.column_stack((x0, y0, z0)), k)
+            y0[np.isnan(v[:, 0])] = np.nan
+            return CrossFormResult(v[:, 0], y0, v[:, 2:], np.abs(v[:, 1] - yk), 1)
+        v = stay_exit(model, np.concatenate(([x0, y0], np.atleast_1d(z0))), k)
+        return CrossFormResult(float(v[0]), float(y0), v[2:], abs(float(v[1]) - yk), 1)
+    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
+    y0 = float(y0)
 
     def shoot(y0: float) -> tuple[float, float, tuple[float, Array]]:
         y_end, slope, xk, zk = _forward_y(model, x0, y0, z0, k)

@@ -39,47 +39,45 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array,
     differences; when every probe of a variable leaves the domain the
     Jacobian is unknown there and ConvergenceError names the variable.
     ``f(u)`` itself is evaluated only for a one-sided difference: the
-    Newton that asks for the Jacobian already holds it.  With ``block``,
-    ``f`` takes all 2n probes as one (2n, n) block and returns their rows,
-    NaN for a probe that raises; such a variable is redone probe by probe,
-    so the Jacobian is bit for bit the one of the point calls.
+    Newton that asks for the Jacobian already holds it.  The 2n probes
+    u + h_i e_i, u - h_i e_i are built once, as the rows of one (2n, n)
+    array.  With ``block``, ``f`` takes that array in one call and returns
+    their rows, NaN for a probe that raises; only a variable with a
+    non-finite row is redone probe by probe, so the Jacobian is bit for bit
+    the one of the point calls.
     """
     u = np.asarray(u, dtype=float)
     n = u.size
-    if scales is None:
-        scales = np.ones(n)
-
-    def probes(i):
-        h = FD_REL_STEP * max(abs(u[i]), scales[i])
-        up = u.copy()
-        um = u.copy()
-        up[i] += h
-        um[i] -= h
-        return h, up, um
-
+    h = FD_REL_STEP * np.maximum(np.abs(u), np.ones(n) if scales is None else scales)
+    probes = np.repeat(u[None], 2 * n, axis=0)
+    d = np.arange(n)
+    probes[2 * d, d] += h
+    probes[2 * d + 1, d] -= h
+    columns = [None] * n
     if block:
-        rows = _block_rows(f, [p for i in range(n) for p in probes(i)[1:]])
-    columns = []
+        rows = np.asarray(f(probes), dtype=float).reshape(2 * n, -1)
+        finite = np.isfinite(rows).reshape(n, -1).all(axis=1)
+        central = (rows[0::2] - rows[1::2]) / (2.0 * h)[:, None]
+        columns = [c if ok else None for c, ok in zip(central, finite)]
     f0 = None
     for i in range(n):
-        h, up, um = probes(i)
-        if block and rows[2 * i] is not None and rows[2 * i + 1] is not None:
-            columns.append((rows[2 * i] - rows[2 * i + 1]) / (2.0 * h))
+        if columns[i] is not None:
             continue
+        up, um = probes[2 * i], probes[2 * i + 1]
         try:
-            columns.append((np.asarray(f(up)) - np.asarray(f(um))) / (2.0 * h))
+            columns[i] = (np.asarray(f(up)) - np.asarray(f(um))) / (2.0 * h[i])
             continue
         except NumericalError:
             pass
         if f0 is None:
             f0 = np.asarray(f(u), dtype=float)
         try:
-            columns.append((np.asarray(f(up)) - f0) / h)
+            columns[i] = (np.asarray(f(up)) - f0) / h[i]
             continue
         except NumericalError:
             pass
         try:
-            columns.append((f0 - np.asarray(f(um))) / h)
+            columns[i] = (f0 - np.asarray(f(um))) / h[i]
         except NumericalError:
             raise ConvergenceError(f"fd_jacobian: every probe of variable {i} "
                                    "left the domain", seed=u) from None

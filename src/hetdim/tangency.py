@@ -51,7 +51,7 @@ def double_return_y(model: SaddleModel, coeffs: GlobalMapCoeffs, t: float, k: in
     return (float(w[1]), float(J[1, 1])) if with_slope else float(w[1])
 
 
-def _cross_form_jet(model: SaddleModel, cm: GlobalMapCoeffs, X: float, Y: float,
+def _cross_form_jet(model: SaddleModel, cm: GlobalMapCoeffs, X, Y,
                     k: int) -> tuple[CrossFormResult, Array]:
     """Cross-form solution at the curve offsets (X, Y), and the Jacobian of
     T1 o T0^k o T1 at the axis point y- + X/b chained through the
@@ -61,23 +61,31 @@ def _cross_form_jet(model: SaddleModel, cm: GlobalMapCoeffs, X: float, Y: float,
     tangency condition) and its [1, 0] entry the induced c.  The direct path
     would lose the suppressed exit offset Y to the cancellation in the curve
     height, and with it the sign of the 2 d Y entry of the exit Jacobian.
+    On the linear tier, (N,) arrays X and Y give the N cross forms of
+    ``solve_cross_form``'s block and (N, D, D) Jacobians: each row its point
+    call's, bit for bit, NaN throughout where that call raises.
     """
+    block = getattr(X, "ndim", 0)
     t = X / cm.b
     v = axis_point(model, cm.y_minus + t)
     x0 = cm.x_plus + X
-    z0 = cm.z_plus + cm.b_t * t
+    z0 = cm.z_plus + cm.b_t * (t[:, None] if block else t)
     cf = solve_cross_form(model, x0, cm.y_minus + Y, z0, k)
     if model.nonlinearity.kind == "linear":
         # the stay's Jacobian is diagonal: carry T1's Jacobian through it as
         # a running product of the multipliers, the multiplications that
         # chaining the step Jacobians performs
-        stack = np.empty((k + 1, model.dim, model.dim))
+        stack = np.empty((k + 1,) + v.shape[:-1] + (model.dim, model.dim))
         stack[0] = t1_jac_array(cm, v)
         stack[1:] = model.diagonal[:, None]
         chain = np.multiply.accumulate(stack, axis=0, out=stack)[k]
     else:
         traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), k)
         chain = jacobian_along(model, traj, t1_jac_array(cm, v))
+    if block:
+        J = t1_jac_array(cm, np.column_stack((cf.x_k, cm.y_minus + Y, cf.z_k))) @ chain
+        J[np.isnan(cf.y_0)] = np.nan
+        return cf, J
     endpoint = np.concatenate(([cf.x_k, cm.y_minus + Y], cf.z_k))
     return cf, t1_jac_array(cm, endpoint) @ chain
 
@@ -153,7 +161,8 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     from the scaled-limit solutions.  The first two rows stop at 1e-14; the
     slope row stops at ``fold_tol`` at the seed, which grows like gamma^k:
     its inputs are the axis point y- + X/b and the exit height y- + Y.  That
-    tolerance is the branch's slope_tol.
+    tolerance is the branch's slope_tol.  The floor's probes and those of
+    every FD Jacobian go to the residual as one (N, 3) block.
     The induced c = d(G_y)/dx, G = T1 o T0^k o T1, is the [1, 0] entry of the
     final evaluation's exact Jacobian (an FD probe in x would be amplified by
     gamma^k); HypothesisError when |c| < 1e-14 leaves its sign open.
@@ -166,6 +175,26 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     d = coeffs.d
 
     def jet(u: Array) -> tuple[Array, Array]:
+        # the rows and Jacobian at one u = (X, Y, mu), or at each row of an
+        # (N, 3) block: each row its point call's, NaN where that call raises
+        if u.ndim == 2:
+            if model.nonlinearity.kind != "linear":
+                # the nonlinear cross form shoots each row on its own
+                rows = np.full(u.shape, np.nan)
+                for i, p in enumerate(u):
+                    try:
+                        rows[i] = jet(p)[0]
+                    except NumericalError:
+                        pass
+                return rows, None
+            X, Y, mu = u.T
+            cf, J = _cross_form_jet(model, coeffs.with_mu(mu), X, Y, k)
+            t = X / b
+            # the cubes with the scalar power, as t1_array takes them
+            y_curve = mu + d * t * t + e3 * np.array([s ** 3 for s in t.tolist()])
+            r2 = (mu + coeffs.c * cf.x_k + d * Y * Y + (coeffs.alpha2 @ cf.z_k[:, :, None])[:, 0]
+                  + e3 * np.array([s ** 3 for s in Y.tolist()]))
+            return np.column_stack((y_curve - cf.y_0, r2, J[:, 1, 1])), J
         X, Y, mu = u
         cf, J = _cross_form_jet(model, coeffs.with_mu(mu), X, Y, k)
         t = X / b
@@ -182,14 +211,15 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         scales = np.array([0.01 * abs(b), min(0.01, max(10.0 * abs(Y0), 1e-9)),
                            max(10.0 * abs(mu0), 1e-6)])
         try:
-            slope_tol = fold_tol(lambda u: jet(u)[0][2], np.array([X0, Y0, mu0]),
+            slope_tol = fold_tol(lambda u: jet(u)[0][..., 2], np.array([X0, Y0, mu0]),
                                  [np.array([b * np.spacing(coeffs.y_minus + X0 / b), 0.0, 0.0]),
-                                  np.array([0.0, np.spacing(coeffs.y_minus + Y0), 0.0])])
+                                  np.array([0.0, np.spacing(coeffs.y_minus + Y0), 0.0])],
+                                 block=True)
             u, _, _ = newton_solve(lambda u: jet(u)[0], np.array([X0, Y0, mu0]),
                                    scales=scales,
                                    tol=np.array([1e-14, 1e-14, slope_tol]),
                                    accept_tol=np.array([1e-12, 1e-12, 1e-10]),
-                                   max_iter=60,
+                                   max_iter=60, block=True,
                                    name=f"secondary tangency k={k} branch {branch_id}")
         except (ConvergenceError, NumericalError) as exc:
             raise ConvergenceError(
@@ -288,7 +318,8 @@ ROOT_TOL = 1e-13  # residual tolerance of the root polish
 def _polish_roots(f, seeds, label: str, diagnostics: list) -> list[tuple[float, float]]:
     """Polish 1d root seeds of ``f(t) -> (value, slope)``, deduplicate, and
     keep only transverse roots; each dropped seed or root appends a message
-    to ``diagnostics``.
+    to ``diagnostics``.  ``f(t, False)`` gives the value alone (its slope
+    None), bit for bit, for the second difference.
 
     Transversality is double-root aware: a polish that slides into a
     quadratic tangency stops at |slope| ~ sqrt(2 |d2| tol), which can exceed
@@ -308,7 +339,8 @@ def _polish_roots(f, seeds, label: str, diagnostics: list) -> list[tuple[float, 
         d2, hh = None, 1e-6
         for _ in range(4):
             try:
-                d2 = (f(t + hh)[0] - 2.0 * f(t)[0] + f(t - hh)[0]) / (hh * hh)
+                d2 = (f(t + hh, False)[0] - 2.0 * f(t, False)[0]
+                      + f(t - hh, False)[0]) / (hh * hh)
                 break
             except NumericalError:
                 hh *= 0.1
@@ -357,9 +389,10 @@ def curve_points(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve, ret
     k = stays[-1] if stays else None
     route = ("quartet" if ret else "split_pair") + ("_stage2" if curve.stays else "")
 
-    def f(t):
-        w, J = axis_jet(model, cm, curve.ybase + t, stays, jacobian=True)
-        return float(w[1]), float(J[1, 1])
+    def f(t, jacobian=True):
+        # without the Jacobian each stay is one stay_exit, not a trajectory
+        w, J = axis_jet(model, cm, curve.ybase + t, stays, jacobian=jacobian)
+        return float(w[1]), float(J[1, 1]) if jacobian else None
 
     found = []
     label = route if k is None else f"{route}(k={k})"

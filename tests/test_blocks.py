@@ -1,11 +1,12 @@
-"""Block evaluation: every layer of the connection gap and of the period-2
-residual takes a point or an (N, D) block, and each block row is its point
-call, bit for bit, or NaN where that call raises.
+"""Block evaluation: every layer of the connection gap, of the period-2
+residual and of the forge's secondary-tangency residual takes a point or
+an (N, D) block, and each block row is its point call, bit for bit, or NaN
+where that call raises.
 
-The cycle and period-2 Newtons hand every FD probe of their residuals (and
-the cycle Newton every floor probe) to one block call; their Jacobians and
-floors must be the per-probe ones exactly, because the Newtons stop on
-float noise."""
+The cycle, period-2 and secondary-tangency Newtons hand every FD probe of
+their residuals (and the cycle and secondary-tangency Newtons every floor
+probe) to one block call; their Jacobians and floors must be the per-probe
+ones exactly, because the Newtons stop on float noise."""
 
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import linear_models, phase_points, stays
-from test_kernels import _d4_coeffs
+from test_kernels import _d4_coeffs, _d4_forge_coeffs
 
-from hetdim import cones, cycles
+from hetdim import cones, cycles, tangency
 from hetdim.cones import (_inverse_product, leaf_march, return_chain, stable_frame,
                           stable_slopes, strip_center)
 from hetdim.cycles import (_connection_gap, _period2_residual, _period2_seed,
@@ -27,8 +28,9 @@ from hetdim.errors import ConvergenceError, DomainError, ItineraryError, Numeric
 from hetdim.global_map import axis_jet, in_pi1, t1_array, t1_jac_array
 from hetdim.numerics import (fd_jacobian, fold_tol, frobenius, newton_1d, orthonormal_frame,
                              row_norms)
-from hetdim.presets import (battery_coeffs, battery_model, battery_pairs, d4_model,
-                            hetdim_coeffs, hetdim_model, leaf_coeffs, leaf_model)
+from hetdim.presets import (base_model, battery_coeffs, battery_model, battery_pairs,
+                            d4_model, forge_coeffs, hetdim_coeffs, hetdim_model, leaf_coeffs,
+                            leaf_model)
 from hetdim.saddle import reflect_array
 
 
@@ -476,3 +478,80 @@ def test_period2_fd_jacobian_block_is_the_per_probe_jacobian_bitwise(monkeypatch
         J = fd_jacobian(counted, u0, scales=got["scales"], block=True)
         assert calls == [2]
         assert _hex(J) == _hex(fd_jacobian(F, u0, scales=got["scales"]))
+
+
+# ---------------------------------------------------------------------------
+# the forge's secondary-tangency residual and its Newton's probes as one block
+
+
+FORGE_CASES = ("cdx_neg_d_neg", "cdx_pos_d_neg", "cdx_neg_d_pos", "cdx_pos_d_pos")
+
+
+def _forge_probes(monkeypatch, model, coeffs, k):
+    """The residual F and the slope row F3 that ``solve_secondary_tangency``
+    hands its Newton and its fold_tol at branch 1's seed u0, with the FD
+    scales and the floor probes."""
+    got = {}
+
+    def floors(f, u, ulps, block=False):
+        got.update(F3=f, ulps=ulps, floor_block=block)
+        return 1e-13
+
+    def newton(f, u0, *, scales, block=False, **kw):
+        got.update(F=f, u0=u0, scales=scales, block=block)
+        raise _Seed
+
+    monkeypatch.setattr(tangency, "fold_tol", floors)
+    monkeypatch.setattr(tangency, "newton_solve", newton)
+    with pytest.raises(_Seed):
+        tangency.solve_secondary_tangency(model, coeffs, k)
+    assert got["block"] and got["floor_block"]
+    return got
+
+
+@pytest.mark.parametrize("e3", [0.0, 0.3])
+@pytest.mark.parametrize("tier", ["linear", "polynomial_symmetric"])
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_forge_residual_block_rows_are_point_calls_bitwise(monkeypatch, lab, tier, e3, rng):
+    # one mu per row; the last row's exit height y- + 3 leaves the box
+    if lab == "D3":
+        model, coeffs = base_model(tier), forge_coeffs("cdx_neg_d_neg")
+    else:
+        model, coeffs = d4_model(tier), _d4_forge_coeffs("cdx_neg_d_neg")
+    coeffs = dataclasses.replace(coeffs, e3=e3)
+    got = _forge_probes(monkeypatch, model, coeffs, 12)
+    F, u0 = got["F"], got["u0"]
+    U = u0 * (1.0 + 1e-3 * rng.standard_normal((12, 3)))
+    U[-1, 1] = 3.0
+    rows = F(U)
+    assert rows.shape == (len(U), 3)
+    _assert_rows((rows,), lambda i: (F(U[i]),), len(U))
+    with pytest.raises(ItineraryError):
+        F(U[-1])
+    assert np.isfinite(rows[:-1]).all()
+    slopes = got["F3"](U)
+    _assert_rows((slopes,), lambda i: (got["F3"](U[i]),), len(U))
+
+
+@pytest.mark.parametrize("k", [12, 24])
+@pytest.mark.parametrize("case", FORGE_CASES)
+def test_forge_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, case, k):
+    # at the seed of each sign case: one block call each for the FD
+    # Jacobian and the slope row's floor, the point calls' results bit for bit
+    got = _forge_probes(monkeypatch, base_model("linear"), forge_coeffs(case), k)
+    F, F3, u0 = got["F"], got["F3"], got["u0"]
+    calls = []
+
+    def counted(f):
+        def g(w):
+            calls.append(np.ndim(w))
+            return f(w)
+        return g
+
+    J = fd_jacobian(counted(F), u0, scales=got["scales"], block=True)
+    assert calls == [2]
+    assert _hex(J) == _hex(fd_jacobian(F, u0, scales=got["scales"]))
+    del calls[:]
+    tol = fold_tol(counted(F3), u0, got["ulps"], block=True)
+    assert calls == [2]
+    assert _hex(tol) == _hex(fold_tol(F3, u0, got["ulps"]))

@@ -227,6 +227,24 @@ def test_coeffs_json_roundtrip(coeffs):
     assert again.spec() == doc
 
 
+def test_with_mu_shares_every_field_but_mu(coeffs):
+    fields = [f.name for f in dataclasses.fields(coeffs) if f.name != "mu"]
+    before = {name: getattr(coeffs, name) for name in fields}
+    mu0 = coeffs.mu
+    for mu in (np.float64(0.25), 3, np.array([0.1, -0.2])):
+        new = coeffs.with_mu(mu)
+        assert type(new) is GlobalMapCoeffs
+        assert all(getattr(new, name) is getattr(coeffs, name) for name in fields)
+        if np.ndim(mu):
+            assert new.mu is mu
+        else:
+            assert type(new.mu) is float and new.mu == mu
+        assert new == dataclasses.replace(coeffs, mu=mu)
+    # the original is unchanged
+    assert coeffs.mu == mu0 and type(coeffs.mu) is type(mu0)
+    assert all(getattr(coeffs, name) is before[name] for name in fields)
+
+
 def test_nondegeneracy_rejections():
     with pytest.raises(ValidationError, match="d must be nonzero"):
         GlobalMapCoeffs(mu=0.0, x_plus=0.1, y_minus=0.5, z_plus=[0.0], a=0.1,

@@ -570,6 +570,33 @@ def test_fd_jacobian_one_sided_fallback():
     assert J[1, 1] == pytest.approx(3.0, rel=1e-9)
 
 
+# offsets and step floors of mixed scales, from 1e-9 to 1e4
+_mixed = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-9, 3))
+_floors = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-9, 0))
+
+
+@settings(derandomize=True, database=None, max_examples=100)
+@given(n=st.integers(1, 8), data=st.data())
+def test_block_fd_jacobian_is_the_point_fd_jacobian_property(n, data):
+    # n + 1 rows from exact float operations, the same on a row as on a block
+    u = np.array(data.draw(st.lists(_mixed, min_size=n, max_size=n)))
+    scales = np.array(data.draw(st.lists(_floors, min_size=n, max_size=n)))
+
+    def f(w):
+        cube = w[..., :1] * w[..., :1] * w[..., :1]
+        return np.concatenate((np.cumsum(w * w[..., ::-1], axis=-1) - 3.0 * w, cube), axis=-1)
+
+    calls = []
+
+    def counted(w):
+        calls.append(np.ndim(w))
+        return f(w)
+
+    J = fd_jacobian(counted, u, scales=scales, block=True)
+    assert calls == [2] and J.shape == (n + 1, n)
+    assert J.tobytes() == fd_jacobian(f, u, scales=scales).tobytes()
+
+
 def test_fold_tol_gives_each_row_its_own_floor():
     # rows a*u0, b*u1 and a*u0 + b*u1 move a*ulp0, b*ulp1 and both per ulp
     # (powers of two keep every product exact); the floors sum over the
