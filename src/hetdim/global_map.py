@@ -177,7 +177,7 @@ def t1_jac_array(coeffs: GlobalMapCoeffs, v: Array) -> Array:
     rows of an (N, D) block, bit for bit."""
     if v.ndim == 2:
         # every entry but dy0/dy1 is a coefficient of the map
-        J = np.tile(t1_jac_array(coeffs, np.zeros(v.shape[1])), (len(v), 1, 1))
+        J = np.repeat(t1_jac_array(coeffs, np.zeros(v.shape[1]))[None], len(v), axis=0)
         t = v[:, 1] - coeffs.y_minus
         J[:, 1, 1] = 2.0 * coeffs.d * t + 3.0 * coeffs.e3 * t * t
         return J

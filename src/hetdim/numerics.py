@@ -117,6 +117,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                  max_iter: int = 40,
                  jac_reuse: int = 1,
                  block: bool = False,
+                 jac: Callable[[Array], Array] | None = None,
                  name: str = "newton") -> tuple[Array, float, int]:
     """Newton iteration with FD Jacobian and row/column equilibration.
 
@@ -128,8 +129,10 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     otherwise.  ``jac_reuse`` > 1 switches to a modified Newton that
     refreshes the FD Jacobian only every so many iterations (the cycle
     solvers' evaluations are expensive).  ``block`` hands ``fd_jacobian``'s
-    probes to ``f`` as one block.  The equilibration matters: closure
-    systems mix residual scales from O(1) down to O(gamma^-k).
+    probes to ``f`` as one block.  ``jac``, when given, returns the exact
+    Jacobian at u and takes the place of every FD Jacobian; the rest of the
+    iteration is the same.  The equilibration matters: closure systems mix
+    residual scales from O(1) down to O(gamma^-k).
     """
     u = np.asarray(u0, dtype=float).copy()
     scales_arr = np.asarray(scales, dtype=float)
@@ -157,7 +160,8 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
             window_best = best_res
         fresh = fact is None or it % jac_reuse == 0
         if fresh:
-            J = fd_jacobian(f, u, scales=scales_arr, block=block)
+            J = (fd_jacobian(f, u, scales=scales_arr, block=block) if jac is None
+                 else jac(u))
             # equilibrate rows then columns to tame the gamma^k dynamic range
             r = np.max(np.abs(J), axis=1)
             r[r == 0.0] = 1.0

@@ -151,6 +151,34 @@ def _seed(coeffs: GlobalMapCoeffs, lam: float, gamma: float, k: int, sign: int):
     return float(X), float(Y), float(mu)
 
 
+def _exact_jac(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int):
+    """The exact Jacobian in (X, Y, mu) of ``solve_secondary_tangency``'s
+    three rows on the linear tier, as a function of u = (X, Y, mu).
+
+    A stay is the diagonal factor diag(s), s the product of k multipliers,
+    so with t = X/b, g(v) = 2d v + 3e3 v^2 (T1's dy/dy at offset v) and g'
+    its derivative the rows are polynomials in (X, Y, mu):
+    r1 = mu + d t^2 + e3 t^3 - (y- + Y)/gamma^k, r2 = T1's y at the exit
+    (s_x (x+ + X), y- + Y, s_z (z+ + b_t t)), and r3 = J[1, 1] =
+    c s_x b + g(Y) s_y g(t) + alpha2 . (s_z b_t).
+    """
+    s = np.multiply.accumulate(np.repeat(model.diagonal[None], k, axis=0))[-1]
+    b, d, e3 = coeffs.b, coeffs.d, coeffs.e3
+    inv_gk = 1.0 / model.multipliers.gamma ** k
+    r2_x = coeffs.c * s[0] + coeffs.alpha2 @ (s[2:] * coeffs.b_t) / b
+
+    def jac(u: Array) -> Array:
+        X, Y, _ = u
+        t = X / b
+        g_t, g_Y = 2.0 * d * t + 3.0 * e3 * t * t, 2.0 * d * Y + 3.0 * e3 * Y * Y
+        return np.array([[g_t / b, -inv_gk, 1.0],
+                         [r2_x, g_Y, 1.0],
+                         [g_Y * s[1] * (2.0 * d + 6.0 * e3 * t) / b,
+                          (2.0 * d + 6.0 * e3 * Y) * s[1] * g_t, 0.0]])
+
+    return jac
+
+
 def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
                              k: int) -> list[TangencyBranch]:
     """Both secondary-tangency branches at stay number k.
@@ -158,11 +186,15 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     Newton on (X, Y, mu): cross-form consistency of the curve point, the
     homoclinic condition after the second global-map application, and the
     vanishing derivative along the curve (quadratic contact).  Seeds come
-    from the scaled-limit solutions.  The first two rows stop at 1e-14; the
-    slope row stops at ``fold_tol`` at the seed, which grows like gamma^k:
-    its inputs are the axis point y- + X/b and the exit height y- + Y.  That
-    tolerance is the branch's slope_tol.  The floor's probes and those of
-    every FD Jacobian go to the residual as one (N, 3) block.
+    from the scaled-limit solutions.  Every row stops at twice its float
+    floor at the seed (``fold_tol``; its inputs are the axis point y- + X/b
+    and the exit height y- + Y), measured once for all three rows.  The
+    slope row's floor grows like gamma^k and never goes below 1e-13: that
+    tolerance is the branch's slope_tol.  Each value row adds mu, so its
+    tolerance lies between spacing(|mu|) at the seed and 1e-14.  On the
+    linear tier the Newton takes the residual's exact Jacobian
+    (``_exact_jac``); on the nonlinear tiers an FD Jacobian, whose probes,
+    like the floor's, go to the residual as one (N, 3) block.
     The induced c = d(G_y)/dx, G = T1 o T0^k o T1, is the [1, 0] entry of the
     final evaluation's exact Jacobian (an FD probe in x would be amplified by
     gamma^k); HypothesisError when |c| < 1e-14 leaves its sign open.
@@ -202,6 +234,7 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         r2 = (mu + coeffs.c * cf.x_k + d * Y * Y + coeffs.alpha2 @ cf.z_k + e3 * Y ** 3)
         return np.array([y_curve - cf.y_0, r2, J[1, 1]]), J
 
+    jac = _exact_jac(model, coeffs, k) if model.nonlinearity.kind == "linear" else None
     branches = []
     for branch_id, sign in ((1, +1), (2, -1)):
         X0, Y0, mu0 = _seed(coeffs, lam, gamma, k, sign)
@@ -211,15 +244,16 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
         scales = np.array([0.01 * abs(b), min(0.01, max(10.0 * abs(Y0), 1e-9)),
                            max(10.0 * abs(mu0), 1e-6)])
         try:
-            slope_tol = fold_tol(lambda u: jet(u)[0][..., 2], np.array([X0, Y0, mu0]),
-                                 [np.array([b * np.spacing(coeffs.y_minus + X0 / b), 0.0, 0.0]),
-                                  np.array([0.0, np.spacing(coeffs.y_minus + Y0), 0.0])],
-                                 block=True)
+            tol = fold_tol(lambda u: jet(u)[0], np.array([X0, Y0, mu0]),
+                           [np.array([b * np.spacing(coeffs.y_minus + X0 / b), 0.0, 0.0]),
+                            np.array([0.0, np.spacing(coeffs.y_minus + Y0), 0.0])],
+                           least=np.array([0.0, 0.0, 1e-13]), block=True)
+            tol[:2] = np.maximum(np.spacing(abs(mu0)), np.minimum(1e-14, tol[:2]))
+            slope_tol = float(tol[2])
             u, _, _ = newton_solve(lambda u: jet(u)[0], np.array([X0, Y0, mu0]),
-                                   scales=scales,
-                                   tol=np.array([1e-14, 1e-14, slope_tol]),
+                                   scales=scales, tol=tol,
                                    accept_tol=np.array([1e-12, 1e-12, 1e-10]),
-                                   max_iter=60, block=True,
+                                   max_iter=60, block=True, jac=jac,
                                    name=f"secondary tangency k={k} branch {branch_id}")
         except (ConvergenceError, NumericalError) as exc:
             raise ConvergenceError(

@@ -488,17 +488,18 @@ FORGE_CASES = ("cdx_neg_d_neg", "cdx_pos_d_neg", "cdx_neg_d_pos", "cdx_pos_d_pos
 
 
 def _forge_probes(monkeypatch, model, coeffs, k):
-    """The residual F and the slope row F3 that ``solve_secondary_tangency``
+    """The residual F and the rows F_floor that ``solve_secondary_tangency``
     hands its Newton and its fold_tol at branch 1's seed u0, with the FD
-    scales and the floor probes."""
+    scales, the floor probes and their least tolerances.  The Newton takes
+    the exact Jacobian on the linear tier and FD Jacobians on the others."""
     got = {}
 
-    def floors(f, u, ulps, block=False):
-        got.update(F3=f, ulps=ulps, floor_block=block)
-        return 1e-13
+    def floors(f, u, ulps, least=1e-13, block=False):
+        got.update(F_floor=f, ulps=ulps, least=least, floor_block=block)
+        return np.full(3, 1e-13)
 
-    def newton(f, u0, *, scales, block=False, **kw):
-        got.update(F=f, u0=u0, scales=scales, block=block)
+    def newton(f, u0, *, scales, block=False, jac=None, **kw):
+        got.update(F=f, u0=u0, scales=scales, block=block, jac=jac)
         raise _Seed
 
     monkeypatch.setattr(tangency, "fold_tol", floors)
@@ -506,6 +507,7 @@ def _forge_probes(monkeypatch, model, coeffs, k):
     with pytest.raises(_Seed):
         tangency.solve_secondary_tangency(model, coeffs, k)
     assert got["block"] and got["floor_block"]
+    assert (got["jac"] is None) == (model.nonlinearity.kind != "linear")
     return got
 
 
@@ -529,17 +531,17 @@ def test_forge_residual_block_rows_are_point_calls_bitwise(monkeypatch, lab, tie
     with pytest.raises(ItineraryError):
         F(U[-1])
     assert np.isfinite(rows[:-1]).all()
-    slopes = got["F3"](U)
-    _assert_rows((slopes,), lambda i: (got["F3"](U[i]),), len(U))
+    floored = got["F_floor"](U)
+    _assert_rows((floored,), lambda i: (got["F_floor"](U[i]),), len(U))
 
 
 @pytest.mark.parametrize("k", [12, 24])
 @pytest.mark.parametrize("case", FORGE_CASES)
 def test_forge_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, case, k):
     # at the seed of each sign case: one block call each for the FD
-    # Jacobian and the slope row's floor, the point calls' results bit for bit
+    # Jacobian and the rows' floors, the point calls' results bit for bit
     got = _forge_probes(monkeypatch, base_model("linear"), forge_coeffs(case), k)
-    F, F3, u0 = got["F"], got["F3"], got["u0"]
+    F, F_floor, u0 = got["F"], got["F_floor"], got["u0"]
     calls = []
 
     def counted(f):
@@ -552,6 +554,6 @@ def test_forge_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, case,
     assert calls == [2]
     assert _hex(J) == _hex(fd_jacobian(F, u0, scales=got["scales"]))
     del calls[:]
-    tol = fold_tol(counted(F3), u0, got["ulps"], block=True)
+    tol = fold_tol(counted(F_floor), u0, got["ulps"], least=got["least"], block=True)
     assert calls == [2]
-    assert _hex(tol) == _hex(fold_tol(F3, u0, got["ulps"]))
+    assert _hex(tol) == _hex(fold_tol(F_floor, u0, got["ulps"], least=got["least"]))

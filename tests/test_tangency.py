@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from test_kernels import _d4_forge_coeffs
 
 from hetdim import tangency
 from hetdim.errors import ValidationError
 from hetdim.global_map import axis_jet, first_return_array, t1_array, t1_jac_array
-from hetdim.numerics import fold_tol
-from hetdim.presets import forge_coeffs
+from hetdim.numerics import fd_jacobian, fold_tol
+from hetdim.presets import base_model, d4_model, forge_coeffs
 from hetdim.tangency import (ROOT_TOL, SLOPE_MIN, curve_points,
                              find_transverse_homoclinics, forge_admissible_tangency,
                              predicted_c_signs, solve_secondary_tangency, stage_one_curve,
@@ -205,6 +207,111 @@ def test_secondary_slope_tols_are_bit_identical(case, lin_model):
     tols = [float(br.slope_tol).hex() for k in range(12, 25, 2)
             for br in solve_secondary_tangency(lin_model, forge_coeffs(case), k)]
     assert tols == SLOPE_TOLS[case]
+
+
+# ---------------------------------------------------------------------------
+# the linear tier's exact Jacobian and the value rows' floors
+
+
+@pytest.fixture(scope="module", params=[(lab, e3, case) for lab in ("D3", "D4")
+                                        for e3 in (0.0, 0.3) for case in CASES]
+                + [("D3-b", 0.3, case) for case in CASES],
+                ids=lambda p: "-".join(map(str, p)))
+def forge_solves(request):
+    """Every secondary-tangency Newton over ks 12..24 on one linear lab, with
+    the residual, exact Jacobian, tolerances, seed and solution it was handed
+    or returned; plus the lab's model and coefficients.  The forge presets
+    have b = 1; lab D3-b moves it to 0.7."""
+    lab, e3, case = request.param
+    if lab == "D4":
+        model, coeffs = d4_model("linear"), dataclasses.replace(_d4_forge_coeffs(case), e3=e3)
+    else:
+        model, coeffs = base_model("linear"), forge_coeffs(case, e3=e3)
+        if lab == "D3-b":
+            coeffs = dataclasses.replace(coeffs, b=0.7)
+    solve, solves = tangency.newton_solve, []
+
+    def recorded(f, u0, **kw):
+        u, res, it = solve(f, u0, **kw)
+        solves.append(dict(k=k, F=f, jac=kw["jac"], scales=kw["scales"], tol=kw["tol"],
+                           seed=u0, u=u))
+        return u, res, it
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tangency, "newton_solve", recorded)
+        for k in range(12, 25, 2):
+            assert len(solve_secondary_tangency(model, coeffs, k)) == 2
+    assert len(solves) == 14
+    return model, coeffs, solves
+
+
+def _mp_forge_jacobian(mp, model, coeffs, k, u):
+    """The three closed-form rows of the linear forge residual at u = (X, Y,
+    mu), differentiated in 50-digit arithmetic."""
+    b, c, d, e3, xp, ym = (mp.mpf(float(v)) for v in (coeffs.b, coeffs.c, coeffs.d, coeffs.e3,
+                                                       coeffs.x_plus, coeffs.y_minus))
+    s = [mp.mpf(float(v)) ** k for v in model.diagonal]
+    zp, bt, a2 = ([mp.mpf(float(v)) for v in w]
+                  for w in (coeffs.z_plus, coeffs.b_t, coeffs.alpha2))
+    gamma = mp.mpf(float(model.multipliers.gamma))
+
+    def rows(X, Y, mu):
+        t = X / b
+        z = sum(a * si * (zi + bi * t) for a, si, zi, bi in zip(a2, s[2:], zp, bt))
+        z_slope = sum(a * si * bi for a, si, bi in zip(a2, s[2:], bt))
+        return (mu + d * t ** 2 + e3 * t ** 3 - (ym + Y) / gamma ** k,
+                mu + c * s[0] * (xp + X) + d * Y ** 2 + z + e3 * Y ** 3,
+                c * s[0] * b + z_slope + (2 * d * Y + 3 * e3 * Y ** 2) * s[1]
+                * (2 * d * t + 3 * e3 * t ** 2))
+
+    u = [mp.mpf(float(v)) for v in u]
+    J = np.empty((3, 3))
+    for j in range(3):
+        for i in range(3):
+            def along(x, i=i, j=j):
+                w = list(u)
+                w[j] = x
+                return rows(*w)[i]
+            J[i, j] = float(mp.diff(along, u[j]))
+    return J
+
+
+def test_exact_forge_jacobian_is_the_mpmath_derivative(forge_solves):
+    mp = pytest.importorskip("mpmath")
+    model, coeffs, solves = forge_solves
+    with mp.workdps(50):
+        for rec in solves:
+            for u in (rec["seed"], rec["u"]):
+                J, ref = rec["jac"](u), _mp_forge_jacobian(mp, model, coeffs, rec["k"], u)
+                zero = ref == 0.0
+                assert np.all(np.abs(J[zero]) <= 1e-12), (rec["k"], u)
+                assert np.all(np.abs(J[~zero] / ref[~zero] - 1.0) <= 1e-12), (rec["k"], u)
+
+
+def test_exact_forge_jacobian_matches_fd_on_x_and_mu(forge_solves):
+    # the residual the Newton evaluates has the closed-form Jacobian: on the X
+    # and mu columns FD agrees to 1e-6 of each row's largest entry, the scale
+    # the Newton equilibrates it by.  Entry by entry FD noise reaches 1.6e-5
+    # of the small dr1/dX and dr3/dX at k = 24, and the Y column is not
+    # resolved by FD at deep k where c*d*x+ > 0
+    _, _, solves = forge_solves
+    for rec in solves:
+        for u in (rec["seed"], rec["u"]):
+            J = rec["jac"](u)
+            fd = fd_jacobian(rec["F"], u, scales=rec["scales"], block=True)
+            scale = np.max(np.abs(J), axis=1)[:, None]
+            err = np.abs(fd - J)[:, [0, 2]] / scale
+            assert np.all(err <= 1e-6), (rec["k"], u, err)
+
+
+def test_value_rows_stop_at_their_measured_floors(forge_solves):
+    # each value row adds mu, so its tolerance never goes below mu's spacing
+    _, _, solves = forge_solves
+    for rec in solves:
+        tol, mu0 = rec["tol"], rec["seed"][2]
+        assert np.all((np.spacing(abs(mu0)) <= tol[:2]) & (tol[:2] <= 1e-14)), (rec["k"], tol)
+        r = rec["F"](rec["u"])
+        assert np.all(np.abs(r[:2]) < tol[:2]), (rec["k"], r, tol)
 
 
 def test_parity_required(lin_model, coeffs_a):
