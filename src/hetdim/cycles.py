@@ -595,6 +595,16 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
     eta1 = orbit.eta[0]
     mu2 = mu2_of(mu1, eta1)
     gap, conn = _connection_gap(mdl, cm, coeffs2, mu2, orbit.points["Q02"].as_array(), m, eta1)
+    if not (orbit.closure_residual < CERT_TOLERANCES["closure"]
+            and abs(gap) < CERT_TOLERANCES["gap"]):
+        # the Newton accepted rows whose floors lie above what the
+        # certificate's replay checks: it would replay as a failure
+        ratios = ", ".join(f"{r:.3g}" for r in np.abs(F(w)) / tol)
+        raise ConvergenceError(
+            f"heterodimensional cycle (k={k}, m={m}): closure {orbit.closure_residual:.3e} "
+            f"and gap {abs(gap):.3e} against the certificate's {CERT_TOLERANCES['closure']:g} "
+            f"and {CERT_TOLERANCES['gap']:g}; |F|/tol per row: {ratios}",
+            residual=orbit.closure_residual, seed=w0)
 
     eigs = orbit_multipliers(orbit_jacobian_chain(mdl, cm, orbit))
     idx = _count_outside(eigs)

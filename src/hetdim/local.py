@@ -52,9 +52,12 @@ def solve_cross_form(model: SaddleModel, x0, yk, z0, k: int) -> CrossFormResult:
     the box.  On the linear tier, (N,) arrays x0 and yk with an (N, D-2)
     z0 solve N cross forms in one ``stay_exit`` block: each row of the
     result's arrays is its point call's, bit for bit, and NaN throughout
-    where that call raises.
+    where that call raises.  k may then be an (N,) array, one stay per row.
     """
-    y0 = yk / model.multipliers.gamma ** k
+    gamma = model.multipliers.gamma
+    # each row's gamma^k with the scalar power of its point call
+    y0 = yk / (np.array([gamma ** n for n in k.tolist()]) if isinstance(k, np.ndarray)
+               else gamma ** k)
     if model.nonlinearity.kind == "linear":
         if getattr(x0, "ndim", 0):
             v = stay_exit(model, np.column_stack((x0, y0, z0)), k)

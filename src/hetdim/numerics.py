@@ -97,8 +97,18 @@ def fold_tol(f: Callable[[Array], Any], u: Array, ulps,
     scalar row and an array (one tolerance per row) for a vector of rows.
     With ``block``, ``f`` takes u and every probe as one block (see
     ``fd_jacobian``); a point that comes back NaN is redone on its own.
+
+    An (N, n) block u, with each step of ``ulps`` an (N, n) block too, gives
+    the (N, m) tolerances of N rows in one call of ``f`` on the pair (rows,
+    points) of ``newton_solve``'s rows: each row its point call's, bit for
+    bit, NaN where that call raises.
     """
-    if block:
+    if np.ndim(u) == 2:
+        points = np.concatenate([u] + [u + FOLD_ULPS * e for e in ulps])
+        rows = np.tile(np.arange(len(u)), len(ulps) + 1)
+        f0, *probed = np.asarray(f((rows, points)), dtype=float).reshape(
+            len(ulps) + 1, len(u), -1)
+    elif block:
         points = [u] + [u + FOLD_ULPS * e for e in ulps]
         f0, *probed = [np.asarray(f(p), dtype=float) if r is None else r
                        for p, r in zip(points, _block_rows(f, points))]
@@ -133,7 +143,16 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     Jacobian at u and takes the place of every FD Jacobian; the rest of the
     iteration is the same.  The equilibration matters: closure systems mix
     residual scales from O(1) down to O(gamma^-k).
+
+    An (N, n) seed block u0 starts N rows that step in lock-step, each to
+    its own stop (``_newton_rows``); ``scales``, ``tol`` and ``accept_tol``
+    may then hold one row per seed.
     """
+    if np.ndim(u0) == 2:
+        if jac_reuse != 1:
+            raise ValueError("newton_solve: the rows take a fresh Jacobian every iteration")
+        return _newton_rows(f, np.asarray(u0, dtype=float), scales, tol, accept_tol,
+                            max_iter, jac)
     u = np.asarray(u0, dtype=float).copy()
     scales_arr = np.asarray(scales, dtype=float)
     tol_arr = np.atleast_1d(np.asarray(tol, dtype=float))
@@ -212,6 +231,166 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     raise ConvergenceError(f"{name}: no convergence after {max_iter} iterations "
                            f"(residual {np.max(np.abs(best_F)):.3e})",
                            residual=float(np.max(np.abs(best_F))), seed=u0)
+
+
+class _PointProbe(Exception):
+    """An FD Jacobian of the rows path needs a point probe: some probe of
+    its block left the domain, and only the row's point call can redo it."""
+
+
+def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, tol,
+                 accept_tol, max_iter: int,
+                 jac: Callable[[tuple[Array, Array]], Array] | None
+                 ) -> tuple[Array, Array, int]:
+    """``newton_solve`` for N rows at once: each row takes the point call's
+    steps, bit for bit, and stops where that call stops.
+
+    ``f`` takes a pair (rows, u): the indices of the rows it evaluates and
+    their (M, n) block; it returns their (M, m) residual rows, NaN on a row
+    whose point call raises.  ``jac``, when given, takes the same pair and
+    returns their (M, m, n) Jacobians; otherwise each live row takes its own
+    block ``fd_jacobian``.  Every residual call carries only the rows still
+    iterating, and NaN counts as a raise while a row backtracks, as it does
+    in the point call.  Returns the (N, n) solutions, their (N,) max |F|,
+    NaN on each row whose point call would raise, for that call to redo,
+    and the number of lock-step iterations (max_iter when any row accepted
+    on its floor).
+    """
+    N, n = u0.shape
+    u = u0.copy()
+    F = np.asarray(f((np.arange(N), u)), dtype=float)
+    m = F.shape[1]
+    scales = np.broadcast_to(np.asarray(scales, dtype=float), (N, n))
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (N, m))
+    accept = np.broadcast_to(np.asarray(accept_tol, dtype=float), (N, m))
+    out, out_res = np.full((N, n), np.nan), np.full(N, np.nan)
+    # the rows still iterating; every array below holds only theirs
+    rows, row_tol = np.arange(N), tol
+    best_u, best_F, best_res = u, F, np.full(N, np.inf)
+    window_best = best_res
+    floor_accepts = 0
+    iterations = 0
+
+    def floor_check(sel: Array) -> int:
+        # the end of a point call that stalled or ran out of iterations
+        later = (np.abs(F[sel]) / row_tol[sel]).max(axis=1) < best_res[sel]
+        bu = np.where(later[:, None], u[sel], best_u[sel])
+        bF = np.where(later[:, None], F[sel], best_F[sel])
+        ok = (np.abs(bF) < accept[rows[sel]]).all(axis=1)
+        out[rows[sel][ok]] = bu[ok]
+        out_res[rows[sel][ok]] = np.abs(bF[ok]).max(axis=1)
+        return int(ok.sum())
+
+    for it in range(max_iter):
+        if not rows.size:
+            break
+        iterations = it
+        res = (np.abs(F) / row_tol).max(axis=1)
+        better = res < best_res
+        best_u = np.where(better[:, None], u, best_u)
+        best_F = np.where(better[:, None], F, best_F)
+        best_res = np.where(better, res, best_res)
+        stop = (np.abs(F) < row_tol).all(axis=1)
+        # a non-finite residual raises in the point call
+        leave = stop | ~np.isfinite(res)
+        if it % 12 == 11:
+            if it >= 23:
+                stall = ~leave & (best_res > 0.8 * window_best)
+                floor_accepts += floor_check(stall)
+                leave |= stall
+            window_best = best_res
+        if leave.any():
+            out[rows[stop]] = u[stop]
+            out_res[rows[stop]] = np.abs(F[stop]).max(axis=1)
+            keep = ~leave
+            rows, row_tol, u, F, res, best_u, best_F, best_res, window_best = (
+                a[keep] for a in (rows, row_tol, u, F, res, best_u, best_F, best_res,
+                                  window_best))
+            if not rows.size:
+                break
+        if jac is not None:
+            J = np.asarray(jac((rows, u)), dtype=float)
+        else:
+            J = np.stack([_rows_fd_jacobian(f, r, p, scales[r]) for r, p in zip(rows, u)])
+        # equilibrate rows then columns, each row as its point call does
+        r = np.abs(J).max(axis=2)
+        r[r == 0.0] = 1.0
+        Jr = J / r[:, :, None]
+        c = np.abs(Jr).max(axis=1)
+        c[c == 0.0] = 1.0
+        Jrc, rhs = Jr / c[:, None, :], -F / r
+        try:
+            step = np.linalg.solve(Jrc, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = np.empty(u.shape)
+            for j in range(len(rows)):
+                try:
+                    step[j] = np.linalg.solve(Jrc[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    try:
+                        step[j], *_ = np.linalg.lstsq(Jrc[j], rhs[j], rcond=None)
+                    except np.linalg.LinAlgError:
+                        step[j] = np.nan
+        step = step / c
+        # backtrack each row as its point call does; a row without a finite
+        # step (its FD Jacobian needed a point probe, say) is left to its
+        # point call
+        alpha = np.ones(len(rows))
+        F_new = np.empty(F.shape)
+        todo = np.isfinite(step).all(axis=1)
+        fallback = None
+        for _ in range(20):
+            j = np.flatnonzero(todo)
+            if not j.size:
+                break
+            trial = np.asarray(f((rows[j], u[j] + alpha[j, None] * step[j])), dtype=float)
+            finite = np.isfinite(trial).all(axis=1)
+            good = finite & ((np.abs(trial) / row_tol[j]).max(axis=1) <= 3.0 * res[j])
+            F_new[j[good]] = trial[good]
+            todo[j[good]] = False
+            if good.all():
+                continue
+            # the first finite trial that balloons the residual is the
+            # row's fallback
+            first = finite & ~good
+            if first.any():
+                if fallback is None:
+                    fallback = np.zeros(len(rows), bool), alpha.copy(), F_new.copy()
+                has, fallback_alpha, fallback_F = fallback
+                first &= ~has[j]
+                g = j[first]
+                has[g], fallback_alpha[g], fallback_F[g] = True, alpha[g], trial[first]
+            alpha[j[~good]] *= 0.5
+        if fallback is not None:
+            late = todo & fallback[0]
+            alpha[late], F_new[late] = fallback[1][late], fallback[2][late]
+            todo &= ~late
+        u, F = u + alpha[:, None] * step, F_new
+        if todo.any():
+            # no finite step, or no finite residual along it: the point
+            # call raises or redoes what the block cannot
+            keep = ~todo
+            rows, row_tol, u, F, best_u, best_F, best_res, window_best = (
+                a[keep] for a in (rows, row_tol, u, F, best_u, best_F, best_res, window_best))
+    if rows.size:
+        floor_accepts += floor_check(np.ones(len(rows), bool))
+    return out, out_res, max_iter if floor_accepts else iterations
+
+
+def _rows_fd_jacobian(f: Callable[[tuple[Array, Array]], Array], row: int, u: Array,
+                      scales: Array) -> Array:
+    """The block ``fd_jacobian`` of one row of ``_newton_rows``, NaN when a
+    probe leaves the domain: only the row's point call can redo that."""
+
+    def probe(p: Array) -> Array:
+        if p.ndim == 1:
+            raise _PointProbe
+        return f((np.full(len(p), row), p))
+
+    try:
+        return fd_jacobian(probe, u, scales=scales, block=True)
+    except _PointProbe:
+        return np.full((len(u), len(u)), np.nan)
 
 
 NEWTON_1D_MAX_ITER = 60

@@ -387,7 +387,8 @@ def stay_exit(model: SaddleModel, v: Array, n: int) -> Array:
     only: along a stay each coordinate's modulus is monotone in floats
     (rounding is monotone and every multiplier has modulus >= 1 or <= 1),
     so a point inside the box at both ends never left it.  The nonlinear
-    tiers step each point with ``orbit``.
+    tiers step each point with ``orbit``.  On the linear tier an (N,) array
+    n gives each row of a block its own stay (``_stay_exit_rows``).
     """
     v = np.asarray(v, dtype=float)
     if model.nonlinearity.kind != "linear":
@@ -400,6 +401,8 @@ def stay_exit(model: SaddleModel, v: Array, n: int) -> Array:
             except ItineraryError:
                 pass
         return w
+    if isinstance(n, np.ndarray):
+        return _stay_exit_rows(model, v, n)
     stack = np.empty((n + 1,) + v.shape)
     stack[0] = v
     stack[1:] = model.diagonal
@@ -413,6 +416,22 @@ def stay_exit(model: SaddleModel, v: Array, n: int) -> Array:
         # orbit raises with the first step outside the box
         return w if ends.max() <= BOX else orbit(model, v, n)[-1]
     w[~(ends <= BOX).all(axis=-1)] = np.nan
+    return w
+
+
+def _stay_exit_rows(model: SaddleModel, v: Array, n: Array) -> Array:
+    """``stay_exit`` of each row of an (N, D) block v for its own stay n[i],
+    on the linear tier: each row its point call's, bit for bit, NaN where
+    that call raises.  One product runs to the longest stay; a row that
+    stops early multiplies by 1.0 after it, which is exact."""
+    stack = np.empty((n.max() + 1,) + v.shape)
+    stack[0] = v
+    stack[1:] = model.diagonal
+    stack[1:][np.arange(1, len(stack))[:, None] > n] = 1.0
+    w = np.multiply.reduce(stack, axis=0)
+    # the + 0.0 of the normal form, on the rows that take a step
+    w[n > 0] += 0.0
+    w[~(np.maximum(np.abs(v), np.abs(w)) <= BOX).all(axis=-1)] = np.nan
     return w
 
 

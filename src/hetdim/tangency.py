@@ -24,6 +24,7 @@ the first stage.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -61,9 +62,10 @@ def _cross_form_jet(model: SaddleModel, cm: GlobalMapCoeffs, X, Y,
     tangency condition) and its [1, 0] entry the induced c.  The direct path
     would lose the suppressed exit offset Y to the cancellation in the curve
     height, and with it the sign of the 2 d Y entry of the exit Jacobian.
-    On the linear tier, (N,) arrays X and Y give the N cross forms of
-    ``solve_cross_form``'s block and (N, D, D) Jacobians: each row its point
-    call's, bit for bit, NaN throughout where that call raises.
+    On the linear tier, (N,) arrays X and Y, and k an int or an (N,) array
+    of stays, give the N cross forms of ``solve_cross_form``'s block and
+    (N, D, D) Jacobians: each row its point call's, bit for bit, NaN
+    throughout where that call raises.
     """
     block = getattr(X, "ndim", 0)
     t = X / cm.b
@@ -75,10 +77,14 @@ def _cross_form_jet(model: SaddleModel, cm: GlobalMapCoeffs, X, Y,
         # the stay's Jacobian is diagonal: carry T1's Jacobian through it as
         # a running product of the multipliers, the multiplications that
         # chaining the step Jacobians performs
-        stack = np.empty((k + 1,) + v.shape[:-1] + (model.dim, model.dim))
+        top = int(k.max()) if np.ndim(k) else k
+        stack = np.empty((top + 1,) + v.shape[:-1] + (model.dim, model.dim))
         stack[0] = t1_jac_array(cm, v)
         stack[1:] = model.diagonal[:, None]
-        chain = np.multiply.accumulate(stack, axis=0, out=stack)[k]
+        if np.ndim(k):
+            # a row past its own stay multiplies by 1.0, which is exact
+            stack[1:][np.arange(1, top + 1)[:, None] > k] = 1.0
+        chain = np.multiply.accumulate(stack, axis=0, out=stack)[top]
     else:
         traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), k)
         chain = jacobian_along(model, traj, t1_jac_array(cm, v))
@@ -151,9 +157,11 @@ def _seed(coeffs: GlobalMapCoeffs, lam: float, gamma: float, k: int, sign: int):
     return float(X), float(Y), float(mu)
 
 
-def _exact_jac(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int):
+def _exact_jac(model: SaddleModel, coeffs: GlobalMapCoeffs, ks: Array):
     """The exact Jacobian in (X, Y, mu) of ``solve_secondary_tangency``'s
-    three rows on the linear tier, as a function of u = (X, Y, mu).
+    three rows on the linear tier, row i at stay ks[i]: a function of the
+    pair (rows, u) of ``newton_solve``'s rows, u an (M, 3) block, that
+    returns the (M, 3, 3) Jacobians.
 
     A stay is the diagonal factor diag(s), s the product of k multipliers,
     so with t = X/b, g(v) = 2d v + 3e3 v^2 (T1's dy/dy at offset v) and g'
@@ -162,26 +170,142 @@ def _exact_jac(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int):
     (s_x (x+ + X), y- + Y, s_z (z+ + b_t t)), and r3 = J[1, 1] =
     c s_x b + g(Y) s_y g(t) + alpha2 . (s_z b_t).
     """
-    s = np.multiply.accumulate(np.repeat(model.diagonal[None], k, axis=0))[-1]
     b, d, e3 = coeffs.b, coeffs.d, coeffs.e3
-    inv_gk = 1.0 / model.multipliers.gamma ** k
-    r2_x = coeffs.c * s[0] + coeffs.alpha2 @ (s[2:] * coeffs.b_t) / b
+    s_y, inv_gk, r2_x = np.empty((3, len(ks)))
+    for i, k in enumerate(ks.tolist()):
+        s = np.multiply.accumulate(np.repeat(model.diagonal[None], k, axis=0))[-1]
+        s_y[i], inv_gk[i] = s[1], 1.0 / model.multipliers.gamma ** k
+        r2_x[i] = coeffs.c * s[0] + coeffs.alpha2 @ (s[2:] * coeffs.b_t) / b
 
-    def jac(u: Array) -> Array:
-        X, Y, _ = u
+    def jac(arg: tuple[Array, Array]) -> Array:
+        rows, u = arg
+        X, Y = u[:, 0], u[:, 1]
         t = X / b
         g_t, g_Y = 2.0 * d * t + 3.0 * e3 * t * t, 2.0 * d * Y + 3.0 * e3 * Y * Y
-        return np.array([[g_t / b, -inv_gk, 1.0],
-                         [r2_x, g_Y, 1.0],
-                         [g_Y * s[1] * (2.0 * d + 6.0 * e3 * t) / b,
-                          (2.0 * d + 6.0 * e3 * Y) * s[1] * g_t, 0.0]])
+        one = np.ones(len(u))
+        return np.stack((g_t / b, -inv_gk[rows], one,
+                         r2_x[rows], g_Y, one,
+                         g_Y * s_y[rows] * (2.0 * d + 6.0 * e3 * t) / b,
+                         (2.0 * d + 6.0 * e3 * Y) * s_y[rows] * g_t, 0.0 * one),
+                        axis=1).reshape(-1, 3, 3)
 
     return jac
 
 
-def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
-                             k: int) -> list[TangencyBranch]:
-    """Both secondary-tangency branches at stay number k.
+def _tangency_jet(model: SaddleModel, coeffs: GlobalMapCoeffs, u: Array,
+                 k) -> tuple[Array, Array]:
+    """The three rows of ``solve_secondary_tangency``'s residual at u = (X,
+    Y, mu) and stay k, with the Jacobian of ``_cross_form_jet``; or at each
+    row of an (N, 3) block u, k an int or one stay per row: each row its
+    point call's, bit for bit, NaN throughout where that call raises."""
+    b, d, e3 = coeffs.b, coeffs.d, coeffs.e3
+    if u.ndim == 2:
+        k = k if isinstance(k, np.ndarray) else np.full(len(u), k)
+        if model.nonlinearity.kind != "linear":
+            # the nonlinear cross form shoots each row on its own
+            rows = np.full(u.shape, np.nan)
+            J = np.full((len(u), model.dim, model.dim), np.nan)
+            for i, n in enumerate(k.tolist()):
+                with contextlib.suppress(NumericalError):
+                    rows[i], J[i] = _tangency_jet(model, coeffs, u[i], n)
+            return rows, J
+        X, Y, mu = u.T
+        cf, J = _cross_form_jet(model, coeffs.with_mu(mu), X, Y, k)
+        t = X / b
+        # the cubes with the scalar power, as t1_array takes them
+        y_curve = mu + d * t * t + e3 * np.array([s ** 3 for s in t.tolist()])
+        r2 = (mu + coeffs.c * cf.x_k + d * Y * Y + (coeffs.alpha2 @ cf.z_k[:, :, None])[:, 0]
+              + e3 * np.array([s ** 3 for s in Y.tolist()]))
+        return np.column_stack((y_curve - cf.y_0, r2, J[:, 1, 1])), J
+    X, Y, mu = u
+    cf, J = _cross_form_jet(model, coeffs.with_mu(mu), X, Y, k)
+    t = X / b
+    y_curve = mu + d * t * t + e3 * t ** 3
+    r2 = (mu + coeffs.c * cf.x_k + d * Y * Y + coeffs.alpha2 @ cf.z_k + e3 * Y ** 3)
+    return np.array([y_curve - cf.y_0, r2, J[1, 1]]), J
+
+
+# the Newton's accept floors of the rows (r1, r2, slope), and the least
+# tolerances its floors take (the value rows are clamped after)
+ACCEPT_TOLS = np.array([1e-12, 1e-12, 1e-10])
+FLOOR_LEAST = np.array([0.0, 0.0, 1e-13])
+
+
+def _branch_setup(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, sign: int):
+    """The seed (X, Y, mu), FD scales and floor steps of one branch."""
+    b = coeffs.b
+    seed = X0, Y0, mu0 = _seed(coeffs, model.multipliers.lam, model.multipliers.gamma, k, sign)
+    # FD steps must stay above the float resolution of x+ + X and
+    # y- + Y, but the Y probe must also not dwarf a deeply suppressed
+    # branch seed (it would step onto a neighboring solution branch)
+    scales = np.array([0.01 * abs(b), min(0.01, max(10.0 * abs(Y0), 1e-9)),
+                       max(10.0 * abs(mu0), 1e-6)])
+    ulps = (np.array([b * np.spacing(coeffs.y_minus + X0 / b), 0.0, 0.0]),
+            np.array([0.0, np.spacing(coeffs.y_minus + Y0), 0.0]))
+    return seed, scales, ulps
+
+
+def _value_tols(tol: Array, mu0) -> Array:
+    """The floors of ``fold_tol`` with each value row's tolerance between
+    spacing(|mu0|) and 1e-14 (one row, or one per mu0 of a block)."""
+    tol[..., :2] = np.maximum(np.spacing(np.abs(mu0))[..., None],
+                              np.minimum(1e-14, tol[..., :2]))
+    return tol
+
+
+def _branch(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, branch_id: int, u: Array,
+            rows: Array, J: Array, point: Array, slope_tol: float) -> TangencyBranch:
+    """The branch at the solution u, from its final rows and jet J and the
+    image ``point`` of its preimage; HypothesisError when |c| < 1e-14."""
+    X, Y, mu = (float(x) for x in u)
+    c = float(J[1, 0])
+    if abs(c) < 1e-14:
+        raise HypothesisError(f"secondary c is sign-indeterminate (k={k}, |c| < 1e-14)")
+    t = X / coeffs.b
+    return TangencyBranch(
+        k=k, branch=branch_id, mu_k=mu, X=X, Y=Y,
+        residual=float(max(abs(rows[0]), abs(rows[1]))), case=case_tag(coeffs),
+        tangency_point=point, preimage=axis_point(model, coeffs.y_minus + t), t_param=t,
+        c_sign=int(np.sign(c)), c_value=c, slope_tol=slope_tol)
+
+
+def _solve_branch(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, branch_id: int,
+                  sign: int) -> TangencyBranch:
+    """One (k, branch) row of ``solve_secondary_tangency`` on its own: the
+    solve whose steps its lock-step row takes, bit for bit, and that redoes
+    a row whose solve raises, with the same error."""
+    seed, scales, ulps = _branch_setup(model, coeffs, k, sign)
+    u0 = np.array(seed)
+
+    def f(u: Array) -> Array:
+        return _tangency_jet(model, coeffs, u, k)[0]
+
+    jac = None
+    if model.nonlinearity.kind == "linear":
+        rows_jac, zero = _exact_jac(model, coeffs, np.array([k])), np.zeros(1, int)
+
+        def jac(u: Array) -> Array:
+            return rows_jac((zero, u[None]))[0]
+
+    try:
+        tol = _value_tols(fold_tol(f, u0, ulps, least=FLOOR_LEAST, block=True), seed[2])
+        u, _, _ = newton_solve(f, u0, scales=scales, tol=tol, accept_tol=ACCEPT_TOLS,
+                               max_iter=60, block=True, jac=jac,
+                               name=f"secondary tangency k={k} branch {branch_id}")
+    except (ConvergenceError, NumericalError) as exc:
+        X0, Y0, mu0 = seed
+        raise ConvergenceError(
+            f"secondary tangency diverged (k={k}, branch {branch_id}, "
+            f"seed=({X0:.3e}, {Y0:.3e}, {mu0:.3e})): {exc}", seed=seed) from exc
+    rows, J = _tangency_jet(model, coeffs, u, k)
+    point = axis_jet(model, coeffs.with_mu(float(u[2])),
+                     coeffs.y_minus + float(u[0]) / coeffs.b)[0]
+    return _branch(model, coeffs, k, branch_id, u, rows, J, point, float(tol[2]))
+
+
+def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs, k):
+    """Both secondary-tangency branches at stay number k, as a list; or at
+    each k of a sequence, as a dict from k to its pair.
 
     Newton on (X, Y, mu): cross-form consistency of the curve point, the
     homoclinic condition after the second global-map application, and the
@@ -198,82 +322,48 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     The induced c = d(G_y)/dx, G = T1 o T0^k o T1, is the [1, 0] entry of the
     final evaluation's exact Jacobian (an FD probe in x would be amplified by
     gamma^k); HypothesisError when |c| < 1e-14 leaves its sign open.
+
+    Every (k, branch) pair is one row of a single lock-step Newton
+    (``newton_solve`` on a block): its floors, steps and final jet are those
+    of its own solve (``_solve_branch``), bit for bit.  A row whose solve
+    would raise is redone on its own, and the first error in (k, branch)
+    order is raised, the one the per-k calls in turn would raise.
     """
-    _check_itinerary(k)
-    lam = model.multipliers.lam
-    gamma = model.multipliers.gamma
-    b = coeffs.b
-    e3 = coeffs.e3
-    d = coeffs.d
+    ks = [k] if np.ndim(k) == 0 else list(dict.fromkeys(int(n) for n in k))
+    for n in ks:
+        _check_itinerary(n)
+    if not ks:
+        return {}
+    pairs = [(n, branch_id, sign) for n in ks for branch_id, sign in ((1, +1), (2, -1))]
+    seeds, scales, ulps = zip(*(_branch_setup(model, coeffs, n, sign) for n, _, sign in pairs))
+    seeds = np.array(seeds)
+    stays = np.array([n for n, _, _ in pairs])
 
-    def jet(u: Array) -> tuple[Array, Array]:
-        # the rows and Jacobian at one u = (X, Y, mu), or at each row of an
-        # (N, 3) block: each row its point call's, NaN where that call raises
-        if u.ndim == 2:
-            if model.nonlinearity.kind != "linear":
-                # the nonlinear cross form shoots each row on its own
-                rows = np.full(u.shape, np.nan)
-                for i, p in enumerate(u):
-                    try:
-                        rows[i] = jet(p)[0]
-                    except NumericalError:
-                        pass
-                return rows, None
-            X, Y, mu = u.T
-            cf, J = _cross_form_jet(model, coeffs.with_mu(mu), X, Y, k)
-            t = X / b
-            # the cubes with the scalar power, as t1_array takes them
-            y_curve = mu + d * t * t + e3 * np.array([s ** 3 for s in t.tolist()])
-            r2 = (mu + coeffs.c * cf.x_k + d * Y * Y + (coeffs.alpha2 @ cf.z_k[:, :, None])[:, 0]
-                  + e3 * np.array([s ** 3 for s in Y.tolist()]))
-            return np.column_stack((y_curve - cf.y_0, r2, J[:, 1, 1])), J
-        X, Y, mu = u
-        cf, J = _cross_form_jet(model, coeffs.with_mu(mu), X, Y, k)
-        t = X / b
-        y_curve = mu + d * t * t + e3 * t ** 3
-        r2 = (mu + coeffs.c * cf.x_k + d * Y * Y + coeffs.alpha2 @ cf.z_k + e3 * Y ** 3)
-        return np.array([y_curve - cf.y_0, r2, J[1, 1]]), J
+    def rows_jet(arg: tuple[Array, Array]) -> Array:
+        rows, u = arg
+        return _tangency_jet(model, coeffs, u, stays[rows])[0]
 
-    jac = _exact_jac(model, coeffs, k) if model.nonlinearity.kind == "linear" else None
-    branches = []
-    for branch_id, sign in ((1, +1), (2, -1)):
-        X0, Y0, mu0 = _seed(coeffs, lam, gamma, k, sign)
-        # FD steps must stay above the float resolution of x+ + X and
-        # y- + Y, but the Y probe must also not dwarf a deeply suppressed
-        # branch seed (it would step onto a neighboring solution branch)
-        scales = np.array([0.01 * abs(b), min(0.01, max(10.0 * abs(Y0), 1e-9)),
-                           max(10.0 * abs(mu0), 1e-6)])
-        try:
-            tol = fold_tol(lambda u: jet(u)[0], np.array([X0, Y0, mu0]),
-                           [np.array([b * np.spacing(coeffs.y_minus + X0 / b), 0.0, 0.0]),
-                            np.array([0.0, np.spacing(coeffs.y_minus + Y0), 0.0])],
-                           least=np.array([0.0, 0.0, 1e-13]), block=True)
-            tol[:2] = np.maximum(np.spacing(abs(mu0)), np.minimum(1e-14, tol[:2]))
-            slope_tol = float(tol[2])
-            u, _, _ = newton_solve(lambda u: jet(u)[0], np.array([X0, Y0, mu0]),
-                                   scales=scales, tol=tol,
-                                   accept_tol=np.array([1e-12, 1e-12, 1e-10]),
-                                   max_iter=60, block=True, jac=jac,
-                                   name=f"secondary tangency k={k} branch {branch_id}")
-        except (ConvergenceError, NumericalError) as exc:
-            raise ConvergenceError(
-                f"secondary tangency diverged (k={k}, branch {branch_id}, "
-                f"seed=({X0:.3e}, {Y0:.3e}, {mu0:.3e})): {exc}",
-                seed=(X0, Y0, mu0)) from exc
-        X, Y, mu = (float(x) for x in u)
-        r_final, J = jet(u)
-        res = float(max(abs(r_final[0]), abs(r_final[1])))
-        c = float(J[1, 0])
-        if abs(c) < 1e-14:
-            raise HypothesisError(f"secondary c is sign-indeterminate (k={k}, |c| < 1e-14)")
-        t = X / b
-        y = coeffs.y_minus + t
-        branches.append(TangencyBranch(
-            k=k, branch=branch_id, mu_k=mu, X=X, Y=Y, residual=res,
-            case=case_tag(coeffs), tangency_point=axis_jet(model, coeffs.with_mu(mu), y)[0],
-            preimage=axis_point(model, y), t_param=t,
-            c_sign=int(np.sign(c)), c_value=c, slope_tol=slope_tol))
-    return branches
+    tol = _value_tols(fold_tol(rows_jet, seeds, [np.array(e) for e in zip(*ulps)],
+                               least=FLOOR_LEAST), seeds[:, 2])
+    jac = _exact_jac(model, coeffs, stays) if model.nonlinearity.kind == "linear" else None
+    u, _, _ = newton_solve(rows_jet, seeds, scales=np.array(scales), tol=tol,
+                           accept_tol=ACCEPT_TOLS, max_iter=60, jac=jac,
+                           name="secondary tangency")
+    # one final jet block for c and the tangency points of the solved rows
+    ok = np.flatnonzero(np.isfinite(u).all(axis=1))
+    final = {}
+    if ok.size:
+        rows, J = _tangency_jet(model, coeffs, u[ok], stays[ok])
+        points = axis_jet(model, coeffs.with_mu(u[ok, 2]),
+                          coeffs.y_minus + u[ok, 0] / coeffs.b)[0]
+        fine = np.isfinite(rows).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+        final = {i: row for i, *row, good in zip(ok.tolist(), rows, J, points, fine) if good}
+    solved: dict[int, list[TangencyBranch]] = {n: [] for n in ks}
+    for i, (n, branch_id, sign) in enumerate(pairs):
+        # a row whose solve or final jet would raise is redone on its own
+        solved[n].append(_branch(model, coeffs, n, branch_id, u[i], *final[i], float(tol[i, 2]))
+                         if i in final else _solve_branch(model, coeffs, n, branch_id, sign))
+    return solved[k] if np.ndim(k) == 0 else solved
 
 
 def verify_tangency_branch(model: SaddleModel, coeffs: GlobalMapCoeffs,

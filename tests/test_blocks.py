@@ -17,21 +17,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import linear_models, phase_points, stays
-from test_kernels import _d4_coeffs, _d4_forge_coeffs
+from test_kernels import _d4_coeffs, _d4_forge_coeffs, _negative_model, _orbit_starts
 
 from hetdim import cones, cycles, tangency
 from hetdim.cones import (_inverse_product, leaf_march, return_chain, stable_frame,
                           stable_slopes, strip_center)
 from hetdim.cycles import (_connection_gap, _period2_residual, _period2_seed,
                            orbit_to_unknowns, solve_period2_with_s)
-from hetdim.errors import ConvergenceError, DomainError, ItineraryError, NumericalError
+from hetdim.errors import (ConvergenceError, DomainError, ItineraryError, NumericalError,
+                           ValidationError)
 from hetdim.global_map import axis_jet, in_pi1, t1_array, t1_jac_array
-from hetdim.numerics import (fd_jacobian, fold_tol, frobenius, newton_1d, orthonormal_frame,
-                             row_norms)
+from hetdim.local import solve_cross_form
+from hetdim.numerics import (fd_jacobian, fold_tol, frobenius, newton_1d, newton_solve,
+                             orthonormal_frame, row_norms)
 from hetdim.presets import (base_model, battery_coeffs, battery_model, battery_pairs,
                             d4_model, forge_coeffs, hetdim_coeffs, hetdim_model, leaf_coeffs,
                             leaf_model)
-from hetdim.saddle import reflect_array
+from hetdim.saddle import reflect_array, stay_exit
 
 
 def _hex(a) -> list[str]:
@@ -487,28 +489,35 @@ def test_period2_fd_jacobian_block_is_the_per_probe_jacobian_bitwise(monkeypatch
 FORGE_CASES = ("cdx_neg_d_neg", "cdx_pos_d_neg", "cdx_neg_d_pos", "cdx_pos_d_pos")
 
 
-def _forge_probes(monkeypatch, model, coeffs, k):
-    """The residual F and the rows F_floor that ``solve_secondary_tangency``
-    hands its Newton and its fold_tol at branch 1's seed u0, with the FD
-    scales, the floor probes and their least tolerances.  The Newton takes
-    the exact Jacobian on the linear tier and FD Jacobians on the others."""
+def _forge_probes(monkeypatch, model, coeffs, ks):
+    """The rows residual F and floor rows F_floor (functions of the pair
+    (rows, block) of ``newton_solve``'s rows) that ``solve_secondary_tangency``
+    hands its lock-step Newton and its fold_tol at the (k, branch) seeds u0
+    of the stays ``ks``, with the FD scales, the floor probes and their least
+    tolerances.  The Newton takes the exact Jacobian on the linear tier and
+    FD Jacobians on the others."""
     got = {}
 
     def floors(f, u, ulps, least=1e-13, block=False):
-        got.update(F_floor=f, ulps=ulps, least=least, floor_block=block)
-        return np.full(3, 1e-13)
+        got.update(F_floor=f, ulps=ulps, least=least, floor_rows=np.ndim(u) == 2)
+        return np.full(np.shape(u), 1e-13)
 
-    def newton(f, u0, *, scales, block=False, jac=None, **kw):
-        got.update(F=f, u0=u0, scales=scales, block=block, jac=jac)
+    def newton(f, u0, *, scales, jac=None, **kw):
+        got.update(F=f, u0=u0, scales=scales, jac=jac)
         raise _Seed
 
     monkeypatch.setattr(tangency, "fold_tol", floors)
     monkeypatch.setattr(tangency, "newton_solve", newton)
     with pytest.raises(_Seed):
-        tangency.solve_secondary_tangency(model, coeffs, k)
-    assert got["block"] and got["floor_block"]
+        tangency.solve_secondary_tangency(model, coeffs, ks)
+    assert got["u0"].shape == (2 * np.size(ks), 3) and got["floor_rows"]
     assert (got["jac"] is None) == (model.nonlinearity.kind != "linear")
     return got
+
+
+def _point_residual(model, coeffs, k):
+    """The residual of one (k, branch) solve on its own (its point call)."""
+    return lambda u: tangency._tangency_jet(model, coeffs, u, k)[0]
 
 
 @pytest.mark.parametrize("e3", [0.0, 0.3])
@@ -522,38 +531,258 @@ def test_forge_residual_block_rows_are_point_calls_bitwise(monkeypatch, lab, tie
         model, coeffs = d4_model(tier), _d4_forge_coeffs("cdx_neg_d_neg")
     coeffs = dataclasses.replace(coeffs, e3=e3)
     got = _forge_probes(monkeypatch, model, coeffs, 12)
-    F, u0 = got["F"], got["u0"]
+    F, u0 = got["F"], got["u0"][0]
+    point = _point_residual(model, coeffs, 12)
     U = u0 * (1.0 + 1e-3 * rng.standard_normal((12, 3)))
     U[-1, 1] = 3.0
-    rows = F(U)
+    # every row at branch 1's stay
+    rows = F((np.zeros(len(U), int), U))
     assert rows.shape == (len(U), 3)
-    _assert_rows((rows,), lambda i: (F(U[i]),), len(U))
+    _assert_rows((rows,), lambda i: (point(U[i]),), len(U))
     with pytest.raises(ItineraryError):
-        F(U[-1])
+        point(U[-1])
     assert np.isfinite(rows[:-1]).all()
-    floored = got["F_floor"](U)
-    _assert_rows((floored,), lambda i: (got["F_floor"](U[i]),), len(U))
+    floored = got["F_floor"]((np.zeros(len(U), int), U))
+    _assert_rows((floored,), lambda i: (point(U[i]),), len(U))
 
 
 @pytest.mark.parametrize("k", [12, 24])
 @pytest.mark.parametrize("case", FORGE_CASES)
 def test_forge_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, case, k):
-    # at the seed of each sign case: one block call each for the FD
-    # Jacobian and the rows' floors, the point calls' results bit for bit
-    got = _forge_probes(monkeypatch, base_model("linear"), forge_coeffs(case), k)
-    F, F_floor, u0 = got["F"], got["F_floor"], got["u0"]
+    # at the seeds of each sign case: one block call each for a row's FD
+    # Jacobian and for every row's floors, the point calls' results bit for
+    # bit
+    model, coeffs = base_model("linear"), forge_coeffs(case)
+    got = _forge_probes(monkeypatch, model, coeffs, k)
+    F, F_floor, U0 = got["F"], got["F_floor"], got["u0"]
+    point = _point_residual(model, coeffs, k)
     calls = []
 
     def counted(f):
-        def g(w):
-            calls.append(np.ndim(w))
-            return f(w)
+        def g(arg):
+            calls.append(np.ndim(arg[1]))
+            return f(arg)
         return g
 
-    J = fd_jacobian(counted(F), u0, scales=got["scales"], block=True)
-    assert calls == [2]
-    assert _hex(J) == _hex(fd_jacobian(F, u0, scales=got["scales"]))
+    for r, u0 in enumerate(U0):
+        del calls[:]
+        J = fd_jacobian(lambda w: counted(F)((np.full(len(w), r), w)), u0,
+                        scales=got["scales"][r], block=True)
+        assert calls == [2]
+        assert _hex(J) == _hex(fd_jacobian(point, u0, scales=got["scales"][r]))
     del calls[:]
-    tol = fold_tol(counted(F_floor), u0, got["ulps"], least=got["least"], block=True)
-    assert calls == [2]
-    assert _hex(tol) == _hex(fold_tol(F_floor, u0, got["ulps"], least=got["least"]))
+    tol = fold_tol(counted(F_floor), U0, got["ulps"], least=got["least"])
+    assert calls == [2] and tol.shape == (len(U0), 3)
+    for r, u0 in enumerate(U0):
+        ref = fold_tol(point, u0, [e[r] for e in got["ulps"]], least=got["least"])
+        assert _hex(tol[r]) == _hex(ref), r
+
+
+@pytest.mark.parametrize("tier", ["linear", "polynomial"])
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_forge_rows_are_their_branch_solves_bitwise(lab, tier):
+    # every (k, branch) row of the lock-step solve is the solve of that
+    # branch on its own, field by field, bit for bit
+    ks = list(range(12, 25, 2)) if tier == "linear" else [12, 14, 16]
+    model = base_model(tier) if lab == "D3" else d4_model(tier)
+    for case in FORGE_CASES:
+        for e3 in (0.0, 0.3):
+            coeffs = dataclasses.replace(
+                forge_coeffs(case) if lab == "D3" else _d4_forge_coeffs(case), e3=e3)
+            solved = tangency.solve_secondary_tangency(model, coeffs, ks)
+            assert list(solved) == ks
+            for k in ks:
+                for br, sign in zip(solved[k], (1, -1)):
+                    ref = tangency._solve_branch(model, coeffs, k, br.branch, sign)
+                    assert _branch_hex(br) == _branch_hex(ref), (case, e3, k, br.branch)
+
+
+def _branch_hex(br):
+    return {f.name: _hex(v) if isinstance(v, (float, np.ndarray)) else v
+            for f in dataclasses.fields(br) for v in (getattr(br, f.name),)}
+
+
+def _solve_outcome(fn):
+    try:
+        return fn()
+    except (NumericalError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(model=linear_models(), case=st.sampled_from(FORGE_CASES))
+def test_forge_rows_are_its_per_k_calls_property(model, case):
+    # any admissible linear model: the ks 12..20 in one call are the per-k
+    # calls bit for bit, or raise the error the first failing k raises
+    coeffs = forge_coeffs(case) if model.dim == 3 else _d4_forge_coeffs(case)
+    ks = list(range(12, 21, 2))
+
+    def per_k():
+        return {k: tangency.solve_secondary_tangency(model, coeffs, k) for k in ks}
+
+    got = _solve_outcome(lambda: tangency.solve_secondary_tangency(model, coeffs, ks))
+    ref = _solve_outcome(per_k)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert {k: [_branch_hex(b) for b in v] for k, v in got.items()} == \
+            {k: [_branch_hex(b) for b in v] for k, v in ref.items()}
+
+
+# ---------------------------------------------------------------------------
+# per-row stays on the linear tier
+
+
+@pytest.mark.parametrize("name", ["D3", "D4", "negative"])
+def test_stay_exit_with_per_row_stays_is_its_point_calls_bitwise(name):
+    # each row its own stay, 0 among them; signed zeros, and rows whose
+    # stays leave the box (NaN rows, where the point call raises)
+    model = {"D3": base_model, "D4": d4_model, "negative": _negative_model}[name]("linear")
+    starts = _orbit_starts(model.dim)
+    out = starts.copy()
+    out[:, 1] = 0.3
+    v = np.concatenate((starts, starts, out, starts))
+    n = np.array([0, 1, 12, 7] + [3, 0, 2, 25] + [40, 1, 0, 40] + [30, 30, 1, 2])
+    block = stay_exit(model, v, n)
+    _assert_rows((block,), lambda i: (stay_exit(model, v[i], int(n[i])),), len(v))
+    assert np.isnan(block[[8, 11]]).all() and np.isfinite(block[:7]).all()
+    # the point calls' signed zeros: -0.0 stays -0.0 for 0 steps only
+    zero = np.full((3, model.dim), -0.0)
+    assert np.signbit(stay_exit(model, zero, np.array([0, 1, 2]))).tolist() == \
+        [[True] * model.dim, [False] * model.dim, [False] * model.dim]
+
+
+@pytest.mark.parametrize("name", ["D3", "D4", "negative"])
+def test_cross_form_with_per_row_stays_is_its_point_calls_bitwise(name, rng):
+    model = {"D3": base_model, "D4": d4_model, "negative": _negative_model}[name]("linear")
+    N = 12
+    x0 = rng.uniform(-0.2, 0.2, N)
+    yk = rng.uniform(-0.6, 0.6, N)
+    z0 = rng.uniform(-0.1, 0.1, (N, model.dim - 2))
+    k = rng.choice([0, 2, 6, 12, 24], N)
+    x0[0], yk[1], z0[2] = -0.0, -0.0, -0.0
+    # a start outside the box, and a stay whose y leaves it
+    x0[-2], yk[-1], k[-1] = 1.5, 1.5, 6
+    cf = solve_cross_form(model, x0, yk, z0, k)
+
+    def point(i):
+        p = solve_cross_form(model, x0[i], yk[i], z0[i], int(k[i]))
+        return p.x_k, p.y_0, p.z_k, p.residual
+
+    _assert_rows((cf.x_k, cf.y_0, cf.z_k, cf.residual), point, N)
+    assert np.isnan(cf.x_k[-2:]).all() and np.isfinite(cf.x_k[:-2]).all()
+
+
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_cross_form_jet_with_per_row_stays_is_its_point_calls_bitwise(lab, rng):
+    model = base_model("linear") if lab == "D3" else d4_model("linear")
+    coeffs = forge_coeffs("cdx_pos_d_pos") if lab == "D3" else _d4_forge_coeffs("cdx_pos_d_pos")
+    N = 10
+    X, Y, mu = rng.uniform(-0.02, 0.02, (3, N))
+    k = rng.choice([2, 12, 18, 24, 30], N)
+    # an exit height that leaves the box
+    Y[-1] = 3.0
+    cf, J = tangency._cross_form_jet(model, coeffs.with_mu(mu), X, Y, k)
+
+    def point(i):
+        p, Ji = tangency._cross_form_jet(model, coeffs.with_mu(mu[i]), X[i], Y[i], int(k[i]))
+        return p.x_k, p.y_0, p.z_k, Ji
+
+    _assert_rows((cf.x_k, cf.y_0, cf.z_k, J), point, N)
+    assert np.isnan(J[-1]).all() and np.isfinite(J[:-1]).all()
+
+
+# ---------------------------------------------------------------------------
+# the rows Newton on synthetic systems
+
+# per row: a, b, floor, the seed (x, y) and a wall (lo, hi, slope, width)
+# of the system x^2 = a, x y = b on |x| < 4, whose residual never drops
+# below the floor and is not defined on the wall: the band of half-width
+# ``width`` around the line through the seed with that slope, for x in
+# (lo, hi)
+NEWTON_ROWS = np.array([
+    [2.0, 1.0, 0.0, 1.2, 0.5, 0.0, 0.0, 0.0, 0.0],     # converges at once
+    [1.0, 0.5, 0.0, 0.1, 0.3, 0.0, 0.0, 0.0, 0.0],     # its first step leaves |x| < 4
+    [2.0, 1.0, 3e-12, 1.5, 0.6, 0.0, 0.0, 0.0, 0.0],   # its residual stays at 3e-12
+    [-1.0, 1.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],    # x^2 = -1 has no root
+    [3.0, -2.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],   # converges, from the other side
+    # its first step balloons the residual and every shorter one hits the
+    # wall: it takes the ballooned step, then converges around the wall
+    [1.0, 0.5, 0.0, 0.15, 0.3, 0.150001, 1.8, -1.069, 0.05],
+    # the same, but the wall starts at the seed: an FD probe in x hits it,
+    # and only the point solve's one-sided difference gets past
+    [1.0, 0.5, 0.0, 0.15, 0.3, 0.15, 1.8, -1.069, 0.05],
+])
+
+
+def _rows_system(rows, U):
+    a, b, floor, x0, y0, lo, hi, slope, width = NEWTON_ROWS[rows].T
+    x, y = U[:, 0], U[:, 1]
+    F = np.column_stack((x * x - a, x * y - b))
+    F = np.where(np.abs(F) > floor[:, None], F, floor[:, None])
+    wall = (lo < x) & (x < hi) & (np.abs(y - y0 - slope * (x - x0)) < width)
+    F[(np.abs(x) >= 4.0) | wall] = np.nan
+    return F
+
+
+def _rows_system_jac(rows, U):
+    x, y = U[:, 0], U[:, 1]
+    return np.stack((np.column_stack((2.0 * x, 0.0 * x)), np.column_stack((y, x))), axis=1)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_newton_rows_are_their_point_solves_bitwise(exact):
+    # each row of one lock-step solve is its own point solve, in float.hex,
+    # or NaN where that solve raises or where an FD probe leaves the domain
+    # (the point solve's one-sided difference); the jac given or FD
+    # Jacobians
+    calls, raised, evaluated, row_evaluations = [], [], [], []
+
+    def f(arg):
+        calls.append(len(arg[0]))
+        row_evaluations.extend(arg[0].tolist())
+        return _rows_system(*arg)
+
+    def point(r):
+        def g(u):
+            evaluated.append(r)
+            F = _rows_system(np.array([r]), u[None])[0]
+            if np.isnan(F).any():
+                raised.append(r)
+                raise DomainError("x left |x| < 4")
+            return F
+        return g
+
+    seeds = NEWTON_ROWS[:, 3:5]
+    jac = (lambda arg: _rows_system_jac(*arg)) if exact else None
+    kw = dict(scales=np.ones((len(seeds), 2)), tol=np.full((len(seeds), 2), 1e-13),
+              accept_tol=1e-11, max_iter=40)
+    U, res, iterations = newton_solve(f, seeds, jac=jac, **kw)
+    # a row accepted on its floor; every residual call carries only the rows
+    # still iterating (FD probe blocks carry one row's 2n probes): at the
+    # end only the rows that accept on the floor or raise are left
+    assert iterations == 40
+    assert calls[0] == len(seeds) and min(calls) == 1
+    if exact:
+        assert max(calls[-10:]) <= 2
+    outcomes = []
+    for r, seed in enumerate(seeds):
+        point_jac = (lambda u, r=r: _rows_system_jac(np.array([r]), u[None])[0]) if exact else None
+        del raised[:]
+        try:
+            u, res_r, it = newton_solve(point(r), seed, jac=point_jac, scales=np.ones(2),
+                                        tol=1e-13, accept_tol=1e-11, max_iter=40)
+        except ConvergenceError:
+            assert np.isnan(U[r]).all() and np.isnan(res[r]), r
+            outcomes.append("raises")
+            continue
+        if np.isnan(U[r]).all() and np.isnan(res[r]):
+            # handed back: the caller's point solve redoes the row
+            outcomes.append("redo")
+            continue
+        assert _hex(U[r]) == _hex(u) and _hex(res[r]) == _hex(res_r), r
+        # the same residual evaluations: steps, trials and probes
+        assert evaluated.count(r) == row_evaluations.count(r), r
+        outcomes.append("floor" if it == 40 else "backtracks" if raised else "root")
+    assert outcomes == ["root", "backtracks", "floor", "raises", "root", "backtracks",
+                        "backtracks" if exact else "redo"]

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hetdim.cycles import (PeriodTwoOrbit, certificate_to_dict, certificate_to_j
                            solve_period2_with_s, verify_transverse_connection,
                            _connection_gap, _orbit_from_unknowns, _period2_residual,
                            _period2_seed, _return_block)
-from hetdim.errors import ContractError, NumericalError, ValidationError
+from hetdim.errors import ContractError, ConvergenceError, NumericalError, ValidationError
 from hetdim.global_map import coeffs_from_json, first_return_array, t1_array, t1_tilde_array
 from hetdim.numerics import newton_1d
 from hetdim.presets import (battery_coeffs, battery_model, battery_pairs, hetdim_coeffs,
@@ -311,6 +312,30 @@ def test_cycle_newton_stops_at_its_rows_float_floors(monkeypatch):
     deep = certs[36, 30]
     assert deep.residuals["closure"] < 1e-10
     assert replay_certificate_dict(json.loads(certificate_to_json(deep)))["all_ok"]
+
+
+# sha256 of the certificates' JSON along the schedule (numpy 2.4 on
+# x86-64): the check of a solution against the certificate's tolerances
+# leaves every certificate it passes bit for bit
+SCHEDULE_SHA256 = {
+    (12, 10): CYCLE_12_10_SHA256,
+    (24, 20): "5e6dab01893171602bc4be53ab0a0036c0236eab584e2727d640c7b884f76108",
+    (36, 30): "3e0b4dd43b0cad445bfed3484056865158f7b99c7ff9e2b16249c91c2af9f077",
+}
+
+
+def test_cycle_solver_raises_where_its_certificate_would_not_replay(hetdim_certificates):
+    # on the linear tier at (48, 40) the Newton accepts rows on floors that
+    # leave the closure at 1.1e-8, above the certificate's 1e-10: the solver
+    # raises, naming every row's |F|/tol, instead of returning a certificate
+    # whose replay fails
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"k=48, m=40\).*closure.*\|F\|/tol per row"):
+        solve_hetdim_symmetric(hetdim_model(), hetdim_coeffs(), 48, 40, s_target=0.0)
+    assert time.perf_counter() - start < 0.5
+    digests = {tuple(c.orbit.itinerary): hashlib.sha256(certificate_to_json(c).encode())
+               .hexdigest() for c in hetdim_certificates}
+    assert digests == SCHEDULE_SHA256
 
 
 def test_transverse_connection_iteration_bound(hetdim_certificates, het):

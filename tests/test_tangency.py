@@ -134,7 +134,9 @@ def test_every_forge_branch_verifies_through_k24(case, lin_model):
 def test_secondary_solve_stops_at_the_slope_floor(case, lin_model, monkeypatch):
     # the slope row J[1, 1] of the fold cannot fall below its float floor,
     # which grows like gamma^k: each branch solve stops there within a few
-    # dozen residual evaluations instead of grinding to its iteration cap
+    # dozen residual evaluations instead of grinding to its iteration cap.
+    # Both branches of a k step as the two rows of one lock-step solve,
+    # each of whose residual calls carries the rows still iterating
     jet, solve = tangency._cross_form_jet, tangency.newton_solve
     jets, solves = [], []
 
@@ -142,10 +144,10 @@ def test_secondary_solve_stops_at_the_slope_floor(case, lin_model, monkeypatch):
         jets.append(1)
         return jet(*args)
 
-    def counted_solve(*args, **kwargs):
+    def counted_solve(f, u0, **kwargs):
         start = len(jets)
-        out = solve(*args, **kwargs)
-        solves.append(len(jets) - start)
+        out = solve(f, u0, **kwargs)
+        solves.append((len(u0), len(jets) - start))
         return out
 
     monkeypatch.setattr(tangency, "_cross_form_jet", counted_jet)
@@ -156,7 +158,7 @@ def test_secondary_solve_stops_at_the_slope_floor(case, lin_model, monkeypatch):
         for br in solve_secondary_tangency(lin_model, coeffs, k):
             _, J = jet(lin_model, coeffs.with_mu(br.mu_k), br.X, br.Y, k)
             assert abs(J[1, 1]) <= br.slope_tol <= 1e-10, (k, br.branch)
-        assert len(solves) == 2 and max(solves) <= 40, (k, solves)
+        assert len(solves) == 1 and solves[0][0] == 2 and solves[0][1] <= 40, (k, solves)
 
 
 # every stage-one branch's slope_tol over ks 12..24, in (k, branch) order,
@@ -232,9 +234,10 @@ def forge_solves(request):
     solve, solves = tangency.newton_solve, []
 
     def recorded(f, u0, **kw):
+        # one lock-step solve per k: a record per (k, branch) row
         u, res, it = solve(f, u0, **kw)
-        solves.append(dict(k=k, F=f, jac=kw["jac"], scales=kw["scales"], tol=kw["tol"],
-                           seed=u0, u=u))
+        solves.extend(dict(k=k, F=_row(f, r), jac=_row(kw["jac"], r), scales=kw["scales"][r],
+                           tol=kw["tol"][r], seed=u0[r], u=u[r]) for r in range(len(u0)))
         return u, res, it
 
     with pytest.MonkeyPatch.context() as mp:
@@ -243,6 +246,19 @@ def forge_solves(request):
             assert len(solve_secondary_tangency(model, coeffs, k)) == 2
     assert len(solves) == 14
     return model, coeffs, solves
+
+
+def _row(g, r):
+    """Row r of a rows-form residual or Jacobian (a function of the pair
+    (rows, block) of ``newton_solve``'s rows) as a function of one point, or
+    of a block of that row's points."""
+
+    def call(w):
+        if np.ndim(w) == 2:
+            return g((np.full(len(w), r), w))
+        return g((np.array([r]), w[None]))[0]
+
+    return call
 
 
 def _mp_forge_jacobian(mp, model, coeffs, k, u):
