@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ItineraryError, ValidationError
-from .numerics import row_norms
+from .numerics import frobenius, row_norms
 from .saddle import SaddleModel, jacobian_along, orbit, reflect_array, stay_exit
 
 Array = np.ndarray
@@ -124,7 +124,7 @@ def in_pi0(coeffs: GlobalMapCoeffs, v: Array) -> bool:
     """Pi0 around (x+, 0, .), enlarged in z to hold both tangency endpoints."""
     d = coeffs.delta
     return (abs(v[0] - coeffs.x_plus) < d / 2 and abs(v[1]) < d
-            and np.linalg.norm(v[2:]) < d)
+            and frobenius(v[2:]) < d)
 
 
 def in_pi1(coeffs: GlobalMapCoeffs, v: Array) -> bool | Array:
@@ -133,7 +133,7 @@ def in_pi1(coeffs: GlobalMapCoeffs, v: Array) -> bool | Array:
     d = coeffs.delta
     if v.ndim == 1:
         return (abs(v[0]) < d and abs(v[1] - coeffs.y_minus) < d / 2
-                and np.linalg.norm(v[2:]) < d)
+                and frobenius(v[2:]) < d)
     return ((np.abs(v[:, 0]) < d) & (np.abs(v[:, 1] - coeffs.y_minus) < d / 2)
             & (row_norms(v[:, 2:]) < d))
 

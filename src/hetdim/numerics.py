@@ -159,7 +159,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     accept = np.atleast_1d(np.asarray(accept_tol, dtype=float))
 
     def _score(F: Array) -> float:
-        return float(np.max(np.abs(F) / tol_arr))
+        return float((np.abs(F) / tol_arr).max())
 
     F = np.asarray(f(u), dtype=float)
     best_u, best_F, best_res = u.copy(), F, np.inf
@@ -171,8 +171,8 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
             raise ConvergenceError(f"{name}: residual became non-finite", residual=res, seed=u0)
         if res < best_res:
             best_u, best_F, best_res = u.copy(), F, res
-        if np.all(np.abs(F) < tol_arr):
-            return u, float(np.max(np.abs(F))), it
+        if (np.abs(F) < tol_arr).all():
+            return u, float(np.abs(F).max()), it
         if it % 12 == 11:
             if it >= 23 and best_res > 0.8 * window_best:
                 break  # progress died at the float noise floor
@@ -182,10 +182,10 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
             J = (fd_jacobian(f, u, scales=scales_arr, block=block) if jac is None
                  else jac(u))
             # equilibrate rows then columns to tame the gamma^k dynamic range
-            r = np.max(np.abs(J), axis=1)
+            r = np.abs(J).max(axis=1)
             r[r == 0.0] = 1.0
             Jr = J / r[:, None]
-            c = np.max(np.abs(Jr), axis=0)
+            c = np.abs(Jr).max(axis=0)
             c[c == 0.0] = 1.0
             fact = (Jr / c[None, :], r, c)
         Jrc, r, c = fact
@@ -206,7 +206,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
             except NumericalError:
                 alpha *= 0.5
                 continue
-            if np.all(np.isfinite(F_new)):
+            if np.isfinite(F_new).all():
                 if _score(F_new) <= 3.0 * res:
                     ok = True
                     break
@@ -226,11 +226,11 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
         F = F_new
     if _score(F) < best_res:
         best_u, best_F = u.copy(), F
-    if np.all(np.abs(best_F) < accept):
-        return best_u, float(np.max(np.abs(best_F))), max_iter
+    worst = float(np.abs(best_F).max())
+    if (np.abs(best_F) < accept).all():
+        return best_u, worst, max_iter
     raise ConvergenceError(f"{name}: no convergence after {max_iter} iterations "
-                           f"(residual {np.max(np.abs(best_F)):.3e})",
-                           residual=float(np.max(np.abs(best_F))), seed=u0)
+                           f"(residual {worst:.3e})", residual=worst, seed=u0)
 
 
 class _PointProbe(Exception):

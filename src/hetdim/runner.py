@@ -88,10 +88,12 @@ def _exp_forge_tangency(doc):
     model, coeffs = _read_specs(doc, "coeffs")
     ks = doc.get("schedule", {}).get("ks", [12, 14, 16, 18, 20, 22, 24])
     cert = forge_admissible_tangency(model, coeffs, ks)
-    # the forge solved the ks up to the one it certified; the rest take one
-    # lock-step Newton here
-    solved = {**cert.branches,
-              **solve_secondary_tangency(model, coeffs, [k for k in ks if k not in cert.branches])}
+    # the forge holds every scheduled k unless some k's solve failed; the
+    # ks it lacks then are solved here, and the failing k raises
+    solved = cert.branches
+    missing = [k for k in ks if k not in solved]
+    if missing:
+        solved = {**solved, **solve_secondary_tangency(model, coeffs, missing)}
     branches = [br for k in ks for br in solved[k]]
     # the recorded witnesses straddle the tangency preimage in y, each gap
     # (and so the order below < tangency < above) clear of STRADDLE_MARGIN

@@ -403,10 +403,7 @@ def stay_exit(model: SaddleModel, v: Array, n: int) -> Array:
         return w
     if isinstance(n, np.ndarray):
         return _stay_exit_rows(model, v, n)
-    stack = np.empty((n + 1,) + v.shape)
-    stack[0] = v
-    stack[1:] = model.diagonal
-    w = np.multiply.reduce(stack, axis=0)
+    w = _running_product(v, model.diagonal, n)
     if n:
         # turns a -0.0 product into +0.0, as each step of the normal form does
         w += 0.0
@@ -422,17 +419,48 @@ def stay_exit(model: SaddleModel, v: Array, n: int) -> Array:
 def _stay_exit_rows(model: SaddleModel, v: Array, n: Array) -> Array:
     """``stay_exit`` of each row of an (N, D) block v for its own stay n[i],
     on the linear tier: each row its point call's, bit for bit, NaN where
-    that call raises.  One product runs to the longest stay; a row that
-    stops early multiplies by 1.0 after it, which is exact."""
-    stack = np.empty((n.max() + 1,) + v.shape)
-    stack[0] = v
-    stack[1:] = model.diagonal
-    stack[1:][np.arange(1, len(stack))[:, None] > n] = 1.0
-    w = np.multiply.reduce(stack, axis=0)
+    that call raises."""
+    w = _running_product(v, model.diagonal, n)
     # the + 0.0 of the normal form, on the rows that take a step
     w[n > 0] += 0.0
     w[~(np.maximum(np.abs(v), np.abs(w)) <= BOX).all(axis=-1)] = np.nan
     return w
+
+
+def _running_product(head: Array, d: Array, n) -> Array:
+    """``np.multiply.reduce`` over [head, d, ..., d] with n factors d, d
+    broadcast to head's shape: the multiplications n steps of a diagonal
+    map perform, in step order.  An (N,) array n gives each row of head
+    (its first axis) its own count: one product runs to the largest, and a
+    row past its own multiplies by 1.0, which is exact."""
+    rows = isinstance(n, np.ndarray)
+    top = int(n.max()) if rows else n
+    stack = np.empty((top + 1,) + head.shape)
+    stack[0] = head
+    stack[1:] = d
+    if rows:
+        stack[1:][np.arange(1, top + 1)[:, None] > n] = 1.0
+    return np.multiply.reduce(stack, axis=0)
+
+
+def stay_jacobian(model: SaddleModel, M: Array | None, n) -> Array:
+    """The derivative of a stay of n local-map steps on the linear tier,
+    applied to M (the identity when None): one running product over [M, d,
+    ..., d] of the step Jacobian's diagonal d.  These are the
+    multiplications that chaining the n diagonal step Jacobians performs
+    (``chain_product``), so every entry has the chain's value; only a zero
+    entry of a given M's product may carry the other sign, where the chain
+    sums signed zeros.
+
+    d scales a (D,) vector M per entry, and a (D, c) matrix, or each matrix
+    of an (N, D, c) block, per row.  An (N,) array n gives each matrix of a
+    block its own stay.  The linear tier's step Jacobian is the same at
+    every point; one ``t0_jac_array`` call gives its diagonal.
+    """
+    d = np.diagonal(t0_jac_array(model, np.zeros(model.dim)))
+    if M is None:
+        return np.diag(_running_product(np.ones(model.dim), d, n))
+    return _running_product(M, d if M.ndim == 1 else d[:, None], n)
 
 
 def t0_jac_array(model: SaddleModel, v: Array) -> Array:
@@ -447,8 +475,12 @@ def t0_jac_array(model: SaddleModel, v: Array) -> Array:
 
 def jacobian_along(model: SaddleModel, traj: Array, M: Array | None = None) -> Array:
     """The derivative of T0^n along an (n+1, D) trajectory from ``orbit``,
-    applied to M (the identity when None): J[n-1] @ ... @ J[0] @ M, with the
-    step Jacobians from one batched call, multiplied in step order."""
+    applied to a (D,) vector or (D, c) matrix M (the identity when None):
+    J[n-1] @ ... @ J[0] @ M, with the step Jacobians from one batched call,
+    multiplied in step order.  On the linear tier every J is the same
+    diagonal, and the stay is one running product (``stay_jacobian``)."""
+    if model.nonlinearity.kind == "linear":
+        return stay_jacobian(model, M, len(traj) - 1)
     return chain_product(t0_jac_array(model, traj[:-1]), M)
 
 

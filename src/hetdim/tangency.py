@@ -30,12 +30,12 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConvergenceError, HypothesisError, NumericalError
+from .errors import ConvergenceError, HetdimError, HypothesisError, NumericalError
 from .global_map import (GlobalMapCoeffs, _check_itinerary, axis_jet, axis_point,
                          first_return_array, k_star, t1_array, t1_jac_array)
 from .local import CrossFormResult, solve_cross_form
 from .numerics import fold_tol, newton_1d, newton_solve
-from .saddle import SaddleModel, jacobian_along, orbit, stay_exit
+from .saddle import SaddleModel, jacobian_along, orbit, stay_exit, stay_jacobian
 
 Array = np.ndarray
 
@@ -75,16 +75,8 @@ def _cross_form_jet(model: SaddleModel, cm: GlobalMapCoeffs, X, Y,
     cf = solve_cross_form(model, x0, cm.y_minus + Y, z0, k)
     if model.nonlinearity.kind == "linear":
         # the stay's Jacobian is diagonal: carry T1's Jacobian through it as
-        # a running product of the multipliers, the multiplications that
-        # chaining the step Jacobians performs
-        top = int(k.max()) if np.ndim(k) else k
-        stack = np.empty((top + 1,) + v.shape[:-1] + (model.dim, model.dim))
-        stack[0] = t1_jac_array(cm, v)
-        stack[1:] = model.diagonal[:, None]
-        if np.ndim(k):
-            # a row past its own stay multiplies by 1.0, which is exact
-            stack[1:][np.arange(1, top + 1)[:, None] > k] = 1.0
-        chain = np.multiply.accumulate(stack, axis=0, out=stack)[top]
+        # one running product of the multipliers
+        chain = stay_jacobian(model, t1_jac_array(cm, v), k)
     else:
         traj = orbit(model, np.concatenate(([x0, cf.y_0], z0)), k)
         chain = jacobian_along(model, traj, t1_jac_array(cm, v))
@@ -171,11 +163,12 @@ def _exact_jac(model: SaddleModel, coeffs: GlobalMapCoeffs, ks: Array):
     c s_x b + g(Y) s_y g(t) + alpha2 . (s_z b_t).
     """
     b, d, e3 = coeffs.b, coeffs.d, coeffs.e3
-    s_y, inv_gk, r2_x = np.empty((3, len(ks)))
-    for i, k in enumerate(ks.tolist()):
-        s = np.multiply.accumulate(np.repeat(model.diagonal[None], k, axis=0))[-1]
-        s_y[i], inv_gk[i] = s[1], 1.0 / model.multipliers.gamma ** k
-        r2_x[i] = coeffs.c * s[0] + coeffs.alpha2 @ (s[2:] * coeffs.b_t) / b
+    # each row's stay factor s, as the one column of a (D, 1) stay Jacobian
+    s = stay_jacobian(model, np.ones((len(ks), model.dim, 1)), ks)[..., 0]
+    s_y = s[:, 1]
+    inv_gk = np.array([1.0 / model.multipliers.gamma ** k for k in ks.tolist()])
+    r2_x = np.array([coeffs.c * row[0] + coeffs.alpha2 @ (row[2:] * coeffs.b_t) / b
+                     for row in s])
 
     def jac(arg: tuple[Array, Array]) -> Array:
         rows, u = arg
@@ -586,8 +579,9 @@ class ForgeCertificate:
 
     The straddle witnesses are the nearest transverse preimages below and
     above the tangency preimage (pairing by nearest y-coordinate).
-    ``branches`` maps each stay number the forge reached to the branch pair
-    it solved there.
+    ``branches`` maps every scheduled stay number to the branch pair the
+    forge solved there; when some k's solve failed, only the ks the forge
+    reached that solved.
     """
 
     branch: TangencyBranch
@@ -640,14 +634,28 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     """Lemma-2/3 pipeline: pick the branch whose induced c gives
     c * x+ * y- > 0 and certify the straddle property, taking the two-stage
     route (tangency of tangency) when the sign case requires it.
+
+    The whole schedule's branch pairs come from one lock-step
+    ``solve_secondary_tangency`` call, so the certificate holds every
+    scheduled k.  When some k's solve raises, the walk solves each k it
+    reaches on its own instead, as the per-k calls did: a k whose solve
+    fails is a diagnostics line, and only the ks up to the certified one
+    are solved.
     """
-    diagnostics, solved = [], {}
+    diagnostics = []
+    try:
+        solved = solve_secondary_tangency(model, coeffs, k_schedule)
+    except HetdimError:
+        # the walk raises, or records, each k's own error where it gets there
+        solved = {}
     for k in k_schedule:
         try:
-            branches = solved[k] = solve_secondary_tangency(model, coeffs, k)
+            if k not in solved:
+                solved[k] = solve_secondary_tangency(model, coeffs, k)
         except ConvergenceError as exc:
             diagnostics.append(f"k={k}: secondary solve failed: {exc}")
             continue
+        branches = solved[k]
         for br in branches:
             # x+ and y- of the global map induced around the new tangency orbit
             y = float(br.preimage[1])

@@ -1,5 +1,6 @@
-"""Hypothesis strategies for the property tests: admissible linear saddle
-models, stay numbers and phase points around the validity box."""
+"""Hypothesis strategies for the property tests: admissible saddle models
+(linear, or on any tier), stay numbers and phase points around the
+validity box."""
 
 from __future__ import annotations
 
@@ -51,3 +52,15 @@ def linear_models(draw):
 def phase_points(dim: int):
     """Flat (D,) points with coordinates in [-1.25, 1.25] x BOX."""
     return st.lists(coordinates, min_size=dim, max_size=dim).map(np.array)
+
+
+@st.composite
+def tier_models(draw):
+    """A model of dimension 3 or 4 on the linear, polynomial or
+    polynomial_symmetric tier, with eps in [-0.5, 0.5] on the nonlinear ones
+    (``build_model``'s default symmetry signs flip z1, as the symmetric
+    tier needs)."""
+    dim = draw(st.sampled_from((3, 4)))
+    kind = draw(st.sampled_from(("linear", "polynomial", "polynomial_symmetric")))
+    eps = 0.0 if kind == "linear" else draw(st.floats(-0.5, 0.5))
+    return build_model(draw(linear_multipliers(dim)), dim, {"kind": kind, "eps": eps})

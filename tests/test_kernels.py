@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import coordinates, linear_models, phase_points, stays
+from strategies import coordinates, linear_models, phase_points, stays, tier_models
 
 from hetdim import cones, runner
 from hetdim.cones import (_inverse_product, return_chain, stable_frame, stable_slopes,
@@ -29,8 +29,8 @@ from hetdim.numerics import (chain_product, fd_jacobian, fold_tol, frobenius, ne
                              newton_solve, orthonormal_frame)
 from hetdim.presets import (base_model, battery_coeffs, battery_model, battery_pairs,
                             d4_model, forge_coeffs, hetdim_coeffs, hetdim_model)
-from hetdim.saddle import (BOX, Multipliers, build_model, orbit, reflect_array, stay_exit,
-                           t0_array, t0_jac_array)
+from hetdim.saddle import (BOX, Multipliers, build_model, jacobian_along, orbit, reflect_array,
+                           stay_exit, t0_array, t0_jac_array)
 from hetdim.tangency import _cross_form_jet
 
 TIERS = ("linear", "polynomial", "polynomial_symmetric")
@@ -320,6 +320,55 @@ def test_linear_stay_exit_is_the_last_orbit_row_property(model, k, data):
             assert np.isnan(row).all()
             continue
         assert stay_exit(model, v, k).tobytes() == ref.tobytes() == row.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100)
+@given(model=linear_models(), n=st.integers(0, 40), shape=st.sampled_from(("none", "D", "DD")),
+       data=st.data())
+def test_linear_jacobian_along_is_the_step_chain_property(model, n, shape, data):
+    # the trajectory enters only through its length and its step
+    # Jacobians, which the linear tier takes at any point
+    traj = np.repeat(data.draw(phase_points(model.dim))[None], n + 1, axis=0)
+    entries = st.floats(-10.0, 10.0)
+    M = None if shape == "none" else np.array(data.draw(st.lists(
+        entries, min_size=model.dim ** len(shape), max_size=model.dim ** len(shape)))
+    ).reshape((model.dim,) * len(shape))
+    got = jacobian_along(model, traj, M)
+    ref = chain_product(t0_jac_array(model, traj[:-1]), M)
+    assert got.shape == ref.shape
+    # equal values; a zero of a drawn M's product may differ in sign only
+    assert np.array_equal(got, ref)
+    if M is None:
+        # the identity's zeros keep their sign too
+        assert got.tobytes() == ref.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(model=tier_models(), n=st.integers(0, 12), data=st.data())
+def test_jacobian_along_matches_central_differences_property(model, n, data):
+    # a start whose n-step orbit stays inside half the box on the linear
+    # part; each probe steps 1e-6 of its coordinate's scale
+    gamma = abs(model.multipliers.gamma)
+    scale = np.full(model.dim, 0.5)
+    scale[1] = 0.3 / gamma ** n
+    p = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=model.dim,
+                                            max_size=model.dim)))
+    try:
+        J = jacobian_along(model, orbit(model, p, n))
+    except ItineraryError:
+        return
+    for i in range(model.dim):
+        h = 1e-6 * scale[i]
+        up, down = p.copy(), p.copy()
+        up[i] += h
+        down[i] -= h
+        try:
+            fd = (orbit(model, up, n)[-1] - orbit(model, down, n)[-1]) / (2.0 * h)
+        except ItineraryError:
+            continue
+        # the derivative along the scaled direction, against the box's scale
+        err = np.abs(fd - J[:, i]).max() * scale[i]
+        assert err <= 1e-8 * max(1.0, np.abs(J[:, i]).max() * scale[i]), (i, err)
 
 
 @settings(derandomize=True, database=None, max_examples=100)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_tangency import _failing_seed
 
 from hetdim import runner, tangency
 from hetdim.cli import main
@@ -236,12 +237,13 @@ def test_stale_jobs_key_is_ignored(tmp_path):
 
 def test_forge_solves_each_scheduled_k_once(tmp_path, monkeypatch):
     # forge.csv reuses the branch pairs the forge solved, with its straddle
-    # verdict; only the ks past the certified one are solved again (the
-    # forge takes one k per call, the runner the rest in one call)
-    solved = []
+    # verdict: the forge solves the whole schedule in one call, and the
+    # runner solves nothing again
+    solved, calls = [], []
     solve = tangency.solve_secondary_tangency
 
     def counting(model, coeffs, k):
+        calls.append(k)
         solved.extend([k] if np.ndim(k) == 0 else k)
         return solve(model, coeffs, k)
 
@@ -253,7 +255,7 @@ def test_forge_solves_each_scheduled_k_once(tmp_path, monkeypatch):
                                           "coeffs": forge_coeffs("cdx_neg_d_neg").spec(),
                                           "schedule": {"ks": [12, 14]}})
     assert main(["run", "--config", cfg]) == 0
-    assert sorted(solved) == [12, 14]
+    assert sorted(solved) == [12, 14] and len(calls) == 1
     with (out / "forge.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["k"], r["branch"]) for r in rows] == [("12", "1"), ("12", "2"),
@@ -263,6 +265,20 @@ def test_forge_solves_each_scheduled_k_once(tmp_path, monkeypatch):
     certified = [r["straddle_ok"] for r in rows
                  if (int(r["k"]), int(r["branch"])) == (cert["k"], cert["branch"])]
     assert certified == ["True"]
+
+
+def test_forge_fails_on_a_k_past_the_certified_one(tmp_path, monkeypatch, capsys):
+    # the forge certifies at k = 12; a k past it whose solve diverges still
+    # fails the run
+    _failing_seed(monkeypatch, 16)
+    doc = {"experiment": "forge_tangency", "model": base_model("linear").spec(),
+           "coeffs": forge_coeffs("cdx_neg_d_neg").spec(), "schedule": {"ks": [12, 14, 16]}}
+    cert = tangency.forge_admissible_tangency(base_model("linear"),
+                                              forge_coeffs("cdx_neg_d_neg"), [12, 14, 16])
+    assert cert.branch.k == 12 and list(cert.branches) == [12]
+    cfg = _write(tmp_path, "forge.json", {**doc, "out": str(tmp_path / "forge")})
+    assert main(["run", "--config", cfg]) == 1
+    assert "secondary tangency diverged (k=16, branch 1, " in capsys.readouterr().err
 
 
 def test_forge_straddle_check_reads_the_witnesses(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from test_kernels import _d4_forge_coeffs
 
 from hetdim import tangency
-from hetdim.errors import ValidationError
+from hetdim.errors import ConvergenceError, ValidationError
 from hetdim.global_map import axis_jet, first_return_array, t1_array, t1_jac_array
 from hetdim.numerics import fd_jacobian, fold_tol
 from hetdim.presets import base_model, d4_model, forge_coeffs
@@ -538,6 +538,64 @@ def test_straddle_fallback_polishes_the_split_pair_once(lin_model, monkeypatch):
     cert = forge_admissible_tangency(lin_model, forge_coeffs("cdx_neg_d_pos"), [14])
     assert cert.stages == 1 and cert.witnesses["below"].route == "quartet"
     assert cert.diagnostics == [f"stage-one split pair at mu={cert.branch.mu_k!r}"]
+
+
+def _same_branch(a, b):
+    """Every field of two branches bit for bit, the forge's straddle verdict
+    aside."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "straddle_ok":
+            continue
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        elif isinstance(x, float):
+            assert np.float64(x).tobytes() == np.float64(y).tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_forge_holds_every_scheduled_k_bitwise(case, lin_model):
+    # one lock-step Newton solves the whole schedule: every k is in the
+    # certificate, each pair its own solve's, bit for bit
+    coeffs, ks = forge_coeffs(case), list(range(12, 25, 2))
+    cert = forge_admissible_tangency(lin_model, coeffs, ks)
+    assert list(cert.branches) == ks
+    for k in ks:
+        own = solve_secondary_tangency(lin_model, coeffs, k)
+        assert len(cert.branches[k]) == len(own) == 2
+        for got, ref in zip(cert.branches[k], own):
+            _same_branch(got, ref)
+
+
+def _failing_seed(monkeypatch, bad_k):
+    """Make every solve at stay bad_k diverge: its seed's mu is NaN."""
+    seed = tangency._seed
+
+    def patched(coeffs, lam, gamma, k, sign):
+        X, Y, mu = seed(coeffs, lam, gamma, k, sign)
+        return X, Y, float("nan") if k == bad_k else mu
+
+    monkeypatch.setattr(tangency, "_seed", patched)
+
+
+def test_forge_walks_past_a_k_whose_solve_fails(lin_model, monkeypatch):
+    # the k whose solve raises is a diagnostics line, as with one solve per
+    # k, and the forge certifies at the next k
+    coeffs = forge_coeffs("cdx_neg_d_neg")
+    _failing_seed(monkeypatch, 12)
+    cert = forge_admissible_tangency(lin_model, coeffs, [12, 14, 16])
+    with pytest.raises(ConvergenceError) as exc:
+        solve_secondary_tangency(lin_model, coeffs, 12)
+    assert cert.diagnostics[0] == f"k=12: secondary solve failed: {exc.value}"
+    assert cert.diagnostics[0].startswith(
+        "k=12: secondary solve failed: secondary tangency diverged (k=12, branch 1, ")
+    assert cert.branch.k == 14 and cert.stages == 1 and cert.branch.straddle_ok
+    # the walk solved only the ks it reached
+    assert list(cert.branches) == [14]
+    for got, ref in zip(cert.branches[14], solve_secondary_tangency(lin_model, coeffs, 14)):
+        _same_branch(got, ref)
 
 
 def test_forge_with_cubic_h_term(lin_model):
