@@ -42,13 +42,17 @@ class ItineraryError(NumericalError):
 class ConvergenceError(NumericalError):
     """An iterative solver did not reach its tolerance.
 
-    ``residual`` records the last residual, ``seed`` the starting point.
+    ``residual`` records the last residual, ``seed`` the starting point,
+    and ``row`` the failing row of a lock-step block solve (None for a
+    point solve).
     """
 
-    def __init__(self, message: str, residual: float | None = None, seed=None):
+    def __init__(self, message: str, residual: float | None = None, seed=None,
+                 row: int | None = None):
         super().__init__(message)
         self.residual = residual
         self.seed = seed
+        self.row = row
 
 
 class AmbiguousIndexError(NumericalError):

@@ -21,30 +21,21 @@ Array = np.ndarray
 FD_REL_STEP = 1e-7
 
 
-def _block_rows(f: Callable[[Array], Array], points: list[Array]) -> list[Array | None]:
-    """``f`` at each of the points in one call on their (N, n) block: the
-    rows it returns, None for a row that is not finite (the point's own
-    call then redoes it, and raises where it raises)."""
-    rows = np.asarray(f(np.array(points)), dtype=float)
-    return [r if np.isfinite(r).all() else None for r in rows]
-
-
 def fd_jacobian(f: Callable[[Array], Array], u: Array,
                 scales: Array | None = None, block: bool = False) -> Array:
     """Central finite-difference Jacobian of ``f`` at ``u``.
 
     ``scales`` sets the magnitude floor per variable so offsets of very
     different sizes (eta ~ lambda^k vs mu ~ 1) all get sensible steps.
-    Probes that step outside a map's domain fall back to one-sided
-    differences; when every probe of a variable leaves the domain the
-    Jacobian is unknown there and ConvergenceError names the variable.
-    ``f(u)`` itself is evaluated only for a one-sided difference: the
-    Newton that asks for the Jacobian already holds it.  The 2n probes
-    u + h_i e_i, u - h_i e_i are built once, as the rows of one (2n, n)
-    array.  With ``block``, ``f`` takes that array in one call and returns
-    their rows, NaN for a probe that raises; only a variable with a
-    non-finite row is redone probe by probe, so the Jacobian is bit for bit
-    the one of the point calls.
+    The 2n probes u + h_i e_i, u - h_i e_i are the rows of one (2n, n)
+    array, all evaluated first: with ``block`` in one call of ``f`` on that
+    array, which returns their rows, NaN for a probe that raises; otherwise
+    in one point call each, a probe that raises NumericalError giving a NaN
+    row.  A probe whose row is not finite left the map's domain: its
+    variable takes the one-sided difference of its other probe, and when
+    both left, the Jacobian is unknown there and ConvergenceError names the
+    variable.  ``f(u)`` itself is evaluated, as one more call, only for a
+    one-sided difference: the Newton that asks for the Jacobian holds it.
     """
     u = np.asarray(u, dtype=float)
     n = u.size
@@ -53,35 +44,31 @@ def fd_jacobian(f: Callable[[Array], Array], u: Array,
     d = np.arange(n)
     probes[2 * d, d] += h
     probes[2 * d + 1, d] -= h
-    columns = [None] * n
     if block:
-        rows = np.asarray(f(probes), dtype=float).reshape(2 * n, -1)
-        finite = np.isfinite(rows).reshape(n, -1).all(axis=1)
-        central = (rows[0::2] - rows[1::2]) / (2.0 * h)[:, None]
-        columns = [c if ok else None for c, ok in zip(central, finite)]
-    f0 = None
-    for i in range(n):
-        if columns[i] is not None:
-            continue
-        up, um = probes[2 * i], probes[2 * i + 1]
-        try:
-            columns[i] = (np.asarray(f(up)) - np.asarray(f(um))) / (2.0 * h[i])
-            continue
-        except NumericalError:
-            pass
-        if f0 is None:
-            f0 = np.asarray(f(u), dtype=float)
-        try:
-            columns[i] = (np.asarray(f(up)) - f0) / h[i]
-            continue
-        except NumericalError:
-            pass
-        try:
-            columns[i] = (f0 - np.asarray(f(um))) / h[i]
-        except NumericalError:
-            raise ConvergenceError(f"fd_jacobian: every probe of variable {i} "
-                                   "left the domain", seed=u) from None
-    return np.column_stack(columns)
+        rows = np.asarray(f(probes), dtype=float)
+    else:
+        def point(p: Array) -> Array | float:
+            try:
+                return np.asarray(f(p), dtype=float)
+            except NumericalError:
+                return np.nan
+        rows = np.array(np.broadcast_arrays(*(point(p) for p in probes)))
+    rows = rows.reshape(2 * n, -1)
+    ok = np.isfinite(rows).all(axis=1)
+    J = (rows[0::2] - rows[1::2]) / (2.0 * h)[:, None]
+    one_sided = np.flatnonzero(~(ok[0::2] & ok[1::2]))
+    if one_sided.size:
+        f0 = np.asarray(f(u[None]) if block else f(u), dtype=float).reshape(-1)
+        ok0 = np.isfinite(f0).all()
+        for i in one_sided.tolist():
+            if ok0 and ok[2 * i]:
+                J[i] = (rows[2 * i] - f0) / h[i]
+            elif ok0 and ok[2 * i + 1]:
+                J[i] = (f0 - rows[2 * i + 1]) / h[i]
+            else:
+                raise ConvergenceError(f"fd_jacobian: every probe of variable {i} "
+                                       "left the domain", seed=u)
+    return np.ascontiguousarray(J.T)
 
 
 FOLD_ULPS = 256  # the ulps each floor probe moves its input
@@ -95,8 +82,9 @@ def fold_tol(f: Callable[[Array], Any], u: Array, ulps,
     row's floor is the sum of its changes over FOLD_ULPS such steps, per ulp.
     Below it a Newton only random-walks its unknowns.  Returns a float for a
     scalar row and an array (one tolerance per row) for a vector of rows.
-    With ``block``, ``f`` takes u and every probe as one block (see
-    ``fd_jacobian``); a point that comes back NaN is redone on its own.
+    With ``block``, ``f`` takes u and every probe as the rows of one block
+    (see ``fd_jacobian``).  A point's floor that is not finite (a probe
+    left the map's domain) raises ConvergenceError.
 
     An (N, n) block u, with each step of ``ulps`` an (N, n) block too, gives
     the (N, m) tolerances of N rows in one call of ``f`` on the pair (rows,
@@ -109,13 +97,14 @@ def fold_tol(f: Callable[[Array], Any], u: Array, ulps,
         f0, *probed = np.asarray(f((rows, points)), dtype=float).reshape(
             len(ulps) + 1, len(u), -1)
     elif block:
-        points = [u] + [u + FOLD_ULPS * e for e in ulps]
-        f0, *probed = [np.asarray(f(p), dtype=float) if r is None else r
-                       for p, r in zip(points, _block_rows(f, points))]
+        f0, *probed = np.asarray(f(np.array([u] + [u + FOLD_ULPS * e for e in ulps])),
+                                 dtype=float)
     else:
         f0 = np.asarray(f(u), dtype=float)
         probed = (np.asarray(f(u + FOLD_ULPS * e), dtype=float) for e in ulps)
     floor = sum(np.abs(fp - f0) for fp in probed) / FOLD_ULPS
+    if np.ndim(u) < 2 and not np.isfinite(floor).all():
+        raise ConvergenceError("fold_tol: a floor probe left the domain", seed=u)
     tol = np.maximum(least, 2.0 * floor)
     return float(tol) if tol.ndim == 0 else tol
 
@@ -146,13 +135,16 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
 
     An (N, n) seed block u0 starts N rows that step in lock-step, each to
     its own stop (``_newton_rows``); ``scales``, ``tol`` and ``accept_tol``
-    may then hold one row per seed.
+    may then hold one row per seed.  Each row returns its point solve's
+    result, or the block raises the error of the lowest row whose point
+    solve raises.
     """
     if np.ndim(u0) == 2:
         if jac_reuse != 1:
             raise ValueError("newton_solve: the rows take a fresh Jacobian every iteration")
         return _newton_rows(f, np.asarray(u0, dtype=float), scales, tol, accept_tol,
-                            max_iter, jac)
+                            max_iter, jac, name)
+    # a point loop: as one-row blocks the battery's 39 solves take 0.304 s, not 0.212 s
     u = np.asarray(u0, dtype=float).copy()
     scales_arr = np.asarray(scales, dtype=float)
     tol_arr = np.atleast_1d(np.asarray(tol, dtype=float))
@@ -233,15 +225,10 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                            f"(residual {worst:.3e})", residual=worst, seed=u0)
 
 
-class _PointProbe(Exception):
-    """An FD Jacobian of the rows path needs a point probe: some probe of
-    its block left the domain, and only the row's point call can redo it."""
-
-
 def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, tol,
                  accept_tol, max_iter: int,
-                 jac: Callable[[tuple[Array, Array]], Array] | None
-                 ) -> tuple[Array, Array, int]:
+                 jac: Callable[[tuple[Array, Array]], Array] | None,
+                 name: str) -> tuple[Array, Array, int]:
     """``newton_solve`` for N rows at once: each row takes the point call's
     steps, bit for bit, and stops where that call stops.
 
@@ -249,12 +236,14 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
     their (M, n) block; it returns their (M, m) residual rows, NaN on a row
     whose point call raises.  ``jac``, when given, takes the same pair and
     returns their (M, m, n) Jacobians; otherwise each live row takes its own
-    block ``fd_jacobian``.  Every residual call carries only the rows still
-    iterating, and NaN counts as a raise while a row backtracks, as it does
-    in the point call.  Returns the (N, n) solutions, their (N,) max |F|,
-    NaN on each row whose point call would raise, for that call to redo,
-    and the number of lock-step iterations (max_iter when any row accepted
-    on its floor).
+    ``fd_jacobian`` on a block of its probes.  Every residual call carries
+    only the rows still iterating, and NaN counts as a raise while a row
+    backtracks, as it does in the point call.  Returns the (N, n)
+    solutions, their (N,) max |F| and the number of lock-step iterations
+    (max_iter when any row accepted on its floor).  A row stops where its
+    point call raises ConvergenceError; once every row has stopped, the
+    error of the lowest such row is raised, its row index added to the text
+    and kept as ``row``.
     """
     N, n = u0.shape
     u = u0.copy()
@@ -263,22 +252,35 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (N, n))
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (N, m))
     accept = np.broadcast_to(np.asarray(accept_tol, dtype=float), (N, m))
-    out, out_res = np.full((N, n), np.nan), np.full(N, np.nan)
+    out, out_res = np.empty((N, n)), np.empty(N)
+    failed: dict[int, ConvergenceError] = {}
     # the rows still iterating; every array below holds only theirs
     rows, row_tol = np.arange(N), tol
     best_u, best_F, best_res = u, F, np.full(N, np.inf)
-    window_best = best_res
+    res = window_best = best_res
     floor_accepts = 0
     iterations = 0
 
+    def keep_only(keep: Array) -> None:
+        nonlocal rows, row_tol, u, F, res, best_u, best_F, best_res, window_best
+        rows, row_tol, u, F, res, best_u, best_F, best_res, window_best = (
+            a[keep] for a in (rows, row_tol, u, F, res, best_u, best_F, best_res, window_best))
+
+    def fail(sel: Array, residual: Array, reason: str) -> None:
+        # the point calls of the rows ``sel`` raise; reason's "{}" is the residual
+        for r, x in zip(rows[sel].tolist(), residual[sel].tolist()):
+            failed[r] = ConvergenceError(f"{name}: " + reason.format(x), residual=x, seed=u0[r])
+
     def floor_check(sel: Array) -> int:
         # the end of a point call that stalled or ran out of iterations
-        later = (np.abs(F[sel]) / row_tol[sel]).max(axis=1) < best_res[sel]
-        bu = np.where(later[:, None], u[sel], best_u[sel])
-        bF = np.where(later[:, None], F[sel], best_F[sel])
-        ok = (np.abs(bF) < accept[rows[sel]]).all(axis=1)
-        out[rows[sel][ok]] = bu[ok]
-        out_res[rows[sel][ok]] = np.abs(bF[ok]).max(axis=1)
+        later = (np.abs(F) / row_tol).max(axis=1) < best_res
+        bu = np.where(later[:, None], u, best_u)
+        bF = np.where(later[:, None], F, best_F)
+        worst = np.abs(bF).max(axis=1)
+        ok = sel & (np.abs(bF) < accept[rows]).all(axis=1)
+        out[rows[ok]], out_res[rows[ok]] = bu[ok], worst[ok]
+        fail(sel & ~ok, worst, f"no convergence after {max_iter} iterations "
+             "(residual {:.3e})")
         return int(ok.sum())
 
     for it in range(max_iter):
@@ -291,8 +293,9 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
         best_F = np.where(better[:, None], F, best_F)
         best_res = np.where(better, res, best_res)
         stop = (np.abs(F) < row_tol).all(axis=1)
-        # a non-finite residual raises in the point call
-        leave = stop | ~np.isfinite(res)
+        bad = ~np.isfinite(res)
+        fail(bad, res, "residual became non-finite")
+        leave = stop | bad
         if it % 12 == 11:
             if it >= 23:
                 stall = ~leave & (best_res > 0.8 * window_best)
@@ -302,16 +305,22 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
         if leave.any():
             out[rows[stop]] = u[stop]
             out_res[rows[stop]] = np.abs(F[stop]).max(axis=1)
-            keep = ~leave
-            rows, row_tol, u, F, res, best_u, best_F, best_res, window_best = (
-                a[keep] for a in (rows, row_tol, u, F, res, best_u, best_F, best_res,
-                                  window_best))
+            keep_only(~leave)
             if not rows.size:
                 break
         if jac is not None:
             J = np.asarray(jac((rows, u)), dtype=float)
         else:
-            J = np.stack([_rows_fd_jacobian(f, r, p, scales[r]) for r, p in zip(rows, u)])
+            J, fd_ok = np.empty((len(rows), m, n)), np.ones(len(rows), bool)
+            for j, r in enumerate(rows.tolist()):
+                try:
+                    J[j] = fd_jacobian(lambda q, r=r: f((np.full(len(q), r), q)), u[j],
+                                       scales=scales[r], block=True)
+                except ConvergenceError as exc:
+                    failed[r], fd_ok[j] = exc, False
+            if not fd_ok.all():
+                keep_only(fd_ok)
+                J = J[fd_ok]
         # equilibrate rows then columns, each row as its point call does
         r = np.abs(J).max(axis=2)
         r[r == 0.0] = 1.0
@@ -327,18 +336,14 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
                 try:
                     step[j] = np.linalg.solve(Jrc[j], rhs[j])
                 except np.linalg.LinAlgError:
-                    try:
-                        step[j], *_ = np.linalg.lstsq(Jrc[j], rhs[j], rcond=None)
-                    except np.linalg.LinAlgError:
-                        step[j] = np.nan
+                    step[j], *_ = np.linalg.lstsq(Jrc[j], rhs[j], rcond=None)
         step = step / c
-        # backtrack each row as its point call does; a row without a finite
-        # step (its FD Jacobian needed a point probe, say) is left to its
-        # point call
-        alpha = np.ones(len(rows))
+        # backtrack each row as its point call does: a row with no trial
+        # within 3x its residual takes its first finite trial (its
+        # fallback; alpha is never 0, so 0 marks none)
+        alpha, fallback = np.ones(len(rows)), np.zeros(len(rows))
         F_new = np.empty(F.shape)
-        todo = np.isfinite(step).all(axis=1)
-        fallback = None
+        todo = np.ones(len(rows), bool)
         for _ in range(20):
             j = np.flatnonzero(todo)
             if not j.size:
@@ -346,51 +351,26 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
             trial = np.asarray(f((rows[j], u[j] + alpha[j, None] * step[j])), dtype=float)
             finite = np.isfinite(trial).all(axis=1)
             good = finite & ((np.abs(trial) / row_tol[j]).max(axis=1) <= 3.0 * res[j])
-            F_new[j[good]] = trial[good]
+            first = finite & ~good & (fallback[j] == 0.0)
+            F_new[j[good | first]] = trial[good | first]
+            fallback[j[first]] = alpha[j[first]]
             todo[j[good]] = False
-            if good.all():
-                continue
-            # the first finite trial that balloons the residual is the
-            # row's fallback
-            first = finite & ~good
-            if first.any():
-                if fallback is None:
-                    fallback = np.zeros(len(rows), bool), alpha.copy(), F_new.copy()
-                has, fallback_alpha, fallback_F = fallback
-                first &= ~has[j]
-                g = j[first]
-                has[g], fallback_alpha[g], fallback_F[g] = True, alpha[g], trial[first]
             alpha[j[~good]] *= 0.5
-        if fallback is not None:
-            late = todo & fallback[0]
-            alpha[late], F_new[late] = fallback[1][late], fallback[2][late]
-            todo &= ~late
+        late = todo & (fallback > 0.0)
+        alpha[late] = fallback[late]
+        todo &= ~late
         u, F = u + alpha[:, None] * step, F_new
         if todo.any():
-            # no finite step, or no finite residual along it: the point
-            # call raises or redoes what the block cannot
-            keep = ~todo
-            rows, row_tol, u, F, best_u, best_F, best_res, window_best = (
-                a[keep] for a in (rows, row_tol, u, F, best_u, best_F, best_res, window_best))
+            # no finite residual along the step
+            fail(todo, best_res, "step landed outside the domain")
+            keep_only(~todo)
     if rows.size:
         floor_accepts += floor_check(np.ones(len(rows), bool))
+    if failed:
+        r, exc = min(failed.items())
+        raise ConvergenceError(f"{exc} (row {r})", residual=exc.residual, seed=exc.seed,
+                               row=r) from exc
     return out, out_res, max_iter if floor_accepts else iterations
-
-
-def _rows_fd_jacobian(f: Callable[[tuple[Array, Array]], Array], row: int, u: Array,
-                      scales: Array) -> Array:
-    """The block ``fd_jacobian`` of one row of ``_newton_rows``, NaN when a
-    probe leaves the domain: only the row's point call can redo that."""
-
-    def probe(p: Array) -> Array:
-        if p.ndim == 1:
-            raise _PointProbe
-        return f((np.full(len(p), row), p))
-
-    try:
-        return fd_jacobian(probe, u, scales=scales, block=True)
-    except _PointProbe:
-        return np.full((len(u), len(u)), np.nan)
 
 
 NEWTON_1D_MAX_ITER = 60
@@ -416,6 +396,7 @@ def newton_1d(f: Callable[..., tuple[Any, Any, Any]], t0: float | Array, *,
     """
     if np.ndim(t0):
         return _newton_1d_rows(f, np.asarray(t0, dtype=float), tol, accept_tol)
+    # a point loop: a one-row residual block costs more (t1_array 17.7 us, not 7.1 us)
     t = t0
     val, slope, payload = f(t)
     evals = 1
@@ -454,12 +435,12 @@ def newton_1d(f: Callable[..., tuple[Any, Any, Any]], t0: float | Array, *,
 def _newton_1d_rows(f: Callable[[Array, Array], tuple], t0: Array, tol: float,
                     accept_tol: float | None) -> tuple[Array, Array, Array, tuple, Array]:
     """``newton_1d`` for N rows at once: each row takes the point call's
-    steps, bit for bit, and stops where that call stops.  ``f(t, rows)``
-    evaluates the rows still iterating (indices ``rows``) at their t and
-    returns their values, slopes and payload, a tuple of arrays with one row
-    each, NaN on a row that leaves a domain.  Returns the point call's five
-    results as arrays: NaN (and 0 evaluations) on each row whose point call
-    would halve a step or raise, for that call to redo.
+    steps, bit for bit, halves a step that leaves a domain as that call
+    does, and stops where that call stops.  ``f(t, rows)`` evaluates the
+    rows still iterating (indices ``rows``) at their t and returns their
+    values, slopes and payload, a tuple of arrays with one row each, NaN on
+    a row that leaves a domain.  Returns the point call's five results as
+    arrays: NaN (and 0 evaluations) on each row whose point call raises.
     """
     n = t0.size
     t = t0.copy()
@@ -488,6 +469,22 @@ def _newton_1d_rows(f: Callable[[Array, Array], tuple], t0: Array, tol: float,
         quad = (ti != t_prev[i]) & (d2 != 0.0) & (disc > 0.0)
         step = np.where(quad, small, step)
         new_val, new_slope, new_payload = f(ti + step, i)
+        out = np.flatnonzero(np.isnan(new_val))
+        if out.size:
+            # halve each step that left a domain, 20 evaluations in all, as
+            # the point call does; a row still outside is trapped at its edge
+            new_val, new_slope = np.array(new_val, dtype=float), np.array(new_slope, dtype=float)
+            new_payload = tuple(np.array(p, dtype=float) for p in new_payload)
+            for _ in range(19):
+                step[out] *= 0.5
+                val_h, slope_h, payload_h = f(ti[out] + step[out], i[out])
+                new_val[out], new_slope[out] = val_h, slope_h
+                for full, p in zip(new_payload, payload_h):
+                    full[out] = p
+                out = out[np.isnan(val_h)]
+                if not out.size:
+                    break
+            live[i[out]] = False
         evals[i] += 1
         t_prev[i], slope_prev[i] = ti, s
         t[i] = ti + step

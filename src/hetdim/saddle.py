@@ -388,7 +388,7 @@ def stay_exit(model: SaddleModel, v: Array, n: int) -> Array:
     (rounding is monotone and every multiplier has modulus >= 1 or <= 1),
     so a point inside the box at both ends never left it.  The nonlinear
     tiers step each point with ``orbit``.  On the linear tier an (N,) array
-    n gives each row of a block its own stay (``_stay_exit_rows``).
+    n gives each row of a block its own stay.
     """
     v = np.asarray(v, dtype=float)
     if model.nonlinearity.kind != "linear":
@@ -401,11 +401,12 @@ def stay_exit(model: SaddleModel, v: Array, n: int) -> Array:
             except ItineraryError:
                 pass
         return w
-    if isinstance(n, np.ndarray):
-        return _stay_exit_rows(model, v, n)
     w = _running_product(v, model.diagonal, n)
-    if n:
-        # turns a -0.0 product into +0.0, as each step of the normal form does
+    # turns a -0.0 product into +0.0, as each step of the normal form does,
+    # on the rows that take a step (an int stay skips the mask, which costs it 3.5 us)
+    if isinstance(n, np.ndarray):
+        w[n > 0] += 0.0
+    elif n:
         w += 0.0
     # the larger modulus of each coordinate's two ends; NaN fails the test
     ends = np.maximum(np.abs(v), np.abs(w))
@@ -413,17 +414,6 @@ def stay_exit(model: SaddleModel, v: Array, n: int) -> Array:
         # orbit raises with the first step outside the box
         return w if ends.max() <= BOX else orbit(model, v, n)[-1]
     w[~(ends <= BOX).all(axis=-1)] = np.nan
-    return w
-
-
-def _stay_exit_rows(model: SaddleModel, v: Array, n: Array) -> Array:
-    """``stay_exit`` of each row of an (N, D) block v for its own stay n[i],
-    on the linear tier: each row its point call's, bit for bit, NaN where
-    that call raises."""
-    w = _running_product(v, model.diagonal, n)
-    # the + 0.0 of the normal form, on the rows that take a step
-    w[n > 0] += 0.0
-    w[~(np.maximum(np.abs(v), np.abs(w)) <= BOX).all(axis=-1)] = np.nan
     return w
 
 

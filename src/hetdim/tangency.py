@@ -238,64 +238,6 @@ def _branch_setup(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, sign: int
     return seed, scales, ulps
 
 
-def _value_tols(tol: Array, mu0) -> Array:
-    """The floors of ``fold_tol`` with each value row's tolerance between
-    spacing(|mu0|) and 1e-14 (one row, or one per mu0 of a block)."""
-    tol[..., :2] = np.maximum(np.spacing(np.abs(mu0))[..., None],
-                              np.minimum(1e-14, tol[..., :2]))
-    return tol
-
-
-def _branch(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, branch_id: int, u: Array,
-            rows: Array, J: Array, point: Array, slope_tol: float) -> TangencyBranch:
-    """The branch at the solution u, from its final rows and jet J and the
-    image ``point`` of its preimage; HypothesisError when |c| < 1e-14."""
-    X, Y, mu = (float(x) for x in u)
-    c = float(J[1, 0])
-    if abs(c) < 1e-14:
-        raise HypothesisError(f"secondary c is sign-indeterminate (k={k}, |c| < 1e-14)")
-    t = X / coeffs.b
-    return TangencyBranch(
-        k=k, branch=branch_id, mu_k=mu, X=X, Y=Y,
-        residual=float(max(abs(rows[0]), abs(rows[1]))), case=case_tag(coeffs),
-        tangency_point=point, preimage=axis_point(model, coeffs.y_minus + t), t_param=t,
-        c_sign=int(np.sign(c)), c_value=c, slope_tol=slope_tol)
-
-
-def _solve_branch(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, branch_id: int,
-                  sign: int) -> TangencyBranch:
-    """One (k, branch) row of ``solve_secondary_tangency`` on its own: the
-    solve whose steps its lock-step row takes, bit for bit, and that redoes
-    a row whose solve raises, with the same error."""
-    seed, scales, ulps = _branch_setup(model, coeffs, k, sign)
-    u0 = np.array(seed)
-
-    def f(u: Array) -> Array:
-        return _tangency_jet(model, coeffs, u, k)[0]
-
-    jac = None
-    if model.nonlinearity.kind == "linear":
-        rows_jac, zero = _exact_jac(model, coeffs, np.array([k])), np.zeros(1, int)
-
-        def jac(u: Array) -> Array:
-            return rows_jac((zero, u[None]))[0]
-
-    try:
-        tol = _value_tols(fold_tol(f, u0, ulps, least=FLOOR_LEAST, block=True), seed[2])
-        u, _, _ = newton_solve(f, u0, scales=scales, tol=tol, accept_tol=ACCEPT_TOLS,
-                               max_iter=60, block=True, jac=jac,
-                               name=f"secondary tangency k={k} branch {branch_id}")
-    except (ConvergenceError, NumericalError) as exc:
-        X0, Y0, mu0 = seed
-        raise ConvergenceError(
-            f"secondary tangency diverged (k={k}, branch {branch_id}, "
-            f"seed=({X0:.3e}, {Y0:.3e}, {mu0:.3e})): {exc}", seed=seed) from exc
-    rows, J = _tangency_jet(model, coeffs, u, k)
-    point = axis_jet(model, coeffs.with_mu(float(u[2])),
-                     coeffs.y_minus + float(u[0]) / coeffs.b)[0]
-    return _branch(model, coeffs, k, branch_id, u, rows, J, point, float(tol[2]))
-
-
 def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs, k):
     """Both secondary-tangency branches at stay number k, as a list; or at
     each k of a sequence, as a dict from k to its pair.
@@ -317,10 +259,12 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs, k):
     gamma^k); HypothesisError when |c| < 1e-14 leaves its sign open.
 
     Every (k, branch) pair is one row of a single lock-step Newton
-    (``newton_solve`` on a block): its floors, steps and final jet are those
-    of its own solve (``_solve_branch``), bit for bit.  A row whose solve
-    would raise is redone on its own, and the first error in (k, branch)
-    order is raised, the one the per-k calls in turn would raise.
+    (``newton_solve`` on a block), and each row's floors, steps and final
+    jet are those of its pair's solve on its own, bit for bit.  The error
+    raised is the one the per-k calls in turn would raise: the first in k
+    order, a (k, branch) row's Newton failure wrapped as "secondary
+    tangency diverged (k=..., branch ..., seed=(...)): ..." ahead of the
+    HypothesisError of its k's branches.
     """
     ks = [k] if np.ndim(k) == 0 else list(dict.fromkeys(int(n) for n in k))
     for n in ks:
@@ -336,26 +280,39 @@ def solve_secondary_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs, k):
         rows, u = arg
         return _tangency_jet(model, coeffs, u, stays[rows])[0]
 
-    tol = _value_tols(fold_tol(rows_jet, seeds, [np.array(e) for e in zip(*ulps)],
-                               least=FLOOR_LEAST), seeds[:, 2])
+    tol = fold_tol(rows_jet, seeds, [np.array(e) for e in zip(*ulps)], least=FLOOR_LEAST)
+    # each value row's tolerance lies between spacing(|mu0|) and 1e-14
+    tol[:, :2] = np.maximum(np.spacing(np.abs(seeds[:, 2]))[:, None],
+                            np.minimum(1e-14, tol[:, :2]))
     jac = _exact_jac(model, coeffs, stays) if model.nonlinearity.kind == "linear" else None
-    u, _, _ = newton_solve(rows_jet, seeds, scales=np.array(scales), tol=tol,
-                           accept_tol=ACCEPT_TOLS, max_iter=60, jac=jac,
-                           name="secondary tangency")
-    # one final jet block for c and the tangency points of the solved rows
-    ok = np.flatnonzero(np.isfinite(u).all(axis=1))
-    final = {}
-    if ok.size:
-        rows, J = _tangency_jet(model, coeffs, u[ok], stays[ok])
-        points = axis_jet(model, coeffs.with_mu(u[ok, 2]),
-                          coeffs.y_minus + u[ok, 0] / coeffs.b)[0]
-        fine = np.isfinite(rows).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
-        final = {i: row for i, *row, good in zip(ok.tolist(), rows, J, points, fine) if good}
+    try:
+        u, _, _ = newton_solve(rows_jet, seeds, scales=np.array(scales), tol=tol,
+                               accept_tol=ACCEPT_TOLS, max_iter=60, jac=jac,
+                               name="secondary tangency")
+    except ConvergenceError as exc:
+        n, branch_id, _ = pairs[exc.row]
+        # an earlier k's branches raise first where they raise
+        solve_secondary_tangency(model, coeffs, ks[:ks.index(n)])
+        X0, Y0, mu0 = seeds[exc.row]
+        raise ConvergenceError(
+            f"secondary tangency diverged (k={n}, branch {branch_id}, "
+            f"seed=({X0:.3e}, {Y0:.3e}, {mu0:.3e})): {exc.__cause__}",
+            seed=tuple(seeds[exc.row])) from exc
+    # one final jet block for c and the tangency points
+    rows, J = _tangency_jet(model, coeffs, u, stays)
+    points = axis_jet(model, coeffs.with_mu(u[:, 2]), coeffs.y_minus + u[:, 0] / coeffs.b)[0]
     solved: dict[int, list[TangencyBranch]] = {n: [] for n in ks}
-    for i, (n, branch_id, sign) in enumerate(pairs):
-        # a row whose solve or final jet would raise is redone on its own
-        solved[n].append(_branch(model, coeffs, n, branch_id, u[i], *final[i], float(tol[i, 2]))
-                         if i in final else _solve_branch(model, coeffs, n, branch_id, sign))
+    for i, (n, branch_id, _) in enumerate(pairs):
+        X, Y, mu = (float(x) for x in u[i])
+        c = float(J[i, 1, 0])
+        if abs(c) < 1e-14:
+            raise HypothesisError(f"secondary c is sign-indeterminate (k={n}, |c| < 1e-14)")
+        t = X / coeffs.b
+        solved[n].append(TangencyBranch(
+            k=n, branch=branch_id, mu_k=mu, X=X, Y=Y,
+            residual=float(max(abs(rows[i, 0]), abs(rows[i, 1]))), case=case_tag(coeffs),
+            tangency_point=points[i], preimage=axis_point(model, coeffs.y_minus + t),
+            t_param=t, c_sign=int(np.sign(c)), c_value=c, slope_tol=float(tol[i, 2])))
     return solved[k] if np.ndim(k) == 0 else solved
 
 

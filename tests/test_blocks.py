@@ -11,6 +11,7 @@ ones exactly, because the Newtons stop on float noise."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -268,14 +269,13 @@ def _parabola_rows(roots, domain):
 
 def test_newton_1d_rows_step_in_lock_step_bitwise():
     # a fold's small-root steps, plain steps, a root at the start, a flat
-    # start (the point call raises) and a first step past the domain (the
-    # point call halves it): those two rows come back NaN for the point
-    # calls to redo
+    # start (the point call raises: its row comes back NaN) and a first
+    # step past the domain (the row halves it as the point call does)
     roots = np.array([[1.0, 1.0 + 1e-6], [0.5, 0.7], [0.25, 0.45], [0.0, 1.0], [1.0, 1.2]])
     t0 = np.array([1.0 + 5e-7 + 1e-12, 0.0, 0.25, 0.5, 1.1 + 1e-3])
     f = _parabola_rows(roots, domain=1.5)
     t, val, slope, (pay,), evals = newton_1d(f, t0, tol=1e-13, accept_tol=1e-11, name="rows")
-    for i in (0, 1, 2):
+    for i in (0, 1, 2, 4):
         ref = newton_1d(lambda s, i=i: f(s, i), float(t0[i]), tol=1e-13, accept_tol=1e-11,
                         name="rows")
         assert _hex([t[i], val[i], slope[i], pay[i]]) == _hex([*ref[:3], ref[3][0]])
@@ -283,9 +283,9 @@ def test_newton_1d_rows_step_in_lock_step_bitwise():
     assert evals[2] == 1
     with pytest.raises(ConvergenceError, match="flat"):
         newton_1d(lambda s: f(s, 3), 0.5, tol=1e-13, name="rows")
-    # the point call halves its first step back into the domain, and converges
-    assert newton_1d(lambda s: f(s, 4), float(t0[4]), tol=1e-13, name="rows")[0] < 1.5
-    assert np.isnan([t[3:], val[3:], slope[3:], pay[3:]]).all() and not evals[3:].any()
+    assert np.isnan([t[3], val[3], slope[3], pay[3]]).all() and evals[3] == 0
+    # row 4's point call halves its first step back into the domain
+    assert t[4] < 1.5
 
 
 def _gap_rows(model, coeffs, k, m, rng, n=6):
@@ -379,7 +379,8 @@ def test_cycle_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, k, m)
 
 def test_block_fd_jacobian_takes_the_point_one_sided_fallback():
     # probes beyond x = 0.3 leave the domain: a point raises, a block row is
-    # NaN; the point calls redo that variable with the backward difference
+    # NaN; both take the backward difference of variable 0 from their
+    # probes and one more call for f(u)
     def point(u):
         if u[0] > 0.3:
             raise DomainError("probe left the domain")
@@ -395,11 +396,13 @@ def test_block_fd_jacobian_takes_the_point_one_sided_fallback():
 
     u = np.array([0.3, 1.0])
     J = fd_jacobian(f, u, block=True)
-    assert J.tobytes() == fd_jacobian(point, u).tobytes()
+    # the probes as one block, then f(u) as a block of one row
+    assert calls == [2, 2]
+    del calls[:]
+    assert J.tobytes() == fd_jacobian(f, u).tobytes()
+    # the four probes, then f(u)
+    assert calls == [1] * 5
     assert J[0, 0] == pytest.approx(0.6, rel=1e-6)
-    # one block, then variable 0 point by point: f(up) raises, f(u), f(up)
-    # raises again, f(um)
-    assert calls == [2, 1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +581,30 @@ def test_forge_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, case,
         assert _hex(tol[r]) == _hex(ref), r
 
 
+# per lab, tier and sign case: the first 16 hex digits of the sha256 of
+# every (k, branch) pair's fields in float.hex, both e3, as each pair's
+# Newton on its own gave them (recorded under numpy 2.4 on x86-64 before
+# the lock-step Newton became the only one)
+FORGE_DIGESTS = {
+    ("D3", "linear", "cdx_neg_d_neg"): "3afa2c67035a8eb8",
+    ("D3", "linear", "cdx_pos_d_neg"): "86c9d4dd49ddf93c",
+    ("D3", "linear", "cdx_neg_d_pos"): "b146b636c01fd831",
+    ("D3", "linear", "cdx_pos_d_pos"): "10ee25e2931ca38f",
+    ("D3", "polynomial", "cdx_neg_d_neg"): "9563d5061400f02e",
+    ("D3", "polynomial", "cdx_pos_d_neg"): "db61f3dd4e3f3bac",
+    ("D3", "polynomial", "cdx_neg_d_pos"): "f5a59b40bbd619a9",
+    ("D3", "polynomial", "cdx_pos_d_pos"): "7649a4ce09ec9fa8",
+    ("D4", "linear", "cdx_neg_d_neg"): "d75da1db0467520d",
+    ("D4", "linear", "cdx_pos_d_neg"): "e201cccdb894e2c5",
+    ("D4", "linear", "cdx_neg_d_pos"): "9236622b877b802e",
+    ("D4", "linear", "cdx_pos_d_pos"): "e28f87d8866c2656",
+    ("D4", "polynomial", "cdx_neg_d_neg"): "a9144b0020e7907c",
+    ("D4", "polynomial", "cdx_pos_d_neg"): "fcfb031ca5c05b53",
+    ("D4", "polynomial", "cdx_neg_d_pos"): "ce9cf31fd7fb51df",
+    ("D4", "polynomial", "cdx_pos_d_pos"): "9d4843538009975d",
+}
+
+
 @pytest.mark.parametrize("tier", ["linear", "polynomial"])
 @pytest.mark.parametrize("lab", ["D3", "D4"])
 def test_forge_rows_are_their_branch_solves_bitwise(lab, tier):
@@ -586,15 +613,15 @@ def test_forge_rows_are_their_branch_solves_bitwise(lab, tier):
     ks = list(range(12, 25, 2)) if tier == "linear" else [12, 14, 16]
     model = base_model(tier) if lab == "D3" else d4_model(tier)
     for case in FORGE_CASES:
+        digest = hashlib.sha256()
         for e3 in (0.0, 0.3):
             coeffs = dataclasses.replace(
                 forge_coeffs(case) if lab == "D3" else _d4_forge_coeffs(case), e3=e3)
             solved = tangency.solve_secondary_tangency(model, coeffs, ks)
             assert list(solved) == ks
-            for k in ks:
-                for br, sign in zip(solved[k], (1, -1)):
-                    ref = tangency._solve_branch(model, coeffs, k, br.branch, sign)
-                    assert _branch_hex(br) == _branch_hex(ref), (case, e3, k, br.branch)
+            for br in (br for k in ks for br in solved[k]):
+                digest.update(repr(sorted(_branch_hex(br).items())).encode())
+        assert digest.hexdigest()[:16] == FORGE_DIGESTS[lab, tier, case], case
 
 
 def _branch_hex(br):
@@ -710,13 +737,13 @@ NEWTON_ROWS = np.array([
     # wall: it takes the ballooned step, then converges around the wall
     [1.0, 0.5, 0.0, 0.15, 0.3, 0.150001, 1.8, -1.069, 0.05],
     # the same, but the wall starts at the seed: an FD probe in x hits it,
-    # and only the point solve's one-sided difference gets past
+    # and the one-sided difference gets past
     [1.0, 0.5, 0.0, 0.15, 0.3, 0.15, 1.8, -1.069, 0.05],
 ])
 
 
-def _rows_system(rows, U):
-    a, b, floor, x0, y0, lo, hi, slope, width = NEWTON_ROWS[rows].T
+def _rows_system(rows, U, table=NEWTON_ROWS):
+    a, b, floor, x0, y0, lo, hi, slope, width = table[rows].T
     x, y = U[:, 0], U[:, 1]
     F = np.column_stack((x * x - a, x * y - b))
     F = np.where(np.abs(F) > floor[:, None], F, floor[:, None])
@@ -730,59 +757,141 @@ def _rows_system_jac(rows, U):
     return np.stack((np.column_stack((2.0 * x, 0.0 * x)), np.column_stack((y, x))), axis=1)
 
 
+ROWS_KW = dict(tol=1e-13, accept_tol=1e-11, max_iter=40)
+
+
+def _rows_solve(table, exact, calls=None):
+    """The lock-step solve of every row of ``table`` from its seed, the jac
+    given or FD Jacobians; ``calls`` collects the rows of each residual
+    call."""
+
+    def f(arg):
+        if calls is not None:
+            calls.append(arg[0].tolist())
+        return _rows_system(*arg, table)
+
+    jac = (lambda arg: _rows_system_jac(*arg)) if exact else None
+    seeds = table[:, 3:5]
+    # one scale and tolerance row per seed
+    return newton_solve(f, seeds, jac=jac, scales=np.ones((len(seeds), 2)),
+                        **dict(ROWS_KW, tol=np.full((len(seeds), 2), ROWS_KW["tol"])))
+
+
+def _point_solve(table, r, exact, evaluated=None, raised=None):
+    """Row r of ``table`` solved on its own: its residual raises
+    DomainError where the row's is NaN."""
+
+    def g(u):
+        if evaluated is not None:
+            evaluated.append(r)
+        F = _rows_system(np.array([r]), u[None], table)[0]
+        if np.isnan(F).any():
+            if raised is not None:
+                raised.append(r)
+            raise DomainError("x left |x| < 4 or hit the wall")
+        return F
+
+    jac = (lambda u: _rows_system_jac(np.array([r]), u[None])[0]) if exact else None
+    return newton_solve(g, table[r, 3:5], jac=jac, scales=np.ones(2), **ROWS_KW)
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_newton_rows_are_their_point_solves_bitwise(exact):
     # each row of one lock-step solve is its own point solve, in float.hex,
-    # or NaN where that solve raises or where an FD probe leaves the domain
-    # (the point solve's one-sided difference); the jac given or FD
-    # Jacobians
-    calls, raised, evaluated, row_evaluations = [], [], [], []
-
-    def f(arg):
-        calls.append(len(arg[0]))
-        row_evaluations.extend(arg[0].tolist())
-        return _rows_system(*arg)
-
-    def point(r):
-        def g(u):
-            evaluated.append(r)
-            F = _rows_system(np.array([r]), u[None])[0]
-            if np.isnan(F).any():
-                raised.append(r)
-                raise DomainError("x left |x| < 4")
-            return F
-        return g
-
-    seeds = NEWTON_ROWS[:, 3:5]
-    jac = (lambda arg: _rows_system_jac(*arg)) if exact else None
-    kw = dict(scales=np.ones((len(seeds), 2)), tol=np.full((len(seeds), 2), 1e-13),
-              accept_tol=1e-11, max_iter=40)
-    U, res, iterations = newton_solve(f, seeds, jac=jac, **kw)
+    # with the same residual evaluations; the jac given or FD Jacobians.
+    # Row 3's point solve raises (x^2 = -1): the block raises its error,
+    # with its row
+    with pytest.raises(ConvergenceError) as exc:
+        _rows_solve(NEWTON_ROWS, exact)
+    with pytest.raises(ConvergenceError) as ref:
+        _point_solve(NEWTON_ROWS, 3, exact)
+    assert exc.value.row == 3 and str(exc.value) == f"{ref.value} (row 3)"
+    # the other rows solve
+    table, calls = np.delete(NEWTON_ROWS, 3, axis=0), []
+    U, res, iterations = _rows_solve(table, exact, calls)
     # a row accepted on its floor; every residual call carries only the rows
     # still iterating (FD probe blocks carry one row's 2n probes): at the
-    # end only the rows that accept on the floor or raise are left
+    # end only the row that accepts on the floor is left
+    sizes = [len(c) for c in calls]
     assert iterations == 40
-    assert calls[0] == len(seeds) and min(calls) == 1
+    assert sizes[0] == len(table) and min(sizes) == 1
     if exact:
-        assert max(calls[-10:]) <= 2
+        assert max(sizes[-10:]) <= 2
+    row_evaluations = [r for c in calls for r in c]
     outcomes = []
-    for r, seed in enumerate(seeds):
-        point_jac = (lambda u, r=r: _rows_system_jac(np.array([r]), u[None])[0]) if exact else None
-        del raised[:]
-        try:
-            u, res_r, it = newton_solve(point(r), seed, jac=point_jac, scales=np.ones(2),
-                                        tol=1e-13, accept_tol=1e-11, max_iter=40)
-        except ConvergenceError:
-            assert np.isnan(U[r]).all() and np.isnan(res[r]), r
-            outcomes.append("raises")
-            continue
-        if np.isnan(U[r]).all() and np.isnan(res[r]):
-            # handed back: the caller's point solve redoes the row
-            outcomes.append("redo")
-            continue
+    for r in range(len(table)):
+        evaluated, raised = [], []
+        u, res_r, it = _point_solve(table, r, exact, evaluated, raised)
         assert _hex(U[r]) == _hex(u) and _hex(res[r]) == _hex(res_r), r
         # the same residual evaluations: steps, trials and probes
-        assert evaluated.count(r) == row_evaluations.count(r), r
+        assert len(evaluated) == row_evaluations.count(r), r
         outcomes.append("floor" if it == 40 else "backtracks" if raised else "root")
-    assert outcomes == ["root", "backtracks", "floor", "raises", "root", "backtracks",
-                        "backtracks" if exact else "redo"]
+    assert outcomes == ["root", "backtracks", "floor", "root", "backtracks", "backtracks"]
+
+
+_wall = st.tuples(st.booleans(), st.floats(0.0, 0.5), st.floats(0.1, 3.0),
+                  st.floats(-2.0, 2.0), st.floats(0.01, 0.3))
+_floor = st.one_of(st.just(0.0), st.floats(1e-13, 1e-10))
+
+
+@st.composite
+def _rows_tables(draw):
+    """1 to 6 rows of NEWTON_ROWS' form: a wall, if any, lies on one side
+    of its seed, so every seed has a finite residual."""
+    table = []
+    for _ in range(draw(st.integers(1, 6))):
+        x0 = draw(st.floats(-3.0, 3.0))
+        lo = hi = slope = width = 0.0
+        if draw(st.booleans()):
+            above, off, length, slope, width = draw(_wall)
+            lo, hi = (x0 + off, x0 + off + length) if above else (x0 - off - length, x0 - off)
+        table.append([draw(st.floats(-1.0, 4.0)), draw(st.floats(-2.0, 2.0)), draw(_floor),
+                      x0, draw(st.floats(-2.0, 2.0)), lo, hi, slope, width])
+    return np.array(table)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ConvergenceError as exc:
+        return exc
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(table=_rows_tables(), exact=st.booleans())
+def test_newton_rows_are_their_point_solves_property(table, exact):
+    # any seeds, floors and walls: every row is its own point solve in
+    # float.hex, or the block raises the error of the lowest row whose
+    # point solve raises (steps from near x = 0 may overflow, in both)
+    with np.errstate(over="ignore", invalid="ignore"):
+        refs = [_outcome(lambda r=r: _point_solve(table, r, exact)) for r in range(len(table))]
+        got = _outcome(lambda: _rows_solve(table, exact))
+    failing = [r for r, ref in enumerate(refs) if isinstance(ref, ConvergenceError)]
+    if failing:
+        r = failing[0]
+        assert isinstance(got, ConvergenceError) and got.row == r
+        assert str(got) == f"{refs[r]} (row {r})"
+    else:
+        assert not isinstance(got, ConvergenceError), got
+        U, res, _ = got
+        assert [_hex(U[r]) + _hex(res[r]) for r in range(len(table))] == \
+            [_hex(u) + _hex(x) for u, x, _ in refs]
+
+
+def test_newton_rows_raise_a_rows_fd_jacobian_error():
+    # row 1's domain is punctured around its seed's x: both FD probes in x
+    # leave it, so its point solve raises fd_jacobian's error, and so does
+    # the block, with the row; row 0 solves
+    def residual(rows, U):
+        F = U - np.array([1.0, 2.0])
+        F[(rows == 1) & (np.abs(U[:, 0] - 0.5) > 0.0) & (np.abs(U[:, 0] - 0.5) < 1e-3)] = np.nan
+        return F
+
+    seeds = np.array([[0.5, 1.0], [0.5, 1.0]])
+    with pytest.raises(ConvergenceError) as ref:
+        newton_solve(lambda u: residual(np.array([1]), u[None])[0], seeds[1],
+                     scales=np.ones(2), **ROWS_KW)
+    assert str(ref.value) == "fd_jacobian: every probe of variable 0 left the domain"
+    with pytest.raises(ConvergenceError) as exc:
+        newton_solve(lambda arg: residual(*arg), seeds, scales=np.ones((2, 2)), **ROWS_KW)
+    assert exc.value.row == 1 and str(exc.value) == f"{ref.value} (row 1)"

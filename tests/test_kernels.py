@@ -619,6 +619,27 @@ def test_fd_jacobian_one_sided_fallback():
     assert J[1, 1] == pytest.approx(3.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("block", [False, True])
+def test_fd_jacobian_takes_a_non_finite_probe_as_outside_the_domain(block):
+    # f is NaN beyond x = 1 without raising: the forward probe of x left the
+    # domain, and the backward difference exists
+    def f(u):
+        x, y = u[..., 0], u[..., 1]
+        F = np.stack((x * x, x * y), axis=-1)
+        return np.where((x > 1.0)[..., None], np.nan, F)
+
+    J = fd_jacobian(f, np.array([1.0, 2.0]), block=block)
+    assert J[:, 0] == pytest.approx([2.0, 2.0], rel=1e-6)
+    assert J[:, 1] == pytest.approx([0.0, 1.0], rel=1e-9)
+
+    # NaN on both sides of x = 1: no difference in x exists
+    def g(u):
+        return np.where((u[..., :1] != 1.0), np.nan, f(u))
+
+    with pytest.raises(ConvergenceError, match="variable 0"):
+        fd_jacobian(g, np.array([1.0, 2.0]), block=block)
+
+
 # offsets and step floors of mixed scales, from 1e-9 to 1e4
 _mixed = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-9, 3))
 _floors = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-9, 0))
