@@ -1,10 +1,12 @@
 """Invariant subspaces along return orbits and strong-stable leaves.
 
-Chains of per-step Jacobians along a return orbit define DT^(n+1); frame
-power iteration in the forward direction, carried through the chain factor
-by factor, produces the two-dimensional center-unstable subspace (seeded in
-the (x, y)-plane), and in the backward direction, on the product of the
-factors' inverses, the (D-2)-dimensional strong-stable one (seeded in z).
+Chains of Jacobian factors along a return orbit define DT^(n+1): on the
+linear tier one factor per stay and one per T1, on the nonlinear tiers one
+per local step.  Frame power iteration in the forward direction, carried
+through the chain factor by factor, produces the two-dimensional
+center-unstable subspace (seeded in the (x, y)-plane), and in the backward
+direction, on the product of the factors' inverses, the (D-2)-dimensional
+strong-stable one (seeded in z).
 Cone invariance is certified by measuring the image opening of a sampled
 cone boundary.  Leaves of the strong-stable foliation are integrated as graphs
 x = x(z), y = y(z) along the slopes of the numerically computed stable
@@ -22,31 +24,38 @@ import numpy as np
 from .errors import ConvergenceError, HypothesisError, NumericalError
 from .global_map import GlobalMapCoeffs, t1_array, t1_jac_array
 from .numerics import chain_product, frobenius, orthonormal_frame, row_norms, sorted_eigvals
-from .saddle import SaddleModel, orbit, stay_exit, t0_jac_array
+from .saddle import SaddleModel, jacobian_along, orbit, stay_exit, t0_jac_array
 
 Array = np.ndarray
 
 
 def return_chain(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
                  stays: list[int]) -> Array:
-    """Per-step Jacobians of T1 o T0^k_n o ... o T1 o T0^k_0 along an orbit,
-    as an (n, D, D) array with n = sum(k_i + 1).
+    """The Jacobian factors of T1 o T0^k_n o ... o T1 o T0^k_0 along an
+    orbit, in step order.
 
-    Per-step factors stay well conditioned individually, which matters for
-    the backward (inverse) iteration; the full product's condition number is
-    astronomically large.
+    On the linear tier each stay is one factor, its Jacobian diag(d^k) from
+    ``jacobian_along``, followed by the T1 factor at its exit: a
+    (2 len(stays), D, D) array.  The nonlinear tiers keep one factor per
+    local step: a (sum(k_i + 1), D, D) array.
+
+    Each factor inverts accurately on its own (a diagonal stay factor entry
+    by entry), which matters for the backward (inverse) iteration; the full
+    product's condition number is astronomically large.
     """
     D = model.dim
-    chain = np.empty((sum(stays) + len(stays), D, D))
+    linear = model.nonlinearity.kind == "linear"
+    chain = np.empty((2 * len(stays) if linear else sum(stays) + len(stays), D, D))
     v = np.asarray(p, dtype=float)
     i = 0
     for k in stays:
         traj = orbit(model, v, k)
-        chain[i:i + k] = t0_jac_array(model, traj[:k])
+        n = 1 if linear else k
+        chain[i:i + n] = jacobian_along(model, traj) if linear else t0_jac_array(model, traj[:k])
         v = traj[k]
-        chain[i + k] = t1_jac_array(coeffs, v)
+        chain[i + n] = t1_jac_array(coeffs, v)
         v = t1_array(coeffs, v)
-        i += k + 1
+        i += n + 1
     return chain
 
 
@@ -161,7 +170,8 @@ def _certify_cone(kind: str, apply, dim: int) -> tuple[float, float]:
 
 def _carry_frame(chain: Array, W: Array) -> Array:
     """The frame W carried through the chain factor by factor,
-    re-orthonormalised after each factor."""
+    re-orthonormalised after each factor (the discrete QR method; Dieci,
+    Russell & Van Vleck, SIAM J. Numer. Anal. 34, 1997)."""
     for J in chain:
         W = orthonormal_frame(J @ W)
     return W

@@ -340,10 +340,13 @@ def solve_period2_with_s(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m:
 
 def orbit_jacobian_chain(model: SaddleModel, coeffs: GlobalMapCoeffs,
                          orbit: PeriodTwoOrbit) -> Array:
-    """Per-step Jacobians along the orbit, (k + m + 2, D, D), each leg
-    restarted from its stored entry point.  Restarting matters: iterating
-    straight through both legs amplifies the closure residual by gamma^m,
-    enough to perturb the exit Jacobians and flip marginal indices."""
+    """The return chain of both legs (``return_chain``), each leg restarted
+    from its stored entry point: (4, D, D) on the linear tier, one stay
+    factor and one T1 factor per leg, and (k + m + 2, D, D) on the
+    nonlinear tiers, one factor per local step.  Restarting matters:
+    iterating straight through both legs amplifies the closure residual by
+    gamma^m, enough to perturb the exit Jacobians and flip marginal
+    indices."""
     cm = coeffs.with_mu(orbit.mu)
     return np.concatenate([return_chain(model, cm, orbit.points[name].as_array(), [n])
                            for (name, _), n in zip(_LEG_NAMES, orbit.itinerary)])

@@ -151,7 +151,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     accept = np.atleast_1d(np.asarray(accept_tol, dtype=float))
 
     def _score(F: Array) -> float:
-        return float((np.abs(F) / tol_arr).max())
+        return float(_scores(F, tol_arr))
 
     F = np.asarray(f(u), dtype=float)
     best_u, best_F, best_res = u.copy(), F, np.inf
@@ -225,6 +225,14 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                            f"(residual {worst:.3e})", residual=worst, seed=u0)
 
 
+def _scores(F: Array, tol: Array) -> Array:
+    """max |F| / tol over the last axis.  A finite residual whose quotient
+    passes the float range scores inf, quietly: a trial step there balloons
+    the residual and backtracks."""
+    with np.errstate(over="ignore"):
+        return (np.abs(F) / tol).max(axis=-1)
+
+
 def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, tol,
                  accept_tol, max_iter: int,
                  jac: Callable[[tuple[Array, Array]], Array] | None,
@@ -273,7 +281,7 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
 
     def floor_check(sel: Array) -> int:
         # the end of a point call that stalled or ran out of iterations
-        later = (np.abs(F) / row_tol).max(axis=1) < best_res
+        later = _scores(F, row_tol) < best_res
         bu = np.where(later[:, None], u, best_u)
         bF = np.where(later[:, None], F, best_F)
         worst = np.abs(bF).max(axis=1)
@@ -287,7 +295,7 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
         if not rows.size:
             break
         iterations = it
-        res = (np.abs(F) / row_tol).max(axis=1)
+        res = _scores(F, row_tol)
         better = res < best_res
         best_u = np.where(better[:, None], u, best_u)
         best_F = np.where(better[:, None], F, best_F)
@@ -350,7 +358,7 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
                 break
             trial = np.asarray(f((rows[j], u[j] + alpha[j, None] * step[j])), dtype=float)
             finite = np.isfinite(trial).all(axis=1)
-            good = finite & ((np.abs(trial) / row_tol[j]).max(axis=1) <= 3.0 * res[j])
+            good = finite & (_scores(trial, row_tol[j]) <= 3.0 * res[j])
             first = finite & ~good & (fallback[j] == 0.0)
             F_new[j[good | first]] = trial[good | first]
             fallback[j[first]] = alpha[j[first]]

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import linear_models, phase_points, stays
-from test_kernels import _d4_coeffs, _d4_forge_coeffs, _negative_model, _orbit_starts
+from test_kernels import (_ballooning, _d4_coeffs, _d4_forge_coeffs, _negative_model,
+                          _orbit_starts)
 
 from hetdim import cones, cycles, tangency
 from hetdim.cones import (_inverse_product, leaf_march, return_chain, stable_frame,
@@ -876,6 +877,20 @@ def test_newton_rows_are_their_point_solves_property(table, exact):
         U, res, _ = got
         assert [_hex(U[r]) + _hex(res[r]) for r in range(len(table))] == \
             [_hex(u) + _hex(x) for u, x, _ in refs]
+
+
+def test_newton_rows_backtrack_from_a_residual_whose_score_overflows():
+    # rows 0 and 2 overshoot into a finite 1e300 residual, as their point
+    # solves do: each halves its step without an overflow warning, and every
+    # row is its point solve in float.hex
+    seeds = np.array([[1.5], [0.3], [-1.5]])
+    kw = dict(tol=1e-13, accept_tol=1e-11)
+    U, res, _ = newton_solve(lambda arg: _ballooning(arg[1]), seeds, scales=np.ones((3, 1)),
+                             **kw)
+    for u, x, seed in zip(U, res, seeds):
+        ref_u, ref_res, _ = newton_solve(_ballooning, seed, scales=np.ones(1), **kw)
+        assert _hex(u) + _hex(x) == _hex(ref_u) + _hex(ref_res)
+        assert abs(u[0]) < 1e-13
 
 
 def test_newton_rows_raise_a_rows_fd_jacobian_error():

@@ -285,8 +285,10 @@ def test_nonlinear_cycle_certifies_replays_and_crosses():
 
 # sha256 of the (12,10) certificate's JSON as written under fixed row
 # tolerances (numpy 2.4 on x86-64): there every measured float floor lies
-# under its fixed tolerance, so the floor rule leaves it bit for bit
-CYCLE_12_10_SHA256 = "015a83463de164302031ed6dc04e273a56e615f96669038d91143fc9602e3d80"
+# under its fixed tolerance, so the floor rule leaves it bit for bit.
+# Re-recorded when the linear tier's return chain took one factor per stay,
+# which moved index_evidence only (CYCLE_FIELDS_HEX)
+CYCLE_12_10_SHA256 = "d8769aa2546a3c388a7b08f3a28e6df858ed8ade5d04b3b8e9a255b5f46a8b48"
 
 
 def test_cycle_newton_stops_at_its_rows_float_floors(monkeypatch):
@@ -319,9 +321,41 @@ def test_cycle_newton_stops_at_its_rows_float_floors(monkeypatch):
 # leaves every certificate it passes bit for bit
 SCHEDULE_SHA256 = {
     (12, 10): CYCLE_12_10_SHA256,
-    (24, 20): "5e6dab01893171602bc4be53ab0a0036c0236eab584e2727d640c7b884f76108",
-    (36, 30): "3e0b4dd43b0cad445bfed3484056865158f7b99c7ff9e2b16249c91c2af9f077",
+    (24, 20): "e5348b6d469568ee039afd1b45acf00615cd9afb004867417ff7ecd9487e4e92",
+    (36, 30): "a2d53120fa5df5f60c48e1a268253e1cb7524d23b1d6dc08fedb889fafc0c818",
 }
+
+# float.hex of each certificate's solved values along the schedule, and the
+# sha256 of its JSON without index_evidence (points, specs and every other
+# field), as written while the linear tier's return chain still had one
+# factor per local step: chaining a stay as one factor moves the multipliers
+# in index_evidence by about 1e-15 relative and nothing else
+CYCLE_FIELDS_HEX = {
+    (12, 10): {"mu": "-0x1.a5ef8551658abp-12", "theta": "0x1.5ca48d2042de0p-1",
+               "eta": ["-0x1.27d4a22e43ef0p-6", "-0x1.7d02ac0040000p-17"],
+               "gap": "0x1.8800000000000p-59", "closure": "0x1.5020000000000p-45",
+               "rest": "b16d68d8995dab5ad70d8cae2ad71963db36770d14461dca4e2caff87daf554c"},
+    (24, 20): {"mu": "-0x1.540403ad655b3p-20", "theta": "0x1.7fa3afd7dbdadp-1",
+               "eta": ["-0x1.201d86879ed00p-10", "-0x1.7a51bc0000000p-32"],
+               "gap": "0x1.db10000000000p-65", "closure": "0x1.8c70000000000p-42",
+               "rest": "fe7057ee9bbc499eb0c3fb1f2c9fc078bebb9eaffddae736e51799ea3ff4e0de"},
+    (36, 30): {"mu": "-0x1.be64304a4bff2p-29", "theta": "0x1.8cfafe27a289dp-1",
+               "eta": ["-0x1.dabfd60ab0000p-15", "-0x1.d200000000000p-47"],
+               "gap": "0x1.9210000000000p-74", "closure": "0x1.8b05080000000p-35",
+               "rest": "c71c176d456ee62227d63db239d91db6973582dd9b71b45a4ad2cc1932ff5311"},
+}
+
+
+def test_cycle_certificates_drift_only_in_their_index_evidence(hetdim_certificates):
+    for cert in hetdim_certificates:
+        doc = certificate_to_dict(cert)
+        doc.pop("index_evidence")
+        rest = hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).hexdigest()
+        fields = {"mu": cert.parameters["mu"].hex(), "theta": cert.parameters["theta"].hex(),
+                  "eta": [e.hex() for e in cert.orbit.eta],
+                  "gap": float(cert.quasi_connection["gap"]).hex(),
+                  "closure": float(cert.residuals["closure"]).hex(), "rest": rest}
+        assert fields == CYCLE_FIELDS_HEX[tuple(cert.orbit.itinerary)]
 
 
 def test_cycle_solver_raises_where_its_certificate_would_not_replay(hetdim_certificates):

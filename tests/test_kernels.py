@@ -18,19 +18,19 @@ from hypothesis import strategies as st
 from strategies import coordinates, linear_models, phase_points, stays, tier_models
 
 from hetdim import cones, runner
-from hetdim.cones import (_inverse_product, return_chain, stable_frame, stable_slopes,
-                          strip_center)
-from hetdim.cycles import orbit_index, orbit_jacobian_chain
+from hetdim.cones import (_inverse_product, invariant_cu_subspace, return_chain, stable_frame,
+                          stable_slopes, strip_center)
+from hetdim.cycles import orbit_index, orbit_jacobian_chain, orbit_multipliers
 from hetdim.errors import ConvergenceError, DomainError, ItineraryError
-from hetdim.global_map import (axis_point, first_return_array, t1_array, t1_jac_array,
-                               t1_tilde_array)
+from hetdim.global_map import (axis_point, coeffs_from_json, first_return_array, t1_array,
+                               t1_jac_array, t1_tilde_array)
 from hetdim.local import _forward_y, solve_cross_form
 from hetdim.numerics import (chain_product, fd_jacobian, fold_tol, frobenius, newton_1d,
                              newton_solve, orthonormal_frame)
 from hetdim.presets import (base_model, battery_coeffs, battery_model, battery_pairs,
                             d4_model, forge_coeffs, hetdim_coeffs, hetdim_model)
-from hetdim.saddle import (BOX, Multipliers, build_model, jacobian_along, orbit, reflect_array,
-                           stay_exit, t0_array, t0_jac_array)
+from hetdim.saddle import (BOX, Multipliers, build_model, jacobian_along, model_from_json, orbit,
+                           reflect_array, stay_exit, t0_array, t0_jac_array)
 from hetdim.tangency import _cross_form_jet
 
 TIERS = ("linear", "polynomial", "polynomial_symmetric")
@@ -438,10 +438,24 @@ def _d4_coeffs():
         alpha2=np.array([0.03, 0.01]), alpha3=np.array([[0.4, 0.05], [0.0, 0.3]]))
 
 
+def _per_step_chain(model, coeffs, p, stays):
+    """The return chain with one factor per local step: each stay's step
+    Jacobians along its trajectory, then T1's at its exit."""
+    v, factors = np.asarray(p, dtype=float), []
+    for k in stays:
+        traj = orbit(model, v, k)
+        factors.extend(t0_jac_array(model, traj[:k]))
+        factors.append(t1_jac_array(coeffs, traj[k]))
+        v = t1_array(coeffs, traj[k])
+    return np.stack(factors)
+
+
 @pytest.mark.parametrize("tilde", [False, True])
 @pytest.mark.parametrize("k", [10, 20, 36])
 @pytest.mark.parametrize("lab", ["hetdim", "d4"])
 def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde, twin):
+    # the linear tier's chain is one stay factor and one T1 factor; the
+    # reference iterates over the independently built per-step chain
     if lab == "hetdim":
         model, coeffs = hetdim_model(), hetdim_coeffs()
     else:
@@ -451,11 +465,27 @@ def test_stable_frame_matches_per_step_inverse_iteration(lab, k, tilde, twin):
         base = reflect_array(model, base)
         coeffs = twin(model, coeffs)
     chain = return_chain(model, coeffs, base, [k])
-    assert chain.shape == (k + 1, model.dim, model.dim)
+    assert chain.shape == (2, model.dim, model.dim)
+    steps = _per_step_chain(model, coeffs, base, [k])
+    assert steps.shape == (k + 1, model.dim, model.dim)
+    # the stay factor is the product of the step factors, value for value
+    assert np.array_equal(chain[0], chain_product(steps[:k]))
     W = stable_frame(_inverse_product(chain))
     assert W.shape == (model.dim, model.dim - 2)
     assert np.max(np.abs(W.T @ W - np.eye(model.dim - 2))) < 1e-14
-    assert subspace_distance(W, _reference_stable_frame(chain)) < 1e-13
+    assert subspace_distance(W, stable_frame(_inverse_product(steps))) < 1e-13
+    assert subspace_distance(W, _reference_stable_frame(steps)) < 1e-13
+
+
+@pytest.mark.parametrize("tier", ["polynomial", "polynomial_symmetric"])
+@pytest.mark.parametrize("make", [base_model, d4_model], ids=["D3", "D4"])
+def test_nonlinear_return_chain_is_the_per_step_chain(make, tier):
+    # the nonlinear tiers keep one factor per local step, bit for bit
+    model = make(tier)
+    coeffs = hetdim_coeffs() if model.dim == 3 else _d4_coeffs()
+    base = strip_center(model, coeffs, 12)
+    chain = return_chain(model, coeffs, base, [12, 10])
+    assert chain.tobytes() == _per_step_chain(model, coeffs, base, [12, 10]).tobytes()
 
 
 def _chain_slopes(model, coeffs, p, k):
@@ -579,20 +609,62 @@ def test_frobenius_is_np_linalg_norm_bitwise(shape):
             assert frobenius(B).hex() == float(np.linalg.norm(B)).hex()
 
 
+def _per_step_orbit_chain(model, coeffs, orbit):
+    """Both legs' per-step chains, each from its stored entry point."""
+    cm = coeffs.with_mu(orbit.mu)
+    return np.concatenate([_per_step_chain(model, cm, orbit.points[name].as_array(), [n])
+                           for name, n in zip(("Q01", "Q02"), orbit.itinerary)])
+
+
 def test_orbit_jacobian_chain_shape_and_index(battery_orbits):
     model, coeffs = battery_model(), battery_coeffs()
     for orbit in battery_orbits:
         k, m = orbit.itinerary
         chain = orbit_jacobian_chain(model, coeffs, orbit)
-        assert chain.shape == (k + m + 2, model.dim, model.dim)
-        # the index of DT^2 composed leg by leg, as the first-return map does
+        # on the linear tier each leg is one stay factor and one T1 factor
+        assert chain.shape == (4, model.dim, model.dim)
         cm = coeffs.with_mu(orbit.mu)
+        steps = _per_step_orbit_chain(model, coeffs, orbit)
+        assert steps.shape == (k + m + 2, model.dim, model.dim)
+        # the two leading multipliers agree with the per-step chain's: to
+        # 3e-15 relative at the runner's s-targets, to 3.3e-13 in the second
+        # at s = -0.45 (14,12), where each product's dense eigensolver is off
+        # by that much from an 80-digit one (ROADMAP item 4)
+        lead, ref = orbit_multipliers(chain)[:2], orbit_multipliers(steps)[:2]
+        rel = 1e-13 if orbit.s_value in (-0.9, 0.0, 0.9) else 1e-12
+        assert np.all(np.abs(lead - ref) <= rel * np.abs(ref)), (k, m, lead, ref)
+        # the index of DT^2 composed leg by leg, as the first-return map does
         _, F1 = first_return_array(model, cm, orbit.points["Q01"].as_array(), k)
         _, F2 = first_return_array(model, cm, orbit.points["Q02"].as_array(), m)
         expected = int(np.sum(np.abs(np.linalg.eigvals(F2 @ F1)) > 1.0))
         assert orbit_index(model, coeffs, orbit) == expected
         if abs(orbit.s_value) < 1.0:
             assert expected == 2
+
+
+def test_cu_frame_is_the_per_step_chain_frame(hetdim_certificates):
+    # the plane verify_transverse_connection grows its disk in, at the
+    # three scheduled cycles: carried through one factor per stay, and
+    # through one factor per local step
+    for cert in hetdim_certificates:
+        model, cm = model_from_json(cert.model_spec), coeffs_from_json(cert.coeffs_spec)
+        q, stays = cert.orbit.points["Q01"].as_array(), list(cert.orbit.itinerary)
+        chain = return_chain(model, cm, q, stays)
+        assert chain.shape == (4, model.dim, model.dim)
+        E = invariant_cu_subspace(chain).subspace
+        ref = invariant_cu_subspace(_per_step_chain(model, cm, q, stays)).subspace
+        assert subspace_distance(E, ref) < 1e-15, stays
+
+
+@pytest.mark.parametrize("tier", ["polynomial", "polynomial_symmetric"])
+def test_nonlinear_orbit_jacobian_chain_is_the_per_step_chain(battery_orbits, tier):
+    # the nonlinear tiers chain every local step of both legs, bit for bit,
+    # here along the linear battery orbits' legs
+    model = build_model(battery_model().multipliers, 3, {"kind": tier, "eps": 0.05})
+    coeffs = battery_coeffs()
+    for orbit in battery_orbits[::5]:
+        steps = _per_step_orbit_chain(model, coeffs, orbit)
+        assert orbit_jacobian_chain(model, coeffs, orbit).tobytes() == steps.tobytes()
 
 
 def test_fd_jacobian_raises_when_every_probe_leaves_the_domain():
@@ -753,6 +825,27 @@ def test_newton_1d_returns_the_payload_of_the_root_as_a_float():
     assert payload == ("at", calls[-1]) and calls[-1] == t
     assert (val, slope) == f(t)[:2]
     assert evals == len(calls) - 1
+
+
+def _ballooning(u):
+    """atan, whose Newton step from 1.5 overshoots to -1.69, and a finite
+    1e300 past |u| = 1.6: its |F| / tol at tol 1e-13 passes the float range."""
+    return np.where(np.abs(u) < 1.6, np.arctan(u), np.copysign(1e300, u))
+
+
+def test_newton_solve_backtracks_from_a_residual_whose_score_overflows():
+    # the trial at -1.69 balloons the residual and halves, without an
+    # overflow warning (an error under this suite's filterwarnings)
+    calls = []
+
+    def f(u):
+        calls.append(float(u[0]))
+        return _ballooning(u)
+
+    u, res, _ = newton_solve(f, np.array([1.5]), scales=np.ones(1), tol=1e-13,
+                             accept_tol=1e-11)
+    assert abs(u[0]) < 1e-13 and res < 1e-13
+    assert min(calls) < -1.6
 
 
 def test_newton_solve_floor_accept_reports_the_best_iterates_residual():
