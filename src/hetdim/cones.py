@@ -43,20 +43,14 @@ def return_chain(model: SaddleModel, coeffs: GlobalMapCoeffs, p: Array,
     by entry), which matters for the backward (inverse) iteration; the full
     product's condition number is astronomically large.
     """
-    D = model.dim
     linear = model.nonlinearity.kind == "linear"
-    chain = np.empty((2 * len(stays) if linear else sum(stays) + len(stays), D, D))
-    v = np.asarray(p, dtype=float)
-    i = 0
+    parts, v = [], np.asarray(p, dtype=float)
     for k in stays:
         traj = orbit(model, v, k)
-        n = 1 if linear else k
-        chain[i:i + n] = jacobian_along(model, traj) if linear else t0_jac_array(model, traj[:k])
-        v = traj[k]
-        chain[i + n] = t1_jac_array(coeffs, v)
-        v = t1_array(coeffs, v)
-        i += n + 1
-    return chain
+        stay = jacobian_along(model, traj)[None] if linear else t0_jac_array(model, traj[:k])
+        parts += [stay, t1_jac_array(coeffs, traj[k])[None]]
+        v = t1_array(coeffs, traj[k])
+    return np.concatenate(parts)
 
 
 def _inverse_product(chain: Array) -> Array:

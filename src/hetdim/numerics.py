@@ -150,17 +150,16 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     tol_arr = np.atleast_1d(np.asarray(tol, dtype=float))
     accept = np.atleast_1d(np.asarray(accept_tol, dtype=float))
 
-    def _score(F: Array) -> float:
-        return float(_scores(F, tol_arr))
-
     F = np.asarray(f(u), dtype=float)
+    # every later F is a trial that passed the finiteness check
+    if not np.isfinite(F).all():
+        raise ConvergenceError(f"{name}: residual became non-finite",
+                               residual=float(np.abs(F).max()), seed=u0)
     best_u, best_F, best_res = u.copy(), F, np.inf
     fact = None
     window_best = np.inf
     for it in range(max_iter):
-        res = _score(F)
-        if not np.isfinite(res):
-            raise ConvergenceError(f"{name}: residual became non-finite", residual=res, seed=u0)
+        res = float(_scores(F, tol_arr))
         if res < best_res:
             best_u, best_F, best_res = u.copy(), F, res
         if (np.abs(F) < tol_arr).all():
@@ -199,7 +198,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                 alpha *= 0.5
                 continue
             if np.isfinite(F_new).all():
-                if _score(F_new) <= 3.0 * res:
+                if _scores(F_new, tol_arr) <= 3.0 * res:
                     ok = True
                     break
                 if fallback is None:
@@ -216,7 +215,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                                    residual=best_res, seed=u0)
         u = u + alpha * step
         F = F_new
-    if _score(F) < best_res:
+    if _scores(F, tol_arr) < best_res:
         best_u, best_F = u.copy(), F
     worst = float(np.abs(best_F).max())
     if (np.abs(best_F) < accept).all():
@@ -225,12 +224,16 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                            f"(residual {worst:.3e})", residual=worst, seed=u0)
 
 
+# |F| above this scores as if it were this: far beyond any residual a solve
+# keeps, and its quotient by any tol above 1e-100 stays inside the float range
+_SCORE_CAP = 1e200
+
+
 def _scores(F: Array, tol: Array) -> Array:
-    """max |F| / tol over the last axis.  A finite residual whose quotient
-    passes the float range scores inf, quietly: a trial step there balloons
-    the residual and backtracks."""
-    with np.errstate(over="ignore"):
-        return (np.abs(F) / tol).max(axis=-1)
+    """max |F| / tol over the last axis, |F| capped at _SCORE_CAP: a finite
+    residual whose quotient would pass the float range scores huge, without
+    an overflow warning, so its trial step balloons and backtracks."""
+    return (np.minimum(np.abs(F), _SCORE_CAP) / tol).max(axis=-1)
 
 
 def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, tol,
@@ -291,6 +294,11 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
              "(residual {:.3e})")
         return int(ok.sum())
 
+    # every later F row is a trial that passed the finiteness check
+    bad = ~np.isfinite(F).all(axis=1)
+    if bad.any():
+        fail(bad, np.abs(F).max(axis=1), "residual became non-finite")
+        keep_only(~bad)
     for it in range(max_iter):
         if not rows.size:
             break
@@ -301,14 +309,12 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, t
         best_F = np.where(better[:, None], F, best_F)
         best_res = np.where(better, res, best_res)
         stop = (np.abs(F) < row_tol).all(axis=1)
-        bad = ~np.isfinite(res)
-        fail(bad, res, "residual became non-finite")
-        leave = stop | bad
+        leave = stop
         if it % 12 == 11:
             if it >= 23:
                 stall = ~leave & (best_res > 0.8 * window_best)
                 floor_accepts += floor_check(stall)
-                leave |= stall
+                leave = leave | stall
             window_best = best_res
         if leave.any():
             out[rows[stop]] = u[stop]

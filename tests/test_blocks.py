@@ -893,6 +893,26 @@ def test_newton_rows_backtrack_from_a_residual_whose_score_overflows():
         assert abs(u[0]) < 1e-13
 
 
+def test_newton_rows_raise_on_a_non_finite_seed_residual_as_their_point_solves():
+    # an inf or NaN residual at the seed stops its solve at once, in both
+    # loops, and the error carries that residual
+    def f(U):
+        return np.where(np.abs(U) < 2.0, U, np.where(U > 0.0, np.inf, np.nan))
+
+    seeds = np.array([[0.5], [3.0], [-3.0]])
+    kw = dict(tol=1e-13, accept_tol=1e-11)
+    refs = []
+    for seed in seeds[1:]:
+        with pytest.raises(ConvergenceError, match="residual became non-finite") as ref:
+            newton_solve(f, seed, scales=np.ones(1), **kw)
+        refs.append(ref.value)
+    assert refs[0].residual == np.inf and np.isnan(refs[1].residual)
+    with pytest.raises(ConvergenceError) as exc:
+        newton_solve(lambda arg: f(arg[1]), seeds, scales=np.ones((3, 1)), **kw)
+    assert exc.value.row == 1 and str(exc.value) == f"{refs[0]} (row 1)"
+    assert exc.value.residual == np.inf
+
+
 def test_newton_rows_raise_a_rows_fd_jacobian_error():
     # row 1's domain is punctured around its seed's x: both FD probes in x
     # leave it, so its point solve raises fd_jacobian's error, and so does

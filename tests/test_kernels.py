@@ -489,8 +489,8 @@ def test_nonlinear_return_chain_is_the_per_step_chain(make, tier):
 
 
 def _chain_slopes(model, coeffs, p, k):
-    """Leaf slopes from the full per-step chain."""
-    V = stable_frame(_inverse_product(return_chain(model, coeffs, p, [k])))
+    """Leaf slopes from the per-step chain, built in this module."""
+    V = stable_frame(_inverse_product(_per_step_chain(model, coeffs, p, [k])))
     return V[:2, :] @ np.linalg.inv(V[2:, :])
 
 
