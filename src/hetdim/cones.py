@@ -369,20 +369,20 @@ def _leaf_piece(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, xy: Array,
 
 
 def leaf_march(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array, k: int,
-               z_target: Array, base_slopes: Array) -> tuple[Array, Array, Array]:
+               z_target: Array, base_slopes: Array) -> tuple[Array, Array]:
     """March the leaf graph from the flat (D,) point base to z_target by Heun
     steps, each checked by two half steps (``_leaf_piece``); a leaf straight to
     rounding takes five slope evaluations.  ``base_slopes`` is
     ``stable_slopes`` at base, which a caller computes once for all its marches
-    from that base.  Returns the (x, y) arrival, the slope matrix there, and
-    z_target itself; raises ConvergenceError past LEAF_MAX_DEPTH halvings.
+    from that base.  Returns the (x, y) arrival and the slope matrix there;
+    raises ConvergenceError past LEAF_MAX_DEPTH halvings.
 
     An (N, D) block of bases with (N, D-2) targets and (N, 2, D-2) base
     slopes marches its rows together, each bit for bit its point call; a row
     whose point call raises comes back NaN."""
     z_target = np.atleast_1d(np.asarray(z_target, dtype=float))
     xy, z0 = base[..., :2].astype(float), base[..., 2:].astype(float)
-    return (*_leaf_piece(model, coeffs, k, xy, base_slopes, z0, z_target, 0), z_target)
+    return _leaf_piece(model, coeffs, k, xy, base_slopes, z0, z_target, 0)
 
 
 def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array,
@@ -405,8 +405,8 @@ def strong_stable_leaf(model: SaddleModel, coeffs: GlobalMapCoeffs, base: Array,
             z_t[axis] += off
             if np.linalg.norm(z_t) >= coeffs.delta:
                 continue
-            xy, Phi, z = leaf_march(model, coeffs, base, k, z_t, base_slopes)
-            z_pts.append(z)
+            xy, Phi = leaf_march(model, coeffs, base, k, z_t, base_slopes)
+            z_pts.append(z_t)
             xy_pts.append(xy)
             p1.append(Phi[0])
             p2.append(Phi[1])

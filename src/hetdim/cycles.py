@@ -464,7 +464,7 @@ def _connection_gap(model: SaddleModel, coeffs: GlobalMapCoeffs, coeffs2: Global
         w, J = axis_jet(model, cm2 if rows is ... else coeffs2.with_mu(mu2[rows]),
                         coeffs2.y_minus - t, jacobian=True)
         q, dq = reflect_array(model, w), -reflect_array(model, J[..., 1])
-        xy, Phi, _ = leaf_march(model, coeffs, Q02[rows], m, q[..., 2:], base_slopes[rows])
+        xy, Phi = leaf_march(model, coeffs, Q02[rows], m, q[..., 2:], base_slopes[rows])
         slope = (Phi[..., :1, :] @ dq[..., 2:, None])[..., 0, 0] - dq[..., 0]
         return xy[..., 0] - q[..., 0], slope, (q, xy)
 

@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError
 
 Array = np.ndarray
 
@@ -131,92 +131,92 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     probes to ``f`` as one block.  ``jac``, when given, returns the exact
     Jacobian at u and takes the place of every FD Jacobian; the rest of the
     iteration is the same.  The equilibration matters: closure systems mix
-    residual scales from O(1) down to O(gamma^-k).
+    residual scales from O(1) down to O(gamma^-k).  Returns the solution,
+    its max |F| and the iterations run (``max_iter`` for a floor accept).
 
-    An (N, n) seed block u0 starts N rows that step in lock-step, each to
-    its own stop (``_newton_rows``); ``scales``, ``tol`` and ``accept_tol``
-    may then hold one row per seed.  Each row returns its point solve's
-    result, or the block raises the error of the lowest row whose point
-    solve raises.
+    The iteration exists once, as the generator ``_newton_steps``.  An (N,
+    n) seed block u0 drives one per row in lock-step (``_newton_rows``);
+    ``scales``, ``tol`` and ``accept_tol`` may then hold one row per seed.
+    Each row returns its point solve's result, or the block raises the
+    error of the lowest row whose point solve raises.
     """
-    if np.ndim(u0) == 2:
-        if jac_reuse != 1:
-            raise ValueError("newton_solve: the rows take a fresh Jacobian every iteration")
-        return _newton_rows(f, np.asarray(u0, dtype=float), scales, tol, accept_tol,
-                            max_iter, jac, name)
-    # a point loop: as one-row blocks the battery's 39 solves take 0.304 s, not 0.212 s
-    u = np.asarray(u0, dtype=float).copy()
-    scales_arr = np.asarray(scales, dtype=float)
-    tol_arr = np.atleast_1d(np.asarray(tol, dtype=float))
-    accept = np.atleast_1d(np.asarray(accept_tol, dtype=float))
+    u0 = np.array(u0, dtype=float)
+    tol, accept = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (tol, accept_tol))
+    scales = np.asarray(scales, dtype=float)
+    if u0.ndim == 2:
+        return _newton_rows(f, u0, scales, tol, accept, max_iter, jac_reuse, jac, name)
+    u = step = None
 
-    F = np.asarray(f(u), dtype=float)
+    def answer(request):
+        nonlocal u, step
+        if isinstance(request, tuple):
+            u, F, fact = request
+            if fact is None:
+                fact = _equilibrated(fd_jacobian(f, u, scales=scales, block=block) if jac is None
+                                     else jac(u))
+            step = _newton_step(fact, F)
+            return fact
+        point = u0 if request is None else u + request * step
+        F = np.asarray(f(point), dtype=float)
+        return (point, F, *_scored(F, tol))
+
+    return _drive(_newton_steps(accept, max_iter, jac_reuse, name), answer)
+
+
+def _newton_steps(accept: Array, max_iter: int, jac_reuse: int, name: str):
+    """One ``newton_solve`` as a generator of the evaluations it needs: None
+    for the seed and a float alpha for the trial u + alpha step, each
+    answered with (point, F, *``_scored(F, tol)``) or with F's
+    NumericalError thrown in; (u, F, fact) for the step at u, answered with
+    the factor of the Jacobian it used, made fresh where fact is None.  It
+    returns the solve's result or raises its error."""
+    u, F, res, finite, below = yield None
+    u0 = u
     # every later F is a trial that passed the finiteness check
-    if not np.isfinite(F).all():
+    if not finite:
         raise ConvergenceError(f"{name}: residual became non-finite",
                                residual=float(np.abs(F).max()), seed=u0)
-    best_u, best_F, best_res = u.copy(), F, np.inf
-    fact = None
-    window_best = np.inf
+    best_u, best_F, best_res = u, F, np.inf
+    fact, window_best = None, np.inf
     for it in range(max_iter):
-        res = float(_scores(F, tol_arr))
         if res < best_res:
-            best_u, best_F, best_res = u.copy(), F, res
-        if (np.abs(F) < tol_arr).all():
+            best_u, best_F, best_res = u, F, res
+        if below:
             return u, float(np.abs(F).max()), it
         if it % 12 == 11:
             if it >= 23 and best_res > 0.8 * window_best:
                 break  # progress died at the float noise floor
             window_best = best_res
-        fresh = fact is None or it % jac_reuse == 0
-        if fresh:
-            J = (fd_jacobian(f, u, scales=scales_arr, block=block) if jac is None
-                 else jac(u))
-            # equilibrate rows then columns to tame the gamma^k dynamic range
-            r = np.abs(J).max(axis=1)
-            r[r == 0.0] = 1.0
-            Jr = J / r[:, None]
-            c = np.abs(Jr).max(axis=0)
-            c[c == 0.0] = 1.0
-            fact = (Jr / c[None, :], r, c)
-        Jrc, r, c = fact
-        try:
-            step = np.linalg.solve(Jrc, -F / r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(Jrc, -F / r, rcond=None)
-        step = step / c
+        if it % jac_reuse == 0:
+            fact = None
+        fresh = fact is None
+        fact = yield u, F, fact
         # backtrack on evaluations that leave the maps' domains or that
         # balloon the residual (loose safeguard; quadratic convergence near
-        # the root is monotone anyway)
-        alpha = 1.0
-        ok = False
-        fallback = None
+        # the root is monotone anyway), else take the first finite trial
+        alpha, trial, fallback = 1.0, None, None
         for _ in range(20):
             try:
-                F_new = np.asarray(f(u + alpha * step), dtype=float)
+                reply = yield alpha
             except NumericalError:
                 alpha *= 0.5
                 continue
-            if np.isfinite(F_new).all():
-                if _scores(F_new, tol_arr) <= 3.0 * res:
-                    ok = True
+            if reply[3]:
+                if reply[2] <= 3.0 * res:
+                    trial = reply
                     break
-                if fallback is None:
-                    fallback = (alpha, F_new)
+                fallback = fallback or reply
             alpha *= 0.5
-        if not ok and fallback is not None:
-            alpha, F_new = fallback
-            ok = True
-        if not ok:
+        trial = trial or fallback
+        if trial is None:
             if not fresh:
                 fact = None  # stale direction was garbage; refresh and retry
                 continue
             raise ConvergenceError(f"{name}: step landed outside the domain",
-                                   residual=best_res, seed=u0)
-        u = u + alpha * step
-        F = F_new
-    if _scores(F, tol_arr) < best_res:
-        best_u, best_F = u.copy(), F
+                                   residual=float(best_res), seed=u0)
+        u, F, res, _, below = trial
+    if res < best_res:
+        best_u, best_F = u, F
     worst = float(np.abs(best_F).max())
     if (np.abs(best_F) < accept).all():
         return best_u, worst, max_iter
@@ -229,162 +229,138 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
 _SCORE_CAP = 1e200
 
 
-def _scores(F: Array, tol: Array) -> Array:
-    """max |F| / tol over the last axis, |F| capped at _SCORE_CAP: a finite
-    residual whose quotient would pass the float range scores huge, without
-    an overflow warning, so its trial step balloons and backtracks."""
-    return (np.minimum(np.abs(F), _SCORE_CAP) / tol).max(axis=-1)
+def _scored(F: Array, tol: Array) -> tuple[Any, Any, Any]:
+    """Over the last axis of F: its score max min(|F|, _SCORE_CAP) / tol (a
+    finite F past the float range scores huge, without an overflow), its
+    finiteness and whether |F| < tol throughout."""
+    a = np.abs(F)
+    return ((np.minimum(a, _SCORE_CAP) / tol).max(axis=-1), np.isfinite(F).all(axis=-1),
+            (a < tol).all(axis=-1))
 
 
-def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales, tol,
-                 accept_tol, max_iter: int,
+def _equilibrated(J: Array) -> tuple[Array, Array, Array]:
+    """(J / r / c, r, c) of a Jacobian or of each of a stack: its rows r, then
+    its columns c, scaled to a largest entry of 1 (the gamma^k range)."""
+    r = np.abs(J).max(axis=-1)
+    r[r == 0.0] = 1.0
+    Jr = J / r[..., None]
+    c = np.abs(Jr).max(axis=-2)
+    c[c == 0.0] = 1.0
+    return Jr / c[..., None, :], r, c
+
+
+def _newton_step(fact: tuple[Array, Array, Array], F: Array) -> Array:
+    """The step -J^-1 F from J's ``_equilibrated`` factor, of one system or
+    of each of a stack; least squares where a system is singular."""
+    Jrc, r, c = fact
+    b = -F / r
+    try:
+        return (np.linalg.solve(Jrc, b) if b.ndim == 1
+                else np.linalg.solve(Jrc, b[..., None])[..., 0]) / c
+    except np.linalg.LinAlgError:
+        if b.ndim == 1:
+            return np.linalg.lstsq(Jrc, b, rcond=None)[0] / c
+        return np.array([_newton_step(row[:3], row[3]) for row in zip(Jrc, r, c, F)])
+
+
+def _drive(steps, answer: Callable[[Any], Any]):
+    """Run the generator ``steps`` to its return value: answer each request
+    it yields, and throw an answer's NumericalError back in."""
+    reply = error = None
+    while True:
+        try:
+            request = steps.send(reply) if error is None else steps.throw(error)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            reply, error = answer(request), None
+        except NumericalError as exc:
+            error = exc
+
+
+def _drive_rows(steps: list, serve: Callable[[list, list], dict]) -> list:
+    """Run the generators ``steps`` in lock-step.  Each round ``serve(live,
+    requests)`` answers some of the rows ``live`` still running, from their
+    pending ``requests`` (by row), as {row: reply}; an exception reply is
+    thrown in.  Returns each row's return value, or its NumericalError."""
+    requests, results = [None] * len(steps), [None] * len(steps)
+    live, replies = list(range(len(steps))), dict.fromkeys(range(len(steps)))
+    while True:
+        for j, reply in replies.items():
+            try:
+                requests[j] = (steps[j].throw(reply) if isinstance(reply, Exception)
+                               else steps[j].send(reply))
+                continue
+            except StopIteration as stop:
+                results[j] = stop.value
+            except NumericalError as exc:
+                results[j] = exc
+            live.remove(j)
+        if not live:
+            return results
+        replies = serve(live, requests)
+
+
+def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales: Array,
+                 tol: Array, accept: Array, max_iter: int, jac_reuse: int,
                  jac: Callable[[tuple[Array, Array]], Array] | None,
                  name: str) -> tuple[Array, Array, int]:
-    """``newton_solve`` for N rows at once: each row takes the point call's
-    steps, bit for bit, and stops where that call stops.
-
-    ``f`` takes a pair (rows, u): the indices of the rows it evaluates and
-    their (M, n) block; it returns their (M, m) residual rows, NaN on a row
-    whose point call raises.  ``jac``, when given, takes the same pair and
-    returns their (M, m, n) Jacobians; otherwise each live row takes its own
-    ``fd_jacobian`` on a block of its probes.  Every residual call carries
-    only the rows still iterating, and NaN counts as a raise while a row
-    backtracks, as it does in the point call.  Returns the (N, n)
-    solutions, their (N,) max |F| and the number of lock-step iterations
-    (max_iter when any row accepted on its floor).  A row stops where its
-    point call raises ConvergenceError; once every row has stopped, the
-    error of the lowest such row is raised, its row index added to the text
-    and kept as ``row``.
-    """
+    """``newton_solve`` on the rows of u0, one ``_newton_steps`` per row in
+    lock-step.  ``f`` takes a pair (rows, u), the indices of the rows it
+    evaluates and their (M, n) block, and returns their (M, m) residuals,
+    NaN on a row whose point call raises; ``jac`` takes the same pair and
+    returns their (M, m, n) Jacobians, else each fresh row takes its own
+    block ``fd_jacobian``.  A round is one residual call on every row that
+    asks for one, else every row's step.  The third result is the most
+    iterations a row ran.  Once all rows stop, the lowest row that raised
+    raises, " (row r)" and ``row`` added."""
     N, n = u0.shape
-    u = u0.copy()
-    F = np.asarray(f((np.arange(N), u)), dtype=float)
-    m = F.shape[1]
-    scales = np.broadcast_to(np.asarray(scales, dtype=float), (N, n))
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), (N, m))
-    accept = np.broadcast_to(np.asarray(accept_tol, dtype=float), (N, m))
-    out, out_res = np.empty((N, n)), np.empty(N)
-    failed: dict[int, ConvergenceError] = {}
-    # the rows still iterating; every array below holds only theirs
-    rows, row_tol = np.arange(N), tol
-    best_u, best_F, best_res = u, F, np.full(N, np.inf)
-    res = window_best = best_res
-    floor_accepts = 0
-    iterations = 0
+    scales = np.broadcast_to(scales, (N, n))
+    tol, accept = (np.broadcast_to(a, (N, a.shape[-1])) for a in (tol, accept))
+    base, along = u0.copy(), np.empty((N, n))  # each row's point and step at its last step
 
-    def keep_only(keep: Array) -> None:
-        nonlocal rows, row_tol, u, F, res, best_u, best_F, best_res, window_best
-        rows, row_tol, u, F, res, best_u, best_F, best_res, window_best = (
-            a[keep] for a in (rows, row_tol, u, F, res, best_u, best_F, best_res, window_best))
-
-    def fail(sel: Array, residual: Array, reason: str) -> None:
-        # the point calls of the rows ``sel`` raise; reason's "{}" is the residual
-        for r, x in zip(rows[sel].tolist(), residual[sel].tolist()):
-            failed[r] = ConvergenceError(f"{name}: " + reason.format(x), residual=x, seed=u0[r])
-
-    def floor_check(sel: Array) -> int:
-        # the end of a point call that stalled or ran out of iterations
-        later = _scores(F, row_tol) < best_res
-        bu = np.where(later[:, None], u, best_u)
-        bF = np.where(later[:, None], F, best_F)
-        worst = np.abs(bF).max(axis=1)
-        ok = sel & (np.abs(bF) < accept[rows]).all(axis=1)
-        out[rows[ok]], out_res[rows[ok]] = bu[ok], worst[ok]
-        fail(sel & ~ok, worst, f"no convergence after {max_iter} iterations "
-             "(residual {:.3e})")
-        return int(ok.sum())
-
-    # every later F row is a trial that passed the finiteness check
-    bad = ~np.isfinite(F).all(axis=1)
-    if bad.any():
-        fail(bad, np.abs(F).max(axis=1), "residual became non-finite")
-        keep_only(~bad)
-    for it in range(max_iter):
-        if not rows.size:
-            break
-        iterations = it
-        res = _scores(F, row_tol)
-        better = res < best_res
-        best_u = np.where(better[:, None], u, best_u)
-        best_F = np.where(better[:, None], F, best_F)
-        best_res = np.where(better, res, best_res)
-        stop = (np.abs(F) < row_tol).all(axis=1)
-        leave = stop
-        if it % 12 == 11:
-            if it >= 23:
-                stall = ~leave & (best_res > 0.8 * window_best)
-                floor_accepts += floor_check(stall)
-                leave = leave | stall
-            window_best = best_res
-        if leave.any():
-            out[rows[stop]] = u[stop]
-            out_res[rows[stop]] = np.abs(F[stop]).max(axis=1)
-            keep_only(~leave)
-            if not rows.size:
-                break
-        if jac is not None:
-            J = np.asarray(jac((rows, u)), dtype=float)
-        else:
-            J, fd_ok = np.empty((len(rows), m, n)), np.ones(len(rows), bool)
-            for j, r in enumerate(rows.tolist()):
+    def serve(live: list, requests: list) -> dict:
+        trials = [j for j in live if not isinstance(requests[j], tuple)]
+        if trials:
+            rows = np.array(trials)
+            U = base[rows]
+            if requests[trials[0]] is not None:  # the seeds are every row's first request
+                U = U + np.array([requests[j] for j in trials])[:, None] * along[rows]
+            F = np.asarray(f((rows, U)), dtype=float)
+            return dict(zip(trials, zip(U, F, *(a.tolist() for a in _scored(F, tol[rows])))))
+        replies, fresh = {}, [j for j in live if requests[j][2] is None]
+        if jac is None:
+            J = []
+            for j in fresh:
                 try:
-                    J[j] = fd_jacobian(lambda q, r=r: f((np.full(len(q), r), q)), u[j],
-                                       scales=scales[r], block=True)
+                    J.append(fd_jacobian(lambda q, j=j: f((np.full(len(q), j), q)),
+                                         requests[j][0], scales=scales[j], block=True))
                 except ConvergenceError as exc:
-                    failed[r], fd_ok[j] = exc, False
-            if not fd_ok.all():
-                keep_only(fd_ok)
-                J = J[fd_ok]
-        # equilibrate rows then columns, each row as its point call does
-        r = np.abs(J).max(axis=2)
-        r[r == 0.0] = 1.0
-        Jr = J / r[:, :, None]
-        c = np.abs(Jr).max(axis=1)
-        c[c == 0.0] = 1.0
-        Jrc, rhs = Jr / c[:, None, :], -F / r
-        try:
-            step = np.linalg.solve(Jrc, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = np.empty(u.shape)
-            for j in range(len(rows)):
-                try:
-                    step[j] = np.linalg.solve(Jrc[j], rhs[j])
-                except np.linalg.LinAlgError:
-                    step[j], *_ = np.linalg.lstsq(Jrc[j], rhs[j], rcond=None)
-        step = step / c
-        # backtrack each row as its point call does: a row with no trial
-        # within 3x its residual takes its first finite trial (its
-        # fallback; alpha is never 0, so 0 marks none)
-        alpha, fallback = np.ones(len(rows)), np.zeros(len(rows))
-        F_new = np.empty(F.shape)
-        todo = np.ones(len(rows), bool)
-        for _ in range(20):
-            j = np.flatnonzero(todo)
-            if not j.size:
-                break
-            trial = np.asarray(f((rows[j], u[j] + alpha[j, None] * step[j])), dtype=float)
-            finite = np.isfinite(trial).all(axis=1)
-            good = finite & (_scores(trial, row_tol[j]) <= 3.0 * res[j])
-            first = finite & ~good & (fallback[j] == 0.0)
-            F_new[j[good | first]] = trial[good | first]
-            fallback[j[first]] = alpha[j[first]]
-            todo[j[good]] = False
-            alpha[j[~good]] *= 0.5
-        late = todo & (fallback > 0.0)
-        alpha[late] = fallback[late]
-        todo &= ~late
-        u, F = u + alpha[:, None] * step, F_new
-        if todo.any():
-            # no finite residual along the step
-            fail(todo, best_res, "step landed outside the domain")
-            keep_only(~todo)
-    if rows.size:
-        floor_accepts += floor_check(np.ones(len(rows), bool))
-    if failed:
-        r, exc = min(failed.items())
-        raise ConvergenceError(f"{exc} (row {r})", residual=exc.residual, seed=exc.seed,
-                               row=r) from exc
-    return out, out_res, max_iter if floor_accepts else iterations
+                    replies[j] = exc
+            fresh, live = ([j for j in js if j not in replies] for js in (fresh, live))
+        if not live:
+            return replies
+        U, F = (np.array([requests[j][k] for j in live]) for k in (0, 1))
+        # each row's fact: the batch of its last fresh Jacobian, and its place there
+        facts = {j: requests[j][2] for j in live}
+        if fresh:
+            if jac is not None:
+                J = jac((np.array(fresh), U if len(fresh) == len(live)
+                         else U[[live.index(j) for j in fresh]]))
+            fact = _equilibrated(np.asarray(J, dtype=float))
+            facts.update((j, (fact, i)) for i, j in enumerate(fresh))
+        if len(fresh) < len(live):
+            fact = tuple(np.array([b[k][i] for b, i in facts.values()]) for k in range(3))
+        base[live], along[live] = U, _newton_step(fact, F)
+        return {**replies, **facts}
+
+    results = _drive_rows([_newton_steps(a, max_iter, jac_reuse, name) for a in accept], serve)
+    for r, exc in enumerate(results):
+        if isinstance(exc, Exception):
+            raise ConvergenceError(f"{exc} (row {r})", residual=exc.residual, seed=exc.seed,
+                                   row=r) from exc
+    U, res, its = zip(*results) if N else ((), (), ())
+    return np.array(U).reshape(N, n), np.array(res), max(its, default=0)
 
 
 NEWTON_1D_MAX_ITER = 60
@@ -405,14 +381,20 @@ def newton_1d(f: Callable[..., tuple[Any, Any, Any]], t0: float | Array, *,
     accepted too.  Raises ConvergenceError naming ``name`` otherwise, or on a
     flat or non-finite spot or a domain trap.
 
-    An (N,) array t0 starts N rows that take these steps in lock-step, each
-    to its own stop (``_newton_1d_rows``).
+    The iteration exists once, as the generator ``_newton_1d_steps``.  An
+    (N,) array t0 drives one per row in lock-step (``_newton_1d_rows``).
     """
     if np.ndim(t0):
-        return _newton_1d_rows(f, np.asarray(t0, dtype=float), tol, accept_tol)
-    # a point loop: a one-row residual block costs more (t1_array 17.7 us, not 7.1 us)
+        return _newton_1d_rows(f, np.asarray(t0, dtype=float), tol, accept_tol, name)
+    return _drive(_newton_1d_steps(t0, tol, accept_tol, name), f)
+
+
+def _newton_1d_steps(t0, tol: float, accept_tol: float | None, name: str):
+    """One ``newton_1d`` from t0 as a generator: it yields each t where it
+    needs ``f(t)``, and a NumericalError thrown in instead halves the step
+    tried.  It returns the call's result or raises its error."""
     t = t0
-    val, slope, payload = f(t)
+    val, slope, payload = yield t
     evals = 1
     t_prev = slope_prev = None
     for _ in range(NEWTON_1D_MAX_ITER):
@@ -429,7 +411,7 @@ def newton_1d(f: Callable[..., tuple[Any, Any, Any]], t0: float | Array, *,
                 step = -2.0 * val / (slope + math.copysign(math.sqrt(disc), slope))
         for _ in range(20):
             try:
-                new = f(t + step)
+                new = yield t + step
                 break
             except NumericalError:
                 step *= 0.5
@@ -447,70 +429,34 @@ def newton_1d(f: Callable[..., tuple[Any, Any, Any]], t0: float | Array, *,
 
 
 def _newton_1d_rows(f: Callable[[Array, Array], tuple], t0: Array, tol: float,
-                    accept_tol: float | None) -> tuple[Array, Array, Array, tuple, Array]:
-    """``newton_1d`` for N rows at once: each row takes the point call's
-    steps, bit for bit, halves a step that leaves a domain as that call
-    does, and stops where that call stops.  ``f(t, rows)`` evaluates the
-    rows still iterating (indices ``rows``) at their t and returns their
-    values, slopes and payload, a tuple of arrays with one row each, NaN on
-    a row that leaves a domain.  Returns the point call's five results as
-    arrays: NaN (and 0 evaluations) on each row whose point call raises.
-    """
-    n = t0.size
-    t = t0.copy()
-    val, slope, payload = f(t, np.arange(n))
-    val, slope = np.array(val, dtype=float), np.array(slope, dtype=float)
-    payload = tuple(np.array(p, dtype=float) for p in payload)
-    evals = np.ones(n, dtype=int)
-    # NaN before a row's first step: no secant curvature yet
-    t_prev, slope_prev = np.full(n, np.nan), np.full(n, np.nan)
-    done, live = np.zeros(n, bool), np.ones(n, bool)
-    for _ in range(NEWTON_1D_MAX_ITER):
-        i = np.flatnonzero(live)
-        stop = np.abs(val[i]) < tol
-        done[i[stop]] = True
-        # a row that stops, or that is flat or non-finite, iterates no more
-        live[i[stop | (slope[i] == 0.0) | ~np.isfinite(val[i])]] = False
-        i = np.flatnonzero(live)
-        if not i.size:
-            break
-        v, s, ti = val[i], slope[i], t[i]
-        step = -v / s
-        with np.errstate(all="ignore"):
-            d2 = (s - slope_prev[i]) / (ti - t_prev[i])
-            disc = s * s - 2.0 * d2 * v
-            small = -2.0 * v / (s + np.copysign(np.sqrt(disc), s))
-        quad = (ti != t_prev[i]) & (d2 != 0.0) & (disc > 0.0)
-        step = np.where(quad, small, step)
-        new_val, new_slope, new_payload = f(ti + step, i)
-        out = np.flatnonzero(np.isnan(new_val))
-        if out.size:
-            # halve each step that left a domain, 20 evaluations in all, as
-            # the point call does; a row still outside is trapped at its edge
-            new_val, new_slope = np.array(new_val, dtype=float), np.array(new_slope, dtype=float)
-            new_payload = tuple(np.array(p, dtype=float) for p in new_payload)
-            for _ in range(19):
-                step[out] *= 0.5
-                val_h, slope_h, payload_h = f(ti[out] + step[out], i[out])
-                new_val[out], new_slope[out] = val_h, slope_h
-                for full, p in zip(new_payload, payload_h):
-                    full[out] = p
-                out = out[np.isnan(val_h)]
-                if not out.size:
-                    break
-            live[i[out]] = False
-        evals[i] += 1
-        t_prev[i], slope_prev[i] = ti, s
-        t[i] = ti + step
-        val[i], slope[i] = new_val, new_slope
-        for full, p in zip(payload, new_payload):
-            full[i] = p
-    if accept_tol is not None:
-        i = np.flatnonzero(live)
-        done[i[np.abs(val[i]) < accept_tol]] = True
-    for a in (t, val, slope) + payload:
-        a[~done] = np.nan
-    evals[~done] = 0
+                    accept_tol: float | None,
+                    name: str) -> tuple[Array, Array, Array, tuple, Array]:
+    """``newton_1d`` on the entries of t0, one ``_newton_1d_steps`` per row in
+    lock-step.  ``f(t, rows)`` evaluates the rows ``rows`` at their t and
+    returns their values, slopes and payload, a tuple of arrays with one row
+    each; a NaN value means the row's point call raises, so its step
+    halves.  Returns the five results as arrays, NaN (0 evaluations) on
+    each row whose point call raises."""
+    N, payload = t0.size, None
+
+    def serve(live: list, requests: list) -> dict:
+        nonlocal payload
+        val, slope, pay = f(np.array([requests[j] for j in live], dtype=float), np.array(live))
+        if payload is None:
+            payload = tuple(np.full(np.shape(p), np.nan) for p in pay)
+        val, slope = np.asarray(val, dtype=float).tolist(), np.asarray(slope, dtype=float).tolist()
+        return {j: DomainError(f"{name}: row {j} left the domain") if v != v else (v, s, p)
+                for j, v, s, p in zip(live, val, slope, zip(*pay))}
+
+    results = _drive_rows([_newton_1d_steps(t, tol, accept_tol, name) for t in t0.tolist()],
+                          serve)
+    t, val, slope = (np.full(N, np.nan) for _ in range(3))
+    evals = np.zeros(N, dtype=int)
+    for j, result in enumerate(results):
+        if not isinstance(result, Exception):
+            t[j], val[j], slope[j], row_payload, evals[j] = result
+            for full, p in zip(payload, row_payload):
+                full[j] = p
     return t, val, slope, payload, evals
 
 

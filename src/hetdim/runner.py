@@ -11,6 +11,7 @@ time and is excluded from that guarantee.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -53,10 +54,31 @@ def validate_config(doc: dict) -> dict:
     exp = doc.get("experiment")
     if exp not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {exp!r}; expected one of {EXPERIMENTS}")
-    sched = doc.get("schedule", {})
-    for k, m in sched.get("pairs", []):
+    for key in ("schedule", "abs", "scan", "orbits"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValidationError(f"{key} must be a JSON object")
+    sched, spec, orbits = doc.get("schedule", {}), doc.get("abs", {}), doc.get("orbits", {})
+    pairs, ks, scan = sched.get("pairs", []), sched.get("ks", []), doc.get("scan", {})
+    fields = [f.name for f in dataclasses.fields(AbsConfig)]
+    for ok, rule in (
+            (_numbers(pairs, kind=list) and all(_numbers(p, 2, int) for p in pairs),
+             "schedule.pairs must be [k, m] pairs of non-negative integers"),
+            (_numbers(ks, kind=int), "schedule.ks must be a list of non-negative integers"),
+            (_numbers(doc.get("s_targets", [])), "s_targets must be a list of numbers"),
+            (_numbers([doc.get("s_target", 0.0)]), "s_target must be a number"),
+            (set(spec) <= set(fields) and _numbers([*spec.values()]),
+             f"abs must map some of {fields} to numbers"),
+            ("scan" not in doc or all(_numbers(scan.get(a), 3) and _numbers(scan[a][2:], kind=int)
+                                      for a in ("alpha", "lam")),
+             "scan must give alpha and lam as [lo, hi, n], n a non-negative integer"),
+            (_numbers([orbits.get("n", 0), orbits.get("steps", 0)], kind=int),
+             "orbits.n and orbits.steps must be non-negative integers"),
+            (_numbers([doc.get("seed", 0)], kind=int), "seed must be a non-negative integer")):
+        if not ok:
+            raise ValidationError(rule)
+    for k, m in pairs:
         _check_itinerary(k, m)
-    for k in sched.get("ks", []):
+    for k in ks:
         _check_itinerary(k)
     if exp in ("forge_tangency", "period2_sweep", "hetdim_symmetric",
                "hetdim_general", "cone_battery", "leaf_fit"):
@@ -65,6 +87,14 @@ def validate_config(doc: dict) -> dict:
     if exp == "hetdim_general" and "coeffs2" not in doc:
         raise ValidationError("experiment 'hetdim_general' requires 'coeffs2'")
     return doc
+
+
+def _numbers(x, n: int | None = None, kind: type | tuple = (int, float)) -> bool:
+    """x is a list (of n entries, when given) of JSON numbers of ``kind``;
+    integers (``kind`` int) must not be negative."""
+    return (isinstance(x, list) and len(x) == (len(x) if n is None else n) and all(
+        isinstance(v, kind) and not isinstance(v, bool) and (kind is not int or v >= 0)
+        for v in x))
 
 
 def _fmt(x) -> str:

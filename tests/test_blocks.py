@@ -204,8 +204,7 @@ def test_leaf_march_block_rows_are_point_calls_bitwise():
     bases[3, 1] *= 40.0
     targets = base[2:] + np.array([[coeffs.delta / 2], [1e-4], [-2e-4], [1e-4]])
     slopes = stable_slopes(model, coeffs, bases, k)
-    xy, Phi, z = leaf_march(model, coeffs, bases, k, targets, slopes)
-    assert np.array_equal(z, targets)
+    xy, Phi = leaf_march(model, coeffs, bases, k, targets, slopes)
     _assert_rows((xy, Phi), lambda i: leaf_march(model, coeffs, bases[i], k, targets[i],
                                                  stable_slopes(model, coeffs, bases[i], k))[:2],
                  len(bases))
@@ -232,7 +231,7 @@ def test_leaf_march_row_without_arrival_slopes_comes_back_nan(monkeypatch):
         return out
 
     monkeypatch.setattr(cones, "stable_slopes", failing)
-    xy, Phi, _ = leaf_march(model, coeffs, bases, k, targets, slopes)
+    xy, Phi = leaf_march(model, coeffs, bases, k, targets, slopes)
     assert len(calls) == 5
     assert np.isnan(xy[0]).all() and np.isnan(Phi[0]).all()
     assert not np.isnan(xy[1]).any()
@@ -246,7 +245,7 @@ def test_linear_leaf_march_block_rows_are_point_calls_bitwise(lab, rng):
     bases = base + 1e-3 * rng.standard_normal((6, model.dim)) * np.abs(base)
     targets = bases[:, 2:] + rng.uniform(-0.04, 0.04, size=(6, model.dim - 2))
     slopes = stable_slopes(model, coeffs, bases, k)
-    xy, Phi, _ = leaf_march(model, coeffs, bases, k, targets, slopes)
+    xy, Phi = leaf_march(model, coeffs, bases, k, targets, slopes)
     _assert_rows((xy, Phi), lambda i: leaf_march(model, coeffs, bases[i], k, targets[i],
                                                  slopes[i])[:2], len(bases))
 
@@ -287,6 +286,54 @@ def test_newton_1d_rows_step_in_lock_step_bitwise():
     assert np.isnan([t[3], val[3], slope[3], pay[3]]).all() and evals[3] == 0
     # row 4's point call halves its first step back into the domain
     assert t[4] < 1.5
+
+
+@st.composite
+def _parabola_tables(draw):
+    """1 to 6 rows of scale ((t - r1)(t - r2) + lift) (no root for a large
+    lift) from a seed t0, a wall past which its point call raises (a block
+    row is NaN) and a flat spot (lo, hi) where its slope is 0."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        r1, t0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-3.0, 3.0))
+        lo = t0 + draw(st.floats(-2.0, 2.0))
+        rows.append([r1, r1 + draw(st.floats(0.0, 2.0)),
+                     draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e-3, 1e6)),
+                     t0 + draw(st.floats(-0.5, 3.0)), lo, lo + draw(st.floats(0.0, 0.5)),
+                     draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))), t0])
+    return np.array(rows)
+
+
+def _walled_parabolas(table):
+    def f(t, rows=...):
+        r1, r2, scale, wall, lo, hi, lift = (table[rows, i] for i in range(7))
+        if np.ndim(t) == 0 and t > wall:
+            raise DomainError("past the wall")
+        val = scale * ((t - r1) * (t - r2) + lift)
+        slope = np.where((lo < t) & (t < hi), 0.0, scale * (2.0 * t - r1 - r2))
+        return np.where(t > wall, np.nan, val), slope, (2.0 * t,)
+
+    return f
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(table=_parabola_tables(), accept_tol=st.sampled_from([None, 1e-9]))
+def test_newton_1d_rows_are_their_point_calls_property(table, accept_tol):
+    # any seeds, walls and flat spots: each row is its point call in
+    # float.hex, with its evaluations, or NaN with 0 evaluations where that
+    # call raises (seeded past the wall, at a flat spot, trapped at the
+    # wall, or unconverged)
+    f, kw = _walled_parabolas(table), dict(tol=1e-12, accept_tol=accept_tol, name="rows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, val, slope, (pay,), evals = newton_1d(f, table[:, 7], **kw)
+        for r, t0 in enumerate(table[:, 7]):
+            try:
+                ref = newton_1d(lambda s, r=r: f(s, r), float(t0), **kw)
+            except NumericalError:
+                assert np.isnan([t[r], val[r], slope[r], pay[r]]).all() and evals[r] == 0, r
+                continue
+            assert _hex([t[r], val[r], slope[r], pay[r]]) == _hex([*ref[:3], ref[3][0]]), r
+            assert evals[r] == ref[4], r
 
 
 def _gap_rows(model, coeffs, k, m, rng, n=6):
@@ -877,6 +924,74 @@ def test_newton_rows_are_their_point_solves_property(table, exact):
         U, res, _ = got
         assert [_hex(U[r]) + _hex(res[r]) for r in range(len(table))] == \
             [_hex(u) + _hex(x) for u, x, _ in refs]
+
+
+# per row: the shift and c of the system g(x) = 0, y^3 = c with g(x) = x -
+# shift on x >= 2 and 0.5 - x on 0 <= x < 2, not defined at x < 0, and the
+# seed (x, y).  From x >= 2 the first step lands at x = shift, just inside
+# the domain, where g's slope is -1; a stale Jacobian from the seed points
+# out of the domain on every trial, and the y rows take stale steps
+KINKED_ROWS = np.array([
+    [1e-7, 2.0, 3.0, 1.5],   # the stale step leaves the domain: refresh and retry
+    [0.0, 1.0, 1.0, 1.2],    # x solves at once, y on stale steps
+    [1e-7, 0.5, 0.3, 0.9],
+    [0.0, 8.0, 1.9, 2.5],
+    [1e-7, 3.0, 5.0, 1.0],   # the retry, from further out
+])
+
+
+def _kinked(rows, U, table=KINKED_ROWS):
+    shift, c = table[rows, 0], table[rows, 1]
+    x, y = U[:, 0], U[:, 1]
+    F = np.column_stack((np.where(x >= 2.0, x - shift, 0.5 - x), y ** 3 - c))
+    F[x < 0.0] = np.nan
+    return F
+
+
+def _kinked_jac(rows, U):
+    x, y = U[:, 0], U[:, 1]
+    return np.stack((np.column_stack((np.where(x >= 2.0, 1.0, -1.0), 0.0 * x)),
+                     np.column_stack((0.0 * x, 3.0 * y * y))), axis=1)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_newton_rows_with_jac_reuse_are_their_point_solves_bitwise(exact):
+    # jac_reuse=4 on an (N, n) block: each row is its own point solve, in
+    # float.hex, with the same residual evaluations (steps, trials, probes);
+    # rows 0 and 4 take a stale step out of the domain on all 20 trials, and
+    # refresh their Jacobian to retry
+    kw = dict(tol=1e-13, accept_tol=1e-11, jac_reuse=4)
+    calls = []
+
+    def f(arg):
+        calls.append(arg[0].tolist())
+        return _kinked(*arg)
+
+    seeds = KINKED_ROWS[:, 2:]
+    U, res, iterations = newton_solve(f, seeds, scales=np.ones((len(seeds), 2)),
+                                      jac=(lambda arg: _kinked_jac(*arg)) if exact else None,
+                                      **kw)
+    row_evaluations = [r for c in calls for r in c]
+    point_iterations = []
+    for r, seed in enumerate(seeds):
+        raised = []
+
+        def g(u, r=r):
+            F = _kinked(np.array([r]), u[None])[0]
+            raised.append(bool(np.isnan(F).any()))
+            if raised[-1]:
+                raise DomainError("x < 0")
+            return F
+
+        jac = (lambda u, r=r: _kinked_jac(np.array([r]), u[None])[0]) if exact else None
+        u, x, it = newton_solve(g, seed, scales=np.ones(2), jac=jac, **kw)
+        assert _hex(U[r]) + _hex(res[r]) == _hex(u) + _hex(x), r
+        assert len(raised) == row_evaluations.count(r), r
+        point_iterations.append(it)
+        retried = "".join("x" if b else "." for b in raised).find("x" * 20) >= 0
+        assert retried == (r in (0, 4)), r
+        assert abs(x) < 1e-13 and abs(u[0] - 0.5) < 1e-13, r
+    assert iterations == max(point_iterations)
 
 
 def test_newton_rows_backtrack_from_a_residual_whose_score_overflows():

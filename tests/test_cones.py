@@ -182,8 +182,8 @@ def test_leaf_march_consistency(lin_chain):
     model, coeffs, k, _ = lin_chain
     base = strip_center(model, coeffs, k)
     target = base[2:] + 0.04
-    xy, _, _ = leaf_march(model, coeffs, base, k, target,
-                          stable_slopes(model, coeffs, base, k))
+    xy, _ = leaf_march(model, coeffs, base, k, target,
+                       stable_slopes(model, coeffs, base, k))
     assert np.max(np.abs(xy - _heun_reference(model, coeffs, base, k, target, 80))) < 1e-12
 
 
@@ -204,8 +204,8 @@ def test_leaf_march_splits_a_curved_leaf(monkeypatch):
 
     monkeypatch.setattr(cones, "stable_slopes", counted)
     # the count includes the base slopes the caller hands the march
-    xy, _, _ = leaf_march(model, coeffs, base, k, target,
-                          cones.stable_slopes(model, coeffs, base, k))
+    xy, _ = leaf_march(model, coeffs, base, k, target,
+                       cones.stable_slopes(model, coeffs, base, k))
     assert len(calls) == 62
     assert np.max(np.abs(xy - ref)) < 1e-14
 

@@ -84,6 +84,47 @@ def test_malformed_schedule_exits_two(tmp_path, capsys):
     assert "itinerary parity: k must be even" in capsys.readouterr().err
 
 
+def _specs(experiment):
+    """The model and coefficients an experiment needs, or none."""
+    if experiment in ("abs_orbits", "c3prime_scan"):
+        return {}
+    if experiment == "forge_tangency":
+        return {"model": base_model("linear").spec(),
+                "coeffs": forge_coeffs("cdx_neg_d_neg").spec()}
+    return {"model": battery_model().spec(), "coeffs": battery_coeffs().spec()}
+
+
+# an entry of the config of the experiment that reads it, malformed, and
+# the rule it breaks
+MALFORMED_ENTRIES = [
+    ("hetdim_symmetric", {"schedule": "x"}, "schedule must be a JSON object"),
+    ("hetdim_symmetric", {"schedule": {"pairs": [[14]]}}, "schedule.pairs must be [k, m] pairs"),
+    ("forge_tangency", {"schedule": {"ks": ["12"]}}, "schedule.ks must be a list of"),
+    ("period2_sweep", {"schedule": {"pairs": [[14, 12]]}, "s_targets": 0.5},
+     "s_targets must be a list of numbers"),
+    ("hetdim_symmetric", {"schedule": {"pairs": [[14, 12]]}, "s_target": "x"},
+     "s_target must be a number"),
+    ("abs_orbits", {"abs": {"rhoo": 0.7}}, "abs must map some of ['A', 'rho'"),
+    ("c3prime_scan", {"scan": {"alpha": [0.1, 1.5], "lam": [0.5, 1.5, 6]}},
+     "scan must give alpha and lam as [lo, hi, n]"),
+    ("abs_orbits", {"orbits": [1]}, "orbits must be a JSON object"),
+    ("abs_orbits", {"seed": "x"}, "seed must be a non-negative integer"),
+    ("abs_orbits", {"seed": -1}, "seed must be a non-negative integer"),
+]
+
+
+@pytest.mark.parametrize("experiment, entry, rule", MALFORMED_ENTRIES)
+def test_malformed_config_entry_exits_two(tmp_path, capsys, experiment, entry, rule):
+    # the run names the broken rule and leaves no output directory, where it
+    # would crash with a traceback inside the experiment
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "bad.json", {"experiment": experiment, **_specs(experiment),
+                                        **entry, "out": str(out)})
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {rule}")
+    assert not out.exists()
+
+
 def test_unknown_experiment_exits_two(tmp_path):
     cfg = _write(tmp_path, "bad.json", {"experiment": "nope"})
     assert main(["run", "--config", cfg]) == 2
