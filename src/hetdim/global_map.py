@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ItineraryError, ValidationError
+from .errors import ItineraryError, NumericalError, ValidationError
 from .numerics import frobenius, row_norms
-from .saddle import SaddleModel, jacobian_along, orbit, reflect_array, stay_exit
+from .saddle import (SaddleModel, jacobian_along, orbit, reflect_array, stay_exit,
+                     stay_jacobian)
 
 Array = np.ndarray
 
@@ -200,10 +201,21 @@ def t1_tilde_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array) -> Arr
     return reflect_array(model, t1_array(coeffs, reflect_array(model, v)))
 
 
-def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k: int,
+def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k,
                        with_jacobian: bool = True) -> tuple[Array, Array | None]:
     """T1 o T0^k on flat arrays; ItineraryError names the first violated step.
-    Without the Jacobian only the stay's exit is computed (``stay_exit``)."""
+    Without the Jacobian only the stay's exit is computed (``stay_exit``).
+
+    An (N, D) block v, k an int or an (N,) array of stays, gives the (N, D)
+    images and (N, D, D) Jacobians, each row its point call's bit for bit
+    and NaN throughout where that call raises; the coefficient set may carry
+    one mu per row (``with_mu``).  The linear tier takes the block whole:
+    the stays' exits (``stay_exit``), the Pi1 test of the rows, and the
+    diagonal stay Jacobians (``stay_jacobian``).  The nonlinear tiers make
+    one point call per row.
+    """
+    if v.ndim == 2:
+        return _first_return_block(model, coeffs, v, k, with_jacobian)
     if with_jacobian:
         traj = orbit(model, v, k)
         w = traj[k]
@@ -213,6 +225,34 @@ def first_return_array(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k:
         raise ItineraryError(f"itinerary violated: T0^{k}(p) not in Pi1", step=k)
     J = t1_jac_array(coeffs, w) @ jacobian_along(model, traj) if with_jacobian else None
     return t1_array(coeffs, w), J
+
+
+def _first_return_block(model: SaddleModel, coeffs: GlobalMapCoeffs, v: Array, k,
+                        with_jacobian: bool) -> tuple[Array, Array | None]:
+    """``first_return_array`` on the rows of an (N, D) block."""
+    N, D = v.shape
+    if model.nonlinearity.kind != "linear":
+        out, J = np.full(v.shape, np.nan), np.full((N, D, D), np.nan)
+        for i, (mu, n) in enumerate(zip(np.broadcast_to(coeffs.mu, N).tolist(),
+                                        np.broadcast_to(k, N).tolist())):
+            try:
+                out[i], Ji = first_return_array(model, coeffs.with_mu(mu), v[i], n, with_jacobian)
+            except NumericalError:
+                continue
+            if with_jacobian:
+                J[i] = Ji
+        return out, J if with_jacobian else None
+    w = stay_exit(model, v, k)
+    w[~in_pi1(coeffs, w)] = np.nan
+    out = t1_array(coeffs, w)
+    if not with_jacobian:
+        return out, None
+    # each row's stay Jacobian as the diagonal matrix its point call forms
+    S = np.zeros((N, D, D))
+    S[:, np.arange(D), np.arange(D)] = stay_jacobian(model, np.ones((N, D, 1)), k)[..., 0]
+    J = t1_jac_array(coeffs, w) @ S
+    J[np.isnan(w[:, 0])] = np.nan
+    return out, J
 
 
 def axis_point(model: SaddleModel, y: float | Array) -> Array:
@@ -231,8 +271,11 @@ def axis_jet(model: SaddleModel, cm: GlobalMapCoeffs, y: float | Array, stays=()
              jacobian: bool = False) -> tuple[Array, Array | None]:
     """Image of the unstable-axis point (0, y, 0) under T1 and then under
     T1 o T0^k for each k in ``stays``, with the chained Jacobian when asked
-    (None otherwise).  An (N,) array y without stays gives an (N, D) block
-    of images and (N, D, D) Jacobians, each row bit for bit its point call.
+    (None otherwise).  An (N,) array y gives an (N, D) block of images and
+    (N, D, D) Jacobians carried through the stays as one block
+    (``first_return_array``): each row its point call's bit for bit, NaN
+    throughout where that call raises.  A stay may then be an int or an (N,)
+    array of one stay per row, and ``cm`` may carry one mu per row.
 
     This is the one evaluation of every curve the constructions intersect:
     stays () is T1(W^u_loc), (k,) the composed map T1 o T0^k o T1 and (k, j)

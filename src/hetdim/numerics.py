@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import ContractError, ConvergenceError, DomainError, NumericalError
 
 Array = np.ndarray
 
@@ -282,7 +282,9 @@ def _drive_rows(steps: list, serve: Callable[[list, list], dict]) -> list:
     """Run the generators ``steps`` in lock-step.  Each round ``serve(live,
     requests)`` answers some of the rows ``live`` still running, from their
     pending ``requests`` (by row), as {row: reply}; an exception reply is
-    thrown in.  Returns each row's return value, or its NumericalError."""
+    thrown in.  Returns each row's return value, or its NumericalError.  A
+    round that answers no live row raises ContractError: the rows would
+    wait for ever."""
     requests, results = [None] * len(steps), [None] * len(steps)
     live, replies = list(range(len(steps))), dict.fromkeys(range(len(steps)))
     while True:
@@ -299,6 +301,8 @@ def _drive_rows(steps: list, serve: Callable[[list, list], dict]) -> list:
         if not live:
             return results
         replies = serve(live, requests)
+        if replies.keys().isdisjoint(live):
+            raise ContractError(f"a lock-step round answered none of the live rows {live}")
 
 
 def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales: Array,
@@ -434,9 +438,9 @@ def _newton_1d_rows(f: Callable[[Array, Array], tuple], t0: Array, tol: float,
     """``newton_1d`` on the entries of t0, one ``_newton_1d_steps`` per row in
     lock-step.  ``f(t, rows)`` evaluates the rows ``rows`` at their t and
     returns their values, slopes and payload, a tuple of arrays with one row
-    each; a NaN value means the row's point call raises, so its step
-    halves.  Returns the five results as arrays, NaN (0 evaluations) on
-    each row whose point call raises."""
+    each (possibly none); a NaN value means the row's point call raises, so
+    its step halves.  Returns the five results as arrays, NaN (0
+    evaluations) on each row whose point call raises."""
     N, payload = t0.size, None
 
     def serve(live: list, requests: list) -> dict:
@@ -445,8 +449,9 @@ def _newton_1d_rows(f: Callable[[Array, Array], tuple], t0: Array, tol: float,
         if payload is None:
             payload = tuple(np.full(np.shape(p), np.nan) for p in pay)
         val, slope = np.asarray(val, dtype=float).tolist(), np.asarray(slope, dtype=float).tolist()
+        # an empty payload gives each row an empty tuple
         return {j: DomainError(f"{name}: row {j} left the domain") if v != v else (v, s, p)
-                for j, v, s, p in zip(live, val, slope, zip(*pay))}
+                for j, v, s, p in zip(live, val, slope, zip(*pay) if pay else [()] * len(live))}
 
     results = _drive_rows([_newton_1d_steps(t, tol, accept_tol, name) for t in t0.tolist()],
                           serve)

@@ -389,44 +389,6 @@ SLOPE_MIN = 1e-6  # transversality threshold on |dy0/dt|
 ROOT_TOL = 1e-13  # residual tolerance of the root polish
 
 
-def _polish_roots(f, seeds, label: str, diagnostics: list) -> list[tuple[float, float]]:
-    """Polish 1d root seeds of ``f(t) -> (value, slope)``, deduplicate, and
-    keep only transverse roots; each dropped seed or root appends a message
-    to ``diagnostics``.  ``f(t, False)`` gives the value alone (its slope
-    None), bit for bit, for the second difference.
-
-    Transversality is double-root aware: a polish that slides into a
-    quadratic tangency stops at |slope| ~ sqrt(2 |d2| tol), which can exceed
-    a naive slope threshold, so roots whose slope is within a factor 30 of
-    that stopping radius are rejected as "the tangency itself".
-    """
-    roots: list[tuple[float, float]] = []
-    for tseed in seeds:
-        try:
-            t, _, slope, _, _ = newton_1d(lambda t: (*f(t), None), tseed,
-                                          tol=ROOT_TOL, name=label)
-        except NumericalError:
-            diagnostics.append(f"{label} seed t={tseed:.3e} failed to converge")
-            continue
-        if any(abs(t - r) < 1e-10 + 1e-7 * abs(t) for r, _ in roots):
-            continue
-        d2, hh = None, 1e-6
-        for _ in range(4):
-            try:
-                d2 = (f(t + hh, False)[0] - 2.0 * f(t, False)[0]
-                      + f(t - hh, False)[0]) / (hh * hh)
-                break
-            except NumericalError:
-                hh *= 0.1
-        if d2 is None:
-            continue
-        if abs(slope) <= SLOPE_MIN or abs(slope) <= 30.0 * np.sqrt(2.0 * ROOT_TOL * abs(d2)):
-            diagnostics.append(f"{label} root t={t:.3e} not transverse; dropped")
-            continue
-        roots.append((t, slope))
-    return roots
-
-
 def _exit_offset(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve,
                  n: int) -> float | None:
     """Exit offset r at stay n: T1 maps the strip exit (lambda^n x+, y- +- r)
@@ -436,46 +398,92 @@ def _exit_offset(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve,
     return float(np.sqrt(r_sq)) if r_sq > 0.0 else None
 
 
-def curve_points(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve, ret: tuple,
+def curve_points(model: SaddleModel, cm: GlobalMapCoeffs, curve: ForgeCurve, rets: list,
                  diagnostics: list) -> list[TransverseHomoclinic]:
-    """Transverse zeros of the y-component of axis_jet(ybase + t, stays + ret).
+    """Transverse zeros of the y-component of axis_jet(ybase + t, stays + ret)
+    for each return ``ret`` of ``rets`` (all of one length), return by return.
 
-    ``ret`` () is the split pair, where the curve itself crosses {y = 0};
+    A ``ret`` () is the split pair, where the curve itself crosses {y = 0};
     (n,) is the quartet at stay n, where one more return T1 o T0^n lands
     there.  Seeds come from the vertex model: the curve reaches the height h
     at tc +- sqrt((h - level) / D), for h = 0 (split pair) or the two heights
     gamma^-n (y- +- r) that T0^n carries to the exits y- +- r of
     ``_exit_offset`` (quartet).
+
+    The seeds of all returns are the rows of one lock-step ``newton_1d`` to
+    |y| < ROOT_TOL, each row's jet through its own stays.  Transversality is
+    double-root aware: a polish that slides into a quadratic tangency stops
+    at |slope| ~ sqrt(2 |d2| tol), which can exceed a naive slope threshold,
+    so roots whose slope is within a factor 30 of that stopping radius are
+    rejected as "the tangency itself".  The second differences d2 (step
+    h = 1e-6 about the polish's own value at the root) of all converged
+    roots are one block; a root whose probes leave the maps' domains retries
+    at h/10, four tries in all, and is dropped when none passes.  Then, per
+    return in seed order, a seed that fails to converge or a root that is
+    not transverse appends a message to ``diagnostics``, and a root within
+    1e-10 + 1e-7 |t| of one kept before is a duplicate.  The kept roots'
+    images on the curve (the jet through ``curve.stays``) are one block.
     """
-    if ret:
-        r = _exit_offset(model, cm, curve, ret[0])
-        g = model.multipliers.gamma ** (-ret[0])
-        heights = () if r is None else (g * (cm.y_minus + r), g * (cm.y_minus - r))
-    else:
-        heights = (0.0,)
-    seeds = []
-    for height in heights:
-        arg = (height - curve.level) / curve.D
-        if arg > 0.0:
-            off = float(np.sqrt(arg))
-            seeds += [curve.tc + off, curve.tc - off]
-    stays = curve.stays + ret
-    k = stays[-1] if stays else None
-    route = ("quartet" if ret else "split_pair") + ("_stage2" if curve.stays else "")
+    seeds, owner, names = [], [], []
+    for i, ret in enumerate(rets):
+        stays = curve.stays + ret
+        names.append((("quartet" if ret else "split_pair") + ("_stage2" if curve.stays else ""),
+                      stays[-1] if stays else None))
+        if ret:
+            r = _exit_offset(model, cm, curve, ret[0])
+            g = model.multipliers.gamma ** (-ret[0])
+            heights = () if r is None else (g * (cm.y_minus + r), g * (cm.y_minus - r))
+        else:
+            heights = (0.0,)
+        for height in heights:
+            arg = (height - curve.level) / curve.D
+            if arg > 0.0:
+                off = float(np.sqrt(arg))
+                seeds += [curve.tc + off, curve.tc - off]
+                owner += [i, i]
+    if not seeds:
+        return []
+    # each row's stays after the curve's own: one column per stay of a return
+    tail = [np.array(col) for col in zip(*(rets[i] for i in owner))]
 
-    def f(t, jacobian=True):
-        # without the Jacobian each stay is one stay_exit, not a trajectory
-        w, J = axis_jet(model, cm, curve.ybase + t, stays, jacobian=jacobian)
-        return float(w[1]), float(J[1, 1]) if jacobian else None
+    def jet(t: Array, rows: Array, jacobian: bool = True):
+        w, J = axis_jet(model, cm, curve.ybase + t, curve.stays + tuple(c[rows] for c in tail),
+                        jacobian=jacobian)
+        return w[:, 1], J[:, 1, 1] if jacobian else None
 
-    found = []
-    label = route if k is None else f"{route}(k={k})"
-    for t, slope in _polish_roots(f, seeds, label, diagnostics):
-        y = curve.ybase + t
-        found.append(TransverseHomoclinic(
-            point=axis_jet(model, cm, y, curve.stays)[0], preimage=axis_point(model, y),
-            t=t, slope=float(slope), route=route, k=k))
-    return found
+    t, val, slope, _, _ = newton_1d(lambda t, rows: (*jet(t, rows), ()), np.array(seeds),
+                                    tol=ROOT_TOL, name="curve polish")
+    d2, hh = np.full(len(seeds), np.nan), np.full(len(seeds), 1e-6)
+    todo = np.flatnonzero(~np.isnan(t))
+    for _ in range(4):
+        if not todo.size:
+            break
+        up, down = jet(np.concatenate((t[todo] + hh[todo], t[todo] - hh[todo])),
+                       np.tile(todo, 2), jacobian=False)[0].reshape(2, -1)
+        ok = ~np.isnan(up) & ~np.isnan(down)
+        done = todo[ok]
+        d2[done] = (up[ok] - 2.0 * val[done] + down[ok]) / (hh[done] * hh[done])
+        todo = todo[~ok]
+        hh[todo] *= 0.1
+    kept, roots = [], [[] for _ in rets]
+    for j, (i, tj, sj, dj) in enumerate(zip(owner, t.tolist(), slope.tolist(), d2.tolist())):
+        route, k = names[i]
+        label = route if k is None else f"{route}(k={k})"
+        if tj != tj:
+            diagnostics.append(f"{label} seed t={seeds[j]:.3e} failed to converge")
+        elif any(abs(tj - r) < 1e-10 + 1e-7 * abs(tj) for r in roots[i]) or dj != dj:
+            continue
+        elif abs(sj) <= SLOPE_MIN or abs(sj) <= 30.0 * np.sqrt(2.0 * ROOT_TOL * abs(dj)):
+            diagnostics.append(f"{label} root t={tj:.3e} not transverse; dropped")
+        else:
+            roots[i].append(tj)
+            kept.append((tj, sj, route, k))
+    if not kept:
+        return []
+    y = curve.ybase + np.array([tj for tj, _, _, _ in kept])
+    points, preimages = axis_jet(model, cm, y, curve.stays)[0], axis_point(model, y)
+    return [TransverseHomoclinic(point=w, preimage=p, t=tj, slope=sj, route=route, k=k)
+            for w, p, (tj, sj, route, k) in zip(points, preimages, kept)]
 
 
 def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu: float,
@@ -488,10 +496,10 @@ def find_transverse_homoclinics(model: SaddleModel, coeffs: GlobalMapCoeffs, mu:
     Seeds that fail to converge and roots that are not transverse are
     dropped, with a message appended to ``diagnostics`` when a list is given.
     The quartet at stay n, where the doubly-iterated curve crosses in up to
-    four points, is ``curve_points(model, cm, stage_one_curve(cm), (n,), ...)``.
+    four points, is ``curve_points(model, cm, stage_one_curve(cm), [(n,)], ...)``.
     """
     cm = coeffs.with_mu(mu)
-    return curve_points(model, cm, stage_one_curve(cm), (),
+    return curve_points(model, cm, stage_one_curve(cm), [()],
                         [] if diagnostics is None else diagnostics)
 
 
@@ -571,8 +579,8 @@ def _straddle(model: SaddleModel, coeffs: GlobalMapCoeffs, branch: TangencyBranc
               diagnostics: list,
               extra: list[TransverseHomoclinic] | None = None) -> tuple[bool, dict]:
     """Check the straddle property on stage one's points (and ``extra``):
-    split pair first, the quartets of the first three usable stays as
-    fallback."""
+    split pair first, the quartets of the first three usable stays, polished
+    as one block, as fallback."""
     mu, cm = branch.mu_k, coeffs.with_mu(branch.mu_k)
     cands = list(extra or ()) + find_transverse_homoclinics(model, coeffs, mu,
                                                             diagnostics=diagnostics)
@@ -581,9 +589,8 @@ def _straddle(model: SaddleModel, coeffs: GlobalMapCoeffs, branch: TangencyBranc
     if ok:
         return ok, witnesses
     curve = stage_one_curve(cm)
-    for n in islice(quartet_stays(model, cm, curve, skip=branch.k), 3):
-        cands += curve_points(model, cm, curve, (n,), diagnostics)
-    return _collect_and_check(cands, y_hat)
+    rets = [(n,) for n in islice(quartet_stays(model, cm, curve, skip=branch.k), 3)]
+    return _collect_and_check(cands + curve_points(model, cm, curve, rets, diagnostics), y_hat)
 
 
 def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
@@ -646,14 +653,23 @@ def forge_admissible_tangency(model: SaddleModel, coeffs: GlobalMapCoeffs,
     raise HypothesisError("forge schedule exhausted: " + "; ".join(diagnostics))
 
 
+def _jets(model: SaddleModel, cm: GlobalMapCoeffs, y: Array, stays: tuple) -> tuple[Array, Array]:
+    """``axis_jet`` with its Jacobian on the (N,) block y; where some row's
+    point call raises, the first such row's point call raises its error."""
+    w, J = axis_jet(model, cm, y, stays, jacobian=True)
+    for i in np.flatnonzero(np.isnan(w[:, 0]))[:1].tolist():
+        axis_jet(model, cm.with_mu(np.broadcast_to(cm.mu, len(y))[i]), y[i], stays,
+                 jacobian=True)
+    return w, J
+
+
 def stage_two_curve(model: SaddleModel, coeffs: GlobalMapCoeffs,
                     base: TangencyBranch) -> ForgeCurve:
     """The composed curve T1 o T0^k o T1 around the stage-one tangency
     preimage at its mu_k: x+ and b from the jet and its exact Jacobian, D
-    from a second difference."""
+    from a second difference; the three jets are one block."""
     h, ybase, cm = 1e-6, float(base.preimage[1]), coeffs.with_mu(base.mu_k)
-    w0, J = axis_jet(model, cm, ybase, (base.k,), jacobian=True)
-    wp, wm = (axis_jet(model, cm, ybase + s, (base.k,))[0] for s in (h, -h))
+    (w0, wp, wm), (J, _, _) = _jets(model, cm, ybase + np.array([0.0, h, -h]), (base.k,))
     return ForgeCurve(ybase, (base.k,), 0.0, float(w0[1]),
                       D=float(wp[1] - 2.0 * w0[1] + wm[1]) / (h * h) / 2.0,
                       xp=float(w0[0]), b=float(J[0, 1]))
@@ -695,8 +711,8 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
 
     # the composed curve's critical parameter drifts with mu; without this
     # recentering the seeds land outside the stay-k strip of the first leg
-    sp, sm = (axis_jet(model, coeffs.with_mu(mu_base + s), ybase, (k,), jacobian=True)[1][1, 1]
-              for s in (1e-8, -1e-8))
+    sp, sm = _jets(model, coeffs.with_mu(mu_base + np.array([1e-8, -1e-8])), np.full(2, ybase),
+                   (k,))[1][:, 1, 1]
     dtc_dmu = -float(sp - sm) / 2e-8 / (2.0 * curve.D)
 
     lam, gamma = model.multipliers.lam, model.multipliers.gamma
@@ -725,18 +741,19 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
             tseed = tc + Xp / curve.b
 
             def F(u: Array) -> Array:
-                t, mu = u
-                w3, J = axis_jet(model, coeffs.with_mu(mu), ybase + t, (k, j), jacobian=True)
-                return np.array([w3[1], J[1, 1]])
+                # u = (t, mu), or one (t, mu) per row of a block of probes
+                w3, J = axis_jet(model, coeffs.with_mu(u[..., 1]), ybase + u[..., 0], (k, j),
+                                 jacobian=True)
+                return np.stack((w3[..., 1], J[..., 1, 1]), axis=-1)
 
             try:
-                slope_tol = fold_tol(lambda u: F(u)[1], np.array([tseed, mu_seed]),
-                                     [np.array([np.spacing(ybase + tseed), 0.0])])
+                slope_tol = fold_tol(lambda u: F(u)[:, 1], np.array([tseed, mu_seed]),
+                                     [np.array([np.spacing(ybase + tseed), 0.0])], block=True)
                 u, res, _ = newton_solve(F, np.array([tseed, mu_seed]),
                                          scales=np.array([1e-4, max(abs(mu_seed), 1e-6)]),
                                          tol=np.array([1e-13, slope_tol]),
                                          accept_tol=np.array([1e-11, 30.0 * slope_tol]),
-                                         max_iter=40,
+                                         max_iter=40, block=True,
                                          name=f"tertiary tangency j={j}")
             except NumericalError:
                 continue
@@ -765,9 +782,9 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
                 # the composed curve's own split pair and its quartet at the
                 # first usable stay other than j
                 curve3 = vertex_at(model, coeffs, curve, mu3, t3)
-                extra = curve_points(model, cm3, curve3, (), diagnostics)
+                extra = curve_points(model, cm3, curve3, [()], diagnostics)
                 for n in quartet_stays(model, cm3, curve3, skip=j):
-                    quartet = curve_points(model, cm3, curve3, (n,), diagnostics)
+                    quartet = curve_points(model, cm3, curve3, [(n,)], diagnostics)
                     if quartet:
                         extra += quartet
                         break

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import linear_models, phase_points, stays
+from strategies import linear_models, phase_points, stays, tier_models
 from test_kernels import (_ballooning, _d4_coeffs, _d4_forge_coeffs, _negative_model,
                           _orbit_starts)
 
@@ -26,12 +26,12 @@ from hetdim.cones import (_inverse_product, leaf_march, return_chain, stable_fra
                           stable_slopes, strip_center)
 from hetdim.cycles import (_connection_gap, _period2_residual, _period2_seed,
                            orbit_to_unknowns, solve_period2_with_s)
-from hetdim.errors import (ConvergenceError, DomainError, ItineraryError, NumericalError,
-                           ValidationError)
-from hetdim.global_map import axis_jet, in_pi1, t1_array, t1_jac_array
+from hetdim.errors import (ContractError, ConvergenceError, DomainError, ItineraryError,
+                           NumericalError, ValidationError)
+from hetdim.global_map import axis_jet, first_return_array, in_pi1, t1_array, t1_jac_array
 from hetdim.local import solve_cross_form
-from hetdim.numerics import (fd_jacobian, fold_tol, frobenius, newton_1d, newton_solve,
-                             orthonormal_frame, row_norms)
+from hetdim.numerics import (_drive_rows, fd_jacobian, fold_tol, frobenius, newton_1d,
+                             newton_solve, orthonormal_frame, row_norms)
 from hetdim.presets import (base_model, battery_coeffs, battery_model, battery_pairs,
                             d4_model, forge_coeffs, hetdim_coeffs, hetdim_model, leaf_coeffs,
                             leaf_model)
@@ -98,6 +98,95 @@ def test_axis_jet_block_rows_are_point_calls_bitwise(lab, rng):
     assert w.shape == (len(y), model.dim) and J.shape == (len(y), model.dim, model.dim)
     _assert_rows((w, J), lambda i: axis_jet(model, coeffs.with_mu(mu[i]), y[i],
                                             jacobian=True), len(y))
+
+
+def _return_starts(model, coeffs, k, rng, n):
+    """n starts around the stay-k strip in Pi0 (k an int or one stay per
+    row): y = gamma^-k (y- + u), so rows with |u| > delta/2 miss Pi1; one
+    stay leaves the box, one start lies outside it and one is NaN."""
+    v = np.empty((n, model.dim))
+    v[:, 0] = coeffs.x_plus + rng.uniform(-0.05, 0.05, n)
+    v[:, 1] = (model.multipliers.gamma ** -np.asarray(k, dtype=float)
+               * (coeffs.y_minus + rng.uniform(-0.08, 0.08, n)))
+    v[:, 2:] = coeffs.z_plus + rng.uniform(-0.05, 0.05, (n, model.dim - 2))
+    v[-3, 1], v[-2, 0], v[-1] = 0.9, 1.5, np.nan
+    return v
+
+
+def _tier_lab(lab, tier):
+    if lab == "D3":
+        return base_model(tier), forge_coeffs("cdx_pos_d_pos")
+    return d4_model(tier), _d4_forge_coeffs("cdx_pos_d_pos")
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("tier", ["linear", "polynomial", "polynomial_symmetric"])
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_first_return_block_rows_are_point_calls_bitwise(lab, tier, per_row, rng):
+    # one mu per row, one stay per row or one for all (0 among them); rows
+    # that leave the box or miss Pi1 are NaN exactly where the point call
+    # raises
+    model, coeffs = _tier_lab(lab, tier)
+    n = 40
+    k = rng.choice([0, 2, 12, 18], n) if per_row else 12
+    v = _return_starts(model, coeffs, k, rng, n)
+    mu = rng.uniform(-1e-3, 1e-3, n)
+    for jacobian in (True, False):
+        w, J = first_return_array(model, coeffs.with_mu(mu), v, k, with_jacobian=jacobian)
+        block = (w, J) if jacobian else (w,)
+        _assert_rows(block, lambda i: first_return_array(
+            model, coeffs.with_mu(mu[i]), v[i], int(k[i]) if per_row else k,
+            with_jacobian=jacobian)[:len(block)], n)
+    assert J is None
+    landed = np.isfinite(w).all(axis=1)
+    assert 5 < landed.sum() < n - 3 and np.isnan(w[~landed]).all()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(model=tier_models(), k=stays, per_row=st.booleans(), data=st.data())
+def test_first_return_block_is_its_point_calls_property(model, k, per_row, data):
+    # any admissible model on any tier, any stay: each row of the block, with
+    # and without the Jacobian, is its point call or NaN where that raises
+    coeffs = forge_coeffs("cdx_pos_d_pos") if model.dim == 3 else _d4_forge_coeffs("cdx_pos_d_pos")
+    n = data.draw(st.integers(4, 9))
+    ks = np.array(data.draw(st.lists(stays, min_size=n, max_size=n))) if per_row else k
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    v = _return_starts(model, coeffs, ks, rng, n)
+    mu = rng.uniform(-1e-3, 1e-3, n)
+    for jacobian in (True, False):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = first_return_array(model, coeffs.with_mu(mu), v, ks, with_jacobian=jacobian)
+            _assert_rows(got[:1 + jacobian], lambda i: first_return_array(
+                model, coeffs.with_mu(mu[i]), v[i], int(ks[i]) if per_row else ks,
+                with_jacobian=jacobian)[:1 + jacobian], n)
+
+
+@pytest.mark.parametrize("tier", ["linear", "polynomial", "polynomial_symmetric"])
+@pytest.mark.parametrize("lab", ["D3", "D4"])
+def test_axis_jet_through_stays_block_rows_are_point_calls_bitwise(lab, tier, rng):
+    # the forge's jets: offsets from y- down to 1e-5, one mu per row, stays
+    # one for all or one per row; rows that leave the box or miss Pi1 after
+    # a return are NaN exactly where the point call raises
+    model, coeffs = _tier_lab(lab, tier)
+    n = 60
+    t = rng.uniform(-0.01, 0.01, n) * rng.choice([1.0, 1e-3], n)
+    y = coeffs.y_minus + t
+    landed = 0
+    for stays in [(12,), (12, 14), (rng.choice([10, 12, 14, 16], n),),
+                  (12, rng.choice([12, 14], n))]:
+        # T1 lifts each axis point to the height gamma^-k (y- + u) that the
+        # first stay k carries to y- + u: |u| > delta/2 misses Pi1
+        mu = (model.multipliers.gamma ** -np.asarray(stays[0], dtype=float)
+              * (coeffs.y_minus + rng.uniform(-0.08, 0.08, n)) - coeffs.d * t * t)
+        for jacobian in (True, False):
+            w, J = axis_jet(model, coeffs.with_mu(mu), y, stays, jacobian=jacobian)
+            block = (w, J) if jacobian else (w,)
+            _assert_rows(block, lambda i: axis_jet(
+                model, coeffs.with_mu(mu[i]), y[i],
+                tuple(int(s[i]) if np.ndim(s) else s for s in stays),
+                jacobian=jacobian)[:len(block)], n)
+            landed += np.isfinite(w).all(axis=1).sum()
+    assert n < landed < 6 * n
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +375,33 @@ def test_newton_1d_rows_step_in_lock_step_bitwise():
     assert np.isnan([t[3], val[3], slope[3], pay[3]]).all() and evals[3] == 0
     # row 4's point call halves its first step back into the domain
     assert t[4] < 1.5
+
+
+def test_newton_1d_rows_take_an_empty_payload():
+    # each row is its point call in float.hex, with its evaluations; the
+    # payload stays empty
+    t0 = np.array([1.0, 1.5, -3.0, 2.0 ** 0.5])
+    t, val, slope, payload, evals = newton_1d(lambda t, rows: (t * t - 2.0, 2.0 * t, ()), t0,
+                                              tol=1e-12, name="sqrt2")
+    assert payload == ()
+    for r, s in enumerate(t0.tolist()):
+        ref = newton_1d(lambda t: (t * t - 2.0, 2.0 * t, ()), s, tol=1e-12, name="sqrt2")
+        assert _hex([t[r], val[r], slope[r]]) == _hex(ref[:3]), r
+        assert ref[3] == () and evals[r] == ref[4], r
+
+
+def test_drive_rows_raises_on_a_round_that_answers_no_live_row():
+    # a serve that answers none of the rows still running would leave them
+    # waiting for ever
+    def steps():
+        yield 1.0
+        return 0
+
+    with pytest.raises(ContractError, match="answered none"):
+        _drive_rows([steps(), steps()], lambda live, requests: {})
+    with pytest.raises(ContractError, match="answered none"):
+        _drive_rows([steps(), steps()], lambda live, requests: {5: 0.0})
+    assert _drive_rows([steps(), steps()], lambda live, requests: {live[0]: 0.0}) == [0, 0]
 
 
 @st.composite

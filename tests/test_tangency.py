@@ -1,21 +1,24 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
 from test_kernels import _d4_forge_coeffs
 
-from hetdim import tangency
+from hetdim import runner, tangency
 from hetdim.errors import ConvergenceError, ValidationError
 from hetdim.global_map import axis_jet, first_return_array, t1_array, t1_jac_array
 from hetdim.numerics import fd_jacobian, fold_tol
 from hetdim.presets import base_model, d4_model, forge_coeffs
 from hetdim.tangency import (ROOT_TOL, SLOPE_MIN, curve_points,
                              find_transverse_homoclinics, forge_admissible_tangency,
-                             predicted_c_signs, solve_secondary_tangency, stage_one_curve,
-                             stage_two_curve, verify_tangency_branch, vertex_at,
+                             predicted_c_signs, quartet_stays, solve_secondary_tangency,
+                             stage_one_curve, stage_two_curve, verify_tangency_branch, vertex_at,
                              branches_to_csv, double_return_y)
 
 CASES = ["cdx_neg_d_neg", "cdx_pos_d_neg", "cdx_neg_d_pos", "cdx_pos_d_pos"]
@@ -395,7 +398,7 @@ def test_quartet_positions(lin_model):
     lam, gam = lin_model.multipliers.lam, lin_model.multipliers.gamma
     k = 14
     cm = coeffs.with_mu(0.0)
-    pts = curve_points(lin_model, cm, stage_one_curve(cm), (k,), [])
+    pts = curve_points(lin_model, cm, stage_one_curve(cm), [(k,)], [])
     assert len(pts) == 4
     dy = lam ** (k / 2) * np.sqrt(abs(coeffs.c * coeffs.x_plus / coeffs.d))
     ys = sorted(p.point[1] for p in pts)
@@ -470,7 +473,7 @@ def test_stage_two_split_pair_near_a_stage_one_tangency(index, lin_model):
     curve = stage_two_curve(lin_model, coeffs, base)
     mu = base.mu_k - 1e-8
     vertex = vertex_at(lin_model, coeffs, curve, mu, 0.0)
-    pts = curve_points(lin_model, coeffs.with_mu(mu), vertex, (), [])
+    pts = curve_points(lin_model, coeffs.with_mu(mu), vertex, [()], [])
     assert len(pts) == 2
     lo, hi = sorted(p.t for p in pts)
     assert lo < vertex.tc < hi
@@ -480,7 +483,7 @@ def test_stage_two_split_pair_near_a_stage_one_tangency(index, lin_model):
         assert abs(p.point[1]) <= ROOT_TOL and abs(p.slope) > SLOPE_MIN
     mu = base.mu_k + 1e-8
     vertex = vertex_at(lin_model, coeffs, curve, mu, 0.0)
-    assert curve_points(lin_model, coeffs.with_mu(mu), vertex, (), []) == []
+    assert curve_points(lin_model, coeffs.with_mu(mu), vertex, [()], []) == []
 
 
 @pytest.mark.parametrize("index", [0, 1])
@@ -529,15 +532,86 @@ def test_straddle_fallback_polishes_the_split_pair_once(lin_model, monkeypatch):
     # already has, so each stage-one split-pair search is logged once
     polish = tangency.curve_points
 
-    def marked(model, cm, curve, ret, diagnostics):
-        if not ret and not curve.stays:
+    def marked(model, cm, curve, rets, diagnostics):
+        if () in rets and not curve.stays:
             diagnostics.append(f"stage-one split pair at mu={float(cm.mu)!r}")
-        return polish(model, cm, curve, ret, diagnostics)
+        return polish(model, cm, curve, rets, diagnostics)
 
     monkeypatch.setattr(tangency, "curve_points", marked)
     cert = forge_admissible_tangency(lin_model, forge_coeffs("cdx_neg_d_pos"), [14])
     assert cert.stages == 1 and cert.witnesses["below"].route == "quartet"
     assert cert.diagnostics == [f"stage-one split pair at mu={cert.branch.mu_k!r}"]
+
+
+def test_quartet_block_is_its_per_stay_polishes(lin_model):
+    # at k = 18 in cdx_neg_d_pos the straddle fallback polishes the quartets
+    # of stays 12, 14 and 16 as one block: the points, bit for bit, and the
+    # diagnostics of one polish per stay
+    coeffs = forge_coeffs("cdx_neg_d_pos")
+    cm = coeffs.with_mu(solve_secondary_tangency(lin_model, coeffs, 18)[0].mu_k)
+    curve = stage_one_curve(cm)
+    rets = [(n,) for n in islice(quartet_stays(lin_model, cm, curve, skip=18), 3)]
+    assert rets == [(12,), (14,), (16,)]
+    diagnostics, ref_diagnostics = [], []
+    block = curve_points(lin_model, cm, curve, rets, diagnostics)
+    ref = [p for ret in rets for p in curve_points(lin_model, cm, curve, [ret], ref_diagnostics)]
+    assert len(block) == 12 and diagnostics == ref_diagnostics
+    for a, b in zip(block, ref):
+        assert (a.route, a.k) == (b.route, b.k)
+        for name in ("point", "preimage", "t", "slope"):
+            assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+
+
+@pytest.mark.parametrize("reach, kept", [(5e-7, 2), (5e-9, 2), (5e-10, 0)])
+def test_curve_points_retries_second_differences_at_tenfold_smaller_steps(
+        lin_model, monkeypatch, reach, kept):
+    # second-difference probes farther than ``reach`` from their root leave
+    # the domain: the root retries at h = 1e-6, 1e-7, 1e-8 and 1e-9, and is
+    # dropped without a message when no step passes
+    coeffs = forge_coeffs("cdx_neg_d_neg")
+    cm = coeffs.with_mu(solve_secondary_tangency(lin_model, coeffs, 12)[0].mu_k)
+    ref = curve_points(lin_model, cm, stage_one_curve(cm), [()], [])
+    roots = np.array([p.preimage[1] for p in ref])
+    jet = tangency.axis_jet
+
+    def short_reach(model, cm, y, stays=(), jacobian=False):
+        w, J = jet(model, cm, y, stays, jacobian=jacobian)
+        if not jacobian:
+            w[np.abs(y[:, None] - roots).min(axis=1) > reach] = np.nan
+        return w, J
+
+    monkeypatch.setattr(tangency, "axis_jet", short_reach)
+    diagnostics = []
+    got = curve_points(lin_model, cm, stage_one_curve(cm), [()], diagnostics)
+    assert len(ref) == 2 and diagnostics == []
+    assert [(p.t, p.slope) for p in got] == [(p.t, p.slope) for p in ref][:kept]
+
+
+# sha256 of forge.csv and forge_certificate.json per tier and sign case,
+# recorded (numpy 2.4, x86-64) while each transverse point was polished by
+# its own point Newton: the lock-step polish keeps every witness bit
+WITNESS_DIGESTS = {
+    ("linear", "cdx_neg_d_neg"): ("351e8d6eb107f6b8", "13af266f59a82cf4"),
+    ("linear", "cdx_pos_d_neg"): ("4e3a3116389ba3f3", "989e7eb2280c8a7f"),
+    ("linear", "cdx_neg_d_pos"): ("3c546dff87fd0f9a", "95d92b74cce64ae5"),
+    ("linear", "cdx_pos_d_pos"): ("7f8ad8e22ce7f1d3", "1c7a1d0c9895168f"),
+    ("polynomial", "cdx_pos_d_pos"): ("2d2bd0385ca9a6a1", "9b4cec55a351a37e"),
+}
+
+
+@pytest.mark.parametrize("tier, case", list(WITNESS_DIGESTS))
+def test_forge_artifacts_keep_their_polished_witnesses(tier, case, tmp_path):
+    # the benchmark's four linear forges (ks 12..24) and CI's polynomial
+    # two-stage forge (ks 12, 14)
+    ks = list(range(12, 25, 2)) if tier == "linear" else [12, 14]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "forge_tangency", "model": base_model(tier).spec(),
+                               "coeffs": forge_coeffs(case).spec(), "schedule": {"ks": ks},
+                               "out": str(tmp_path / "out")}))
+    assert runner.run_experiment(str(cfg)) == 0
+    digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
+                    for name in ("forge.csv", "forge_certificate.json"))
+    assert digests == WITNESS_DIGESTS[tier, case]
 
 
 def _same_branch(a, b):
