@@ -307,9 +307,8 @@ def solve_period2(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m: int,
         return _period2_residual(model, coeffs, u, k, m, 0.0)[0][..., :-1]
 
     scales, tol, accept = _period2_tolerances(model, coeffs, k, m, coeffs.mu)
-    # the probes of every FD Jacobian go to F as one block
     u, res, _ = newton_solve(F, seed, scales=scales[:-1], tol=tol[:-1],
-                             accept_tol=accept[:-1], max_iter=60, block=True,
+                             accept_tol=accept[:-1], max_iter=60,
                              name=f"period-2 closure (k={k}, m={m})")
     return _orbit_from_unknowns(model, coeffs, u, k, m)
 
@@ -325,9 +324,8 @@ def solve_period2_with_s(model: SaddleModel, coeffs: GlobalMapCoeffs, k: int, m:
                                  s_target)[0]
 
     scales, tol, accept = _period2_tolerances(model, coeffs, k, m, mu0)
-    # the probes of every FD Jacobian go to F as one block, one mu per row
     w, res, _ = newton_solve(F, np.append(u0, mu0), scales=scales, tol=tol,
-                             accept_tol=accept, max_iter=60, block=True,
+                             accept_tol=accept, max_iter=60,
                              name=f"period-2 with s (k={k}, m={m})")
     orbit = _orbit_from_unknowns(model, coeffs.with_mu(w[-1]), w[:-1], k, m)
     orbit.s_value = s_target
@@ -583,11 +581,10 @@ def _hetdim_solve(model: SaddleModel, coeffs: GlobalMapCoeffs,
     scales, tol, accept = _period2_tolerances(model_g, coeffs, k, m, mu0)
     w0 = np.concatenate((u0, [mu0, g0]))
     accept = np.append(accept, 1e-10)
-    # the probes of every floor and FD Jacobian go to F as one block
     tol = np.minimum(accept, fold_tol(F, w0, np.diag(np.spacing(np.abs(w0))),
-                                      least=np.append(tol, 1e-12), block=True))
+                                      least=np.append(tol, 1e-12)))
     w, res, _ = newton_solve(F, w0, scales=np.append(scales, 0.05), tol=tol,
-                             accept_tol=accept, max_iter=60, jac_reuse=4, block=True,
+                             accept_tol=accept, max_iter=60, jac_reuse=4,
                              name=f"heterodimensional cycle (k={k}, m={m})")
 
     u, mu1, g = w[:-2], float(w[-2]), float(w[-1])
@@ -835,19 +832,32 @@ def certificate_to_json(cert: CycleCertificate) -> str:
     return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True)
 
 
+def _require_keys(doc: dict, *keys: str) -> None:
+    """ValidationError naming the first of ``keys`` the certificate lacks."""
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"certificate missing key {key!r}")
+
+
 def replay_certificate_dict(doc: dict) -> dict:
     """Re-evaluate every residual of a serialized certificate.
 
     Deterministic: rebuilds the model and maps from the embedded specs and
     reruns the closure oracle, the gap measurement, and the index count.
+    A document that is not an object, or lacks a top-level key, raises
+    ValidationError naming the rule or the key.
     """
+    if not isinstance(doc, dict):
+        raise ValidationError("certificate must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"certificate schema mismatch: "
                               f"{doc.get('schema_version')} != {SCHEMA_VERSION}")
+    _require_keys(doc, "model", "coeffs")
     model = model_from_json(doc["model"])
     coeffs = coeffs_from_json(doc["coeffs"])
     coeffs2 = coeffs_from_json(doc["coeffs2"]) if doc.get("coeffs2") else coeffs
     check_dimensions(model, coeffs, coeffs2)
+    _require_keys(doc, "itinerary", "points", "eta", "tolerances", "mode")
     k, m = doc["itinerary"]
     tol = doc["tolerances"]
     pts = {name: SplitVector(v[0], v[1], np.array(v[2:]))

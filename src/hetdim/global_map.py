@@ -176,23 +176,17 @@ def t1_array(coeffs: GlobalMapCoeffs, v: Array) -> Array:
 def t1_jac_array(coeffs: GlobalMapCoeffs, v: Array) -> Array:
     """The Jacobian of T1: (D, D) at a flat (D,) point, or (N, D, D) at the
     rows of an (N, D) block, bit for bit."""
-    if v.ndim == 2:
-        # every entry but dy0/dy1 is a coefficient of the map
-        J = np.repeat(t1_jac_array(coeffs, np.zeros(v.shape[1]))[None], len(v), axis=0)
-        t = v[:, 1] - coeffs.y_minus
-        J[:, 1, 1] = 2.0 * coeffs.d * t + 3.0 * coeffs.e3 * t * t
-        return J
-    t = v[1] - coeffs.y_minus
-    J = np.zeros((v.size, v.size))
-    J[0, 0] = coeffs.a
-    J[0, 1] = coeffs.b
-    J[0, 2:] = coeffs.alpha1
-    J[1, 0] = coeffs.c
-    J[1, 1] = 2.0 * coeffs.d * t + 3.0 * coeffs.e3 * t * t
-    J[1, 2:] = coeffs.alpha2
-    J[2:, 0] = coeffs.a_t
-    J[2:, 1] = coeffs.b_t
-    J[2:, 2:] = coeffs.alpha3
+    t = v[..., 1] - coeffs.y_minus
+    J = np.zeros(v.shape + v.shape[-1:])
+    J[..., 0, 0] = coeffs.a
+    J[..., 0, 1] = coeffs.b
+    J[..., 0, 2:] = coeffs.alpha1
+    J[..., 1, 0] = coeffs.c
+    J[..., 1, 1] = 2.0 * coeffs.d * t + 3.0 * coeffs.e3 * t * t
+    J[..., 1, 2:] = coeffs.alpha2
+    J[..., 2:, 0] = coeffs.a_t
+    J[..., 2:, 1] = coeffs.b_t
+    J[..., 2:, 2:] = coeffs.alpha3
     return J
 
 

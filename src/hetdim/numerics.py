@@ -21,44 +21,32 @@ Array = np.ndarray
 FD_REL_STEP = 1e-7
 
 
-def fd_jacobian(f: Callable[[Array], Array], u: Array,
-                scales: Array | None = None, block: bool = False) -> Array:
+def fd_jacobian(f: Callable[[Array], Array], u: Array, scales: Array) -> Array:
     """Central finite-difference Jacobian of ``f`` at ``u``.
 
     ``scales`` sets the magnitude floor per variable so offsets of very
     different sizes (eta ~ lambda^k vs mu ~ 1) all get sensible steps.
-    The 2n probes u + h_i e_i, u - h_i e_i are the rows of one (2n, n)
-    array, all evaluated first: with ``block`` in one call of ``f`` on that
-    array, which returns their rows, NaN for a probe that raises; otherwise
-    in one point call each, a probe that raises NumericalError giving a NaN
-    row.  A probe whose row is not finite left the map's domain: its
-    variable takes the one-sided difference of its other probe, and when
-    both left, the Jacobian is unknown there and ConvergenceError names the
-    variable.  ``f(u)`` itself is evaluated, as one more call, only for a
-    one-sided difference: the Newton that asks for the Jacobian holds it.
+    The 2n probes u + h_i e_i, u - h_i e_i go to ``f`` as the rows of one
+    (2n, n) block, which returns their rows, NaN for a probe that raises.
+    A probe whose row is not finite left the map's domain: its variable
+    takes the one-sided difference of its other probe, and when both left,
+    the Jacobian is unknown there and ConvergenceError names the variable.
+    ``f(u[None])`` is evaluated, as one more call, only for a one-sided
+    difference: the Newton that asks for the Jacobian holds f(u).
     """
     u = np.asarray(u, dtype=float)
     n = u.size
-    h = FD_REL_STEP * np.maximum(np.abs(u), np.ones(n) if scales is None else scales)
+    h = FD_REL_STEP * np.maximum(np.abs(u), scales)
     probes = np.repeat(u[None], 2 * n, axis=0)
     d = np.arange(n)
     probes[2 * d, d] += h
     probes[2 * d + 1, d] -= h
-    if block:
-        rows = np.asarray(f(probes), dtype=float)
-    else:
-        def point(p: Array) -> Array | float:
-            try:
-                return np.asarray(f(p), dtype=float)
-            except NumericalError:
-                return np.nan
-        rows = np.array(np.broadcast_arrays(*(point(p) for p in probes)))
-    rows = rows.reshape(2 * n, -1)
+    rows = np.asarray(f(probes), dtype=float).reshape(2 * n, -1)
     ok = np.isfinite(rows).all(axis=1)
     J = (rows[0::2] - rows[1::2]) / (2.0 * h)[:, None]
     one_sided = np.flatnonzero(~(ok[0::2] & ok[1::2]))
     if one_sided.size:
-        f0 = np.asarray(f(u[None]) if block else f(u), dtype=float).reshape(-1)
+        f0 = np.asarray(f(u[None]), dtype=float).reshape(-1)
         ok0 = np.isfinite(f0).all()
         for i in one_sided.tolist():
             if ok0 and ok[2 * i]:
@@ -75,33 +63,29 @@ FOLD_ULPS = 256  # the ulps each floor probe moves its input
 
 
 def fold_tol(f: Callable[[Array], Any], u: Array, ulps,
-             least: float | Array = 1e-13, block: bool = False) -> float | Array:
+             least: float | Array = 1e-13) -> float | Array:
     """The stop tolerance of a Newton whose rows ``f(u)`` land on a float
     floor: twice each row's floor at u, never below ``least``.  ``ulps``
     holds one step of u per probed input, each one ulp of that input; a
     row's floor is the sum of its changes over FOLD_ULPS such steps, per ulp.
     Below it a Newton only random-walks its unknowns.  Returns a float for a
     scalar row and an array (one tolerance per row) for a vector of rows.
-    With ``block``, ``f`` takes u and every probe as the rows of one block
-    (see ``fd_jacobian``).  A point's floor that is not finite (a probe
-    left the map's domain) raises ConvergenceError.
+    ``f`` takes u and every probe as the rows of one block (see
+    ``fd_jacobian``).  A point's floor that is not finite (a probe left the
+    map's domain) raises ConvergenceError.
 
     An (N, n) block u, with each step of ``ulps`` an (N, n) block too, gives
     the (N, m) tolerances of N rows in one call of ``f`` on the pair (rows,
     points) of ``newton_solve``'s rows: each row its point call's, bit for
     bit, NaN where that call raises.
     """
+    points = np.array([u] + [u + FOLD_ULPS * e for e in ulps])
     if np.ndim(u) == 2:
-        points = np.concatenate([u] + [u + FOLD_ULPS * e for e in ulps])
-        rows = np.tile(np.arange(len(u)), len(ulps) + 1)
-        f0, *probed = np.asarray(f((rows, points)), dtype=float).reshape(
-            len(ulps) + 1, len(u), -1)
-    elif block:
-        f0, *probed = np.asarray(f(np.array([u] + [u + FOLD_ULPS * e for e in ulps])),
-                                 dtype=float)
+        rows = np.tile(np.arange(len(u)), len(points))
+        values = np.reshape(f((rows, np.concatenate(points))), (len(points), len(u), -1))
     else:
-        f0 = np.asarray(f(u), dtype=float)
-        probed = (np.asarray(f(u + FOLD_ULPS * e), dtype=float) for e in ulps)
+        values = f(points)
+    f0, *probed = np.asarray(values, dtype=float)
     floor = sum(np.abs(fp - f0) for fp in probed) / FOLD_ULPS
     if np.ndim(u) < 2 and not np.isfinite(floor).all():
         raise ConvergenceError("fold_tol: a floor probe left the domain", seed=u)
@@ -115,7 +99,6 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
                  accept_tol: float | Array,
                  max_iter: int = 40,
                  jac_reuse: int = 1,
-                 block: bool = False,
                  jac: Callable[[Array], Array] | None = None,
                  name: str = "newton") -> tuple[Array, float, int]:
     """Newton iteration with FD Jacobian and row/column equilibration.
@@ -127,12 +110,13 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
     raising.  Raises ConvergenceError with the seed and last residual
     otherwise.  ``jac_reuse`` > 1 switches to a modified Newton that
     refreshes the FD Jacobian only every so many iterations (the cycle
-    solvers' evaluations are expensive).  ``block`` hands ``fd_jacobian``'s
-    probes to ``f`` as one block.  ``jac``, when given, returns the exact
-    Jacobian at u and takes the place of every FD Jacobian; the rest of the
-    iteration is the same.  The equilibration matters: closure systems mix
-    residual scales from O(1) down to O(gamma^-k).  Returns the solution,
-    its max |F| and the iterations run (``max_iter`` for a floor accept).
+    solvers' evaluations are expensive).  ``f`` takes a point for the seed
+    and each trial, and the block of ``fd_jacobian``'s probes.  ``jac``,
+    when given, returns the exact Jacobian at u and takes the place of every
+    FD Jacobian; the rest of the iteration is the same.  The equilibration
+    matters: closure systems mix residual scales from O(1) down to
+    O(gamma^-k).  Returns the solution, its max |F| and the iterations run
+    (``max_iter`` for a floor accept).
 
     The iteration exists once, as the generator ``_newton_steps``.  An (N,
     n) seed block u0 drives one per row in lock-step (``_newton_rows``);
@@ -152,8 +136,7 @@ def newton_solve(f: Callable[[Array], Array], u0: Array, *,
         if isinstance(request, tuple):
             u, F, fact = request
             if fact is None:
-                fact = _equilibrated(fd_jacobian(f, u, scales=scales, block=block) if jac is None
-                                     else jac(u))
+                fact = _equilibrated(fd_jacobian(f, u, scales) if jac is None else jac(u))
             step = _newton_step(fact, F)
             return fact
         point = u0 if request is None else u + request * step
@@ -338,7 +321,7 @@ def _newton_rows(f: Callable[[tuple[Array, Array]], Array], u0: Array, scales: A
             for j in fresh:
                 try:
                     J.append(fd_jacobian(lambda q, j=j: f((np.full(len(q), j), q)),
-                                         requests[j][0], scales=scales[j], block=True))
+                                         requests[j][0], scales[j]))
                 except ConvergenceError as exc:
                     replies[j] = exc
             fresh, live = ([j for j in js if j not in replies] for js in (fresh, live))

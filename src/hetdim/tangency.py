@@ -686,7 +686,8 @@ def vertex_at(model: SaddleModel, coeffs: GlobalMapCoeffs, curve: ForgeCurve, mu
         w, J = axis_jet(model, cm, curve.ybase + t, curve.stays, jacobian=True)
         return float(J[1, 1]), 2.0 * curve.D, float(w[1])
 
-    tol = fold_tol(lambda t: slope(t)[0], tc_guess, [np.spacing(curve.ybase + tc_guess)])
+    tol = fold_tol(lambda ts: np.array([slope(t)[0] for t in ts]), tc_guess,
+                   [np.spacing(curve.ybase + tc_guess)])
     tc, _, _, level, _ = newton_1d(slope, tc_guess, tol=tol, name="stage-two vertex")
     return replace(curve, tc=tc, level=level)
 
@@ -748,12 +749,12 @@ def _second_stage(model: SaddleModel, coeffs: GlobalMapCoeffs, base: TangencyBra
 
             try:
                 slope_tol = fold_tol(lambda u: F(u)[:, 1], np.array([tseed, mu_seed]),
-                                     [np.array([np.spacing(ybase + tseed), 0.0])], block=True)
+                                     [np.array([np.spacing(ybase + tseed), 0.0])])
                 u, res, _ = newton_solve(F, np.array([tseed, mu_seed]),
                                          scales=np.array([1e-4, max(abs(mu_seed), 1e-6)]),
                                          tol=np.array([1e-13, slope_tol]),
                                          accept_tol=np.array([1e-11, 30.0 * slope_tol]),
-                                         max_iter=40, block=True,
+                                         max_iter=40,
                                          name=f"tertiary tangency j={j}")
             except NumericalError:
                 continue

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import linear_models, phase_points, stays, tier_models
 from test_kernels import (_ballooning, _d4_coeffs, _d4_forge_coeffs, _negative_model,
-                          _orbit_starts)
+                          _orbit_starts, _per_probe)
 
 from hetdim import cones, cycles, tangency
 from hetdim.cones import (_inverse_product, leaf_march, return_chain, stable_frame,
@@ -494,8 +494,8 @@ def _cycle_probes(monkeypatch, k, m):
     of ``_hetdim_solve`` at (k, m), captured before the Newton starts."""
     got = {}
 
-    def floors(f, u, ulps, least, block):
-        got.update(F=f, w0=u, ulps=ulps, least=least, block=block)
+    def floors(f, u, ulps, least):
+        got.update(F=f, w0=u, ulps=ulps, least=least)
         return np.asarray(least)
 
     solve = cycles.newton_solve
@@ -504,7 +504,6 @@ def _cycle_probes(monkeypatch, k, m):
         if name.startswith("period-2"):
             # phase A's period-2 solve
             return solve(f, u0, scales=scales, name=name, **kw)
-        assert kw["block"]
         got["scales"] = scales
         raise _Seed
 
@@ -512,7 +511,6 @@ def _cycle_probes(monkeypatch, k, m):
     monkeypatch.setattr(cycles, "newton_solve", newton)
     with pytest.raises(_Seed):
         cycles.solve_hetdim_symmetric(hetdim_model(), hetdim_coeffs(), k, m)
-    assert got["block"]
     return got
 
 
@@ -526,14 +524,14 @@ def test_cycle_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, k, m)
         calls.append(np.ndim(w))
         return F(w)
 
-    J = fd_jacobian(counted, w0, scales=got["scales"], block=True)
+    J = fd_jacobian(counted, w0, got["scales"])
     assert calls == [2]
-    ref = fd_jacobian(F, w0, scales=got["scales"])
+    ref = fd_jacobian(_per_probe(F), w0, got["scales"])
     assert _hex(J) == _hex(ref)
     del calls[:]
-    tol = fold_tol(counted, w0, got["ulps"], least=got["least"], block=True)
+    tol = fold_tol(counted, w0, got["ulps"], least=got["least"])
     assert calls == [2]
-    assert _hex(tol) == _hex(fold_tol(F, w0, got["ulps"], least=got["least"]))
+    assert _hex(tol) == _hex(fold_tol(_per_probe(F), w0, got["ulps"], least=got["least"]))
     # the block's rows are the point residuals, probe by probe
     probes = np.array([w0 + s * e for e in np.diag(got["scales"] * 1e-7) for s in (1, -1)])
     rows = F(probes)
@@ -543,8 +541,8 @@ def test_cycle_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, k, m)
 
 def test_block_fd_jacobian_takes_the_point_one_sided_fallback():
     # probes beyond x = 0.3 leave the domain: a point raises, a block row is
-    # NaN; both take the backward difference of variable 0 from their
-    # probes and one more call for f(u)
+    # NaN; the block and the per-probe reference both take the backward
+    # difference of variable 0 from their probes and one more call for f(u)
     def point(u):
         if u[0] > 0.3:
             raise DomainError("probe left the domain")
@@ -559,11 +557,11 @@ def test_block_fd_jacobian_takes_the_point_one_sided_fallback():
         return np.array([[np.nan, np.nan] if r[0] > 0.3 else point(r) for r in u])
 
     u = np.array([0.3, 1.0])
-    J = fd_jacobian(f, u, block=True)
+    J = fd_jacobian(f, u, np.ones(2))
     # the probes as one block, then f(u) as a block of one row
     assert calls == [2, 2]
     del calls[:]
-    assert J.tobytes() == fd_jacobian(f, u).tobytes()
+    assert J.tobytes() == fd_jacobian(_per_probe(f), u, np.ones(2)).tobytes()
     # the four probes, then f(u)
     assert calls == [1] * 5
     assert J[0, 0] == pytest.approx(0.6, rel=1e-6)
@@ -613,14 +611,13 @@ def _period2_newton(monkeypatch, solve, *args):
     """The residual F, seed and FD scales that ``solve`` hands its Newton."""
     got = {}
 
-    def newton(f, u0, *, scales, block=False, **kw):
-        got.update(F=f, u0=u0, scales=scales, block=block)
+    def newton(f, u0, *, scales, **kw):
+        got.update(F=f, u0=u0, scales=scales)
         raise _Seed
 
     monkeypatch.setattr(cycles, "newton_solve", newton)
     with pytest.raises(_Seed):
         solve(*args)
-    assert got["block"]
     return got
 
 
@@ -644,9 +641,9 @@ def test_period2_fd_jacobian_block_is_the_per_probe_jacobian_bitwise(monkeypatch
             calls.append(np.ndim(w))
             return F(w)
 
-        J = fd_jacobian(counted, u0, scales=got["scales"], block=True)
+        J = fd_jacobian(counted, u0, got["scales"])
         assert calls == [2]
-        assert _hex(J) == _hex(fd_jacobian(F, u0, scales=got["scales"]))
+        assert _hex(J) == _hex(fd_jacobian(_per_probe(F), u0, got["scales"]))
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +662,7 @@ def _forge_probes(monkeypatch, model, coeffs, ks):
     FD Jacobians on the others."""
     got = {}
 
-    def floors(f, u, ulps, least=1e-13, block=False):
+    def floors(f, u, ulps, least=1e-13):
         got.update(F_floor=f, ulps=ulps, least=least, floor_rows=np.ndim(u) == 2)
         return np.full(np.shape(u), 1e-13)
 
@@ -733,15 +730,14 @@ def test_forge_probe_blocks_are_the_per_probe_results_bitwise(monkeypatch, case,
 
     for r, u0 in enumerate(U0):
         del calls[:]
-        J = fd_jacobian(lambda w: counted(F)((np.full(len(w), r), w)), u0,
-                        scales=got["scales"][r], block=True)
+        J = fd_jacobian(lambda w: counted(F)((np.full(len(w), r), w)), u0, got["scales"][r])
         assert calls == [2]
-        assert _hex(J) == _hex(fd_jacobian(point, u0, scales=got["scales"][r]))
+        assert _hex(J) == _hex(fd_jacobian(_per_probe(point), u0, got["scales"][r]))
     del calls[:]
     tol = fold_tol(counted(F_floor), U0, got["ulps"], least=got["least"])
     assert calls == [2] and tol.shape == (len(U0), 3)
     for r, u0 in enumerate(U0):
-        ref = fold_tol(point, u0, [e[r] for e in got["ulps"]], least=got["least"])
+        ref = fold_tol(_per_probe(point), u0, [e[r] for e in got["ulps"]], least=got["least"])
         assert _hex(tol[r]) == _hex(ref), r
 
 
@@ -943,7 +939,8 @@ def _rows_solve(table, exact, calls=None):
 
 def _point_solve(table, r, exact, evaluated=None, raised=None):
     """Row r of ``table`` solved on its own: its residual raises
-    DomainError where the row's is NaN."""
+    DomainError where the row's is NaN, and each FD probe is its own point
+    call (``_per_probe``)."""
 
     def g(u):
         if evaluated is not None:
@@ -956,7 +953,7 @@ def _point_solve(table, r, exact, evaluated=None, raised=None):
         return F
 
     jac = (lambda u: _rows_system_jac(np.array([r]), u[None])[0]) if exact else None
-    return newton_solve(g, table[r, 3:5], jac=jac, scales=np.ones(2), **ROWS_KW)
+    return newton_solve(_per_probe(g), table[r, 3:5], jac=jac, scales=np.ones(2), **ROWS_KW)
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -1100,7 +1097,7 @@ def test_newton_rows_with_jac_reuse_are_their_point_solves_bitwise(exact):
             return F
 
         jac = (lambda u, r=r: _kinked_jac(np.array([r]), u[None])[0]) if exact else None
-        u, x, it = newton_solve(g, seed, scales=np.ones(2), jac=jac, **kw)
+        u, x, it = newton_solve(_per_probe(g), seed, scales=np.ones(2), jac=jac, **kw)
         assert _hex(U[r]) + _hex(res[r]) == _hex(u) + _hex(x), r
         assert len(raised) == row_evaluations.count(r), r
         point_iterations.append(it)
@@ -1155,7 +1152,7 @@ def test_newton_rows_raise_a_rows_fd_jacobian_error():
 
     seeds = np.array([[0.5, 1.0], [0.5, 1.0]])
     with pytest.raises(ConvergenceError) as ref:
-        newton_solve(lambda u: residual(np.array([1]), u[None])[0], seeds[1],
+        newton_solve(_per_probe(lambda u: residual(np.array([1]), u[None])[0]), seeds[1],
                      scales=np.ones(2), **ROWS_KW)
     assert str(ref.value) == "fd_jacobian: every probe of variable 0 left the domain"
     with pytest.raises(ConvergenceError) as exc:

@@ -21,7 +21,7 @@ from hetdim import cones, runner
 from hetdim.cones import (_inverse_product, invariant_cu_subspace, return_chain, stable_frame,
                           stable_slopes, strip_center)
 from hetdim.cycles import orbit_index, orbit_jacobian_chain, orbit_multipliers
-from hetdim.errors import ConvergenceError, DomainError, ItineraryError
+from hetdim.errors import ConvergenceError, DomainError, ItineraryError, NumericalError
 from hetdim.global_map import (axis_point, coeffs_from_json, first_return_array, t1_array,
                                t1_jac_array, t1_tilde_array)
 from hetdim.local import _forward_y, solve_cross_form
@@ -667,6 +667,26 @@ def test_nonlinear_orbit_jacobian_chain_is_the_per_step_chain(battery_orbits, ti
         assert orbit_jacobian_chain(model, coeffs, orbit).tobytes() == steps.tobytes()
 
 
+def _per_probe(g):
+    """The point function ``g`` as a residual that also takes a block: each
+    row of a block is its own point call, NaN throughout where that call
+    raises NumericalError.  It is the per-probe reference of the block
+    probes of ``fd_jacobian`` and ``fold_tol``."""
+
+    def point(p):
+        try:
+            return np.asarray(g(p), dtype=float)
+        except NumericalError:
+            return np.nan
+
+    def f(u):
+        if np.ndim(u) < 2:
+            return g(u)
+        return np.array(np.broadcast_arrays(*(point(p) for p in u)))
+
+    return f
+
+
 def test_fd_jacobian_raises_when_every_probe_leaves_the_domain():
     u0 = np.array([0.3, 0.5, -0.2])
 
@@ -676,7 +696,7 @@ def test_fd_jacobian_raises_when_every_probe_leaves_the_domain():
         return np.array([u[0] ** 2, u[0] + u[1], u[2] * u[1]])
 
     with pytest.raises(ConvergenceError, match="variable 1"):
-        fd_jacobian(f, u0)
+        fd_jacobian(_per_probe(f), u0, np.ones(3))
 
 
 def test_fd_jacobian_one_sided_fallback():
@@ -686,7 +706,7 @@ def test_fd_jacobian_one_sided_fallback():
             raise DomainError("probe left the domain")
         return np.array([u[0] ** 2, 3.0 * u[1]])
 
-    J = fd_jacobian(f, np.array([0.3, 1.0]))
+    J = fd_jacobian(_per_probe(f), np.array([0.3, 1.0]), np.ones(2))
     assert J[0, 0] == pytest.approx(0.6, rel=1e-6)
     assert J[1, 1] == pytest.approx(3.0, rel=1e-9)
 
@@ -694,13 +714,14 @@ def test_fd_jacobian_one_sided_fallback():
 @pytest.mark.parametrize("block", [False, True])
 def test_fd_jacobian_takes_a_non_finite_probe_as_outside_the_domain(block):
     # f is NaN beyond x = 1 without raising: the forward probe of x left the
-    # domain, and the backward difference exists
+    # domain, and the backward difference exists.  f takes the probe block
+    # whole, or (not ``block``) each probe row in its own point call
     def f(u):
         x, y = u[..., 0], u[..., 1]
         F = np.stack((x * x, x * y), axis=-1)
         return np.where((x > 1.0)[..., None], np.nan, F)
 
-    J = fd_jacobian(f, np.array([1.0, 2.0]), block=block)
+    J = fd_jacobian(f if block else _per_probe(f), np.array([1.0, 2.0]), np.ones(2))
     assert J[:, 0] == pytest.approx([2.0, 2.0], rel=1e-6)
     assert J[:, 1] == pytest.approx([0.0, 1.0], rel=1e-9)
 
@@ -709,7 +730,7 @@ def test_fd_jacobian_takes_a_non_finite_probe_as_outside_the_domain(block):
         return np.where((u[..., :1] != 1.0), np.nan, f(u))
 
     with pytest.raises(ConvergenceError, match="variable 0"):
-        fd_jacobian(g, np.array([1.0, 2.0]), block=block)
+        fd_jacobian(g if block else _per_probe(g), np.array([1.0, 2.0]), np.ones(2))
 
 
 # offsets and step floors of mixed scales, from 1e-9 to 1e4
@@ -734,9 +755,9 @@ def test_block_fd_jacobian_is_the_point_fd_jacobian_property(n, data):
         calls.append(np.ndim(w))
         return f(w)
 
-    J = fd_jacobian(counted, u, scales=scales, block=True)
+    J = fd_jacobian(counted, u, scales)
     assert calls == [2] and J.shape == (n + 1, n)
-    assert J.tobytes() == fd_jacobian(f, u, scales=scales).tobytes()
+    assert J.tobytes() == fd_jacobian(_per_probe(f), u, scales).tobytes()
 
 
 def test_fold_tol_gives_each_row_its_own_floor():
@@ -750,10 +771,50 @@ def test_fold_tol_gives_each_row_its_own_floor():
     def f(w):
         return np.array([a * w[0], b * w[1], a * w[0] + b * w[1], 0.0])
 
-    tol = fold_tol(f, u, [np.array([ulp0, 0.0]), np.array([0.0, ulp1])],
+    tol = fold_tol(_per_probe(f), u, [np.array([ulp0, 0.0]), np.array([0.0, ulp1])],
                    least=np.array([0.0, 0.0, 0.0, 1e-12]))
     assert tol.tolist() == [2.0 * a * ulp0, 2.0 * b * ulp1,
                             2.0 * (a * ulp0 + b * ulp1), 1e-12]
+
+
+def _nan_past_one(w):
+    """Two rows, NaN throughout on a point (a row of a block) with x > 1."""
+    x, y = w[..., 0], w[..., 1]
+    return np.where((x > 1.0)[..., None], np.nan, np.stack((3.0 * x, x * y), axis=-1))
+
+
+def test_fold_tol_raises_where_a_point_floor_probe_leaves_the_domain():
+    # at x = 1 the floor probe of x leaves the domain: its row is NaN, and
+    # the one call of f on u and its probes raises
+    calls = []
+
+    def f(w):
+        calls.append(np.shape(w))
+        return _nan_past_one(w)
+
+    u = np.array([1.0, 2.0])
+    ulps = [np.array([np.spacing(1.0), 0.0]), np.array([0.0, np.spacing(2.0)])]
+    with pytest.raises(ConvergenceError, match="^fold_tol: a floor probe left the domain$"):
+        fold_tol(f, u, ulps)
+    assert calls == [(3, 2)]
+
+
+def test_fold_tol_rows_give_nan_only_where_a_rows_floor_probe_leaves_the_domain():
+    # rows form: row 0's probe of x leaves the domain, so its tolerances
+    # are NaN; row 1's are its point call's, from one call of f on all rows
+    calls = []
+
+    def f(arg):
+        calls.append(arg[0].tolist())
+        return _nan_past_one(arg[1])
+
+    U = np.array([[1.0, 2.0], [0.5, 2.0]])
+    ulps = [np.column_stack((np.spacing(U[:, 0]), [0.0, 0.0])),
+            np.column_stack(([0.0, 0.0], np.spacing(U[:, 1])))]
+    tol = fold_tol(f, U, ulps)
+    assert calls == [[0, 1, 0, 1, 0, 1]]
+    assert np.isnan(tol[0]).all() and tol.shape == (2, 2)
+    assert tol[1].tolist() == fold_tol(_nan_past_one, U[1], [e[1] for e in ulps]).tolist()
 
 
 def _fold_parabola(t):
@@ -839,7 +900,7 @@ def test_newton_solve_backtracks_from_a_residual_whose_score_overflows():
     calls = []
 
     def f(u):
-        calls.append(float(u[0]))
+        calls.extend(np.atleast_1d(u[..., 0]).tolist())
         return _ballooning(u)
 
     u, res, _ = newton_solve(f, np.array([1.5]), scales=np.ones(1), tol=1e-13,

@@ -386,6 +386,22 @@ def test_check_model_with_mixed_dimensions_is_a_config_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"config error: {message}"), alpha
 
 
+def test_replay_of_a_malformed_certificate_is_a_certificate_error(tmp_path, capsys):
+    # not an object, then each top-level key missing in the order replay
+    # reads them: exit 2 with the rule or the key named, no traceback
+    cases = [([], "certificate must be a JSON object"),
+             ({"schema_version": SCHEMA_VERSION}, "certificate missing key 'model'")]
+    doc = {"schema_version": SCHEMA_VERSION, "model": hetdim_model().spec(),
+           "coeffs": hetdim_coeffs().spec()}
+    for key in ("itinerary", "points", "eta", "tolerances", "mode"):
+        cases.append((dict(doc), f"certificate missing key {key!r}"))
+        doc[key] = None
+    for doc, message in cases:
+        cert = _write(tmp_path, "cert.json", doc)
+        assert main(["replay", cert]) == 2
+        assert capsys.readouterr().err == f"certificate error: {message}\n", doc
+
+
 def test_replay_with_mixed_dimensions_is_a_certificate_error(tmp_path, capsys):
     for alpha, message in MIXED_INPUTS:
         cert = _write(tmp_path, "cert.json", {"schema_version": SCHEMA_VERSION,
